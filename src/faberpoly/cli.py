@@ -145,19 +145,12 @@ def _family_from_args(args) -> tuple[object, dict]:
     return fam, desc
 
 
-def _structural_minimum(fam) -> int:
-    if isinstance(fam, (GapMap, TwoGapMap)):
-        return fam.highest_index
-    if isinstance(fam, Hypocycloid):
-        return fam.m
-    return 0
-
-
 def _run_gen(args):
     fam, desc = _family_from_args(args)
-    emap = to_exterior_map(fam, max(_structural_minimum(fam), args.N))
-    system = faber_system_from_recurrence(emap, args.N)
-    results = [[_pair(c) for c in p.coeffs] for p in system.polys]
+    emap = to_exterior_map(fam, max(getattr(fam, "highest_index", 0), args.N))
+    table = faber_system_from_recurrence(emap, args.N).coeffs
+    pairs = np.stack((table.real, table.imag), -1)
+    results = [pairs[j, :j + 1].tolist() for j in range(args.N + 1)]
     payload = {"command": "gen", "map": desc, "N": args.N,
                "results": results, "residuals": {}, "pass": True}
     return payload, True
@@ -179,11 +172,16 @@ def _run_roots(args):
     fam, desc = _family_from_args(args)
     if args.j_min < 1 or args.j_max < args.j_min:
         raise ValueError("need 1 <= j-min <= j-max")
-    emap = to_exterior_map(fam, max(_structural_minimum(fam), args.j_max))
+    emap = to_exterior_map(fam, max(getattr(fam, "highest_index", 0), args.j_max))
     system = faber_system_from_recurrence(emap, args.j_max)
     results = []
     for j in range(args.j_min, args.j_max + 1):
-        results.append({"j": j, "roots": [_pair(r) for r in system[j].roots()]})
+        try:
+            roots = system[j].roots()
+        except RootFindingError as exc:
+            raise RootFindingError(f"roots of F_{j} of {json.dumps(desc)}: {exc}",
+                                   exc.roots, exc.residuals) from exc
+        results.append({"j": j, "roots": [_pair(r) for r in roots]})
     payload = {"command": "roots", "map": desc, "N": args.j_max,
                "results": results, "residuals": {}, "pass": True}
     return payload, True

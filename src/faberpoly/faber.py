@@ -23,24 +23,26 @@ checks the derivative identity z F_j'(z) = j P_j(z).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
+
+import numpy as np
 
 from .poly import ComplexPolynomial
 from .report import CheckReport
 from .series import PowerSeries
 
 #: allowed FaberSystem generation tags
-GENERATION_METHODS = ("recurrence", "closed-form", "oracle-interpolated")
+GENERATION_METHODS = ("recurrence", "closed-form")
 
 
 def default_series_order(n_highest: int) -> int:
     """Series truncation order used by the value oracles.
 
-    The series operations are degree-exact, so any order >= the highest
-    Faber index works; the factor-two margin is defensive.
+    The series operations are degree-exact, so order N yields the same
+    coefficients 0..N as any higher order.
     """
-    return 2 * n_highest + 4
+    return n_highest
 
 
 @dataclass(frozen=True)
@@ -71,27 +73,38 @@ class ExteriorMap:
         return 0j
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FaberSystem:
-    """The prefix F_0 ... F_N of the Faber polynomials of one map."""
+    """The prefix F_0 ... F_N of the Faber polynomials of one map.
+
+    ``coeffs`` is an (N+1) x (N+1) lower-triangular complex array whose
+    row j holds the ascending coefficients of F_j; it is read-only.
+    ``system[j]`` is F_j as an untrimmed ComplexPolynomial of degree j,
+    built on first access.
+    """
 
     map: ExteriorMap
-    polys: tuple[ComplexPolynomial, ...]
+    coeffs: np.ndarray
     method: str
+    _polys: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.method not in GENERATION_METHODS:
             raise ValueError(f"unknown generation method {self.method!r}")
+        self.coeffs.flags.writeable = False       # the cached views must stay valid
 
     @property
     def highest_index(self) -> int:
-        return len(self.polys) - 1
+        return len(self.coeffs) - 1
 
     def __getitem__(self, j: int) -> ComplexPolynomial:
-        return self.polys[j]
+        j = range(len(self.coeffs))[j]
+        if j not in self._polys:
+            self._polys[j] = ComplexPolynomial(self.coeffs[j, :j + 1], trim=False)
+        return self._polys[j]
 
     def __len__(self) -> int:
-        return len(self.polys)
+        return len(self.coeffs)
 
 
 def exp_map_exterior(eta: complex, lam: complex, truncation: int) -> ExteriorMap:
@@ -108,24 +121,29 @@ def exp_map_exterior(eta: complex, lam: complex, truncation: int) -> ExteriorMap
 
 
 def faber_system_from_recurrence(emap: ExteriorMap, n_highest: int) -> FaberSystem:
-    """Generate F_0 ... F_N by the coefficient recurrence.
+    """Generate F_0 ... F_N by the coefficient recurrence, one table row per step.
 
-    Deterministic: the same map always yields bit-identical systems.
+    Row j+1 is (z - a0) times row j (a two-term convolution), minus the one
+    contraction of a_1..a_j with rows j-1..0, minus j a_j in the constant
+    term.  Deterministic: the same map always yields bit-identical systems.
+    Raises OverflowError naming the first F_j that float64 cannot hold.
     """
     if n_highest < 0:
         raise ValueError("need a nonnegative highest index")
-    polys = [ComplexPolynomial.one()]
-    if n_highest >= 1:
-        x_shift = ComplexPolynomial((-emap.alpha0, 1.0))
-        polys.append(x_shift)
+    a = np.zeros(n_highest + 1, dtype=complex)
+    a[:min(emap.truncation, n_highest) + 1] = (emap.alpha0,) + emap.tail[:n_highest]
+    x_shift = np.array((-a[0], 1.0))
+    f = np.eye(n_highest + 1, dtype=complex)     # every F_j is monic
+    f[1:2, 0] = x_shift[0]                         # F_1 = z - a0, when N >= 1
+    with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, n_highest):
-            nxt = x_shift * polys[j]
-            for k in range(1, min(j, emap.truncation) + 1):
-                nxt = nxt - emap.alpha(k) * polys[j - k]
-            if 1 <= j <= emap.truncation:
-                nxt = nxt - ComplexPolynomial((j * emap.alpha(j),))
-            polys.append(nxt)
-    return FaberSystem(map=emap, polys=tuple(polys), method="recurrence")
+            f[j + 1, :j + 2] = np.convolve(x_shift, f[j, :j + 1])
+            f[j + 1, :j] -= a[1:j + 1] @ f[j - 1::-1, :j]
+            f[j + 1, 0] -= j * a[j]
+    bad = np.flatnonzero(~np.isfinite(f).all(axis=1))
+    if bad.size:
+        raise OverflowError(f"the recurrence overflows float64 from F_{bad[0]} on")
+    return FaberSystem(map=emap, coeffs=f, method="recurrence")
 
 
 def _map_minus_z_over_w(emap: ExteriorMap, z: complex, order: int) -> PowerSeries:

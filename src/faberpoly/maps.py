@@ -124,6 +124,10 @@ class Hypocycloid:
         if self.m < 1:
             raise ValueError("hypocycloid order m must be at least 1")
 
+    @property
+    def highest_index(self) -> int:
+        return self.m
+
 
 @dataclass(frozen=True)
 class ExpMap:
@@ -144,40 +148,27 @@ def to_exterior_map(family: MapFamily, truncation: int) -> ExteriorMap:
     """Coefficient form of a family member, for the recurrence generator.
 
     ``truncation`` must cover every structurally nonzero index of the
-    finite families; the exponential family truncates its factorial tail.
+    finite families (their ``highest_index``); the exponential family
+    truncates its factorial tail.
     """
+    if not isinstance(family, (Shift, GapMap, TwoGapMap, Hypocycloid, ExpMap)):
+        raise TypeError(f"not a map family: {family!r}")
+    top = getattr(family, "highest_index", 0)
+    if truncation < top:
+        raise ValueError(f"truncation {truncation} must be at least {top} "
+                         f"for {type(family).__name__}")
+    if isinstance(family, ExpMap):
+        return exp_map_exterior(family.eta, family.lam, truncation)
     if isinstance(family, Shift):
-        if truncation < 0:
-            raise ValueError("truncation must be nonnegative")
         return ExteriorMap(family.alpha0, (0j,) * truncation)
-    if isinstance(family, GapMap):
-        if truncation < family.highest_index:
-            raise ValueError(f"truncation {truncation} drops gap-map coefficients "
-                             f"up to index {family.highest_index}")
-        tail = [0j] * truncation
-        for i, c in enumerate(family.tail):
-            tail[family.n + i - 1] = c
-        return ExteriorMap(family.z0, tail)
-    if isinstance(family, TwoGapMap):
-        if truncation < family.highest_index:
-            raise ValueError(f"truncation {truncation} drops two-gap coefficients "
-                             f"up to index {family.highest_index}")
-        tail = [0j] * truncation
-        tail[family.m - 1] = family.alpha_m
-        for i, c in enumerate(family.tail):
-            tail[family.n + i - 1] = c
-        return ExteriorMap(family.z0, tail)
+    tail = [0j] * truncation
     if isinstance(family, Hypocycloid):
-        if truncation < family.m:
-            raise ValueError(f"truncation {truncation} drops the w^-{family.m} coefficient")
-        tail = [0j] * truncation
         tail[family.m - 1] = 1.0 / family.m
         return ExteriorMap(0.0, tail)
-    if isinstance(family, ExpMap):
-        if truncation < 0:
-            raise ValueError("truncation must be nonnegative")
-        return exp_map_exterior(family.eta, family.lam, truncation)
-    raise TypeError(f"not a map family: {family!r}")
+    if isinstance(family, TwoGapMap):
+        tail[family.m - 1] = family.alpha_m
+    tail[family.n - 1:top] = family.tail
+    return ExteriorMap(family.z0, tail)
 
 
 def evaluate_map(family: MapFamily, w: complex) -> complex:
@@ -210,47 +201,40 @@ def gap_faber_closed_form(family: GapMap, j: int) -> ComplexPolynomial:
         raise ValueError("index must be nonnegative")
     if j > family.n + 1:
         raise ValueError(f"no closed form beyond index {family.n + 1}; use the recurrence")
-    shifted = ComplexPolynomial((-family.z0, 1.0))
-    if j <= family.n:
-        return _poly_power(shifted, j)
-    return _poly_power(shifted, j) - ComplexPolynomial(((family.n + 1) * family.alpha_n(),))
+    coeffs = _shifted_power(family.z0, j)
+    if j == family.n + 1:
+        coeffs[0] -= (family.n + 1) * family.alpha_n()
+    return ComplexPolynomial(coeffs, trim=False)
 
 
 def two_gap_faber_system(family: TwoGapMap, n_highest: int) -> FaberSystem:
     """F_0 ... F_N of a two-gap map by its four-branch piecewise recurrence:
     shifted monomials up to m, one corrected monomial at m + 1, a constant-
     coefficient three-term recurrence up to n, then the full-tail recurrence.
+    Row j of the system's own table holds F_j.
     """
     if n_highest < 0:
         raise ValueError("need a nonnegative highest index")
-    z0, m, am, n = family.z0, family.m, family.alpha_m, family.n
-    shifted = ComplexPolynomial((-z0, 1.0))
-    polys = [ComplexPolynomial.one()]
-    for j in range(0, n_highest):
-        if j <= m - 1:
-            nxt = _poly_power(shifted, j + 1)
-        elif j == m:
-            nxt = _poly_power(shifted, m + 1) - ComplexPolynomial(((m + 1) * am,))
-        elif j <= n - 1:
-            nxt = shifted * polys[j] - am * polys[j - m]
-        else:
-            nxt = shifted * polys[j] - am * polys[j - m]
-            for k in range(n, j + 1):
-                a_k = _two_gap_alpha(family, k)
-                if a_k != 0:
-                    nxt = nxt - a_k * polys[j - k]
-            a_j = _two_gap_alpha(family, j)
-            if a_j != 0:
-                nxt = nxt - ComplexPolynomial((j * a_j,))
-        polys.append(nxt)
-    emap = to_exterior_map(family, max(family.highest_index, n_highest))
-    return FaberSystem(map=emap, polys=tuple(polys), method="closed-form")
-
-
-def _two_gap_alpha(family: TwoGapMap, k: int) -> complex:
-    if family.n <= k <= family.highest_index:
-        return family.tail[k - family.n]
-    return 0j
+    z0, m, am, n, top = family.z0, family.m, family.alpha_m, family.n, family.highest_index
+    table = np.zeros((n_highest + 1, n_highest + 1), dtype=complex)
+    table[0, 0] = 1.0
+    for j in range(n_highest):
+        row, prev = table[j + 1], table[j, :j + 1]
+        if j <= m:
+            row[:j + 2] = _shifted_power(z0, j + 1)
+            if j == m:
+                row[0] -= (m + 1) * am
+        else:                                   # (z - z0) F_j - alpha_m F_{j-m}
+            row[1:j + 2] = prev
+            row[:j + 1] -= z0 * prev
+            row[:j - m + 1] -= am * table[j - m, :j - m + 1]
+        if j >= n:                              # the tail from index n on
+            for k in range(n, min(j, top) + 1):
+                row[:j - k + 1] -= family.tail[k - n] * table[j - k, :j - k + 1]
+            if j <= top:
+                row[0] -= j * family.tail[j - n]
+    emap = to_exterior_map(family, max(top, n_highest))
+    return FaberSystem(map=emap, coeffs=table, method="closed-form")
 
 
 def hypocycloid_faber_closed_form(m: int, j: int) -> ComplexPolynomial:
@@ -311,11 +295,9 @@ def exp_map_faber_closed_form(eta: complex, lam: complex, j: int) -> ComplexPoly
     return ComplexPolynomial(coeffs).compose_affine(1.0, -eta)
 
 
-def _poly_power(p: ComplexPolynomial, j: int) -> ComplexPolynomial:
-    out = ComplexPolynomial.one()
-    for _ in range(j):
-        out = out * p
-    return out
+def _shifted_power(z0: complex, j: int) -> list[complex]:
+    """Ascending coefficients of (z - z0)^j by the binomial theorem."""
+    return [math.comb(j, k) * (-z0) ** (j - k) for k in range(j + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 Coefficients are stored in ascending order: ``coeffs[k]`` multiplies
 ``z**k``.  Every polynomial is kept in canonical trimmed form -- trailing
 coefficients whose magnitude is at most ``TRIM_REL`` times the largest
-coefficient magnitude are dropped, so recurrence round-off cannot silently
-inflate the degree.  The zero polynomial has an empty coefficient tuple and
-``degree == -1``.
+coefficient magnitude are dropped, so arithmetic round-off cannot silently
+inflate the degree.  ``trim=False`` keeps every coefficient, for rows whose
+leading coefficient is known to be nonzero (a monic Faber polynomial).  The
+zero polynomial has an empty coefficient tuple and ``degree == -1``.
 
 All values are immutable and every operation is a pure function, so
 polynomials can be shared freely between threads.
@@ -39,7 +40,7 @@ class RootFindingError(ArithmeticError):
         self.residuals = [float(r) for r in residuals]
 
 
-def _trimmed(raw: Sequence[complex]) -> tuple[complex, ...]:
+def _trimmed(raw: Iterable[complex]) -> tuple[complex, ...]:
     coeffs = [complex(c) for c in raw]
     if not coeffs:
         return ()
@@ -59,8 +60,8 @@ class ComplexPolynomial:
 
     coeffs: tuple[complex, ...]
 
-    def __init__(self, coeffs: Iterable[complex] = ()):
-        object.__setattr__(self, "coeffs", _trimmed(list(coeffs)))
+    def __init__(self, coeffs: Iterable[complex] = (), trim: bool = True):
+        object.__setattr__(self, "coeffs", _trimmed(coeffs) if trim else tuple(map(complex, coeffs)))
 
     # -- construction helpers -------------------------------------------------
 

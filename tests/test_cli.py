@@ -1,10 +1,11 @@
 import io
 import json
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from faberpoly.cli import main
+from faberpoly.poly import ComplexPolynomial, RootFindingError
 
 
 def run_cli(*argv):
@@ -94,6 +95,19 @@ class TestRoots:
                           "--j-min", "5", "--j-max", "2")
         assert code == 2
 
+    def test_non_convergence_names_family_and_index(self, monkeypatch):
+        def fail(self):
+            raise RootFindingError("Aberth iteration did not converge", [], [])
+
+        monkeypatch.setattr(ComplexPolynomial, "roots", fail)
+        code, out, err = run_cli_with_stderr("roots", "--family", "hypocycloid", "--m", "2",
+                                             "--j-min", "7", "--j-max", "9")
+        assert code == 3
+        assert out == ""
+        message = json.loads(err)["message"]
+        assert "F_7" in message and "hypocycloid" in message
+        assert "did not converge" in message
+
 
 class TestBoundary:
     def test_single_angle_example(self):
@@ -118,6 +132,13 @@ class TestKernel:
         assert results[1][0] == [0.0, 0.0] and results[1][1] == [1.0, 0.0]
 
 
+def run_cli_with_stderr(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
 class TestErrors:
     def test_unknown_suite_is_usage_error(self):
         code, _ = run_cli("verify", "--suite", "nonsense")
@@ -131,3 +152,11 @@ class TestErrors:
     def test_malformed_complex(self):
         code, _ = run_cli("gen", "--family", "shift", "--alpha0", "bogus", "--N", "2")
         assert code == 2
+
+    def test_overflow_is_an_error_not_a_table(self):
+        code, out, err = run_cli_with_stderr("gen", "--family", "shift", "--alpha0", "20",
+                                             "--N", "240")
+        assert code == 3
+        assert out == ""
+        assert "F_234" in json.loads(err)["message"]
+        assert "Infinity" not in err + out and "NaN" not in err + out

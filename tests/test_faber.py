@@ -1,8 +1,12 @@
 import cmath
 import math
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faberpoly.faber import (ExteriorMap, FaberSystem, check_derivative_identity,
                              check_inverse_power_decay, exp_map_exterior,
@@ -10,7 +14,7 @@ from faberpoly.faber import (ExteriorMap, FaberSystem, check_derivative_identity
                              faber_system_from_recurrence,
                              faber_values_from_log_series,
                              faber_values_from_ratio_series, kernel_polys)
-from faberpoly.maps import Hypocycloid, to_exterior_map
+from faberpoly.maps import ExpMap, Hypocycloid, Shift, to_exterior_map
 from faberpoly.poly import ComplexPolynomial
 from faberpoly.series import PowerSeries
 from faberpoly.suites import draw_disk, draw_exterior_map
@@ -26,7 +30,7 @@ class TestExteriorMap:
 
     def test_method_tag_is_validated(self):
         with pytest.raises(ValueError):
-            FaberSystem(ExteriorMap(0), (ComplexPolynomial.one(),), "guesswork")
+            FaberSystem(ExteriorMap(0), np.ones((1, 1), dtype=complex), "guesswork")
 
 
 class TestRecurrence:
@@ -61,7 +65,7 @@ class TestRecurrence:
         rng = np.random.default_rng(9)
         emap = draw_exterior_map(rng, 12)
         fs = faber_system_from_recurrence(emap, 12)
-        for j, p in enumerate(fs.polys):
+        for j, p in enumerate(fs):
             assert p.degree == j
             assert abs(p.coeffs[-1] - 1.0) <= 1e-12
 
@@ -70,11 +74,70 @@ class TestRecurrence:
         emap = draw_exterior_map(rng, 10)
         a = faber_system_from_recurrence(emap, 10)
         b = faber_system_from_recurrence(emap, 10)
-        assert a.polys == b.polys
+        assert a.coeffs.tobytes() == b.coeffs.tobytes()
 
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
             faber_system_from_recurrence(ExteriorMap(0), -1)
+
+    def test_matches_term_by_term_recurrence(self):
+        # the recurrence on ComplexPolynomial values, one tail term at a time; the
+        # table sums the tail terms in another order, so they agree to round-off
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            emap = draw_exterior_map(rng, 30)
+            fs = faber_system_from_recurrence(emap, 30)
+            polys = [ComplexPolynomial.one(), ComplexPolynomial((-emap.alpha0, 1.0))]
+            for j in range(1, 30):
+                nxt = polys[1] * polys[j]
+                for k in range(1, j + 1):
+                    nxt = nxt - emap.alpha(k) * polys[j - k]
+                polys.append(nxt - ComplexPolynomial((j * emap.alpha(j),)))
+            for j, p in enumerate(polys):
+                assert fs[j].coefficient_deviation(p) <= 64 * np.finfo(float).eps
+
+    def test_large_constant_term_keeps_degree(self):
+        # coefficients of F_200 reach 1e264, far past the 1e13 trim ratio
+        fs = faber_system_from_recurrence(to_exterior_map(Shift(20), 200), 200)
+        assert len(fs[200].coeffs) == 201
+        assert fs[200].coeffs[-1] == 1.0
+
+    def test_overflow_raises_naming_the_first_index(self):
+        emap = to_exterior_map(Shift(20), 240)
+        with pytest.raises(OverflowError, match="F_234"):
+            faber_system_from_recurrence(emap, 240)
+
+    def test_views_are_built_once(self):
+        fs = faber_system_from_recurrence(to_exterior_map(Hypocycloid(2), 6), 6)
+        assert fs[4] is fs[4]
+        assert fs[-1] is fs[6]
+        with pytest.raises(IndexError):
+            fs[7]
+
+
+def bounded_complex(radius):
+    return st.complex_numbers(max_magnitude=radius, allow_nan=False, allow_infinity=False)
+
+
+def assert_monic_table(fs):
+    table = fs.coeffs
+    for j in range(len(fs)):
+        assert fs[j].degree == j
+        assert table[j, j] == 1.0
+    assert not np.triu(table, 1).any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(bounded_complex(50.0), st.integers(0, 60))
+def test_shift_systems_are_monic_of_full_degree(alpha0, n):
+    assert_monic_table(faber_system_from_recurrence(to_exterior_map(Shift(alpha0), n), n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(bounded_complex(50.0), bounded_complex(1.0), st.integers(0, 60))
+def test_exp_map_systems_are_monic_of_full_degree(eta, lam, n):
+    emap = to_exterior_map(ExpMap(eta, lam), n)
+    assert_monic_table(faber_system_from_recurrence(emap, n))
 
 
 class TestLogSeriesOracle:
@@ -106,6 +169,32 @@ class TestLogSeriesOracle:
     def test_needs_at_least_one_index(self):
         with pytest.raises(ValueError):
             faber_values_from_log_series(ExteriorMap(0), 1.0, 0)
+
+
+class TestSeriesOrder:
+    """The oracles' default order N gives the same values as the former 2N + 4."""
+
+    ORACLES = (faber_values_from_log_series, faber_values_from_ratio_series,
+               faber_derivative_values_from_series)
+
+    def test_order_n_is_bit_identical_on_random_maps(self):
+        rng = np.random.default_rng(23)
+        for _ in range(30):
+            emap = draw_exterior_map(rng, 30)
+            z = draw_disk(rng, 3.0)
+            for oracle in self.ORACLES:
+                assert oracle(emap, z, 30) == oracle(emap, z, 30, order=2 * 30 + 4)
+
+    def test_order_n_stays_clear_of_overflow(self):
+        emap = exp_map_exterior(0.2, 0.6 + 0.3j, 400)
+        for oracle in self.ORACLES:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                values = oracle(emap, -2.0, 400)
+            with np.errstate(over="ignore", invalid="ignore"):
+                wide = oracle(emap, -2.0, 400, order=2 * 400 + 4)
+            assert np.all(np.isfinite(values))
+            assert values == wide
 
 
 class TestRatioSeries:
