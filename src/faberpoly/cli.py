@@ -17,6 +17,7 @@ per line.  Exit codes: 0 pass, 1 check failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -48,9 +49,19 @@ def _emit_error(kind: str, message: str) -> None:
 
 def _parse_complex(text: str) -> complex:
     try:
-        return complex(text.replace(" ", ""))
+        value = complex(text.replace(" ", ""))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _parse_real(text: str) -> float:
+    value = _parse_complex(text)
+    if value.imag:
+        raise argparse.ArgumentTypeError(f"not a real number: {text!r}")
+    return value.real
 
 
 def _parse_complex_list(text: str) -> tuple[complex, ...]:
@@ -96,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", required=True, choices=list(SUITE_NAMES) + ["all"])
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--N", type=int, default=None)
-    p_verify.add_argument("--tol", type=float, default=None)
+    p_verify.add_argument("--tol", type=_parse_real, default=None)
     p_verify.add_argument("--lambda", dest="lam", type=_parse_complex, default=None)
     add_output(p_verify)
 
@@ -108,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_boundary = sub.add_parser("boundary", help="boundary curve samples")
     p_boundary.add_argument("--lambda", dest="lam", type=_parse_complex, default=0.5 + 0j)
-    p_boundary.add_argument("--theta", type=float, default=None,
+    p_boundary.add_argument("--theta", type=_parse_real, default=None,
                             help="single angle; omit to sample a uniform grid")
     p_boundary.add_argument("--samples", type=int, default=64)
     add_output(p_boundary)

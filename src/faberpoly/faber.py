@@ -36,15 +36,6 @@ from .series import PowerSeries
 GENERATION_METHODS = ("recurrence", "closed-form")
 
 
-def default_series_order(n_highest: int) -> int:
-    """Series truncation order used by the value oracles.
-
-    The series operations are degree-exact, so order N yields the same
-    coefficients 0..N as any higher order.
-    """
-    return n_highest
-
-
 @dataclass(frozen=True)
 class ExteriorMap:
     """Coefficient data of a map w + alpha0 + sum_{k>=1} alpha_k w^{-k}.
@@ -79,8 +70,8 @@ class FaberSystem:
 
     ``coeffs`` is an (N+1) x (N+1) lower-triangular complex array whose
     row j holds the ascending coefficients of F_j; it is read-only.
-    ``system[j]`` is F_j as an untrimmed ComplexPolynomial of degree j,
-    built on first access.
+    ``system[j]`` is F_j as a ComplexPolynomial of degree j, built on first
+    access.
     """
 
     map: ExteriorMap
@@ -100,7 +91,7 @@ class FaberSystem:
     def __getitem__(self, j: int) -> ComplexPolynomial:
         j = range(len(self.coeffs))[j]
         if j not in self._polys:
-            self._polys[j] = ComplexPolynomial(self.coeffs[j, :j + 1], trim=False)
+            self._polys[j] = ComplexPolynomial(self.coeffs[j, :j + 1])
         return self._polys[j]
 
     def __len__(self) -> int:
@@ -166,8 +157,7 @@ def faber_values_from_log_series(emap: ExteriorMap, z: complex, n_highest: int,
     """
     if n_highest < 1:
         raise ValueError("need at least F_1")
-    if order is None:
-        order = default_series_order(n_highest)
+    order = n_highest if order is None else order
     log_series = _map_minus_z_over_w(emap, z, order).log1()
     return [-j * log_series.coeffs[j] for j in range(1, n_highest + 1)]
 
@@ -181,8 +171,7 @@ def faber_values_from_ratio_series(emap: ExteriorMap, z: complex, n_highest: int
     """
     if n_highest < 0:
         raise ValueError("need a nonnegative highest index")
-    if order is None:
-        order = default_series_order(max(n_highest, 1))
+    order = max(n_highest, 1) if order is None else order
     num = [0j] * (order + 1)
     num[0] = 1.0
     for k in range(1, min(emap.truncation, order - 1) + 1):
@@ -201,10 +190,22 @@ def faber_derivative_values_from_series(emap: ExteriorMap, z: complex, n_highest
     """
     if n_highest < 1:
         raise ValueError("need at least index 1")
-    if order is None:
-        order = default_series_order(n_highest)
+    order = n_highest if order is None else order
     recip = _map_minus_z_over_w(emap, z, order).reciprocal()
     return list(recip.coeffs[:n_highest])
+
+
+def _kernel_tables(lam: complex, n_highest: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Faber table F of w*exp(lam/w) and the kernel table P, rows 0..N.
+
+    Row j of P is P_j = lam * P_{j-1} + F_j, so every P_j is monic of degree j.
+    """
+    lam = complex(lam)
+    f = faber_system_from_recurrence(exp_map_exterior(0.0, lam, n_highest), n_highest).coeffs
+    p = f.copy()
+    for j in range(1, n_highest + 1):
+        p[j] += lam * p[j - 1]
+    return f, p
 
 
 def kernel_polys(lam: complex, n_highest: int) -> list[ComplexPolynomial]:
@@ -213,33 +214,28 @@ def kernel_polys(lam: complex, n_highest: int) -> list[ComplexPolynomial]:
     Built as the exact Horner combination P_j = lam * P_{j-1} + F_j.  These
     are the t-coefficients of the kernel 1/(1 - z t exp(-lam t)).
     """
-    if n_highest < 0:
-        raise ValueError("need a nonnegative highest index")
-    lam = complex(lam)
-    fs = faber_system_from_recurrence(exp_map_exterior(0.0, lam, n_highest), n_highest)
-    out = [fs[0]]
-    for j in range(1, n_highest + 1):
-        out.append(lam * out[-1] + fs[j])
-    return out
+    _, p = _kernel_tables(lam, n_highest)
+    return [ComplexPolynomial(row[:j + 1]) for j, row in enumerate(p)]
 
 
 def check_derivative_identity(lam: complex, n_highest: int, tol: float = 1e-9) -> CheckReport:
-    """Coefficientwise check of z F_j'(z) = j P_j(z) for j = 0..N (map w*exp(lam/w))."""
-    lam = complex(lam)
-    fs = faber_system_from_recurrence(exp_map_exterior(0.0, lam, n_highest), n_highest)
-    ps = kernel_polys(lam, n_highest)
-    z_poly = ComplexPolynomial.monomial(1)
-    residuals = []
-    for j in range(n_highest + 1):
-        lhs = z_poly * fs[j].derivative()
-        rhs = float(j) * ps[j]
-        residuals.append(lhs.coefficient_deviation(rhs))
-    worst = max(residuals, default=0.0)
+    """Coefficientwise check of z F_j'(z) = j P_j(z) for j = 0..N (map w*exp(lam/w)).
+
+    Coefficient k of z F_j' is k c_k, so the identity compares F scaled by
+    column index with P scaled by row index, row by row relative to
+    1 + max|coefficient|.
+    """
+    f, p = _kernel_tables(lam, n_highest)
+    k = np.arange(n_highest + 1)
+    lhs, rhs = f * k, k[:, None] * p
+    scale = 1.0 + np.maximum(np.abs(lhs).max(axis=1), np.abs(rhs).max(axis=1))
+    residuals = np.abs(lhs - rhs).max(axis=1) / scale
+    worst = float(residuals.max())
     return CheckReport(
         name="derivative-identity",
         passed=worst <= tol,
         max_residual=worst,
-        residuals=tuple(residuals),
+        residuals=tuple(residuals.tolist()),
     )
 
 

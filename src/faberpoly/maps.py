@@ -204,7 +204,7 @@ def gap_faber_closed_form(family: GapMap, j: int) -> ComplexPolynomial:
     coeffs = _shifted_power(family.z0, j)
     if j == family.n + 1:
         coeffs[0] -= (family.n + 1) * family.alpha_n()
-    return ComplexPolynomial(coeffs, trim=False)
+    return ComplexPolynomial(coeffs)
 
 
 def two_gap_faber_system(family: TwoGapMap, n_highest: int) -> FaberSystem:

@@ -1,12 +1,11 @@
 """Dense complex polynomial arithmetic.
 
 Coefficients are stored in ascending order: ``coeffs[k]`` multiplies
-``z**k``.  Every polynomial is kept in canonical trimmed form -- trailing
-coefficients whose magnitude is at most ``TRIM_REL`` times the largest
-coefficient magnitude are dropped, so arithmetic round-off cannot silently
-inflate the degree.  ``trim=False`` keeps every coefficient, for rows whose
-leading coefficient is known to be nonzero (a monic Faber polynomial).  The
-zero polynomial has an empty coefficient tuple and ``degree == -1``.
+``z**k``.  Trailing coefficients that are exactly zero are dropped and
+nothing else is, so a polynomial with a nonzero leading coefficient keeps
+its degree however small that coefficient is next to the others (every
+monic Faber polynomial F_j has degree j).  The zero polynomial has an empty
+coefficient tuple and ``degree == -1``.
 
 All values are immutable and every operation is a pure function, so
 polynomials can be shared freely between threads.
@@ -18,9 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-
-#: relative magnitude under which a trailing coefficient counts as round-off noise
-TRIM_REL = 1e-13
 
 #: Aberth-Ehrlich iteration limits
 ROOT_MAX_ITER = 500
@@ -42,16 +38,9 @@ class RootFindingError(ArithmeticError):
 
 def _trimmed(raw: Iterable[complex]) -> tuple[complex, ...]:
     coeffs = [complex(c) for c in raw]
-    if not coeffs:
-        return ()
-    top = max(abs(c) for c in coeffs)
-    if top == 0.0:
-        return ()
-    cut = TRIM_REL * top
-    end = len(coeffs)
-    while end > 0 and abs(coeffs[end - 1]) <= cut:
-        end -= 1
-    return tuple(coeffs[:end])
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 @dataclass(frozen=True)
@@ -60,8 +49,8 @@ class ComplexPolynomial:
 
     coeffs: tuple[complex, ...]
 
-    def __init__(self, coeffs: Iterable[complex] = (), trim: bool = True):
-        object.__setattr__(self, "coeffs", _trimmed(coeffs) if trim else tuple(map(complex, coeffs)))
+    def __init__(self, coeffs: Iterable[complex] = ()):
+        object.__setattr__(self, "coeffs", _trimmed(coeffs))
 
     # -- construction helpers -------------------------------------------------
 
@@ -242,3 +231,10 @@ def _horner(coeffs_ascending: np.ndarray, x: np.ndarray) -> np.ndarray:
     for c in coeffs_ascending[::-1]:
         acc = acc * x + c
     return acc
+
+
+def evaluate_rows(table: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Values at z of the polynomials whose ascending coefficients are the
+    rows of ``table``, with each row's Horner magnitude sum_k |c_k| |z|^k."""
+    ones = np.ones(len(table))
+    return _horner(table.T, complex(z) * ones), _horner(np.abs(table).T, abs(z) * ones)

@@ -27,6 +27,7 @@ from .maps import (ExpMap, GapMap, Hypocycloid, TwoGapMap,
                    gap_faber_closed_form, hypocycloid_faber_closed_form,
                    inverse_exp_map, lambert_w0, lambert_w0_power_series,
                    to_exterior_map, two_gap_faber_system)
+from .poly import evaluate_rows
 from .report import CheckReport, combine
 from .verify import (check_gap_coefficient_recovery, exponential_map_characterization,
                      leading_common_root_order)
@@ -107,6 +108,13 @@ def draw_two_gap_map(rng: np.random.Generator, pattern_valid: bool = False) -> T
 # suites
 # ---------------------------------------------------------------------------
 
+def _value_residual(expected, table: np.ndarray, z: complex) -> float:
+    """Worst |expected_j - row_j(z)| over the table rows, each relative to
+    1 + the row's Horner magnitude at z."""
+    values, magnitudes = evaluate_rows(table, z)
+    return float(np.max(np.abs(np.asarray(expected) - values) / (1.0 + magnitudes)))
+
+
 def suite_recurrence_vs_oracle(seed: int = 0, n_maps: int = 50, n_points: int = 20,
                                n_highest: int = 30, truncation: int = 30,
                                tol: float = 1e-9) -> CheckReport:
@@ -115,14 +123,12 @@ def suite_recurrence_vs_oracle(seed: int = 0, n_maps: int = 50, n_points: int = 
     per_map = []
     for _ in range(n_maps):
         emap = draw_exterior_map(rng, truncation)
-        system = faber_system_from_recurrence(emap, n_highest)
+        table = faber_system_from_recurrence(emap, n_highest).coeffs[1:]
         worst = 0.0
         for _ in range(n_points):
             z = draw_disk(rng, 3.0)
             oracle = faber_values_from_log_series(emap, z, n_highest)
-            for j in range(1, n_highest + 1):
-                scale = 1.0 + system[j].evaluation_magnitude(z)
-                worst = max(worst, abs(oracle[j - 1] - system[j].evaluate(z)) / scale)
+            worst = max(worst, _value_residual(oracle, table, z))
         per_map.append(worst)
     worst = max(per_map)
     return CheckReport("recurrence-vs-oracle", worst <= tol, worst, tuple(per_map))
@@ -136,13 +142,9 @@ def suite_eq13(seed: int = 0, pairs: int = 30, n_highest: int = 20,
     for _ in range(pairs):
         emap = draw_exterior_map(rng, truncation)
         z = draw_disk(rng, 3.0)
-        system = faber_system_from_recurrence(emap, n_highest)
+        table = faber_system_from_recurrence(emap, n_highest).coeffs
         coeffs = faber_values_from_ratio_series(emap, z, n_highest)
-        worst = 0.0
-        for j in range(n_highest + 1):
-            scale = 1.0 + system[j].evaluation_magnitude(z)
-            worst = max(worst, abs(coeffs[j] - system[j].evaluate(z)) / scale)
-        residuals.append(worst)
+        residuals.append(_value_residual(coeffs, table, z))
     worst = max(residuals)
     return CheckReport("eq13", worst <= tol, worst, tuple(residuals))
 
@@ -151,18 +153,15 @@ def suite_eq16(seed: int = 0, pairs: int = 30, n_highest: int = 20,
                truncation: int = 24, tol: float = 1e-9) -> CheckReport:
     """Derivative generating series 1/(Psi(w)-z) against the recurrence."""
     rng = np.random.default_rng(seed)
+    index = np.arange(1, n_highest + 1)
     residuals = []
     for _ in range(pairs):
         emap = draw_exterior_map(rng, truncation)
         z = draw_disk(rng, 3.0)
-        system = faber_system_from_recurrence(emap, n_highest)
+        f = faber_system_from_recurrence(emap, n_highest).coeffs
+        values, magnitudes = evaluate_rows(f[1:, 1:] * index, z)    # row j-1 is F_j'
         coeffs = faber_derivative_values_from_series(emap, z, n_highest)
-        worst = 0.0
-        for j in range(1, n_highest + 1):
-            dpoly = system[j].derivative()
-            scale = 1.0 + dpoly.evaluation_magnitude(z)
-            worst = max(worst, abs(coeffs[j - 1] - dpoly.evaluate(z) / j) / scale)
-        residuals.append(worst)
+        residuals.append(float(np.max(np.abs(coeffs - values / index) / (1.0 + magnitudes))))
     worst = max(residuals)
     return CheckReport("eq16", worst <= tol, worst, tuple(residuals))
 
@@ -215,16 +214,13 @@ def suite_theorem2(seed: int = 0, cases: int = 10, n_highest: int = 24,
         # value pattern at z0: zero up to n except the single index m+1
         pat = draw_two_gap_map(rng, pattern_valid=True)
         pat_emap = to_exterior_map(pat, max(pat.highest_index, n_highest))
-        pat_system = faber_system_from_recurrence(pat_emap, n_highest)
-        pattern_resid = 0.0
-        for j in range(1, min(pat.n, n_highest) + 1):
-            p = pat_system[j]
-            v = abs(p.evaluate(pat.z0))
-            if j == pat.m + 1:
-                expected = (pat.m + 1) * abs(pat.alpha_m)
-                pattern_resid = max(pattern_resid, abs(v - expected) / (1.0 + expected))
-            else:
-                pattern_resid = max(pattern_resid, v / (1.0 + p.max_magnitude))
+        rows = faber_system_from_recurrence(pat_emap, n_highest).coeffs[1:pat.n + 1]
+        values = np.abs(evaluate_rows(rows, pat.z0)[0])          # |F_j(z0)|, j = 1..
+        pattern = values / (1.0 + np.abs(rows).max(axis=1))
+        if pat.m < len(rows):
+            expected = (pat.m + 1) * abs(pat.alpha_m)
+            pattern[pat.m] = abs(values[pat.m] - expected) / (1.0 + expected)
+        pattern_resid = float(pattern.max(initial=0.0))
         worst = max(coeff_resid, pattern_resid)
         reports.append(CheckReport(f"theorem2-case-{i}", worst <= tol, worst))
     return combine("theorem2", reports)
@@ -325,8 +321,6 @@ def suite_rays(n_highest: int = 24, m_max: int = 4, angle_tol: float = 1e-6,
         worst_resid = 0.0
         for j in range(1, n_highest + 1):
             p = hypocycloid_faber_closed_form(m, j)
-            if p.degree < 1:
-                continue
             scale = 1.0 + sum(abs(c) for c in p.coeffs)
             for r in p.roots():
                 worst_resid = max(worst_resid, abs(p.evaluate(r)) / scale)

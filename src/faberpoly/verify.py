@@ -18,11 +18,13 @@ to the generated horizon, which the profile reports explicitly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .faber import ExteriorMap, FaberSystem, faber_system_from_recurrence
 from .maps import GapMap, to_exterior_map
+from .poly import evaluate_rows
 from .report import CheckReport
 
 
@@ -54,15 +56,11 @@ def leading_common_root_order(system: FaberSystem, z0: complex,
     if system.highest_index < 2:
         raise ValueError("profiling needs at least F_1 and F_2")
     z0 = complex(z0)
-    values = []
-    first = None
-    for j in range(1, system.highest_index + 1):
-        p = system[j]
-        v = abs(p.evaluate(z0))
-        values.append(v)
-        if first is None and v > tol * (1.0 + p.max_magnitude):
-            first = j
-    return CommonRootProfile(z0=z0, first_nonvanishing=first, values=tuple(values))
+    rows = system.coeffs[1:]
+    values = np.abs(evaluate_rows(rows, z0)[0])
+    nonzero = np.flatnonzero(values > tol * (1.0 + np.abs(rows).max(axis=1)))
+    first = int(nonzero[0]) + 1 if nonzero.size else None
+    return CommonRootProfile(z0=z0, first_nonvanishing=first, values=tuple(values.tolist()))
 
 
 def check_gap_coefficient_recovery(family: GapMap, n_highest: int,
@@ -73,11 +71,11 @@ def check_gap_coefficient_recovery(family: GapMap, n_highest: int,
     normalized by 1 + |alpha_j|.
     """
     emap = to_exterior_map(family, max(family.highest_index, n_highest))
-    system = faber_system_from_recurrence(emap, n_highest)
+    values = evaluate_rows(faber_system_from_recurrence(emap, n_highest).coeffs, family.z0)[0]
     residuals = []
     for j in range(family.n, min(2 * family.n, n_highest - 1) + 1):
         expected = emap.alpha(j)
-        recovered = -system[j + 1].evaluate(family.z0) / (j + 1)
+        recovered = -complex(values[j + 1]) / (j + 1)
         residuals.append(abs(recovered - expected) / (1.0 + abs(expected)))
     worst = max(residuals, default=0.0)
     return CheckReport(
@@ -100,14 +98,10 @@ def exponential_map_characterization(emap: ExteriorMap, z0: complex, n_highest: 
     if n_highest < 3:
         raise ValueError("need at least F_3 to characterize the pattern")
     z0 = complex(z0)
-    system = faber_system_from_recurrence(emap, n_highest)
-    f1 = system[1]
-    if abs(f1.evaluate(z0)) <= tol * (1.0 + f1.max_magnitude):
+    table = faber_system_from_recurrence(emap, n_highest).coeffs
+    nonzero = np.abs(evaluate_rows(table, z0)[0]) > tol * (1.0 + np.abs(table).max(axis=1))
+    if not nonzero[1] or nonzero[2:].any():
         return False
-    for j in range(2, n_highest + 1):
-        p = system[j]
-        if abs(p.evaluate(z0)) > tol * (1.0 + p.max_magnitude):
-            return False
     lam = emap.alpha0 - z0
     power = lam
     for j in range(1, emap.truncation + 1):

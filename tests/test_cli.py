@@ -131,6 +131,13 @@ class TestKernel:
         # P_1 = z
         assert results[1][0] == [0.0, 0.0] and results[1][1] == [1.0, 0.0]
 
+    def test_every_row_keeps_full_degree(self):
+        code, out = run_cli("kernel", "--lambda", "0.9", "--N", "200")
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert [len(row) for row in results] == list(range(1, 202))
+        assert all(row[-1] == [1.0, 0.0] for row in results)
+
 
 def run_cli_with_stderr(*argv):
     out, err = io.StringIO(), io.StringIO()
@@ -160,3 +167,19 @@ class TestErrors:
         assert out == ""
         assert "F_234" in json.loads(err)["message"]
         assert "Infinity" not in err + out and "NaN" not in err + out
+
+    @pytest.mark.parametrize("argv", [
+        ("boundary", "--lambda", "nan", "--theta", "0"),
+        ("boundary", "--theta", "nan"),
+        ("gen", "--family", "shift", "--alpha0", "nan"),
+        ("kernel", "--lambda", "nan"),
+        ("verify", "--suite", "eq14", "--lambda", "nan"),
+        ("verify", "--suite", "eq14", "--tol", "inf"),
+    ], ids=["boundary-lambda", "boundary-theta", "gen-alpha0", "kernel-lambda",
+            "verify-lambda", "verify-tol"])
+    def test_non_finite_number_is_usage_error(self, argv):
+        code, out, err = run_cli_with_stderr(*argv)
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "usage" and "not a finite number" in error["message"]

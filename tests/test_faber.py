@@ -271,8 +271,28 @@ class TestKernelPolys:
                 direct = direct + (lam ** (j - k)) * fs[k]
             assert ps[j].coefficient_deviation(direct) < 1e-13
 
+    @pytest.mark.parametrize("lam, n", [(0.9, 200), (5.0, 40)])
+    def test_every_kernel_polynomial_is_monic_of_full_degree(self, lam, n):
+        # the coefficients of P_j reach far past 1e13 here; none may drop the leading 1
+        for j, p in enumerate(kernel_polys(lam, n)):
+            assert p.degree == j and p.coeffs[-1] == 1.0
+
 
 class TestDerivativeIdentity:
+    def test_runs_the_recurrence_once(self, monkeypatch):
+        import faberpoly.faber as faber_module
+
+        calls = []
+        original = faber_module.faber_system_from_recurrence
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(faber_module, "faber_system_from_recurrence", counted)
+        assert check_derivative_identity(0.7, 20).passed
+        assert len(calls) == 1
+
     def test_degenerate_indices(self):
         report = check_derivative_identity(0.3, 1)
         assert report.passed

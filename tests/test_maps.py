@@ -179,8 +179,17 @@ class TestHypocycloidClosedForm:
         fs = faber_system_from_recurrence(emap, 10)
         assert hypocycloid_faber_closed_form(2, 10).equal_within(fs[10], 1e-10)
 
+    def test_high_index_keeps_monic_degree(self):
+        # coefficients reach 1e20 at j = 100, so a relative trim would drop the leading 1
+        p = hypocycloid_faber_closed_form(1, 100)
+        assert p.degree == 100 and p.coeffs[-1] == 1.0
+
 
 class TestChebyshevScaled:
+    def test_high_index_keeps_monic_degree(self):
+        p = chebyshev_scaled(100)
+        assert p.degree == 100 and p.coeffs[-1] == 1.0
+
     def test_low_indices(self):
         assert chebyshev_scaled(0).coeffs == (1 + 0j,)
         assert chebyshev_scaled(1).coeffs == (0j, 1 + 0j)
@@ -240,6 +249,10 @@ class TestExpMapClosedForm:
         for j in range(1, 21):
             dev = exp_map_faber_closed_form(eta, lam, j).coefficient_deviation(fs[j])
             assert dev <= 1e-9
+
+    def test_high_index_keeps_monic_degree(self):
+        p = exp_map_faber_closed_form(0.3, 0.5, 60)
+        assert p.degree == 60 and p.coeffs[-1] == 1.0
 
 
 class TestLambert:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from faberpoly.poly import ComplexPolynomial, RootFindingError
+from faberpoly.poly import ComplexPolynomial, RootFindingError, evaluate_rows
 
 
 def poly(*coeffs):
@@ -32,9 +32,10 @@ class TestStructure:
         assert ComplexPolynomial.zero().degree == -1
         assert ComplexPolynomial.zero().is_zero()
 
-    def test_trailing_noise_is_trimmed(self):
-        p = ComplexPolynomial((1.0, 1e-20))
-        assert p.degree == 0
+    def test_only_exact_trailing_zeros_are_trimmed(self):
+        # a tiny leading coefficient is kept: monic rows never lose degree
+        assert ComplexPolynomial((1.0, 1e-20)).degree == 1
+        assert ComplexPolynomial((1.0, 2.0, 0.0, -0.0)).coeffs == (1 + 0j, 2 + 0j)
 
     def test_small_leading_coefficient_survives_when_dominant(self):
         p = ComplexPolynomial((0.0, 0.0, 1e-20))
@@ -105,6 +106,21 @@ class TestRoots:
     def test_failure_carries_diagnostics(self):
         err = RootFindingError("x", [1j], [0.5])
         assert err.roots == [1j] and err.residuals == [0.5]
+
+
+class TestEvaluateRows:
+    def test_matches_per_row_horner(self):
+        # the per-polynomial loop is the reference; the row-wise sum order is the
+        # same, so only complex-multiply rounding may differ
+        rng = np.random.default_rng(7)
+        table = np.tril(rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)))
+        for z in (0.0, 0.3 - 1.2j, 2.5):
+            values, magnitudes = evaluate_rows(table, z)
+            for row, value, magnitude in zip(table, values, magnitudes):
+                p = ComplexPolynomial(row)
+                scale = p.evaluation_magnitude(z)
+                assert abs(value - p.evaluate(z)) <= 8 * np.finfo(float).eps * scale
+                assert abs(magnitude - scale) <= 8 * np.finfo(float).eps * scale
 
 
 # -- property tests -----------------------------------------------------------
