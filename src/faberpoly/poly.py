@@ -26,8 +26,9 @@ ROOT_STEP_TOL = 1e-13
 class RootFindingError(ArithmeticError):
     """Simultaneous root iteration did not converge.
 
-    Carries the best iterates found (``roots``) and their residuals
-    ``|p(r)|`` so callers can inspect or retry.
+    Carries the last finite iterates (``roots``) and their residuals
+    ``|p(r)|``, ``inf`` where that overflows and never NaN, so callers can
+    inspect or retry.
     """
 
     def __init__(self, message: str, roots: Sequence[complex], residuals: Sequence[float]):
@@ -169,49 +170,64 @@ class ComplexPolynomial:
     def roots(self) -> list[complex]:
         """All degree-many roots with multiplicity, by Aberth-Ehrlich iteration.
 
-        Initial guesses sit on a circle of radius 1 + max|c_k / c_deg| (the
-        Cauchy bound).  An iterate is accepted once its correction step
-        drops below ``ROOT_STEP_TOL`` (relative to its magnitude) or its
-        residual reaches the Horner evaluation noise floor, beyond which
-        float64 cannot distinguish it from a root.  After ``ROOT_MAX_ITER``
-        sweeps a :class:`RootFindingError` carrying the best iterates is
-        raised.
+        A factor z**r is split off first and gives r exact zeros.  The other
+        initial guesses come from the Newton polygon (Bini 1996): for each
+        edge from i to k of the upper convex hull of the points
+        (k, log|c_k|), k - i guesses are spread over the circle of radius
+        (|c_i| / |c_k|)**(1/(k-i)), so each starts near the size of the
+        roots it should find.  Each sweep evaluates p, p' and the Horner
+        magnitude sum_k |c_k| |x|^k in one pass.  An iterate is accepted once
+        its correction step drops below ``ROOT_STEP_TOL`` (relative to its
+        magnitude) or its residual reaches the Horner evaluation noise floor,
+        beyond which float64 cannot distinguish it from a root; both the
+        iterate and its noise floor must be finite.  A non-finite iterate,
+        or ``ROOT_MAX_ITER`` sweeps without convergence, raises a
+        :class:`RootFindingError` carrying the last finite iterates.
         """
-        n = self.degree
-        if n < 1:
+        if self.degree < 1:
             raise ValueError("root finding needs degree >= 1")
         c = np.asarray(self.coeffs, dtype=complex)
-        c = c / c[-1]
+        r = int(np.flatnonzero(c)[0])
+        zeros = [0j] * r
+        c = c[r:] / c[-1]
+        n = len(c) - 1
+        if n == 0:
+            return zeros
         if n == 1:
-            return [complex(-c[0])]
-        dc = c[1:] * np.arange(1, n + 1)
+            return zeros + [complex(-c[0])]
         abs_c = np.abs(c)
+        dc = np.append(c[1:] * np.arange(1, n + 1), 0.0)
+        # row k holds c_k, the z^k coefficient of p', and |c_k|, one row per
+        # Horner step over the stacked points (x, x, |x|)
+        stacked = np.stack((c, dc, abs_c), axis=-1)[..., None]
         eps = np.finfo(float).eps
-        radius = 1.0 + float(np.max(abs_c[:-1]))
-        angles = 2.0 * np.pi * np.arange(n) / n + 0.4
-        x = radius * np.exp(1j * angles)
+        x = _newton_polygon_starts(abs_c)
         with np.errstate(all="ignore"):
-            for _ in range(ROOT_MAX_ITER):
-                pv = _horner(c, x)
-                dv = _horner(dc, x)
+            for sweep in range(ROOT_MAX_ITER):
+                pv, dv, magnitude = _horner(stacked, np.stack((x, x, np.abs(x))))
                 diff = x[:, None] - x[None, :]
                 np.fill_diagonal(diff, np.inf)
                 if np.any(diff == 0):
                     # split coinciding iterates deterministically and retry
                     x = x + (1e-12 + 1e-12j) * (1.0 + np.abs(x)) * (np.arange(n) + 1)
                     continue
-                noise_floor = 4.0 * eps * _horner(abs_c, np.abs(x)).real
-                settled = np.abs(pv) <= noise_floor
+                noise_floor = 4.0 * eps * magnitude.real
+                settled = np.isfinite(noise_floor) & (np.abs(pv) <= noise_floor)
                 newton = np.where(settled, 0j, pv / np.where(dv == 0, 1.0, dv))
                 denom = 1.0 - newton * (1.0 / diff).sum(axis=1)
                 step = np.where(settled, 0j, newton / np.where(denom == 0, 1.0, denom))
-                x = x - step
+                x_next = x - step
+                if not np.all(np.isfinite(x_next)):
+                    message = f"Aberth iteration left the finite range in sweep {sweep + 1}"
+                    break
+                x = x_next
                 if bool(np.all(settled | (np.abs(step) < ROOT_STEP_TOL * (1.0 + np.abs(x))))):
-                    return [complex(r) for r in x]
-        residuals = np.abs(_horner(np.asarray(self.coeffs, dtype=complex), x))
-        raise RootFindingError(
-            f"Aberth iteration did not converge in {ROOT_MAX_ITER} sweeps",
-            x, residuals)
+                    return zeros + [complex(z) for z in x]
+            else:
+                message = f"Aberth iteration did not converge in {ROOT_MAX_ITER} sweeps"
+            residuals = np.abs(_horner(np.asarray(self.coeffs, dtype=complex), x))
+        residuals[~np.isfinite(residuals)] = np.inf
+        raise RootFindingError(message, zeros + list(x), [0.0] * r + list(residuals))
 
     # -- misc -----------------------------------------------------------------
 
@@ -231,6 +247,27 @@ def _horner(coeffs_ascending: np.ndarray, x: np.ndarray) -> np.ndarray:
     for c in coeffs_ascending[::-1]:
         acc = acc * x + c
     return acc
+
+
+def _newton_polygon_starts(abs_c: np.ndarray) -> np.ndarray:
+    """Aberth starting points from the Newton polygon of a polynomial with
+    coefficient magnitudes ``abs_c`` (ascending, both ends nonzero)."""
+    n = len(abs_c) - 1
+    support = np.flatnonzero(abs_c)
+    logs = np.log(np.where(abs_c > 0, abs_c, 1.0))  # read on the support only
+    hull: list[int] = []
+    for k in support:
+        # drop hull points on or below the chord to k (upper hull only)
+        while len(hull) >= 2 and ((logs[hull[-1]] - logs[hull[-2]]) * (k - hull[-2])
+                                  <= (logs[k] - logs[hull[-2]]) * (hull[-1] - hull[-2])):
+            hull.pop()
+        hull.append(int(k))
+    starts = []
+    for i, k in zip(hull, hull[1:]):
+        radius = np.exp((logs[i] - logs[k]) / (k - i))
+        angles = 2.0 * np.pi * (np.arange(k - i) / (k - i) + i / n) + 0.4
+        starts.append(radius * np.exp(1j * angles))
+    return np.concatenate(starts)
 
 
 def evaluate_rows(table: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:

@@ -337,7 +337,15 @@ def suite_rays(n_highest: int = 24, m_max: int = 4, angle_tol: float = 1e-6,
 
 def run_suite(name: str, seed: int = 0, n_highest: int | None = None,
               tol: float | None = None, lam: complex | None = None) -> list[CheckReport]:
-    """Dispatch one suite (or 'all') with optional overrides."""
+    """Dispatch one suite (or 'all') with optional overrides.
+
+    ``n_highest`` must be at least 1, and ``theorem1`` and ``lambert``, whose
+    degrees follow from their draws, refuse it; a ValueError names the suite.
+    """
+    if n_highest is not None and n_highest < 1:
+        raise ValueError(f"suite {name!r} needs N >= 1, got {n_highest}")
+    if n_highest is not None and name in ("theorem1", "lambert"):
+        raise ValueError(f"suite {name!r} takes no N: its degrees follow from its draws")
     kwargs_n = {} if n_highest is None else {"n_highest": n_highest}
     kwargs_t = {} if tol is None else {"tol": tol}
     dispatch = {

@@ -151,6 +151,16 @@ class TestErrors:
         code, _ = run_cli("verify", "--suite", "nonsense")
         assert code == 2
 
+    @pytest.mark.parametrize("suite, n", [("rays", "0"), ("rays", "-3"), ("chebyshev", "0"),
+                                          ("he-formula", "0"), ("theorem1", "5"),
+                                          ("lambert", "3")])
+    def test_verify_refuses_n_it_cannot_check(self, suite, n):
+        # N < 1 checks nothing, and theorem1 and lambert have no degree to set
+        code, out, err = run_cli_with_stderr("verify", "--suite", suite, "--N", n)
+        assert code == 2
+        assert out == ""
+        assert f"suite {suite!r}" in json.loads(err)["message"]
+
     def test_invalid_family_parameters(self):
         code, _ = run_cli("gen", "--family", "gap", "--z0", "1", "--n", "0",
                           "--tail", "0.2")

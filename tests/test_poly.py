@@ -103,6 +103,22 @@ class TestRoots:
     def test_linear(self):
         assert poly(-4, 2).roots() == [2.0 + 0j]
 
+    def test_zero_factor_gives_exact_zeros(self):
+        q = poly(2 - 1j, 0.5, 1)
+        for r in range(1, 5):
+            found = ComplexPolynomial((0j,) * r + q.coeffs).roots()
+            assert len(found) == r + 2
+            assert sum(z == 0 for z in found) == r
+            for e in q.roots():
+                assert min(abs(e - z) for z in found) < 1e-12
+
+    def test_overflow_raises_without_nan(self):
+        # z^4 + 1e305 z^2 + 1: p overflows near its large roots (about 3e152)
+        with pytest.raises(RootFindingError) as info:
+            poly(1, 0, 1e305, 0, 1).roots()
+        assert all(np.isfinite(info.value.roots))
+        assert not any(math.isnan(v) for v in info.value.residuals)
+
     def test_failure_carries_diagnostics(self):
         err = RootFindingError("x", [1j], [0.5])
         assert err.roots == [1j] and err.residuals == [0.5]
