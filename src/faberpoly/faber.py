@@ -137,21 +137,32 @@ def faber_system_from_recurrence(emap: ExteriorMap, n_highest: int) -> FaberSyst
     return FaberSystem(map=emap, coeffs=f, method="recurrence")
 
 
-def _map_minus_z_over_w(emap: ExteriorMap, z: complex, order: int) -> PowerSeries:
-    """(Psi(w) - z)/w as a series in t = 1/w: 1 + (a0 - z) t + sum a_k t^{k+1}."""
-    coeffs = [0j] * (order + 1)
-    coeffs[0] = 1.0
-    if order >= 1:
-        coeffs[1] = emap.alpha0 - z
-    for k in range(1, min(emap.truncation, order - 1) + 1):
-        coeffs[k + 1] = emap.alpha(k)
+def _map_minus_z_over_w(emap: ExteriorMap, z, order: int) -> PowerSeries:
+    """(Psi(w) - z)/w as a series in t = 1/w: 1 + (a0 - z) t + sum a_k t^{k+1},
+    batched over the shape of ``z``."""
+    z = np.asarray(z, dtype=complex)
+    tail = emap.tail[:max(order - 1, 0)]
+    base = np.zeros(order + 1, dtype=complex)
+    base[0] = 1.0
+    base[1:2] = emap.alpha0        # slices: at order 0 there is no t term
+    base[2:len(tail) + 2] = tail
+    coeffs = np.broadcast_to(base.reshape((-1,) + (1,) * z.ndim), base.shape + z.shape).copy()
+    coeffs[1:2] -= z
     return PowerSeries(coeffs)
 
 
-def faber_values_from_log_series(emap: ExteriorMap, z: complex, n_highest: int,
-                                 order: int | None = None) -> list[complex]:
-    """Values (F_1(z), ..., F_N(z)) read off the log generating series.
+def _oracle_values(values: np.ndarray, z):
+    """The values of one point as a list of complex; those of an array of
+    points as an array with one column per point."""
+    return values.tolist() if np.ndim(z) == 0 else np.array(values)
 
+
+def faber_values_from_log_series(emap: ExteriorMap, z, n_highest: int,
+                                 order: int | None = None):
+    """Values [F_1(z), ..., F_N(z)] read off the log generating series.
+
+    ``z`` is a point, giving a list, or an array of points, giving an array
+    of shape (N, *z.shape) whose entry [j-1, ...] is F_j at the point z[...].
     This path never touches the recurrence: it builds (Psi(w) - z)/w,
     takes the series log, and returns -j times the t^j coefficients.
     """
@@ -159,40 +170,43 @@ def faber_values_from_log_series(emap: ExteriorMap, z: complex, n_highest: int,
         raise ValueError("need at least F_1")
     order = n_highest if order is None else order
     log_series = _map_minus_z_over_w(emap, z, order).log1()
-    return [-j * log_series.coeffs[j] for j in range(1, n_highest + 1)]
+    index = np.arange(1, n_highest + 1).reshape((-1,) + (1,) * np.ndim(z))
+    return _oracle_values(-index * log_series.coeffs[1:n_highest + 1], z)
 
 
-def faber_values_from_ratio_series(emap: ExteriorMap, z: complex, n_highest: int,
-                                   order: int | None = None) -> list[complex]:
+def faber_values_from_ratio_series(emap: ExteriorMap, z, n_highest: int,
+                                   order: int | None = None):
     """Coefficients 0..N of Psi'(w) w / (Psi(w) - z) in t = 1/w.
 
     Coefficient j equals F_j(z); the numerator series is
-    1 - sum_{k>=1} k a_k t^{k+1}.
+    1 - sum_{k>=1} k a_k t^{k+1}.  A point gives a list, an array of
+    points an array of shape (N+1, *z.shape).
     """
     if n_highest < 0:
         raise ValueError("need a nonnegative highest index")
     order = max(n_highest, 1) if order is None else order
-    num = [0j] * (order + 1)
+    tail = emap.tail[:max(order - 1, 0)]
+    num = np.zeros(order + 1, dtype=complex)
     num[0] = 1.0
-    for k in range(1, min(emap.truncation, order - 1) + 1):
-        num[k + 1] = -k * emap.alpha(k)
+    num[2:len(tail) + 2] = -np.arange(1, len(tail) + 1) * np.asarray(tail, dtype=complex)
     denom = _map_minus_z_over_w(emap, z, order)
     ratio = PowerSeries(num) * denom.reciprocal()
-    return list(ratio.coeffs[: n_highest + 1])
+    return _oracle_values(ratio.coeffs[: n_highest + 1], z)
 
 
-def faber_derivative_values_from_series(emap: ExteriorMap, z: complex, n_highest: int,
-                                        order: int | None = None) -> list[complex]:
+def faber_derivative_values_from_series(emap: ExteriorMap, z, n_highest: int,
+                                        order: int | None = None):
     """Coefficients 1..N of 1/(Psi(w) - z) in t = 1/w; entry j-1 equals F_j'(z)/j.
 
     Uses 1/(Psi(w) - z) = t * reciprocal((Psi(w) - z)/w), whose constant
-    term is 1, so no division hazard arises.
+    term is 1, so no division hazard arises.  A point gives a list, an array
+    of points an array of shape (N, *z.shape).
     """
     if n_highest < 1:
         raise ValueError("need at least index 1")
     order = n_highest if order is None else order
     recip = _map_minus_z_over_w(emap, z, order).reciprocal()
-    return list(recip.coeffs[:n_highest])
+    return _oracle_values(recip.coeffs[:n_highest], z)
 
 
 def _kernel_tables(lam: complex, n_highest: int) -> tuple[np.ndarray, np.ndarray]:

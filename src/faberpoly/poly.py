@@ -270,8 +270,14 @@ def _newton_polygon_starts(abs_c: np.ndarray) -> np.ndarray:
     return np.concatenate(starts)
 
 
-def evaluate_rows(table: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
+def evaluate_rows(table: np.ndarray, z) -> tuple[np.ndarray, np.ndarray]:
     """Values at z of the polynomials whose ascending coefficients are the
-    rows of ``table``, with each row's Horner magnitude sum_k |c_k| |z|^k."""
-    ones = np.ones(len(table))
-    return _horner(table.T, complex(z) * ones), _horner(np.abs(table).T, abs(z) * ones)
+    rows of ``table``, with each row's Horner magnitude sum_k |c_k| |z|^k.
+
+    ``z`` is a point or an array of points; both results have shape
+    (len(table), *z.shape), entry [j, ...] for row j at the point z[...].
+    """
+    z = np.asarray(z, dtype=complex)
+    shape = table.T.shape + (1,) * z.ndim
+    r = np.hypot(z.real, z.imag)   # abs() of a Python complex; np.abs(z) can differ by an ulp
+    return _horner(table.T.reshape(shape), z), _horner(np.abs(table).T.reshape(shape), r)

@@ -108,9 +108,9 @@ def draw_two_gap_map(rng: np.random.Generator, pattern_valid: bool = False) -> T
 # suites
 # ---------------------------------------------------------------------------
 
-def _value_residual(expected, table: np.ndarray, z: complex) -> float:
-    """Worst |expected_j - row_j(z)| over the table rows, each relative to
-    1 + the row's Horner magnitude at z."""
+def _value_residual(expected, table: np.ndarray, z) -> float:
+    """Worst |expected_j - row_j(z)| over the table rows and the points z,
+    each relative to 1 + the row's Horner magnitude at that point."""
     values, magnitudes = evaluate_rows(table, z)
     return float(np.max(np.abs(np.asarray(expected) - values) / (1.0 + magnitudes)))
 
@@ -124,12 +124,9 @@ def suite_recurrence_vs_oracle(seed: int = 0, n_maps: int = 50, n_points: int = 
     for _ in range(n_maps):
         emap = draw_exterior_map(rng, truncation)
         table = faber_system_from_recurrence(emap, n_highest).coeffs[1:]
-        worst = 0.0
-        for _ in range(n_points):
-            z = draw_disk(rng, 3.0)
-            oracle = faber_values_from_log_series(emap, z, n_highest)
-            worst = max(worst, _value_residual(oracle, table, z))
-        per_map.append(worst)
+        z = np.array([draw_disk(rng, 3.0) for _ in range(n_points)])
+        oracle = faber_values_from_log_series(emap, z, n_highest)
+        per_map.append(_value_residual(oracle, table, z))
     worst = max(per_map)
     return CheckReport("recurrence-vs-oracle", worst <= tol, worst, tuple(per_map))
 
@@ -304,7 +301,7 @@ def suite_lambert(seed: int = 0, grid_points: int = 1000, tol: float = 1e-12) ->
     worst_series = 0.0
     for k in range(16):
         t = 0.1 * cmath.exp(2j * math.pi * k / 16.0)
-        summed = sum(c * t ** i for i, c in enumerate(series.coeffs))
+        summed = sum(c * t ** i for i, c in enumerate(series.coeffs.tolist()))
         worst_series = max(worst_series, abs(summed - lambert_w0(t).value))
     passed = worst_grid <= tol and worst_round <= 1e-10 and worst_series <= 1e-10
     return CheckReport("lambert", passed, max(worst_grid, worst_round, worst_series),
@@ -339,11 +336,15 @@ def run_suite(name: str, seed: int = 0, n_highest: int | None = None,
               tol: float | None = None, lam: complex | None = None) -> list[CheckReport]:
     """Dispatch one suite (or 'all') with optional overrides.
 
-    ``n_highest`` must be at least 1, and ``theorem1`` and ``lambert``, whose
-    degrees follow from their draws, refuse it; a ValueError names the suite.
+    ``n_highest`` must be at least 1, and at least 3 for ``theorem3`` (also
+    under 'all'); ``theorem1`` and ``lambert``, whose degrees follow from
+    their draws, refuse it.  A ValueError names the suite.
     """
     if n_highest is not None and n_highest < 1:
         raise ValueError(f"suite {name!r} needs N >= 1, got {n_highest}")
+    if n_highest is not None and n_highest < 3 and name in ("theorem3", "all"):
+        raise ValueError(f"suite 'theorem3' needs N >= 3 to characterize the common-root "
+                         f"pattern, got {n_highest}")
     if n_highest is not None and name in ("theorem1", "lambert"):
         raise ValueError(f"suite {name!r} takes no N: its degrees follow from its draws")
     kwargs_n = {} if n_highest is None else {"n_highest": n_highest}

@@ -161,6 +161,14 @@ class TestErrors:
         assert out == ""
         assert f"suite {suite!r}" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize("suite, n", [("theorem3", "1"), ("theorem3", "2"), ("all", "2")])
+    def test_theorem3_refuses_n_below_three(self, suite, n):
+        code, out, err = run_cli_with_stderr("verify", "--suite", suite, "--N", n)
+        assert code == 2
+        assert out == ""
+        message = json.loads(err)["message"]
+        assert "suite 'theorem3'" in message and "N >= 3" in message
+
     def test_invalid_family_parameters(self):
         code, _ = run_cli("gen", "--family", "gap", "--z0", "1", "--n", "0",
                           "--tail", "0.2")

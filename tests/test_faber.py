@@ -1,7 +1,9 @@
+import ast
 import cmath
 import math
-
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,6 +197,74 @@ class TestSeriesOrder:
                 wide = oracle(emap, -2.0, 400, order=2 * 400 + 4)
             assert np.all(np.isfinite(values))
             assert values == wide
+
+
+ORACLES = TestSeriesOrder.ORACLES
+#: each oracle with the length of its result at N = 8
+ORACLE_LENGTHS = list(zip(ORACLES, (8, 9, 8)))
+
+
+class TestBatchedOracles:
+    """An array of points gives one result column per point."""
+
+    @pytest.mark.parametrize("oracle, length", ORACLE_LENGTHS)
+    def test_array_z_adds_its_shape(self, oracle, length):
+        emap = ExteriorMap(0.3 - 0.1j, (0.2, 0.05j))
+        assert oracle(emap, np.linspace(-1.0, 1.0, 5), 8).shape == (length, 5)
+        assert oracle(emap, np.full((3, 4), 0.5j), 8).shape == (length, 3, 4)
+
+    @pytest.mark.parametrize("oracle, length", ORACLE_LENGTHS)
+    def test_scalar_z_still_gives_a_list(self, oracle, length):
+        emap = ExteriorMap(0.3 - 0.1j, (0.2, 0.05j))
+        for z in (0.5j, np.complex128(0.5j), np.asarray(0.5j)):
+            values = oracle(emap, z, 8)
+            assert isinstance(values, list) and len(values) == length
+            assert all(type(v) is complex for v in values)
+
+    @pytest.mark.parametrize("oracle", ORACLES)
+    def test_columns_match_scalar_calls(self, oracle):
+        rng = np.random.default_rng(29)
+        eps = np.finfo(float).eps
+        for _ in range(50):
+            emap = draw_exterior_map(rng, 30)
+            z = np.array([draw_disk(rng, 3.0) for _ in range(20)])
+            batched = oracle(emap, z, 30)
+            for i in range(20):
+                scalar = oracle(emap, complex(z[i]), 30)
+                bound = 64 * eps * (1.0 + np.max(np.abs(scalar)))
+                assert np.max(np.abs(batched[:, i] - scalar)) <= bound
+
+    @pytest.mark.parametrize("oracle", ORACLES)
+    def test_order_keyword_is_bit_identical_with_array_z(self, oracle):
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            emap = draw_exterior_map(rng, 30)
+            z = np.array([draw_disk(rng, 3.0) for _ in range(6)]).reshape(2, 3)
+            assert np.array_equal(oracle(emap, z, 30), oracle(emap, z, 30, order=2 * 30 + 4))
+
+
+def test_series_engine_and_oracles_stay_off_the_recurrence(monkeypatch):
+    import faberpoly.faber as faber
+    import faberpoly.series as series_module
+
+    tree = ast.parse(Path(series_module.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or "").split(".")[0])
+    assert imported
+    assert all(name == "numpy" or name in sys.stdlib_module_names for name in imported), imported
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oracle ran the recurrence")
+
+    monkeypatch.setattr(faber, "faber_system_from_recurrence", refuse)
+    emap = ExteriorMap(0.2, (0.1, 0.05j, -0.02))
+    z = np.array([[0.5, -1.0 + 0.3j], [2.0j, 1.5]])
+    for oracle in ORACLES:
+        assert np.all(np.isfinite(oracle(emap, z, 12)))
 
 
 class TestRatioSeries:

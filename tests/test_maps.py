@@ -364,7 +364,7 @@ class TestLambertPowerSeries:
         assert s.coeffs[0] == 0
 
     def test_zeroth_power_is_one(self):
-        assert lambert_w0_power_series(0, 5).coeffs == (1 + 0j,) + (0j,) * 5
+        assert tuple(lambert_w0_power_series(0, 5).coeffs) == (1 + 0j,) + (0j,) * 5
 
     def test_square_matches_serial_power(self):
         # coefficients grow like e^k, so agreement is relative to their scale

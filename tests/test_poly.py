@@ -138,6 +138,17 @@ class TestEvaluateRows:
                 assert abs(value - p.evaluate(z)) <= 8 * np.finfo(float).eps * scale
                 assert abs(magnitude - scale) <= 8 * np.finfo(float).eps * scale
 
+    def test_array_of_points_gives_the_per_point_results(self):
+        rng = np.random.default_rng(8)
+        table = np.tril(rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)))
+        z = (rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))) * 2.0
+        values, magnitudes = evaluate_rows(table, z)
+        assert values.shape == magnitudes.shape == (9, 2, 3)
+        for index in np.ndindex(z.shape):
+            one_values, one_magnitudes = evaluate_rows(table, complex(z[index]))
+            assert np.array_equal(values[(slice(None),) + index], one_values)
+            assert np.array_equal(magnitudes[(slice(None),) + index], one_magnitudes)
+
 
 # -- property tests -----------------------------------------------------------
 

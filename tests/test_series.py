@@ -14,11 +14,11 @@ def series(*coeffs):
 class TestMul:
     def test_difference_of_squares(self):
         prod = series(1, 1, 0) * series(1, -1, 0)
-        assert prod.coeffs == (1 + 0j, 0j, -1 + 0j)
+        assert tuple(prod.coeffs) == (1 + 0j, 0j, -1 + 0j)
 
     def test_multiplicative_identity(self):
         a = series(2, -1j, 0.5, 3)
-        assert (a * PowerSeries.one(a.order)).coeffs == a.coeffs
+        assert tuple((a * PowerSeries.one(a.order)).coeffs) == tuple(a.coeffs)
 
     def test_truncates_to_shorter_operand(self):
         assert (series(1, 1, 1) * series(1, 1)).order == 1
@@ -38,7 +38,7 @@ class TestMul:
 class TestReciprocal:
     def test_geometric_series(self):
         rec = series(1, -1, 0, 0, 0).reciprocal()
-        assert rec.coeffs == (1 + 0j, 1 + 0j, 1 + 0j, 1 + 0j, 1 + 0j)
+        assert tuple(rec.coeffs) == (1 + 0j, 1 + 0j, 1 + 0j, 1 + 0j, 1 + 0j)
 
     def test_involution(self):
         rng = np.random.default_rng(0)
@@ -52,7 +52,7 @@ class TestReciprocal:
         t_exp = PowerSeries([0, 1]) * PowerSeries([(-lam) ** k / math.factorial(k)
                                                    for k in range(2)])
         kernel = PowerSeries.one(1) - 0.0 * t_exp
-        assert kernel.reciprocal().coeffs == (1 + 0j, 0j)
+        assert tuple(kernel.reciprocal().coeffs) == (1 + 0j, 0j)
 
     def test_zero_constant_term_rejected(self):
         with pytest.raises(ZeroDivisionError):
@@ -61,7 +61,7 @@ class TestReciprocal:
 
 class TestLogExp:
     def test_log_of_one(self):
-        assert PowerSeries.one(4).log1().coeffs == (0j,) * 5
+        assert tuple(PowerSeries.one(4).log1().coeffs) == (0j,) * 5
 
     def test_log_needs_unit_constant(self):
         with pytest.raises(ValueError):
@@ -72,7 +72,7 @@ class TestLogExp:
             series(1, 1).exp()
 
     def test_exp_of_zero(self):
-        assert PowerSeries.constant(0, 3).exp().coeffs == (1 + 0j, 0j, 0j, 0j)
+        assert tuple(PowerSeries.constant(0, 3).exp().coeffs) == (1 + 0j, 0j, 0j, 0j)
 
     def test_exp_of_scalar_multiple(self):
         lam = 0.3 + 0.4j
@@ -105,13 +105,13 @@ class TestLogExp:
 class TestPow:
     def test_first_power(self):
         a = series(1, 2, 3)
-        assert (a ** 1).coeffs == a.coeffs
+        assert tuple((a ** 1).coeffs) == tuple(a.coeffs)
 
     def test_square(self):
-        assert (series(1, 1, 0) ** 2).coeffs == (1 + 0j, 2 + 0j, 1 + 0j)
+        assert tuple((series(1, 1, 0) ** 2).coeffs) == (1 + 0j, 2 + 0j, 1 + 0j)
 
     def test_zeroth_power(self):
-        assert (series(2, 5) ** 0).coeffs == (1 + 0j, 0j)
+        assert tuple((series(2, 5) ** 0).coeffs) == (1 + 0j, 0j)
 
     def test_negative_power_via_reciprocal(self):
         a = series(1, -1, 0, 0)
@@ -120,6 +120,47 @@ class TestPow:
     def test_negative_power_of_noninvertible_rejected(self):
         with pytest.raises(ZeroDivisionError):
             series(0, 1) ** -2
+
+
+class TestBatches:
+    """A batched series computes entry by entry what unbatched ones do."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(37)
+        c = rng.uniform(-0.5, 0.5, (9, 3, 4)) + 1j * rng.uniform(-0.5, 0.5, (9, 3, 4))
+        c[0] = 1.0
+        self.batched = PowerSeries(c)
+        self.entry = {(i, j): PowerSeries(c[:, i, j]) for i in range(3) for j in range(4)}
+
+    def assert_entries(self, batched, expected):
+        assert batched.coeffs.shape[1:] == (3, 4)
+        for (i, j), s in self.entry.items():
+            want = expected(s, i, j).coeffs
+            bound = 64 * np.finfo(float).eps * (1.0 + np.max(np.abs(want)))
+            assert np.max(np.abs(batched.coeffs[:, i, j] - want)) <= bound
+
+    def test_reciprocal_log_exp(self):
+        self.assert_entries(self.batched.reciprocal(), lambda s, i, j: s.reciprocal())
+        self.assert_entries(self.batched.log1(), lambda s, i, j: s.log1())
+        self.assert_entries((self.batched - 1.0).exp(), lambda s, i, j: (s - 1.0).exp())
+
+    def test_products_broadcast_batch_axes(self):
+        plain = series(1, 2j, -0.5, 0.25, 0, 1, 0, 0, 3)
+        first_row = PowerSeries(self.batched.coeffs[:, :1, :])      # batch shape (1, 4)
+        self.assert_entries(self.batched * self.batched, lambda s, i, j: s * s)
+        self.assert_entries(plain * self.batched, lambda s, i, j: plain * s)
+        self.assert_entries(self.batched ** 3, lambda s, i, j: s ** 3)
+        self.assert_entries(first_row * self.batched,
+                            lambda s, i, j: self.entry[0, j] * s)
+
+    def test_array_constant_goes_to_each_entry(self):
+        z = np.arange(4) * 0.5j
+        row = PowerSeries(self.batched.coeffs[:, 0, :])
+        assert np.array_equal((row + z).coeffs[0], row.coeffs[0] + z)
+        assert np.array_equal((row + z).coeffs[1:], row.coeffs[1:])
+        scaled = series(1, 1, 1) * z
+        assert scaled.coeffs.shape == (3, 4)
+        assert np.array_equal(scaled.coeffs[2], z)
 
 
 class TestBookkeeping:
@@ -156,7 +197,7 @@ def test_mul_associates(a, b, c):
 
 
 def _unit_constant(s):
-    return PowerSeries((1.0,) + s.coeffs[1:])
+    return PowerSeries((1.0,) + tuple(s.coeffs[1:]))
 
 
 @settings(max_examples=30, deadline=None)
@@ -191,7 +232,7 @@ def test_exp_log_round_trip(a):
 @settings(max_examples=40, deadline=None)
 @given(bounded_series(scale=0.9))
 def test_log_exp_round_trip(a):
-    a = PowerSeries((0j,) + a.coeffs[1:])
+    a = PowerSeries((0j,) + tuple(a.coeffs[1:]))
     e = a.exp()
     scale = 1.0 + max(abs(c) for c in e.coeffs)
     assert e.log1().deviation(a) <= 1e-11 * scale
