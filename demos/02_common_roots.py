@@ -48,8 +48,8 @@ print(f"  characterization check: "
 print()
 
 # uniqueness: F_2 has roots eta and eta + 2 lam, but F_3 rejects the latter
-f2 = exp_map_faber_closed_form(eta, lam, 2)
-f3 = exp_map_faber_closed_form(eta, lam, 3)
+closed = exp_map_faber_closed_form(eta, lam, 3)
+f2, f3 = closed[2], closed[3]
 print("uniqueness of the common point:")
 print(f"  roots of F_2: {[f'{r:.4f}' for r in f2.roots()]}")
 print(f"  F_3 at the reflected point eta + 2 lam: "

@@ -14,10 +14,9 @@ from faberpoly import chebyshev_scaled, hypocycloid_faber_closed_form
 # -- the m = 1 case is the Chebyshev family on [-2, 2] -------------------------
 
 print("m = 1 closed form vs doubled Chebyshev on the half scale:")
+closed, cheb = hypocycloid_faber_closed_form(1, 8), chebyshev_scaled(8)
 for j in (2, 3, 4, 8):
-    closed = hypocycloid_faber_closed_form(1, j)
-    cheb = chebyshev_scaled(j)
-    print(f"  F_{j}(z) = {closed}   (deviation {closed.coefficient_deviation(cheb):.1e})")
+    print(f"  F_{j}(z) = {closed[j]}   (deviation {closed[j].coefficient_deviation(cheb[j]):.1e})")
 print()
 
 # -- zeros on cusp rays ---------------------------------------------------------
@@ -26,8 +25,9 @@ for m in (2, 3):
     directions = [2 * math.pi * v / (m + 1) for v in range(m + 1)]
     print(f"m = {m}: cusp rays at angles "
           f"{[f'{d * 180 / math.pi:.0f}deg' for d in directions]}")
+    closed = hypocycloid_faber_closed_form(m, 12)
     for j in (7, 12):
-        roots = hypocycloid_faber_closed_form(m, j).roots()
+        roots = closed[j].roots()
         print(f"  zeros of F_{j}:")
         for r in sorted(roots, key=lambda r: (round(abs(r), 6), math.atan2(r.imag, r.real))):
             if abs(r) <= 1e-8:

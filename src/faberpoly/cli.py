@@ -156,14 +156,17 @@ def _family_from_args(args) -> tuple[object, dict]:
     return fam, desc
 
 
+def _rows(table: np.ndarray) -> list:
+    """Row j of a lower-triangular table as its j + 1 coefficients, each an [re, im] pair."""
+    pairs = np.stack((table.real, table.imag), -1)
+    return [pairs[j, :j + 1].tolist() for j in range(len(table))]
+
+
 def _run_gen(args):
     fam, desc = _family_from_args(args)
-    emap = to_exterior_map(fam, max(getattr(fam, "highest_index", 0), args.N))
-    table = faber_system_from_recurrence(emap, args.N).coeffs
-    pairs = np.stack((table.real, table.imag), -1)
-    results = [pairs[j, :j + 1].tolist() for j in range(args.N + 1)]
+    table = faber_system_from_recurrence(to_exterior_map(fam, args.N), args.N).coeffs
     payload = {"command": "gen", "map": desc, "N": args.N,
-               "results": results, "residuals": {}, "pass": True}
+               "results": _rows(table), "residuals": {}, "pass": True}
     return payload, True
 
 
@@ -183,8 +186,7 @@ def _run_roots(args):
     fam, desc = _family_from_args(args)
     if args.j_min < 1 or args.j_max < args.j_min:
         raise ValueError("need 1 <= j-min <= j-max")
-    emap = to_exterior_map(fam, max(getattr(fam, "highest_index", 0), args.j_max))
-    system = faber_system_from_recurrence(emap, args.j_max)
+    system = faber_system_from_recurrence(to_exterior_map(fam, args.j_max), args.j_max)
     results = []
     for j in range(args.j_min, args.j_max + 1):
         try:
@@ -211,10 +213,9 @@ def _run_boundary(args):
 
 
 def _run_kernel(args):
-    polys = kernel_polys(args.lam, args.N)
-    results = [[_pair(c) for c in p.coeffs] for p in polys]
+    table = kernel_polys(args.lam, args.N).coeffs
     payload = {"command": "kernel", "map": {"family": "expmap", "lambda": _pair(args.lam)},
-               "N": args.N, "results": results, "residuals": {}, "pass": True}
+               "N": args.N, "results": _rows(table), "residuals": {}, "pass": True}
     return payload, True
 
 

@@ -32,10 +32,6 @@ from .poly import ComplexPolynomial
 from .report import CheckReport
 from .series import PowerSeries
 
-#: allowed FaberSystem generation tags
-GENERATION_METHODS = ("recurrence", "closed-form")
-
-
 @dataclass(frozen=True)
 class ExteriorMap:
     """Coefficient data of a map w + alpha0 + sum_{k>=1} alpha_k w^{-k}.
@@ -66,7 +62,8 @@ class ExteriorMap:
 
 @dataclass(frozen=True, eq=False)
 class FaberSystem:
-    """The prefix F_0 ... F_N of the Faber polynomials of one map.
+    """A prefix F_0 ... F_N of monic polynomials, row j of degree j: the
+    Faber polynomials of one map, or its kernel polynomials.
 
     ``coeffs`` is an (N+1) x (N+1) lower-triangular complex array whose
     row j holds the ascending coefficients of F_j; it is read-only.
@@ -74,14 +71,10 @@ class FaberSystem:
     access.
     """
 
-    map: ExteriorMap
     coeffs: np.ndarray
-    method: str
     _polys: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        if self.method not in GENERATION_METHODS:
-            raise ValueError(f"unknown generation method {self.method!r}")
         self.coeffs.flags.writeable = False       # the cached views must stay valid
 
     @property
@@ -134,7 +127,7 @@ def faber_system_from_recurrence(emap: ExteriorMap, n_highest: int) -> FaberSyst
     bad = np.flatnonzero(~np.isfinite(f).all(axis=1))
     if bad.size:
         raise OverflowError(f"the recurrence overflows float64 from F_{bad[0]} on")
-    return FaberSystem(map=emap, coeffs=f, method="recurrence")
+    return FaberSystem(f)
 
 
 def _map_minus_z_over_w(emap: ExteriorMap, z, order: int) -> PowerSeries:
@@ -222,14 +215,13 @@ def _kernel_tables(lam: complex, n_highest: int) -> tuple[np.ndarray, np.ndarray
     return f, p
 
 
-def kernel_polys(lam: complex, n_highest: int) -> list[ComplexPolynomial]:
+def kernel_polys(lam: complex, n_highest: int) -> FaberSystem:
     """P_0 ... P_N with P_j = sum_{k=0}^{j} lam^{j-k} F_k, for the map w*exp(lam/w).
 
     Built as the exact Horner combination P_j = lam * P_{j-1} + F_j.  These
     are the t-coefficients of the kernel 1/(1 - z t exp(-lam t)).
     """
-    _, p = _kernel_tables(lam, n_highest)
-    return [ComplexPolynomial(row[:j + 1]) for j, row in enumerate(p)]
+    return FaberSystem(_kernel_tables(lam, n_highest)[1])
 
 
 def check_derivative_identity(lam: complex, n_highest: int, tol: float = 1e-9) -> CheckReport:

@@ -10,7 +10,8 @@ Hypocycloid(m)                 w + 1/(m w^m)
 ExpMap(eta, lam)               eta + w exp(lam / w)
 
 Each family knows its exterior-map coefficient form (for the recurrence
-path) and, where one exists, a closed form for its Faber polynomials: the
+path) and, where one exists, a closed form for its Faber polynomials,
+returned like the recurrence's as one FaberSystem table of rows 0..N: the
 gap families produce shifted monomials with a single correction term, the
 hypocycloid family has an explicit binomial-factorial formula (scaled
 Chebyshev polynomials when m = 1), and the exponential family has the
@@ -32,8 +33,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .faber import ExteriorMap, FaberSystem, exp_map_exterior, faber_system_from_recurrence
-from .poly import ComplexPolynomial
+from .faber import ExteriorMap, FaberSystem, exp_map_exterior
 from .series import PowerSeries
 
 BRANCH_POINT = -math.exp(-1.0)
@@ -147,27 +147,24 @@ MapFamily = Union[Shift, GapMap, TwoGapMap, Hypocycloid, ExpMap]
 def to_exterior_map(family: MapFamily, truncation: int) -> ExteriorMap:
     """Coefficient form of a family member, for the recurrence generator.
 
-    ``truncation`` must cover every structurally nonzero index of the
-    finite families (their ``highest_index``); the exponential family
-    truncates its factorial tail.
+    The finite families are padded with zeros to max(truncation,
+    ``highest_index``), so every structurally nonzero index is kept; the
+    exponential family truncates its factorial tail after ``truncation``
+    terms.
     """
     if not isinstance(family, (Shift, GapMap, TwoGapMap, Hypocycloid, ExpMap)):
         raise TypeError(f"not a map family: {family!r}")
-    top = getattr(family, "highest_index", 0)
-    if truncation < top:
-        raise ValueError(f"truncation {truncation} must be at least {top} "
-                         f"for {type(family).__name__}")
     if isinstance(family, ExpMap):
         return exp_map_exterior(family.eta, family.lam, truncation)
     if isinstance(family, Shift):
         return ExteriorMap(family.alpha0, (0j,) * truncation)
-    tail = [0j] * truncation
+    tail = [0j] * max(truncation, family.highest_index)
     if isinstance(family, Hypocycloid):
         tail[family.m - 1] = 1.0 / family.m
         return ExteriorMap(0.0, tail)
     if isinstance(family, TwoGapMap):
         tail[family.m - 1] = family.alpha_m
-    tail[family.n - 1:top] = family.tail
+    tail[family.n - 1:family.highest_index] = family.tail
     return ExteriorMap(family.z0, tail)
 
 
@@ -194,17 +191,17 @@ def evaluate_map(family: MapFamily, w: complex) -> complex:
 # closed-form Faber polynomials
 # ---------------------------------------------------------------------------
 
-def gap_faber_closed_form(family: GapMap, j: int) -> ComplexPolynomial:
-    """F_j of a gap map: (z - z0)^j for j <= n, and the single corrected
-    polynomial (z - z0)^{n+1} - (n+1) alpha_n at j = n + 1."""
-    if j < 0:
-        raise ValueError("index must be nonnegative")
-    if j > family.n + 1:
+def gap_faber_closed_form(family: GapMap, n_highest: int) -> FaberSystem:
+    """F_0 ... F_N of a gap map, N <= n + 1: (z - z0)^j for j <= n, and the
+    single corrected polynomial (z - z0)^{n+1} - (n+1) alpha_n at j = n + 1."""
+    if n_highest < 0:
+        raise ValueError("need a nonnegative highest index")
+    if n_highest > family.n + 1:
         raise ValueError(f"no closed form beyond index {family.n + 1}; use the recurrence")
-    coeffs = _shifted_power(family.z0, j)
-    if j == family.n + 1:
-        coeffs[0] -= (family.n + 1) * family.alpha_n()
-    return ComplexPolynomial(coeffs)
+    table = _shifted_power_table(family.z0, n_highest)
+    if n_highest == family.n + 1:
+        table[-1, 0] -= (family.n + 1) * family.alpha_n()
+    return FaberSystem(table)
 
 
 def two_gap_faber_system(family: TwoGapMap, n_highest: int) -> FaberSystem:
@@ -216,29 +213,26 @@ def two_gap_faber_system(family: TwoGapMap, n_highest: int) -> FaberSystem:
     if n_highest < 0:
         raise ValueError("need a nonnegative highest index")
     z0, m, am, n, top = family.z0, family.m, family.alpha_m, family.n, family.highest_index
+    head = min(m + 1, n_highest)
     table = np.zeros((n_highest + 1, n_highest + 1), dtype=complex)
-    table[0, 0] = 1.0
-    for j in range(n_highest):
+    table[:head + 1, :head + 1] = _shifted_power_table(z0, head)
+    if head == m + 1:
+        table[head, 0] -= (m + 1) * am
+    for j in range(head, n_highest):
         row, prev = table[j + 1], table[j, :j + 1]
-        if j <= m:
-            row[:j + 2] = _shifted_power(z0, j + 1)
-            if j == m:
-                row[0] -= (m + 1) * am
-        else:                                   # (z - z0) F_j - alpha_m F_{j-m}
-            row[1:j + 2] = prev
-            row[:j + 1] -= z0 * prev
-            row[:j - m + 1] -= am * table[j - m, :j - m + 1]
+        row[1:j + 2] = prev                     # (z - z0) F_j - alpha_m F_{j-m}
+        row[:j + 1] -= z0 * prev
+        row[:j - m + 1] -= am * table[j - m, :j - m + 1]
         if j >= n:                              # the tail from index n on
             for k in range(n, min(j, top) + 1):
                 row[:j - k + 1] -= family.tail[k - n] * table[j - k, :j - k + 1]
             if j <= top:
                 row[0] -= j * family.tail[j - n]
-    emap = to_exterior_map(family, max(top, n_highest))
-    return FaberSystem(map=emap, coeffs=table, method="closed-form")
+    return FaberSystem(table)
 
 
-def hypocycloid_faber_closed_form(m: int, j: int) -> ComplexPolynomial:
-    """Explicit F_j of w + 1/(m w^m):
+def hypocycloid_faber_closed_form(m: int, n_highest: int) -> FaberSystem:
+    """F_0 ... F_N of w + 1/(m w^m), N >= 1, with row j >= 1 from He's formula
 
         F_j(z) = j * sum_{k=0}^{floor(j/(m+1))}
                  (-1)^k (j-mk-1)! / ((j-(m+1)k)! m^k k!) * z^{j-(m+1)k}.
@@ -249,55 +243,58 @@ def hypocycloid_faber_closed_form(m: int, j: int) -> ComplexPolynomial:
     """
     if m < 1:
         raise ValueError("hypocycloid order m must be at least 1")
-    if j < 1:
+    if n_highest < 1:
         raise ValueError("the closed form starts at index 1")
-    coeffs = [0j] * (j + 1)
-    for k in range(j // (m + 1) + 1):
-        power = j - (m + 1) * k
-        ratio = Fraction(math.factorial(j - m * k - 1),
-                         math.factorial(power) * m ** k * math.factorial(k))
-        term = Fraction(j) * ratio
-        coeffs[power] = complex((-1) ** k * float(term))
-    return ComplexPolynomial(coeffs)
+    table = np.eye(n_highest + 1, dtype=complex)
+    for j in range(1, n_highest + 1):
+        for k in range(j // (m + 1) + 1):
+            power = j - (m + 1) * k
+            ratio = Fraction(math.factorial(j - m * k - 1),
+                             math.factorial(power) * m ** k * math.factorial(k))
+            table[j, power] = (-1) ** k * float(Fraction(j) * ratio)
+    return FaberSystem(table)
 
 
-def chebyshev_scaled(j: int) -> ComplexPolynomial:
-    """T_0 for j = 0 and 2 T_j(z/2) for j >= 1, from the three-term recurrence."""
-    if j < 0:
-        raise ValueError("index must be nonnegative")
-    if j == 0:
-        return ComplexPolynomial.one()
-    t_prev = ComplexPolynomial.one()
-    t_cur = ComplexPolynomial.monomial(1)
-    two_x = ComplexPolynomial((0.0, 2.0))
-    for _ in range(j - 1):
-        t_prev, t_cur = t_cur, two_x * t_cur - t_prev
-    return 2.0 * t_cur.compose_affine(0.5, 0.0)
+def chebyshev_scaled(n_highest: int) -> FaberSystem:
+    """Rows 0..N: T_0 = 1, then 2 T_j(z/2) for j >= 1, by the three-term
+    recurrence C_{j+1} = z C_j - C_{j-1} seeded with C_0 = 2 and C_1 = z."""
+    if n_highest < 0:
+        raise ValueError("need a nonnegative highest index")
+    table = np.eye(n_highest + 1, dtype=complex)
+    table[0, 0] = 2.0
+    for j in range(1, n_highest):
+        table[j + 1, 1:j + 2] = table[j, :j + 1]
+        table[j + 1, :j] -= table[j - 1, :j]
+    table[0, 0] = 1.0
+    return FaberSystem(table)
 
 
-def exp_map_faber_closed_form(eta: complex, lam: complex, j: int) -> ComplexPolynomial:
-    """Explicit F_j of eta + w exp(lam/w):
+def exp_map_faber_closed_form(eta: complex, lam: complex, n_highest: int) -> FaberSystem:
+    """F_0 ... F_N of eta + w exp(lam/w), N >= 1, from the explicit sum
 
-        F_1(z) = z - eta - lam,
-        F_j(z) = j sum_{k=1}^{j} (-lam)^{j-k} k^{j-k-1}/(j-k)! (z-eta)^k,
+        F_j(z) = j sum_{k=0}^{j} (-lam)^{j-k} k^{j-k-1}/(j-k)! (z-eta)^k,   j >= 1,
 
-    with the 0^0 = 1 convention (so lam = 0 collapses to (z-eta)^j)."""
-    if j < 1:
+    with the 0^0 = 1 convention (so F_1 = z - eta - lam, and lam = 0
+    collapses to (z-eta)^j).  The exact rational coefficients in powers of
+    z - eta multiply the binomial table of those powers."""
+    if n_highest < 1:
         raise ValueError("the closed form starts at index 1")
-    eta = complex(eta)
     lam = complex(lam)
-    if j == 1:
-        return ComplexPolynomial((-eta - lam, 1.0))
-    coeffs = [0j] * (j + 1)
-    for k in range(1, j + 1):
-        rational = Fraction(j) * Fraction(k) ** (j - k - 1) / math.factorial(j - k)
-        coeffs[k] = float(rational) * (-lam) ** (j - k)
-    return ComplexPolynomial(coeffs).compose_affine(1.0, -eta)
+    in_powers = np.eye(n_highest + 1, dtype=complex)    # row j: F_j in powers of z - eta
+    for j in range(1, n_highest + 1):
+        for k in range(j):
+            rational = Fraction(j) * Fraction(k) ** (j - k - 1) / math.factorial(j - k)
+            in_powers[j, k] = float(rational) * (-lam) ** (j - k)
+    return FaberSystem(in_powers @ _shifted_power_table(complex(eta), n_highest))
 
 
-def _shifted_power(z0: complex, j: int) -> list[complex]:
-    """Ascending coefficients of (z - z0)^j by the binomial theorem."""
-    return [math.comb(j, k) * (-z0) ** (j - k) for k in range(j + 1)]
+def _shifted_power_table(z0: complex, n_highest: int) -> np.ndarray:
+    """Lower-triangular table whose row j holds the ascending coefficients of
+    (z - z0)^j, j = 0..N, by the binomial theorem."""
+    table = np.zeros((n_highest + 1, n_highest + 1), dtype=complex)
+    for j in range(n_highest + 1):
+        table[j, :j + 1] = [math.comb(j, k) * (-z0) ** (j - k) for k in range(j + 1)]
+    return table
 
 
 # ---------------------------------------------------------------------------

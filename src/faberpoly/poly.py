@@ -60,10 +60,6 @@ class ComplexPolynomial:
         return cls(())
 
     @classmethod
-    def one(cls) -> "ComplexPolynomial":
-        return cls((1.0,))
-
-    @classmethod
     def monomial(cls, k: int, c: complex = 1.0) -> "ComplexPolynomial":
         """c * z**k"""
         return cls((0.0,) * k + (complex(c),))
@@ -158,12 +154,6 @@ class ComplexPolynomial:
         dev = max((abs(self.coefficient(k) - other.coefficient(k)) for k in range(n)),
                   default=0.0)
         return dev / (1.0 + max(self.max_magnitude, other.max_magnitude))
-
-    def equal_within(self, other: "ComplexPolynomial", tol: float) -> bool:
-        """Coefficientwise equality up to tol * (1 + max coefficient magnitude)."""
-        if tol < 0:
-            raise ValueError("tolerance must be nonnegative")
-        return self.coefficient_deviation(other) <= tol
 
     # -- root finding ---------------------------------------------------------
 

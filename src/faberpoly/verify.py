@@ -70,7 +70,7 @@ def check_gap_coefficient_recovery(family: GapMap, n_highest: int,
     Uses the recurrence-generated system of the gap map; residuals are
     normalized by 1 + |alpha_j|.
     """
-    emap = to_exterior_map(family, max(family.highest_index, n_highest))
+    emap = to_exterior_map(family, n_highest)
     values = evaluate_rows(faber_system_from_recurrence(emap, n_highest).coeffs, family.z0)[0]
     residuals = []
     for j in range(family.n, min(2 * family.n, n_highest - 1) + 1):

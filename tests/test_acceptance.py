@@ -64,9 +64,9 @@ def test_criterion_02_closed_form_equivalence():
     # hypocycloid families
     for m in range(1, 5):
         system = faber_system_from_recurrence(to_exterior_map(Hypocycloid(m), 24), 24)
+        closed = hypocycloid_faber_closed_form(m, 24)
         for j in range(1, 25):
-            worst = max(worst, hypocycloid_faber_closed_form(m, j)
-                        .coefficient_deviation(system[j]))
+            worst = max(worst, closed[j].coefficient_deviation(system[j]))
     # exponential families over moduli and phases
     for mod in (0.0, 0.3, 0.7, 1.0):
         phases = [1.0] if mod == 0.0 else [cmath.exp(2j * math.pi * k / 8) for k in range(8)]
@@ -74,18 +74,18 @@ def test_criterion_02_closed_form_equivalence():
             lam = mod * phase
             for eta in (0.0, 0.35 - 0.2j):
                 system = faber_system_from_recurrence(exp_map_exterior(eta, lam, 20), 20)
+                closed = exp_map_faber_closed_form(eta, lam, 20)
                 for j in range(1, 21):
-                    worst = max(worst, exp_map_faber_closed_form(eta, lam, j)
-                                .coefficient_deviation(system[j]))
+                    worst = max(worst, closed[j].coefficient_deviation(system[j]))
     # gap maps: closed form up to n + 1
     rng = np.random.default_rng(2)
     for _ in range(8):
         gap = draw_gap_map(rng)
         system = faber_system_from_recurrence(
             to_exterior_map(gap, max(gap.highest_index, gap.n + 1)), gap.n + 1)
+        closed = gap_faber_closed_form(gap, gap.n + 1)
         for j in range(gap.n + 2):
-            worst = max(worst, gap_faber_closed_form(gap, j)
-                        .coefficient_deviation(system[j]))
+            worst = max(worst, closed[j].coefficient_deviation(system[j]))
     # two-gap maps: full piecewise system
     for _ in range(8):
         fam = draw_two_gap_map(rng)
@@ -101,8 +101,8 @@ def test_criterion_02_closed_form_equivalence():
 
 def test_criterion_03_chebyshev_identity():
     tol = 1e-12
-    worst = max(hypocycloid_faber_closed_form(1, j)
-                .coefficient_deviation(chebyshev_scaled(j)) for j in range(1, 25))
+    closed, cheb = hypocycloid_faber_closed_form(1, 24), chebyshev_scaled(24)
+    worst = max(closed[j].coefficient_deviation(cheb[j]) for j in range(1, 25))
     verdict(3, worst <= tol,
             f"single-cusp closed form equals doubled Chebyshev, j = 1..24: "
             f"max deviation {worst:.3e} <= {tol}")
@@ -270,8 +270,9 @@ def test_criterion_10_root_rays():
     worst_angle = worst_resid = 0.0
     for m in range(1, 5):
         directions = [2 * math.pi * v / (m + 1) for v in range(m + 1)]
+        system = hypocycloid_faber_closed_form(m, 24)
         for j in range(1, 25):
-            p = hypocycloid_faber_closed_form(m, j)
+            p = system[j]
             if p.degree < 1:
                 continue
             scale = 1.0 + sum(abs(c) for c in p.coeffs)

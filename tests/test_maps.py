@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from faberpoly.faber import exp_map_exterior, faber_system_from_recurrence
+from faberpoly.faber import FaberSystem, exp_map_exterior, faber_system_from_recurrence
 from faberpoly.maps import (BRANCH_POINT, BranchCutError, ExpMap, GapMap, Hypocycloid,
                             Shift, TwoGapMap, chebyshev_scaled, evaluate_map,
                             exp_map_boundary, exp_map_faber_closed_form,
@@ -65,11 +65,12 @@ class TestToExteriorMap:
         assert emap.alpha0 == 1.0
         assert emap.tail == (0j, 0j, 0.2 + 0j)
 
-    def test_too_small_truncation_rejected(self):
-        with pytest.raises(ValueError):
-            to_exterior_map(GapMap(1.0, 3, (0.2,)), 2)
-        with pytest.raises(ValueError):
-            to_exterior_map(Hypocycloid(4), 3)
+    def test_short_truncation_is_padded(self):
+        # a truncation below highest_index keeps every structurally nonzero index
+        assert to_exterior_map(GapMap(1.0, 3, (0.2,)), 2).tail == (0j, 0j, 0.2 + 0j)
+        assert to_exterior_map(Hypocycloid(4), 0).tail == (0j, 0j, 0j, 0.25 + 0j)
+        two_gap = to_exterior_map(TwoGapMap(0.5, 1, 0.3, 3, (0.1, 0.2)), 1)
+        assert two_gap.tail == (0.3 + 0j, 0j, 0.1 + 0j, 0.2 + 0j)
 
     def test_shift_has_zero_tail(self):
         emap = to_exterior_map(Shift(2j), 4)
@@ -100,20 +101,20 @@ class TestEvaluateMap:
 class TestGapClosedForm:
     def test_low_indices_are_shifted_monomials(self):
         fam = GapMap(1.0, 3, (0.2,))
-        assert gap_faber_closed_form(fam, 0).coeffs == (1 + 0j,)
-        p = gap_faber_closed_form(fam, 3)
+        assert gap_faber_closed_form(fam, 0)[0].coeffs == (1 + 0j,)
+        p = gap_faber_closed_form(fam, 3)[3]
         assert p.coefficient_deviation(
             ComplexPolynomial((-1, 1)) * ComplexPolynomial((-1, 1)) * ComplexPolynomial((-1, 1))) < 1e-15
 
     def test_corrected_index(self):
         # (z-1)^4 - 0.8
-        p = gap_faber_closed_form(GapMap(1.0, 3, (0.2,)), 4)
+        p = gap_faber_closed_form(GapMap(1.0, 3, (0.2,)), 4)[4]
         assert abs(p.coeffs[0] - (1.0 - 0.8)) < 1e-15
         assert abs(p.evaluate(1.0) + 0.8) < 1e-15
 
     def test_monomial_root_structure(self):
         fam = GapMap(0.5 + 0.5j, 2, (0.3,))
-        for r in gap_faber_closed_form(fam, 2).roots():
+        for r in gap_faber_closed_form(fam, 2)[2].roots():
             assert abs(r - (0.5 + 0.5j)) < 1e-7
 
     def test_beyond_closed_range_rejected(self):
@@ -124,8 +125,9 @@ class TestGapClosedForm:
         fam = GapMap(0.4 - 0.2j, 3, (0.15, 0.05))
         emap = to_exterior_map(fam, 8)
         fs = faber_system_from_recurrence(emap, 4)
+        closed = gap_faber_closed_form(fam, 4)
         for j in range(5):
-            assert gap_faber_closed_form(fam, j).coefficient_deviation(fs[j]) < 1e-12
+            assert closed[j].coefficient_deviation(fs[j]) < 1e-12
 
 
 class TestTwoGapSystem:
@@ -151,8 +153,9 @@ class TestTwoGapSystem:
 
 class TestHypocycloidClosedForm:
     def test_single_cusp_hand_values(self):
-        assert hypocycloid_faber_closed_form(1, 3).coeffs == (0j, -3 + 0j, 0j, 1 + 0j)
-        assert hypocycloid_faber_closed_form(1, 2).coeffs == (-2 + 0j, 0j, 1 + 0j)
+        system = hypocycloid_faber_closed_form(1, 3)
+        assert system[3].coeffs == (0j, -3 + 0j, 0j, 1 + 0j)
+        assert system[2].coeffs == (-2 + 0j, 0j, 1 + 0j)
 
     def test_rejects_index_zero(self):
         with pytest.raises(ValueError):
@@ -161,55 +164,48 @@ class TestHypocycloidClosedForm:
     def test_bracket_floor_sets_lowest_power(self):
         # the lowest surviving power of z is j mod (m+1)
         for m in (2, 3):
+            system = hypocycloid_faber_closed_form(m, 9)
             for j in (4, 7, 9):
-                p = hypocycloid_faber_closed_form(m, j)
+                p = system[j]
                 low = next(k for k, c in enumerate(p.coeffs) if c != 0)
                 assert low == j % (m + 1)
 
     def test_matches_recurrence_m2(self):
         emap = to_exterior_map(Hypocycloid(2), 24)
         fs = faber_system_from_recurrence(emap, 24)
+        closed = hypocycloid_faber_closed_form(2, 24)
         for j in range(1, 25):
-            dev = hypocycloid_faber_closed_form(2, j).coefficient_deviation(fs[j])
+            dev = closed[j].coefficient_deviation(fs[j])
             assert dev <= 1e-9
 
     def test_tenth_polynomial_equal_within(self):
-        # two independently computed F_10 compared through the tolerance API
+        # two independently computed F_10 compared within a tolerance
         emap = to_exterior_map(Hypocycloid(2), 10)
         fs = faber_system_from_recurrence(emap, 10)
-        assert hypocycloid_faber_closed_form(2, 10).equal_within(fs[10], 1e-10)
-
-    def test_high_index_keeps_monic_degree(self):
-        # coefficients reach 1e20 at j = 100, so a relative trim would drop the leading 1
-        p = hypocycloid_faber_closed_form(1, 100)
-        assert p.degree == 100 and p.coeffs[-1] == 1.0
+        assert hypocycloid_faber_closed_form(2, 10)[10].coefficient_deviation(fs[10]) <= 1e-10
 
 
 class TestChebyshevScaled:
-    def test_high_index_keeps_monic_degree(self):
-        p = chebyshev_scaled(100)
-        assert p.degree == 100 and p.coeffs[-1] == 1.0
-
     def test_low_indices(self):
-        assert chebyshev_scaled(0).coeffs == (1 + 0j,)
-        assert chebyshev_scaled(1).coeffs == (0j, 1 + 0j)
-        assert chebyshev_scaled(4).coeffs == (2 + 0j, 0j, -4 + 0j, 0j, 1 + 0j)
+        system = chebyshev_scaled(4)
+        assert system[0].coeffs == (1 + 0j,)
+        assert system[1].coeffs == (0j, 1 + 0j)
+        assert system[4].coeffs == (2 + 0j, 0j, -4 + 0j, 0j, 1 + 0j)
 
     def test_equals_single_cusp_closed_form(self):
+        closed, cheb = hypocycloid_faber_closed_form(1, 24), chebyshev_scaled(24)
         for j in range(1, 25):
-            dev = hypocycloid_faber_closed_form(1, j).coefficient_deviation(
-                chebyshev_scaled(j))
-            assert dev <= 1e-12
+            assert closed[j].coefficient_deviation(cheb[j]) <= 1e-12
 
 
 class TestExpMapClosedForm:
     def test_first_index(self):
-        p = exp_map_faber_closed_form(0.3, 0.2j, 1)
+        p = exp_map_faber_closed_form(0.3, 0.2j, 1)[1]
         assert p.coefficient_deviation(ComplexPolynomial((-0.3 - 0.2j, 1))) < 1e-15
 
     def test_second_index_hand_sum(self):
         eta, lam = 0.5, 0.25
-        p = exp_map_faber_closed_form(eta, lam, 2)
+        p = exp_map_faber_closed_form(eta, lam, 2)[2]
         shifted = ComplexPolynomial((-eta, 1))
         expected = shifted * shifted - (2 * lam) * shifted
         assert p.coefficient_deviation(expected) < 1e-14
@@ -217,8 +213,8 @@ class TestExpMapClosedForm:
     def test_zero_parameter_collapses_to_monomials(self):
         # 0^0 = 1 convention: lam = 0 must give (z - eta)^j
         eta = 0.7 - 0.1j
-        p = exp_map_faber_closed_form(eta, 0.0, 6)
-        expected = ComplexPolynomial.one()
+        p = exp_map_faber_closed_form(eta, 0.0, 6)[6]
+        expected = ComplexPolynomial((1.0,))
         shifted = ComplexPolynomial((-eta, 1))
         for _ in range(6):
             expected = expected * shifted
@@ -227,32 +223,47 @@ class TestExpMapClosedForm:
     def test_common_root_at_center(self):
         for lam in (0.3, 0.9j, -0.5 + 0.5j, 1.0):
             eta = 0.2 - 0.4j
+            system = exp_map_faber_closed_form(eta, lam, 20)
             for j in range(2, 21):
-                p = exp_map_faber_closed_form(eta, lam, j)
+                p = system[j]
                 assert abs(p.evaluate(eta)) <= 1e-10 * (1.0 + p.max_magnitude)
 
     def test_second_root_is_reflected_point(self):
         eta, lam = 0.1, 0.45
-        roots = exp_map_faber_closed_form(eta, lam, 2).roots()
+        roots = exp_map_faber_closed_form(eta, lam, 2)[2].roots()
         for expected in (eta, eta + 2 * lam):
             assert min(abs(r - expected) for r in roots) < 1e-9
 
     def test_third_polynomial_rejects_reflected_point(self):
         # F_3(eta + 2 lam) = -lam^3, nonzero whenever lam is
         for lam in (0.3, 0.8j, -0.6):
-            p = exp_map_faber_closed_form(0.0, lam, 3)
+            p = exp_map_faber_closed_form(0.0, lam, 3)[3]
             assert abs(p.evaluate(2 * lam) + lam ** 3) < 1e-12
 
     def test_matches_recurrence(self):
         eta, lam = 0.35 - 0.2j, 0.7 * cmath.exp(0.5j)
         fs = faber_system_from_recurrence(exp_map_exterior(eta, lam, 20), 20)
+        closed = exp_map_faber_closed_form(eta, lam, 20)
         for j in range(1, 21):
-            dev = exp_map_faber_closed_form(eta, lam, j).coefficient_deviation(fs[j])
+            dev = closed[j].coefficient_deviation(fs[j])
             assert dev <= 1e-9
 
-    def test_high_index_keeps_monic_degree(self):
-        p = exp_map_faber_closed_form(0.3, 0.5, 60)
-        assert p.degree == 60 and p.coeffs[-1] == 1.0
+
+# coefficients reach 1e20 at j = 100 (single cusp), so a relative trim would drop the leading 1
+@pytest.mark.parametrize("build", [
+    lambda: gap_faber_closed_form(GapMap(0.9 - 0.4j, 99, (0.3,)), 100),
+    lambda: two_gap_faber_system(TwoGapMap(0.9 - 0.4j, 2, 0.3, 5, (0.2, 0.1)), 100),
+    lambda: hypocycloid_faber_closed_form(1, 100),
+    lambda: chebyshev_scaled(100),
+    lambda: exp_map_faber_closed_form(0.3, 0.5, 60),
+], ids=["gap", "twogap", "hypocycloid", "chebyshev", "expmap"])
+def test_closed_form_table_is_read_only_and_monic(build):
+    system = build()
+    assert isinstance(system, FaberSystem)
+    table = system.coeffs
+    assert not table.flags.writeable
+    assert np.all(np.diagonal(table) == 1.0)
+    assert np.all(np.triu(table, 1) == 0.0)
 
 
 class TestLambert:
@@ -441,8 +452,9 @@ class TestRootRays:
     def test_roots_on_cusp_rays(self):
         for m in (1, 2, 3, 4):
             directions = [2 * math.pi * v / (m + 1) for v in range(m + 1)]
+            system = hypocycloid_faber_closed_form(m, 24)
             for j in (5, 11, 24):
-                p = hypocycloid_faber_closed_form(m, j)
+                p = system[j]
                 for r in p.roots():
                     if abs(r) <= 1e-8:
                         continue

@@ -70,7 +70,7 @@ def test_exp_map_roots_match_mpmath(eta, lam, j):
     """Every 50-digit root q has a computed root within 64 eps times its
     condition number sum_k |c_k| |q|^k / |p'(q)| (the first-order effect of a
     64-eps backward error); these roots are simple and far apart on that scale."""
-    p = exp_map_faber_closed_form(eta, lam, j)
+    p = exp_map_faber_closed_form(eta, lam, j)[j]
     found = p.roots()
     assert len(found) == j
     with mpmath.workdps(50):
@@ -83,8 +83,8 @@ def test_exp_map_roots_match_mpmath(eta, lam, j):
             assert min(abs(r - qc) for r in found) <= bound
 
 
-@pytest.mark.parametrize("build", [lambda: hypocycloid_faber_closed_form(1, 24),
-                                   lambda: exp_map_faber_closed_form(0.2, 0.3 + 0.1j, 30)],
+@pytest.mark.parametrize("build", [lambda: hypocycloid_faber_closed_form(1, 24)[24],
+                                   lambda: exp_map_faber_closed_form(0.2, 0.3 + 0.1j, 30)[30]],
                          ids=["hypocycloid-m1-j24", "expmap-j30"])
 def test_sweep_count_ceiling(monkeypatch, build):
     """Each Aberth sweep is one Horner pass.  Started on the Cauchy circle,
