@@ -8,7 +8,7 @@ plus verifiers for the identities tying them together.
 from .faber import (ExteriorMap, FaberSystem, exp_map_exterior,
                     faber_derivative_values_from_series, faber_system_from_recurrence,
                     faber_values_from_log_series, faber_values_from_ratio_series,
-                    check_derivative_identity, check_inverse_power_decay, kernel_polys)
+                    kernel_polys)
 from .maps import (BranchCutError, ExpMap, GapMap, Hypocycloid, LambertResult,
                    MapFamily, Shift, TwoGapMap, chebyshev_scaled, evaluate_map,
                    exp_map_boundary, exp_map_faber_closed_form, gap_faber_closed_form,
@@ -17,9 +17,9 @@ from .maps import (BranchCutError, ExpMap, GapMap, Hypocycloid, LambertResult,
                    starlikeness_infimum, to_exterior_map, two_gap_faber_system,
                    univalence_certificate_bound)
 from .poly import ComplexPolynomial, RootFindingError
-from .report import CheckReport
 from .series import PowerSeries
-from .verify import (CommonRootProfile, check_gap_coefficient_recovery,
+from .verify import (CheckReport, CommonRootProfile, check_derivative_identity,
+                     check_gap_coefficient_recovery, check_inverse_power_decay,
                      exponential_map_characterization, leading_common_root_order)
 
 __all__ = [

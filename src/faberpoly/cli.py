@@ -201,6 +201,8 @@ def _run_roots(args):
 
 
 def _run_boundary(args):
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     if args.theta is not None:
         thetas = [float(args.theta)]
     else:

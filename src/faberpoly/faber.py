@@ -16,21 +16,20 @@ coefficients of two generating series in t = 1/w,
 
 which this module evaluates with the truncated-series engine as numeric
 oracles against the recurrence.  For the exponential map w*exp(lam/w) it
-also builds the kernel polynomials P_j = sum_{k<=j} lam^{j-k} F_k and
-checks the derivative identity z F_j'(z) = j P_j(z).
+also builds the kernel polynomials P_j = sum_{k<=j} lam^{j-k} F_k.  This
+module only generates; the checkers live in :mod:`faberpoly.verify`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .poly import ComplexPolynomial
-from .report import CheckReport
 from .series import PowerSeries
+
 
 @dataclass(frozen=True)
 class ExteriorMap:
@@ -222,70 +221,3 @@ def kernel_polys(lam: complex, n_highest: int) -> FaberSystem:
     are the t-coefficients of the kernel 1/(1 - z t exp(-lam t)).
     """
     return FaberSystem(_kernel_tables(lam, n_highest)[1])
-
-
-def check_derivative_identity(lam: complex, n_highest: int, tol: float = 1e-9) -> CheckReport:
-    """Coefficientwise check of z F_j'(z) = j P_j(z) for j = 0..N (map w*exp(lam/w)).
-
-    Coefficient k of z F_j' is k c_k, so the identity compares F scaled by
-    column index with P scaled by row index, row by row relative to
-    1 + max|coefficient|.
-    """
-    f, p = _kernel_tables(lam, n_highest)
-    k = np.arange(n_highest + 1)
-    lhs, rhs = f * k, k[:, None] * p
-    scale = 1.0 + np.maximum(np.abs(lhs).max(axis=1), np.abs(rhs).max(axis=1))
-    residuals = np.abs(lhs - rhs).max(axis=1) / scale
-    worst = float(residuals.max())
-    return CheckReport(
-        name="derivative-identity",
-        passed=worst <= tol,
-        max_residual=worst,
-        residuals=tuple(residuals.tolist()),
-    )
-
-
-def check_inverse_power_decay(eta: complex, lam: complex, z_samples: Sequence[complex],
-                              j: int, band: tuple[float, float] = (0.5, 2.0)) -> CheckReport:
-    """Check that Phi(z)^j - F_j(z) decays like O(1/z) along one ray.
-
-    ``z_samples`` are points of growing modulus outside the closed image of
-    the map eta + w*exp(lam/w).  The principal part is never materialized:
-    the check asserts only that consecutive magnitudes shrink like the
-    radius ratio, up to the multiplicative ``band``.  Numerically the
-    samples must keep |z|^j well below 1/eps times the principal-part
-    size, otherwise cancellation swamps the signal.
-    """
-    from .maps import inverse_exp_map  # deferred: maps builds on this module
-
-    if j < 0:
-        raise ValueError("power must be nonnegative")
-    pts = sorted((complex(z) for z in z_samples), key=abs)
-    if len(pts) < 2:
-        raise ValueError("need at least two sample moduli")
-    if j == 0:
-        return CheckReport(name="inverse-power-decay", passed=True, max_residual=0.0,
-                           residuals=(0.0,) * len(pts), notes="trivial at j = 0")
-    fs = faber_system_from_recurrence(exp_map_exterior(eta, lam, j), j)
-    tails = []
-    for z in pts:
-        phi = inverse_exp_map(z, eta, lam)
-        if abs(phi) <= 1.0:
-            raise ValueError(f"sample {z} maps inside the unit disk; it is not exterior")
-        tails.append(phi ** j - fs[j].evaluate(z))
-    ok = True
-    ratios = []
-    for (z0, q0), (z1, q1) in zip(zip(pts, tails), zip(pts[1:], tails[1:])):
-        expected = abs(z0) / abs(z1)
-        actual = abs(q1) / abs(q0) if abs(q0) > 0 else math.inf
-        ratios.append(actual)
-        if not (band[0] * expected <= actual <= band[1] * expected):
-            ok = False
-    worst = max((abs(r / (abs(z0) / abs(z1)) - 1.0) for r, (z0, z1) in
-                 zip(ratios, zip(pts, pts[1:]))), default=0.0)
-    return CheckReport(
-        name="inverse-power-decay",
-        passed=ok,
-        max_residual=worst,
-        residuals=tuple(ratios),
-    )

@@ -14,22 +14,24 @@ working scale (both computation paths carry round-off proportional to it).
 from __future__ import annotations
 
 import cmath
+import inspect
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from .faber import (ExteriorMap, exp_map_exterior, faber_system_from_recurrence,
                     faber_values_from_log_series, faber_values_from_ratio_series,
-                    faber_derivative_values_from_series, check_derivative_identity)
+                    faber_derivative_values_from_series)
 from .maps import (ExpMap, GapMap, Hypocycloid, TwoGapMap,
                    chebyshev_scaled, evaluate_map, exp_map_faber_closed_form,
                    gap_faber_closed_form, hypocycloid_faber_closed_form,
                    inverse_exp_map, lambert_w0, lambert_w0_power_series,
                    to_exterior_map, two_gap_faber_system)
 from .poly import evaluate_rows
-from .report import CheckReport, combine
-from .verify import (check_gap_coefficient_recovery, exponential_map_characterization,
-                     leading_common_root_order)
+from .verify import (CheckReport, _row_deviation, check_derivative_identity,
+                     check_gap_coefficient_recovery, combine,
+                     exponential_map_characterization, leading_common_root_order)
 
 SUITE_NAMES = (
     "recurrence-vs-oracle", "eq13", "eq14", "eq16",
@@ -107,15 +109,6 @@ def draw_two_gap_map(rng: np.random.Generator, pattern_valid: bool = False) -> T
 # suites
 # ---------------------------------------------------------------------------
 
-def _row_deviation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per row of two tables of one shape, max_k |a_k - b_k| relative to
-    1 + the larger max |c| of the two rows (as coefficient_deviation)."""
-    def magnitude(t):
-        return np.hypot(t.real, t.imag)   # abs() of a Python complex, to the ulp
-    scale = 1.0 + np.maximum(magnitude(a).max(axis=1), magnitude(b).max(axis=1))
-    return magnitude(a - b).max(axis=1) / scale
-
-
 def _value_residual(expected, table: np.ndarray, z) -> float:
     """Worst |expected_j - row_j(z)| over the table rows and the points z,
     each relative to 1 + the row's Horner magnitude at that point."""
@@ -123,65 +116,62 @@ def _value_residual(expected, table: np.ndarray, z) -> float:
     return float(np.max(np.abs(np.asarray(expected) - values) / (1.0 + magnitudes)))
 
 
-def suite_recurrence_vs_oracle(seed: int = 0, n_maps: int = 50, n_points: int = 20,
-                               n_highest: int = 30, truncation: int = 30,
+def suite_recurrence_vs_oracle(seed: int = 0, n_highest: int = 30,
                                tol: float = 1e-9) -> CheckReport:
-    """Recurrence-generated values against the log-series oracle."""
+    """Recurrence-generated values against the log-series oracle, on 50
+    random maps of truncation 30 with 20 points each."""
     rng = np.random.default_rng(seed)
     per_map = []
-    for _ in range(n_maps):
-        emap = draw_exterior_map(rng, truncation)
+    for _ in range(50):
+        emap = draw_exterior_map(rng, 30)
         table = faber_system_from_recurrence(emap, n_highest).coeffs[1:]
-        z = np.array([draw_disk(rng, 3.0) for _ in range(n_points)])
+        z = np.array([draw_disk(rng, 3.0) for _ in range(20)])
         oracle = faber_values_from_log_series(emap, z, n_highest)
         per_map.append(_value_residual(oracle, table, z))
-    worst = max(per_map)
-    return CheckReport("recurrence-vs-oracle", worst <= tol, worst, tuple(per_map))
+    return CheckReport.judged("recurrence-vs-oracle", per_map, tol)
 
 
-def suite_eq13(seed: int = 0, pairs: int = 30, n_highest: int = 20,
-               truncation: int = 24, tol: float = 1e-9) -> CheckReport:
-    """Value generating series Psi'(w) w/(Psi(w)-z) against the recurrence."""
+def suite_eq13(seed: int = 0, n_highest: int = 20, tol: float = 1e-9) -> CheckReport:
+    """Value generating series Psi'(w) w/(Psi(w)-z) against the recurrence,
+    on 30 random pairs of a map of truncation 24 and a point."""
     rng = np.random.default_rng(seed)
     residuals = []
-    for _ in range(pairs):
-        emap = draw_exterior_map(rng, truncation)
+    for _ in range(30):
+        emap = draw_exterior_map(rng, 24)
         z = draw_disk(rng, 3.0)
         table = faber_system_from_recurrence(emap, n_highest).coeffs
         coeffs = faber_values_from_ratio_series(emap, z, n_highest)
         residuals.append(_value_residual(coeffs, table, z))
-    worst = max(residuals)
-    return CheckReport("eq13", worst <= tol, worst, tuple(residuals))
+    return CheckReport.judged("eq13", residuals, tol)
 
 
-def suite_eq16(seed: int = 0, pairs: int = 30, n_highest: int = 20,
-               truncation: int = 24, tol: float = 1e-9) -> CheckReport:
-    """Derivative generating series 1/(Psi(w)-z) against the recurrence."""
+def suite_eq16(seed: int = 0, n_highest: int = 20, tol: float = 1e-9) -> CheckReport:
+    """Derivative generating series 1/(Psi(w)-z) against the recurrence,
+    on 30 random pairs of a map of truncation 24 and a point."""
     rng = np.random.default_rng(seed)
     index = np.arange(1, n_highest + 1)
     residuals = []
-    for _ in range(pairs):
-        emap = draw_exterior_map(rng, truncation)
+    for _ in range(30):
+        emap = draw_exterior_map(rng, 24)
         z = draw_disk(rng, 3.0)
         f = faber_system_from_recurrence(emap, n_highest).coeffs
         values, magnitudes = evaluate_rows(f[1:, 1:] * index, z)    # row j-1 is F_j'
         coeffs = faber_derivative_values_from_series(emap, z, n_highest)
         residuals.append(float(np.max(np.abs(coeffs - values / index) / (1.0 + magnitudes))))
-    worst = max(residuals)
-    return CheckReport("eq16", worst <= tol, worst, tuple(residuals))
+    return CheckReport.judged("eq16", residuals, tol)
 
 
 def suite_eq14(lam: complex = 0.7, n_highest: int = 20, tol: float = 1e-9) -> CheckReport:
     """Polynomial identity z F_j'(z) = j sum_k lam^{j-k} F_k(z)."""
-    report = check_derivative_identity(lam, n_highest, tol)
-    return CheckReport("eq14", report.passed, report.max_residual, report.residuals)
+    return replace(check_derivative_identity(lam, n_highest, tol), name="eq14")
 
 
-def suite_theorem1(seed: int = 0, cases: int = 20, tol: float = 1e-10) -> CheckReport:
-    """Gap maps: monomial prefix, first nonvanishing value, coefficient recovery."""
+def suite_theorem1(seed: int = 0, tol: float = 1e-10) -> CheckReport:
+    """Gap maps: monomial prefix, first nonvanishing value, coefficient
+    recovery, on 20 random draws."""
     rng = np.random.default_rng(seed)
     reports = []
-    for i in range(cases):
+    for i in range(20):
         gap = draw_gap_map(rng)
         n_highest = 2 * gap.n + 2
         system = faber_system_from_recurrence(to_exterior_map(gap, n_highest), n_highest)
@@ -199,16 +189,16 @@ def suite_theorem1(seed: int = 0, cases: int = 20, tol: float = 1e-10) -> CheckR
     return combine("theorem1", reports)
 
 
-def suite_theorem2(seed: int = 0, cases: int = 10, n_highest: int = 24,
-                   tol: float = 1e-9) -> CheckReport:
-    """Two-gap maps: piecewise recurrence equals the generic one; value pattern.
+def suite_theorem2(seed: int = 0, n_highest: int = 24, tol: float = 1e-9) -> CheckReport:
+    """Two-gap maps: piecewise recurrence equals the generic one; value
+    pattern, on 10 pairs of random draws.
 
     The closed-form equivalence is checked on unconstrained draws; the
     value pattern only on maps with n <= 2m + 1 (see draw_two_gap_map).
     """
     rng = np.random.default_rng(seed)
     reports = []
-    for i in range(cases):
+    for i in range(10):
         fam = draw_two_gap_map(rng)
         closed = two_gap_faber_system(fam, n_highest)
         generic = faber_system_from_recurrence(to_exterior_map(fam, n_highest), n_highest)
@@ -223,17 +213,17 @@ def suite_theorem2(seed: int = 0, cases: int = 10, n_highest: int = 24,
             expected = (pat.m + 1) * abs(pat.alpha_m)
             pattern[pat.m] = abs(values[pat.m] - expected) / (1.0 + expected)
         pattern_resid = float(pattern.max(initial=0.0))
-        worst = max(coeff_resid, pattern_resid)
-        reports.append(CheckReport(f"theorem2-case-{i}", worst <= tol, worst))
+        reports.append(CheckReport.judged(f"theorem2-case-{i}",
+                                          (coeff_resid, pattern_resid), tol))
     return combine("theorem2", reports)
 
 
-def suite_theorem3(seed: int = 0, cases: int = 10, n_highest: int = 20,
-                   tol: float = 1e-9) -> CheckReport:
-    """Exponential maps: common-root pattern, closed form, perturbation breaks it."""
+def suite_theorem3(seed: int = 0, n_highest: int = 20, tol: float = 1e-9) -> CheckReport:
+    """Exponential maps: common-root pattern, closed form, perturbation
+    breaks it, on 10 random draws."""
     rng = np.random.default_rng(seed)
     reports = []
-    for i in range(cases):
+    for i in range(10):
         eta = draw_disk(rng, 1.5)
         r = 0.2 + 0.8 * rng.uniform()
         phi = rng.uniform(0.0, 2.0 * math.pi)
@@ -257,28 +247,28 @@ def suite_chebyshev(n_highest: int = 24, tol: float = 1e-12) -> CheckReport:
     """Single-cusp closed form reduces to doubled Chebyshev on the half scale."""
     residuals = _row_deviation(hypocycloid_faber_closed_form(1, n_highest).coeffs,
                                chebyshev_scaled(n_highest).coeffs)[1:].tolist()
-    worst = max(residuals)
-    return CheckReport("chebyshev", worst <= tol, worst, tuple(residuals))
+    return CheckReport.judged("chebyshev", residuals, tol)
 
 
-def suite_he_formula(n_highest: int = 24, m_max: int = 4, tol: float = 1e-9) -> CheckReport:
-    """Hypocycloid closed form against the recurrence for m = 1..m_max."""
+def suite_he_formula(n_highest: int = 24, tol: float = 1e-9) -> CheckReport:
+    """Hypocycloid closed form against the recurrence for m = 1..4."""
     reports = []
-    for m in range(1, m_max + 1):
+    for m in range(1, 5):
         emap = to_exterior_map(Hypocycloid(m), n_highest)
-        worst = float(_row_deviation(hypocycloid_faber_closed_form(m, n_highest).coeffs,
-                                     faber_system_from_recurrence(emap, n_highest).coeffs).max())
-        reports.append(CheckReport(f"he-formula-m{m}", worst <= tol, worst))
+        residuals = _row_deviation(hypocycloid_faber_closed_form(m, n_highest).coeffs,
+                                   faber_system_from_recurrence(emap, n_highest).coeffs)
+        reports.append(CheckReport.judged(f"he-formula-m{m}", residuals.tolist(), tol))
     return combine("he-formula", reports)
 
 
-def suite_lambert(seed: int = 0, grid_points: int = 1000, tol: float = 1e-12) -> CheckReport:
-    """Defining identity on a grid, inverse-map round trips, series consistency."""
+def suite_lambert(seed: int = 0, tol: float = 1e-12) -> CheckReport:
+    """Defining identity on a grid of 1000 points, inverse-map round trips,
+    series consistency; ``tol`` judges the grid residual only."""
     rng = np.random.default_rng(seed)
     # defining-identity residual off the cut
     worst_grid = 0.0
     count = 0
-    while count < grid_points:
+    while count < 1000:
         t = complex(rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0))
         if abs(t.imag) < 1e-9 and t.real < -0.2:
             continue
@@ -309,11 +299,14 @@ def suite_lambert(seed: int = 0, grid_points: int = 1000, tol: float = 1e-12) ->
                        (worst_grid, worst_round, worst_series))
 
 
-def suite_rays(n_highest: int = 24, m_max: int = 4, angle_tol: float = 1e-6,
-               residual_tol: float = 1e-8) -> CheckReport:
-    """Roots of hypocycloid Faber polynomials sit on the cusp rays."""
+def suite_rays(n_highest: int = 24, tol: float = 1e-6) -> CheckReport:
+    """Roots of hypocycloid Faber polynomials sit on the cusp rays, m = 1..4.
+
+    ``tol`` judges the worst angle of a root off its nearest ray; every
+    root's residual must stay within 1e-8 of its polynomial's scale.
+    """
     reports = []
-    for m in range(1, m_max + 1):
+    for m in range(1, 5):
         directions = [2.0 * math.pi * v / (m + 1) for v in range(m + 1)]
         worst_angle = 0.0
         worst_resid = 0.0
@@ -329,43 +322,44 @@ def suite_rays(n_highest: int = 24, m_max: int = 4, angle_tol: float = 1e-6,
                 d = min(min(abs(a - phi), 2.0 * math.pi - abs(a - phi))
                         for phi in directions)
                 worst_angle = max(worst_angle, d)
-        ok = worst_angle <= angle_tol and worst_resid <= residual_tol
+        ok = worst_angle <= tol and worst_resid <= 1e-8
         reports.append(CheckReport(f"rays-m{m}", ok, worst_angle))
     return combine("rays", reports)
 
 
+#: the command-line flag of each option a suite may take
+_OPTION_FLAGS = {"n_highest": "--N", "tol": "--tol", "lam": "--lambda"}
+
+
 def run_suite(name: str, seed: int = 0, n_highest: int | None = None,
               tol: float | None = None, lam: complex | None = None) -> list[CheckReport]:
-    """Dispatch one suite (or 'all') with optional overrides.
+    """Run one suite (or 'all') with optional overrides.
 
-    ``n_highest`` must be at least 1, and at least 3 for ``theorem3`` (also
-    under 'all'); ``theorem1`` and ``lambert``, whose degrees follow from
-    their draws, refuse it.  A ValueError names the suite.
+    Each option goes to the suites whose signature takes it.  A single
+    suite refuses an option it does not take; 'all' gives each option to
+    the suites that take it.  ``n_highest`` must be at least 1, and at
+    least 3 for ``theorem3`` (also under 'all').  A ValueError names the
+    suite.  Suites are looked up by module-global name at call time, so a
+    rebound ``suite_*`` function is the one that runs.
     """
+    if name != "all" and name not in SUITE_NAMES:
+        raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
     if n_highest is not None and n_highest < 1:
         raise ValueError(f"suite {name!r} needs N >= 1, got {n_highest}")
     if n_highest is not None and n_highest < 3 and name in ("theorem3", "all"):
         raise ValueError(f"suite 'theorem3' needs N >= 3 to characterize the common-root "
                          f"pattern, got {n_highest}")
-    if n_highest is not None and name in ("theorem1", "lambert"):
-        raise ValueError(f"suite {name!r} takes no N: its degrees follow from its draws")
-    kwargs_n = {} if n_highest is None else {"n_highest": n_highest}
-    kwargs_t = {} if tol is None else {"tol": tol}
-    dispatch = {
-        "recurrence-vs-oracle": lambda: suite_recurrence_vs_oracle(seed, **kwargs_n, **kwargs_t),
-        "eq13": lambda: suite_eq13(seed, **kwargs_n, **kwargs_t),
-        "eq14": lambda: suite_eq14(0.7 if lam is None else lam, **kwargs_n, **kwargs_t),
-        "eq16": lambda: suite_eq16(seed, **kwargs_n, **kwargs_t),
-        "theorem1": lambda: suite_theorem1(seed, **kwargs_t),
-        "theorem2": lambda: suite_theorem2(seed, **kwargs_n, **kwargs_t),
-        "theorem3": lambda: suite_theorem3(seed, **kwargs_n, **kwargs_t),
-        "chebyshev": lambda: suite_chebyshev(**kwargs_n, **kwargs_t),
-        "he-formula": lambda: suite_he_formula(**kwargs_n, **kwargs_t),
-        "lambert": lambda: suite_lambert(seed, **kwargs_t),
-        "rays": lambda: suite_rays(**kwargs_n),
-    }
-    if name == "all":
-        return [dispatch[n]() for n in SUITE_NAMES]
-    if name not in dispatch:
-        raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
-    return [dispatch[name]()]
+    options = {"n_highest": n_highest, "tol": tol, "lam": lam}
+    given = {key: value for key, value in options.items() if value is not None}
+    reports = []
+    for suite_name in SUITE_NAMES if name == "all" else (name,):
+        suite = globals()["suite_" + suite_name.replace("-", "_")]
+        taken = inspect.signature(suite).parameters
+        refused = [_OPTION_FLAGS[key] for key in given if key not in taken]
+        if refused and name != "all":
+            raise ValueError(f"suite {name!r} takes no {' or '.join(refused)}")
+        kwargs = {key: value for key, value in given.items() if key in taken}
+        if "seed" in taken:
+            kwargs["seed"] = seed
+        reports.append(suite(**kwargs))
+    return reports

@@ -1,7 +1,9 @@
-"""Theorem-level checkers for common roots of Faber systems.
+"""Verdicts and checkers for the identities and theorems of Faber systems.
 
-Three facts are made testable here:
+Every check returns a :class:`CheckReport`.  The facts made testable here:
 
+* z F_j'(z) = j P_j(z) for the exponential map w*exp(lam/w) and its
+  kernel polynomials, and Phi(z)^j - F_j(z) = O(1/z) along a ray;
 * a map of the form w + z0 + sum_{j>=n} alpha_j w^{-j} (alpha_n != 0) has
   F_j(z0) = 0 exactly for j = 1..n, with |F_{n+1}(z0)| = (n+1)|alpha_n|;
 * for such a map the tail coefficients are recoverable from the values,
@@ -18,14 +20,60 @@ to the generated horizon, which the profile reports explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .faber import ExteriorMap, FaberSystem, faber_system_from_recurrence
-from .maps import GapMap, to_exterior_map
+from .faber import (ExteriorMap, FaberSystem, _kernel_tables, exp_map_exterior,
+                    faber_system_from_recurrence)
+from .maps import GapMap, inverse_exp_map, to_exterior_map
 from .poly import evaluate_rows
-from .report import CheckReport
+
+
+@dataclass(frozen=True)
+class CheckReport:
+    """Outcome of one named check: a verdict plus per-item residuals."""
+
+    name: str
+    passed: bool
+    max_residual: float
+    residuals: tuple[float, ...] = ()
+    notes: str = ""
+
+    @classmethod
+    def judged(cls, name: str, residuals: Iterable[float], tol: float) -> CheckReport:
+        """Pass exactly when every residual is at most ``tol``; a verdict
+        over no residuals is refused with a ValueError."""
+        residuals = tuple(residuals)
+        if not residuals:
+            raise ValueError(f"check {name!r} has no residuals to judge")
+        return cls(name, all(r <= tol for r in residuals), max(residuals), residuals)
+
+    def to_dict(self) -> dict:
+        return {**asdict(self), "residuals": list(self.residuals)}
+
+
+def combine(name: str, reports: list[CheckReport]) -> CheckReport:
+    """Roll sub-reports into one verdict keeping the worst residual."""
+    worst = max((r.max_residual for r in reports), default=0.0)
+    return CheckReport(
+        name=name,
+        passed=all(r.passed for r in reports),
+        max_residual=worst,
+        residuals=tuple(r.max_residual for r in reports),
+        notes="; ".join(r.notes for r in reports if r.notes),
+    )
+
+
+def _row_deviation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row of two tables of one shape, max_k |a_k - b_k| relative to
+    1 + the larger max |c| of the two rows (as coefficient_deviation)."""
+    def magnitude(t):
+        return np.hypot(t.real, t.imag)   # abs() of a Python complex, to the ulp
+    scale = 1.0 + np.maximum(magnitude(a).max(axis=1), magnitude(b).max(axis=1))
+    return magnitude(a - b).max(axis=1) / scale
 
 
 @dataclass(frozen=True)
@@ -68,8 +116,12 @@ def check_gap_coefficient_recovery(family: GapMap, n_highest: int,
     """Verify alpha_j = -F_{j+1}(z0)/(j+1) for j = n .. min(2n, N-1).
 
     Uses the recurrence-generated system of the gap map; residuals are
-    normalized by 1 + |alpha_j|.
+    normalized by 1 + |alpha_j|.  N must be at least n + 1, the first
+    index whose value carries a tail coefficient.
     """
+    if n_highest <= family.n:
+        raise ValueError(f"recovering alpha_{family.n} needs N >= {family.n + 1}, "
+                         f"got {n_highest}")
     emap = to_exterior_map(family, n_highest)
     values = evaluate_rows(faber_system_from_recurrence(emap, n_highest).coeffs, family.z0)[0]
     residuals = []
@@ -77,13 +129,7 @@ def check_gap_coefficient_recovery(family: GapMap, n_highest: int,
         expected = emap.alpha(j)
         recovered = -complex(values[j + 1]) / (j + 1)
         residuals.append(abs(recovered - expected) / (1.0 + abs(expected)))
-    worst = max(residuals, default=0.0)
-    return CheckReport(
-        name="gap-coefficient-recovery",
-        passed=worst <= tol,
-        max_residual=worst,
-        residuals=tuple(residuals),
-    )
+    return CheckReport.judged("gap-coefficient-recovery", residuals, tol)
 
 
 def exponential_map_characterization(emap: ExteriorMap, z0: complex, n_highest: int,
@@ -109,3 +155,60 @@ def exponential_map_characterization(emap: ExteriorMap, z0: complex, n_highest: 
         if abs(emap.alpha(j) - power) > tol * (1.0 + abs(power)):
             return False
     return True
+
+
+def check_derivative_identity(lam: complex, n_highest: int, tol: float = 1e-9) -> CheckReport:
+    """Coefficientwise check of z F_j'(z) = j P_j(z) for j = 0..N (map w*exp(lam/w)).
+
+    Coefficient k of z F_j' is k c_k, so the identity compares F scaled by
+    column index with P scaled by row index, row by row relative to
+    1 + max|coefficient|.  One recurrence run gives both tables.
+    """
+    f, p = _kernel_tables(lam, n_highest)
+    k = np.arange(n_highest + 1)
+    residuals = _row_deviation(f * k, k[:, None] * p).tolist()
+    return CheckReport.judged("derivative-identity", residuals, tol)
+
+
+def check_inverse_power_decay(eta: complex, lam: complex, z_samples: Sequence[complex],
+                              j: int, band: tuple[float, float] = (0.5, 2.0)) -> CheckReport:
+    """Check that Phi(z)^j - F_j(z) decays like O(1/z) along one ray.
+
+    ``z_samples`` are points of growing modulus outside the closed image of
+    the map eta + w*exp(lam/w).  The principal part is never materialized:
+    the check asserts only that consecutive magnitudes shrink like the
+    radius ratio, up to the multiplicative ``band``.  Numerically the
+    samples must keep |z|^j well below 1/eps times the principal-part
+    size, otherwise cancellation swamps the signal.
+    """
+    if j < 0:
+        raise ValueError("power must be nonnegative")
+    pts = sorted((complex(z) for z in z_samples), key=abs)
+    if len(pts) < 2:
+        raise ValueError("need at least two sample moduli")
+    if j == 0:
+        return CheckReport(name="inverse-power-decay", passed=True, max_residual=0.0,
+                           residuals=(0.0,) * len(pts), notes="trivial at j = 0")
+    fs = faber_system_from_recurrence(exp_map_exterior(eta, lam, j), j)
+    tails = []
+    for z in pts:
+        phi = inverse_exp_map(z, eta, lam)
+        if abs(phi) <= 1.0:
+            raise ValueError(f"sample {z} maps inside the unit disk; it is not exterior")
+        tails.append(phi ** j - fs[j].evaluate(z))
+    ok = True
+    ratios = []
+    for (z0, q0), (z1, q1) in zip(zip(pts, tails), zip(pts[1:], tails[1:])):
+        expected = abs(z0) / abs(z1)
+        actual = abs(q1) / abs(q0) if abs(q0) > 0 else math.inf
+        ratios.append(actual)
+        if not (band[0] * expected <= actual <= band[1] * expected):
+            ok = False
+    worst = max((abs(r / (abs(z0) / abs(z1)) - 1.0) for r, (z0, z1) in
+                 zip(ratios, zip(pts, pts[1:]))), default=0.0)
+    return CheckReport(
+        name="inverse-power-decay",
+        passed=ok,
+        max_residual=worst,
+        residuals=tuple(ratios),
+    )

@@ -23,7 +23,7 @@ from faberpoly.faber import (exp_map_exterior, faber_system_from_recurrence,
                              faber_values_from_log_series,
                              faber_values_from_ratio_series,
                              faber_derivative_values_from_series,
-                             check_derivative_identity, kernel_polys, ExteriorMap)
+                             kernel_polys, ExteriorMap)
 from faberpoly.maps import (ExpMap, Hypocycloid, chebyshev_scaled, evaluate_map,
                             exp_map_boundary, exp_map_faber_closed_form,
                             gap_faber_closed_form, hypocycloid_faber_closed_form,
@@ -33,6 +33,7 @@ from faberpoly.maps import (ExpMap, Hypocycloid, chebyshev_scaled, evaluate_map,
 from faberpoly.series import PowerSeries
 from faberpoly.suites import (draw_disk, draw_exterior_map, draw_gap_map,
                               draw_two_gap_map)
+from faberpoly.verify import check_derivative_identity
 
 
 def verdict(number: int, passed: bool, text: str) -> None:

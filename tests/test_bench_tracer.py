@@ -51,3 +51,20 @@ def test_traced_chebyshev_suite_counts_closed_form_calls(capsys):
     metrics = t.pass_metrics()
     assert metrics["maps.closed_form.calls"] > 0
     assert metrics["suites.chebyshev.s"] > 0
+
+
+def test_traced_verify_all_times_every_suite(capsys):
+    tracer = _load_tracer()
+    t = tracer.Tracer()
+    t.begin_pass()
+    t.install()
+    try:
+        code = cli.main(["verify", "--suite", "all", "--N", "6"])
+    finally:
+        t.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    metrics = t.pass_metrics()
+    assert len(tracer.SUITE_FUNCTIONS) == 11
+    for suite in tracer.SUITE_FUNCTIONS.values():
+        assert metrics[f"suites.{suite}.s"] > 0, suite

@@ -79,6 +79,16 @@ class TestVerify:
         assert code == 0
         assert out.splitlines()[0] == "name,passed,max_residual"
 
+    def test_tol_judges_the_worst_ray_angle(self):
+        code, out = run_cli("verify", "--suite", "rays", "--tol", "1e-30")
+        assert code == 1
+        assert json.loads(out)["pass"] is False
+
+    def test_all_gives_each_option_to_the_suites_that_take_it(self):
+        code, out = run_cli("verify", "--suite", "all", "--lambda", "2", "--N", "5")
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+
 
 class TestRoots:
     def test_exponential_quadratic_roots(self):
@@ -160,6 +170,25 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert f"suite {suite!r}" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("argv, option", [
+        (("rays", "--lambda", "5"), "--lambda"),
+        (("chebyshev", "--lambda", "1"), "--lambda"),
+        (("lambert", "--N", "3", "--lambda", "1"), "--lambda"),
+    ], ids=["rays-lambda", "chebyshev-lambda", "lambert-N-lambda"])
+    def test_verify_refuses_an_option_the_suite_does_not_take(self, argv, option):
+        code, out, err = run_cli_with_stderr("verify", "--suite", *argv)
+        assert code == 2
+        assert out == ""
+        message = json.loads(err)["message"]
+        assert f"suite {argv[0]!r}" in message and option in message
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_boundary_needs_a_sample(self, samples):
+        code, out, err = run_cli_with_stderr("boundary", "--samples", samples)
+        assert code == 2
+        assert out == ""
+        assert "--samples" in json.loads(err)["message"]
 
     @pytest.mark.parametrize("suite, n", [("theorem3", "1"), ("theorem3", "2"), ("all", "2")])
     def test_theorem3_refuses_n_below_three(self, suite, n):

@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faberpoly.faber import (ExteriorMap, check_derivative_identity,
-                             check_inverse_power_decay, exp_map_exterior,
+from faberpoly.faber import (ExteriorMap, exp_map_exterior,
                              faber_derivative_values_from_series,
                              faber_system_from_recurrence,
                              faber_values_from_log_series,
@@ -20,6 +19,7 @@ from faberpoly.maps import ExpMap, Hypocycloid, Shift, to_exterior_map
 from faberpoly.poly import ComplexPolynomial
 from faberpoly.series import PowerSeries
 from faberpoly.suites import draw_disk, draw_exterior_map
+from faberpoly.verify import check_derivative_identity, check_inverse_power_decay
 
 
 class TestExteriorMap:
@@ -243,15 +243,21 @@ def test_series_engine_and_oracles_stay_off_the_recurrence(monkeypatch):
     import faberpoly.faber as faber
     import faberpoly.series as series_module
 
-    tree = ast.parse(Path(series_module.__file__).read_text(encoding="utf-8"))
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported |= {alias.name.split(".")[0] for alias in node.names}
-        elif isinstance(node, ast.ImportFrom):
-            imported.add("." * node.level + (node.module or "").split(".")[0])
-    assert imported
-    assert all(name == "numpy" or name in sys.stdlib_module_names for name in imported), imported
+    # faber.py generates only: no checker, no maps, no import deferred into a function
+    for module, allowed in ((series_module, {"numpy"}), (faber, {"numpy", ".poly", ".series"})):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported.add("." * node.level + (node.module or "").split(".")[0])
+        assert imported
+        assert all(name in allowed or name in sys.stdlib_module_names
+                   for name in imported), (module.__name__, imported)
+        assert not any(isinstance(inner, (ast.Import, ast.ImportFrom))
+                       for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                       for inner in ast.walk(node)), module.__name__
 
     def refuse(*args, **kwargs):
         raise AssertionError("an oracle ran the recurrence")

@@ -4,7 +4,7 @@ import pytest
 from faberpoly.faber import ExteriorMap, exp_map_exterior, faber_system_from_recurrence
 from faberpoly.maps import GapMap, Hypocycloid, to_exterior_map
 from faberpoly.suites import draw_gap_map, draw_two_gap_map
-from faberpoly.verify import (check_gap_coefficient_recovery,
+from faberpoly.verify import (CheckReport, check_gap_coefficient_recovery,
                               exponential_map_characterization,
                               leading_common_root_order)
 
@@ -60,6 +60,16 @@ class TestGapCoefficientRecovery:
             assert report.passed
             assert report.max_residual <= 1e-10
 
+    @pytest.mark.parametrize("n_highest", [1, 2, 3])
+    def test_refuses_n_with_nothing_to_recover(self, n_highest):
+        # alpha_n first shows in F_{n+1}(z0), so N <= n leaves nothing to judge
+        with pytest.raises(ValueError, match="N >= 4"):
+            check_gap_coefficient_recovery(GapMap(0.3, 3, [0.2, 0.1]), n_highest)
+
+    def test_smallest_useful_n(self):
+        report = check_gap_coefficient_recovery(GapMap(0.3, 3, [0.2, 0.1]), 4)
+        assert report.passed and len(report.residuals) == 1
+
     def test_bound_satisfied_by_construction(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
@@ -67,6 +77,20 @@ class TestGapCoefficientRecovery:
             for offset, alpha in enumerate(gap.tail):
                 j = gap.n + offset
                 assert abs(alpha) <= 2.0 / (j + 1) + 1e-15
+
+
+class TestJudged:
+    def test_worst_residual_decides(self):
+        assert CheckReport.judged("c", [1e-12, 3e-10], 1e-9) == \
+            CheckReport("c", True, 3e-10, (1e-12, 3e-10))
+        assert not CheckReport.judged("c", [1e-12, 3e-9], 1e-9).passed
+
+    def test_nan_fails(self):
+        assert not CheckReport.judged("c", [0.0, float("nan")], 1e-9).passed
+
+    def test_refuses_an_empty_verdict(self):
+        with pytest.raises(ValueError, match="'c'"):
+            CheckReport.judged("c", [], 1e-9)
 
 
 class TestExponentialCharacterization:
