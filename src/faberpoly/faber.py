@@ -149,8 +149,7 @@ def _oracle_values(values: np.ndarray, z):
     return values.tolist() if np.ndim(z) == 0 else np.array(values)
 
 
-def faber_values_from_log_series(emap: ExteriorMap, z, n_highest: int,
-                                 order: int | None = None):
+def faber_values_from_log_series(emap: ExteriorMap, z, n_highest: int):
     """Values [F_1(z), ..., F_N(z)] read off the log generating series.
 
     ``z`` is a point, giving a list, or an array of points, giving an array
@@ -160,14 +159,12 @@ def faber_values_from_log_series(emap: ExteriorMap, z, n_highest: int,
     """
     if n_highest < 1:
         raise ValueError("need at least F_1")
-    order = n_highest if order is None else order
-    log_series = _map_minus_z_over_w(emap, z, order).log1()
+    log_series = _map_minus_z_over_w(emap, z, n_highest).log1()
     index = np.arange(1, n_highest + 1).reshape((-1,) + (1,) * np.ndim(z))
     return _oracle_values(-index * log_series.coeffs[1:n_highest + 1], z)
 
 
-def faber_values_from_ratio_series(emap: ExteriorMap, z, n_highest: int,
-                                   order: int | None = None):
+def faber_values_from_ratio_series(emap: ExteriorMap, z, n_highest: int):
     """Coefficients 0..N of Psi'(w) w / (Psi(w) - z) in t = 1/w.
 
     Coefficient j equals F_j(z); the numerator series is
@@ -176,8 +173,8 @@ def faber_values_from_ratio_series(emap: ExteriorMap, z, n_highest: int,
     """
     if n_highest < 0:
         raise ValueError("need a nonnegative highest index")
-    order = max(n_highest, 1) if order is None else order
-    tail = emap.tail[:max(order - 1, 0)]
+    order = max(n_highest, 1)
+    tail = emap.tail[:order - 1]
     num = np.zeros(order + 1, dtype=complex)
     num[0] = 1.0
     num[2:len(tail) + 2] = -np.arange(1, len(tail) + 1) * np.asarray(tail, dtype=complex)
@@ -186,8 +183,7 @@ def faber_values_from_ratio_series(emap: ExteriorMap, z, n_highest: int,
     return _oracle_values(ratio.coeffs[: n_highest + 1], z)
 
 
-def faber_derivative_values_from_series(emap: ExteriorMap, z, n_highest: int,
-                                        order: int | None = None):
+def faber_derivative_values_from_series(emap: ExteriorMap, z, n_highest: int):
     """Coefficients 1..N of 1/(Psi(w) - z) in t = 1/w; entry j-1 equals F_j'(z)/j.
 
     Uses 1/(Psi(w) - z) = t * reciprocal((Psi(w) - z)/w), whose constant
@@ -196,8 +192,7 @@ def faber_derivative_values_from_series(emap: ExteriorMap, z, n_highest: int,
     """
     if n_highest < 1:
         raise ValueError("need at least index 1")
-    order = n_highest if order is None else order
-    recip = _map_minus_z_over_w(emap, z, order).reciprocal()
+    recip = _map_minus_z_over_w(emap, z, n_highest).reciprocal()
     return _oracle_values(recip.coeffs[:n_highest], z)
 
 

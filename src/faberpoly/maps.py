@@ -18,9 +18,10 @@ Chebyshev polynomials when m = 1), and the exponential family has the
 explicit sum F_j(z) = j sum_k (-lam)^{j-k} k^{j-k-1}/(j-k)! (z-eta)^k.
 
 The exponential family also carries its inverse map through the principal
-branch of the Lambert W function, the power series of W^j, the starlikeness
-and univalence-certificate functionals, and the boundary curve
-e^{i theta} exp(lam e^{-i theta}).
+branch of the Lambert W function (one Halley run from one seed chosen by the
+region of the argument, for any finite argument off the cut), the power
+series of W^j, the starlikeness and univalence-certificate functionals, and
+the boundary curve e^{i theta} exp(lam e^{-i theta}).
 """
 
 from __future__ import annotations
@@ -314,20 +315,19 @@ class LambertResult:
 def lambert_w0(t: complex) -> LambertResult:
     """Principal branch of the Lambert W function (inverse of w -> w e^w).
 
-    Halley iteration, seeded by the power series t(1 - t) for small |t|,
-    the asymptotic log t - log log t for large |t|, and the branch-point
-    expansion in p = sqrt(2 (e t + 1)) near -1/e.  Real arguments left of
-    the branch point raise :class:`BranchCutError`; the branch point itself
-    returns exactly -1.
+    One Halley run from one seed chosen by the region of t: the branch-point
+    expansion in p = sqrt(2 (e t + 1)) within 0.6 of -1/e, the power series
+    t(1 - t) for |t| < 0.3, log(1 + t) for |t| <= 3 with |t + 1| > 0.8, and
+    the asymptotic L1 - L2 + L2/L1 (L1 = log t, L2 = log L1) elsewhere.  Any
+    finite t off the cut is accepted; real arguments left of the branch
+    point raise :class:`BranchCutError`, and the branch point itself returns
+    exactly -1.
 
-    Converged iterates are accepted only on the principal sheet: |Im W|
-    stays below pi and Im W carries the sign of Im t (W0 maps each open
-    half-plane into itself and is real on (-1/e, inf)).  A solution found
-    on the conjugate side seeds one more Halley run, which lands on the
-    principal value for arguments near the cut.
-
-    On convergence the residual |W e^W - t| is at most 1e-12 (1 + |t|);
-    otherwise ``converged`` is False and the best iterate is reported.
+    The result is converged exactly when the residual |W e^W - t| is at most
+    ``LAMBERT_RESIDUAL_TOL`` (1 + |t|) and W lies on the principal sheet:
+    |Im W| stays below pi and Im W carries the sign of Im t (W0 maps each
+    open half-plane into itself and is real on (-1/e, inf)).  Otherwise the
+    one iterate is reported with ``converged`` False.
     """
     t = complex(t)
     if t.imag == 0.0:
@@ -336,32 +336,11 @@ def lambert_w0(t: complex) -> LambertResult:
         if t.real == BRANCH_POINT:
             return LambertResult(complex(-1.0), True, 0,
                                  abs(-cmath.exp(-1.0) - t))
-    best_w = None
-    best_resid = math.inf
-    total = 0
-    seeds = _lambert_seeds(t)
-    tried = []
-    while seeds:
-        seed = seeds.pop(0)
-        if any(abs(seed - u) <= 1e-9 for u in tried):
-            continue
-        tried.append(seed)
-        w, iters = _halley(t, seed)
-        total += iters
-        resid = abs(w * cmath.exp(w) - t)
-        on_branch = _on_principal_branch(w, t)
-        if resid < best_resid and on_branch:
-            best_w, best_resid = w, resid
-        if resid <= LAMBERT_RESIDUAL_TOL * (1.0 + abs(t)):
-            if on_branch:
-                return LambertResult(w, True, total, resid)
-            if abs(w.imag) < math.pi:
-                # converged onto the reflected sheet; its conjugate is a
-                # near-solution on the principal side
-                seeds.append(w.conjugate())
-    if best_w is None:
-        best_w, best_resid = tried[0], abs(tried[0] * cmath.exp(tried[0]) - t)
-    return LambertResult(best_w, False, total, best_resid)
+    w, iterations = _halley(t, _lambert_seed(t))
+    residual = abs(w * cmath.exp(w) - t)
+    converged = (residual <= LAMBERT_RESIDUAL_TOL * (1.0 + abs(t))
+                 and _on_principal_branch(w, t))
+    return LambertResult(w, converged, iterations, residual)
 
 
 def _on_principal_branch(w: complex, t: complex) -> bool:
@@ -374,37 +353,17 @@ def _on_principal_branch(w: complex, t: complex) -> bool:
     return abs(w.imag) <= 1e-10 * (1.0 + abs(w.real))
 
 
-def _lambert_seeds(t: complex) -> list[complex]:
-    seeds = []
-    if abs(t - BRANCH_POINT) < 0.4:
-        seeds.append(_branch_point_seed(t))
+def _lambert_seed(t: complex) -> complex:
+    if abs(t - BRANCH_POINT) < 0.6:
+        p = cmath.sqrt(2.0 * (math.e * t + 1.0))
+        return -1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p ** 3
     if abs(t) < 0.3:
-        seeds.append(t * (1.0 - t))
-    elif abs(t) > 3.0:
-        seeds.append(_asymptotic_seed(t))
-    elif t.real < 0.0 and abs(t.imag) < 1.0:
-        # near the cut the branch-point expansion keeps the correct side
-        seeds.append(_branch_point_seed(t))
-    else:
-        seeds.append(cmath.log(1.0 + t))
-    # deterministic fallbacks for the awkward mid-range
-    seeds.append(_branch_point_seed(t))
-    seeds.append(_asymptotic_seed(t))
-    if t != -1.0:
-        seeds.append(cmath.log(1.0 + t))
-    return seeds
-
-
-def _branch_point_seed(t: complex) -> complex:
-    p = cmath.sqrt(2.0 * (math.e * t + 1.0))
-    return -1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p ** 3
-
-
-def _asymptotic_seed(t: complex) -> complex:
-    log_t = cmath.log(t) if t != 0 else complex(-700.0)
-    if log_t == 0:
-        return complex(0.5671432904097838)  # W(1)
-    return log_t - cmath.log(log_t)
+        return t * (1.0 - t)
+    if abs(t) <= 3.0 and abs(t + 1.0) > 0.8:
+        return cmath.log(1.0 + t)
+    log_t = cmath.log(t)
+    log_log_t = cmath.log(log_t)
+    return log_t - log_log_t + log_log_t / log_t
 
 
 def _halley(t: complex, w: complex) -> tuple[complex, int]:

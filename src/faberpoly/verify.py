@@ -67,13 +67,18 @@ def combine(name: str, reports: list[CheckReport]) -> CheckReport:
     )
 
 
+def _magnitude(t: np.ndarray) -> np.ndarray:
+    return np.hypot(t.real, t.imag)       # abs() of a Python complex, to the ulp
+
+
+def _row_scale(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row of two tables of one shape, 1 + the larger max |c| of the two rows."""
+    return 1.0 + np.maximum(_magnitude(a).max(axis=1), _magnitude(b).max(axis=1))
+
+
 def _row_deviation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per row of two tables of one shape, max_k |a_k - b_k| relative to
-    1 + the larger max |c| of the two rows (as coefficient_deviation)."""
-    def magnitude(t):
-        return np.hypot(t.real, t.imag)   # abs() of a Python complex, to the ulp
-    scale = 1.0 + np.maximum(magnitude(a).max(axis=1), magnitude(b).max(axis=1))
-    return magnitude(a - b).max(axis=1) / scale
+    """Per row, max_k |a_k - b_k| relative to ``_row_scale`` (as coefficient_deviation)."""
+    return _magnitude(a - b).max(axis=1) / _row_scale(a, b)
 
 
 @dataclass(frozen=True)
@@ -163,11 +168,29 @@ def check_derivative_identity(lam: complex, n_highest: int, tol: float = 1e-9) -
     Coefficient k of z F_j' is k c_k, so the identity compares F scaled by
     column index with P scaled by row index, row by row relative to
     1 + max|coefficient|.  One recurrence run gives both tables.
+
+    Round-off in row j of P is bounded by eps j H_j relative to the same
+    scale, with H_j = sum_{k<=j} |lam|^{j-k} max|F_k|.  A row whose residual
+    exceeds ``tol`` while its bound exceeds the looser of ``tol`` and the
+    default 1e-9 raises ArithmeticError: float64 cannot decide the identity
+    there.  A tolerance tighter than the default fails as a check instead.
     """
     f, p = _kernel_tables(lam, n_highest)
     k = np.arange(n_highest + 1)
-    residuals = _row_deviation(f * k, k[:, None] * p).tolist()
-    return CheckReport.judged("derivative-identity", residuals, tol)
+    lhs, rhs = f * k, k[:, None] * p
+    residuals = _row_deviation(lhs, rhs)
+    growth = _magnitude(f).max(axis=1)
+    for j in range(1, n_highest + 1):
+        growth[j] += abs(lam) * growth[j - 1]
+    bound = np.finfo(float).eps * k * growth / _row_scale(lhs, rhs)
+    undecided = np.flatnonzero((residuals > tol) & (bound > max(tol, 1e-9)))
+    if undecided.size:
+        j = undecided[0]
+        raise ArithmeticError(
+            f"eq14 at lambda={lam}, N={n_highest}: row j={j} has residual "
+            f"{residuals[j]:.3e} against a round-off bound of {bound[j]:.3e}; "
+            f"the identity is ill-conditioned in float64")
+    return CheckReport.judged("derivative-identity", residuals.tolist(), tol)
 
 
 def check_inverse_power_decay(eta: complex, lam: complex, z_samples: Sequence[complex],

@@ -68,3 +68,20 @@ def test_traced_verify_all_times_every_suite(capsys):
     assert len(tracer.SUITE_FUNCTIONS) == 11
     for suite in tracer.SUITE_FUNCTIONS.values():
         assert metrics[f"suites.{suite}.s"] > 0, suite
+
+
+def test_traced_lambert_suite_reads_lambert_results(capsys):
+    tracer = _load_tracer()
+    t = tracer.Tracer()
+    t.begin_pass()
+    t.install()
+    try:
+        code = cli.main(["verify", "--suite", "lambert"])
+    finally:
+        t.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    metrics = t.pass_metrics()
+    assert metrics["maps.lambert.calls"] > 0
+    assert metrics["maps.lambert.iterations"] > 0
+    assert metrics["maps.lambert.unconverged"] == 0

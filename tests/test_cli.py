@@ -64,6 +64,32 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["pass"] is False
 
+    def test_eq14_round_off_above_tol_is_ill_conditioned(self, capsys):
+        code, out = run_cli("verify", "--suite", "eq14", "--lambda", "50", "--N", "40")
+        assert code == 3 and out == ""
+        error = json.loads(capsys.readouterr().err)
+        assert "ill-conditioned in float64" in error["message"]
+        assert all(part in error["message"] for part in ("eq14", "lambda=", "N=40", "j="))
+
+    def test_eq14_round_off_below_tol_passes(self):
+        code, out = run_cli("verify", "--suite", "eq14", "--lambda", "5", "--N", "40")
+        assert code == 0 and json.loads(out)["pass"] is True
+
+    def test_eq14_wrong_kernel_table_still_fails(self, monkeypatch):
+        import faberpoly.verify as verify
+
+        original = verify._kernel_tables
+
+        def corrupted(lam, n_highest):
+            f, p = original(lam, n_highest)
+            p = p.copy()
+            p[7, 3] += 1e-6
+            return f, p
+
+        monkeypatch.setattr(verify, "_kernel_tables", corrupted)
+        code, out = run_cli("verify", "--suite", "eq14", "--lambda", "0.7", "--N", "20")
+        assert code == 1 and json.loads(out)["pass"] is False
+
     def test_deterministic_bytes(self):
         a = run_cli("verify", "--suite", "theorem1", "--seed", "5")
         b = run_cli("verify", "--suite", "theorem1", "--seed", "5")

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -338,6 +339,52 @@ class TestLambert:
                 mine = lambert_w0(t).value
                 ref = complex(scipy_lambertw(t, 0))
                 assert abs(mine - ref) <= 1e-9 * (1.0 + abs(ref))
+
+
+def _mpmath_w0(t: complex) -> complex:
+    with mpmath.workdps(30):
+        return complex(mpmath.lambertw(mpmath.mpc(t.real, t.imag)))
+
+
+#: arguments on rays of moduli 1e-12..1e300, on both sides of the cut, on a
+#: ring around -1/e, and three moduli that overflowed a cubed branch-point seed
+LAMBERT_SWEEP = (
+    [r * cmath.exp(1j * math.pi * (k + 0.5) / 6) for k in range(12)
+     for r in np.geomspace(1e-12, 1e300, 32)]
+    + [complex(-x, side * im) for x in np.geomspace(0.37, 1e6, 24)
+       for im in (1e-12, 1e-3) for side in (1, -1)]
+    + [BRANCH_POINT + r * cmath.exp(1j * math.pi * (k + 0.25) / 8) for k in range(16)
+       for r in np.geomspace(1e-14, 0.5, 14)]
+    + [1e210 + 0j, 1e300 + 0j, -1e250j])
+
+
+class TestLambertAgainstMpmath:
+    def test_sweep(self):
+        for t in LAMBERT_SWEEP:
+            res = lambert_w0(t)
+            ref = _mpmath_w0(t)
+            bound = 1e-9 if abs(t - BRANCH_POINT) < 1e-6 else 1e-10
+            assert res.converged, t
+            assert abs(res.value - ref) <= bound * (1.0 + abs(ref)), t
+
+    def test_one_halley_run_per_argument(self, monkeypatch):
+        import faberpoly.maps as maps
+        import faberpoly.suites as suites
+
+        counts = {"lambert": 0, "halley": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(maps, "_halley", counting("halley", maps._halley))
+        for module in (maps, suites):
+            monkeypatch.setattr(module, "lambert_w0", counting("lambert", module.lambert_w0))
+        assert suites.suite_lambert(0).passed
+        assert counts["lambert"] > 1000
+        assert counts["halley"] == counts["lambert"]
 
 
 class TestInverseExpMap:

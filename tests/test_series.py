@@ -176,6 +176,21 @@ class TestBookkeeping:
             series(1, 2).truncated(5)
 
 
+@pytest.mark.parametrize("batch", [(), (2, 3)], ids=["unbatched", "batched"])
+def test_truncating_first_or_last_is_bit_identical(batch):
+    # coefficient k of reciprocal and log1 reads coefficients 0..k only, so a
+    # series computed to order 2N + 4 and cut to N is the one computed at N
+    rng = np.random.default_rng(47)
+    n = 30
+    for _ in range(20):
+        shape = (2 * n + 5,) + batch
+        coeffs = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+        coeffs[0] = 1.0
+        wide = PowerSeries(coeffs)
+        for op in (PowerSeries.reciprocal, PowerSeries.log1):
+            assert np.array_equal(op(wide).truncated(n).coeffs, op(wide.truncated(n)).coeffs)
+
+
 # -- property tests -----------------------------------------------------------
 
 def bounded_series(order=30, scale=1.0):
