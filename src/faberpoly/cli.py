@@ -22,12 +22,12 @@ import csv
 import io
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from .faber import faber_system_from_recurrence, kernel_polys
-from .maps import (BranchCutError, ExpMap, GapMap, Hypocycloid, Shift, TwoGapMap,
-                   exp_map_boundary, to_exterior_map)
+from .maps import FAMILIES, BranchCutError, ExpMap, exp_map_boundary, to_exterior_map
 from .poly import RootFindingError
 from .suites import SUITE_NAMES, run_suite
 
@@ -35,6 +35,9 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_NONCONVERGENCE = 3
+
+#: boundary and kernel describe the exponential map by lambda alone
+_EXP_FAMILY = next(name for name, cls in FAMILIES.items() if cls is ExpMap)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,8 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_family(p):
-        p.add_argument("--family", required=True,
-                       choices=["shift", "gap", "twogap", "hypocycloid", "expmap"])
+        p.add_argument("--family", required=True, choices=list(FAMILIES))
         p.add_argument("--alpha0", type=_parse_complex, default=0j, help="shift constant")
         p.add_argument("--z0", type=_parse_complex, default=0j, help="gap-map center")
         p.add_argument("--eta", type=_parse_complex, default=0j, help="exponential-map center")
@@ -133,27 +135,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _family_from_args(args) -> tuple[object, dict]:
-    if args.family == "shift":
-        fam = Shift(args.alpha0)
-        desc = {"family": "shift", "alpha0": _pair(args.alpha0)}
-    elif args.family == "gap":
-        fam = GapMap(args.z0, args.n, args.tail)
-        desc = {"family": "gap", "z0": _pair(args.z0), "n": args.n,
-                "tail": [_pair(c) for c in args.tail]}
-    elif args.family == "twogap":
-        fam = TwoGapMap(args.z0, args.m, args.alpha_m, args.n, args.tail)
-        desc = {"family": "twogap", "z0": _pair(args.z0), "m": args.m,
-                "alpha_m": _pair(args.alpha_m), "n": args.n,
-                "tail": [_pair(c) for c in args.tail]}
-    elif args.family == "hypocycloid":
-        fam = Hypocycloid(args.m)
-        desc = {"family": "hypocycloid", "m": args.m}
-    elif args.family == "expmap":
-        fam = ExpMap(args.eta, args.lam)
-        desc = {"family": "expmap", "eta": _pair(args.eta), "lambda": _pair(args.lam)}
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown family {args.family}")
-    return fam, desc
+    """The --family member built from the options named like its fields, in
+    field order, and its JSON description from the same values."""
+    names = [f.name for f in fields(FAMILIES[args.family])]
+    values = [getattr(args, name) for name in names]
+    desc = {"family": args.family}
+    for name, value in zip(names, values):
+        desc["lambda" if name == "lam" else name] = (
+            [_pair(c) for c in value] if isinstance(value, tuple)
+            else value if isinstance(value, int) else _pair(value))
+    return FAMILIES[args.family](*values), desc
 
 
 def _rows(table: np.ndarray) -> list:
@@ -165,21 +156,15 @@ def _rows(table: np.ndarray) -> list:
 def _run_gen(args):
     fam, desc = _family_from_args(args)
     table = faber_system_from_recurrence(to_exterior_map(fam, args.N), args.N).coeffs
-    payload = {"command": "gen", "map": desc, "N": args.N,
-               "results": _rows(table), "residuals": {}, "pass": True}
-    return payload, True
+    return desc, args.N, _rows(table), {}, True
 
 
 def _run_verify(args):
     reports = run_suite(args.suite, seed=args.seed, n_highest=args.N,
                         tol=args.tol, lam=args.lam)
-    results = [r.to_dict() for r in reports]
-    residuals = {r.name: r.max_residual for r in reports}
-    ok = all(r.passed for r in reports)
-    payload = {"command": "verify",
-               "map": {"suite": args.suite, "seed": args.seed},
-               "N": args.N, "results": results, "residuals": residuals, "pass": ok}
-    return payload, ok
+    return ({"suite": args.suite, "seed": args.seed}, args.N,
+            [r.to_dict() for r in reports], {r.name: r.max_residual for r in reports},
+            all(r.passed for r in reports))
 
 
 def _run_roots(args):
@@ -195,9 +180,7 @@ def _run_roots(args):
             raise RootFindingError(f"roots of F_{j} of {json.dumps(desc)}: {exc}",
                                    exc.roots, exc.residuals) from exc
         results.append({"j": j, "roots": [_pair(r) for r in roots]})
-    payload = {"command": "roots", "map": desc, "N": args.j_max,
-               "results": results, "residuals": {}, "pass": True}
-    return payload, True
+    return desc, args.j_max, results, {}, True
 
 
 def _run_boundary(args):
@@ -207,18 +190,20 @@ def _run_boundary(args):
         thetas = [float(args.theta)]
     else:
         thetas = list(np.linspace(0.0, 2.0 * np.pi, args.samples, endpoint=False))
-    results = [{"theta": th, "point": _pair(exp_map_boundary(args.lam, th))}
-               for th in thetas]
-    payload = {"command": "boundary", "map": {"family": "expmap", "lambda": _pair(args.lam)},
-               "N": len(thetas), "results": results, "residuals": {}, "pass": True}
-    return payload, True
+    results = []
+    for th in thetas:
+        with np.errstate(all="ignore"):
+            point = exp_map_boundary(args.lam, th)
+        if not cmath.isfinite(point):
+            raise ArithmeticError(f"the boundary point at theta={th}, lambda={args.lam} "
+                                  f"is not finite in float64")
+        results.append({"theta": th, "point": _pair(point)})
+    return {"family": _EXP_FAMILY, "lambda": _pair(args.lam)}, len(thetas), results, {}, True
 
 
 def _run_kernel(args):
     table = kernel_polys(args.lam, args.N).coeffs
-    payload = {"command": "kernel", "map": {"family": "expmap", "lambda": _pair(args.lam)},
-               "N": args.N, "results": _rows(table), "residuals": {}, "pass": True}
-    return payload, True
+    return {"family": _EXP_FAMILY, "lambda": _pair(args.lam)}, args.N, _rows(table), {}, True
 
 
 def _write_csv(payload: dict, stream) -> None:
@@ -262,13 +247,15 @@ def main(argv=None) -> int:
     runners = {"gen": _run_gen, "verify": _run_verify, "roots": _run_roots,
                "boundary": _run_boundary, "kernel": _run_kernel}
     try:
-        payload, ok = runners[args.command](args)
+        desc, n, results, residuals, ok = runners[args.command](args)
     except (BranchCutError, RootFindingError, ArithmeticError) as exc:
         _emit_error("non-convergence", str(exc))
         return EXIT_NONCONVERGENCE
     except (ValueError, TypeError) as exc:
         _emit_error("invalid-parameters", str(exc))
         return EXIT_USAGE
+    payload = {"command": args.command, "map": desc, "N": n,
+               "results": results, "residuals": residuals, "pass": ok}
     buffer = io.StringIO()
     if args.format == "csv":
         _write_csv(payload, buffer)

@@ -22,7 +22,7 @@ module only generates; the checkers live in :mod:`faberpoly.verify`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -66,15 +66,13 @@ class FaberSystem:
 
     ``coeffs`` is an (N+1) x (N+1) lower-triangular complex array whose
     row j holds the ascending coefficients of F_j; it is read-only.
-    ``system[j]`` is F_j as a ComplexPolynomial of degree j, built on first
-    access.
+    ``system[j]`` is F_j as a ComplexPolynomial of degree j.
     """
 
     coeffs: np.ndarray
-    _polys: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self.coeffs.flags.writeable = False       # the cached views must stay valid
+        self.coeffs.flags.writeable = False
 
     @property
     def highest_index(self) -> int:
@@ -82,9 +80,7 @@ class FaberSystem:
 
     def __getitem__(self, j: int) -> ComplexPolynomial:
         j = range(len(self.coeffs))[j]
-        if j not in self._polys:
-            self._polys[j] = ComplexPolynomial(self.coeffs[j, :j + 1])
-        return self._polys[j]
+        return ComplexPolynomial(self.coeffs[j, :j + 1])
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -123,10 +119,15 @@ def faber_system_from_recurrence(emap: ExteriorMap, n_highest: int) -> FaberSyst
             f[j + 1, :j + 2] = np.convolve(x_shift, f[j, :j + 1])
             f[j + 1, :j] -= a[1:j + 1] @ f[j - 1::-1, :j]
             f[j + 1, 0] -= j * a[j]
-    bad = np.flatnonzero(~np.isfinite(f).all(axis=1))
+    return FaberSystem(_finite_rows(f, "the recurrence", "F"))
+
+
+def _finite_rows(table: np.ndarray, source: str, letter: str) -> np.ndarray:
+    """The table, unless a row is not finite: then an OverflowError names the first."""
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
     if bad.size:
-        raise OverflowError(f"the recurrence overflows float64 from F_{bad[0]} on")
-    return FaberSystem(f)
+        raise OverflowError(f"{source} overflows float64 from {letter}_{bad[0]} on")
+    return table
 
 
 def _map_minus_z_over_w(emap: ExteriorMap, z, order: int) -> PowerSeries:
@@ -200,13 +201,15 @@ def _kernel_tables(lam: complex, n_highest: int) -> tuple[np.ndarray, np.ndarray
     """The Faber table F of w*exp(lam/w) and the kernel table P, rows 0..N.
 
     Row j of P is P_j = lam * P_{j-1} + F_j, so every P_j is monic of degree j.
+    Raises OverflowError naming the first P_j that float64 cannot hold.
     """
     lam = complex(lam)
     f = faber_system_from_recurrence(exp_map_exterior(0.0, lam, n_highest), n_highest).coeffs
     p = f.copy()
-    for j in range(1, n_highest + 1):
-        p[j] += lam * p[j - 1]
-    return f, p
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, n_highest + 1):
+            p[j] += lam * p[j - 1]
+    return f, _finite_rows(p, "the kernel recurrence", "P")
 
 
 def kernel_polys(lam: complex, n_highest: int) -> FaberSystem:

@@ -80,9 +80,6 @@ class GapMap:
     def highest_index(self) -> int:
         return self.n + len(self.tail) - 1
 
-    def alpha_n(self) -> complex:
-        return self.tail[0]
-
 
 @dataclass(frozen=True)
 class TwoGapMap:
@@ -144,6 +141,10 @@ class ExpMap:
 
 MapFamily = Union[Shift, GapMap, TwoGapMap, Hypocycloid, ExpMap]
 
+#: every map family by its command-line name; the CLI reads names and options from here
+FAMILIES = {"shift": Shift, "gap": GapMap, "twogap": TwoGapMap,
+            "hypocycloid": Hypocycloid, "expmap": ExpMap}
+
 
 def to_exterior_map(family: MapFamily, truncation: int) -> ExteriorMap:
     """Coefficient form of a family member, for the recurrence generator.
@@ -174,18 +175,10 @@ def evaluate_map(family: MapFamily, w: complex) -> complex:
     w = complex(w)
     if w == 0:
         raise ValueError("the map is not defined at w = 0")
-    if isinstance(family, Shift):
-        return w + family.alpha0
-    if isinstance(family, GapMap):
-        return w + family.z0 + sum(c * w ** -(family.n + i) for i, c in enumerate(family.tail))
-    if isinstance(family, TwoGapMap):
-        return (w + family.z0 + family.alpha_m * w ** -family.m
-                + sum(c * w ** -(family.n + i) for i, c in enumerate(family.tail)))
-    if isinstance(family, Hypocycloid):
-        return w + 1.0 / (family.m * w ** family.m)
     if isinstance(family, ExpMap):
         return family.eta + w * cmath.exp(family.lam / w)
-    raise TypeError(f"not a map family: {family!r}")
+    emap = to_exterior_map(family, 0)       # keeps every nonzero index of a finite family
+    return w + emap.alpha0 + sum(c * w ** -k for k, c in enumerate(emap.tail, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +194,7 @@ def gap_faber_closed_form(family: GapMap, n_highest: int) -> FaberSystem:
         raise ValueError(f"no closed form beyond index {family.n + 1}; use the recurrence")
     table = _shifted_power_table(family.z0, n_highest)
     if n_highest == family.n + 1:
-        table[-1, 0] -= (family.n + 1) * family.alpha_n()
+        table[-1, 0] -= (family.n + 1) * family.tail[0]
     return FaberSystem(table)
 
 
@@ -459,17 +452,17 @@ def starlikeness_infimum(eta: complex, lam: complex) -> float:
     return 1.0 - abs(complex(lam))
 
 
-def starlikeness_grid_infimum(eta: complex, lam: complex, r_max: float = 1e3,
-                              n_radial: int = 400, n_theta: int = 720) -> float:
-    """Grid infimum of Re((w - lam)/w) over 1 < |w| <= r_max.
+def starlikeness_grid_infimum(eta: complex, lam: complex) -> float:
+    """Grid infimum of Re((w - lam)/w) over 1 < |w| <= 1000, on 400 geometric
+    radii by 720 angles.
 
     A verification aid, not a proof: the infimum is attained in the radial
     limit |w| -> 1, so the grid value is an upper bound converging to
     1 - |lam| as the grid refines.
     """
     lam = complex(lam)
-    radii = np.geomspace(1.0 + 1e-6, r_max, n_radial)
-    thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
+    radii = np.geomspace(1.0 + 1e-6, 1e3, 400)
+    thetas = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
     w = radii[:, None] * np.exp(1j * thetas[None, :])
     return float(np.min(1.0 - (lam / w).real))
 

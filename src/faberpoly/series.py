@@ -134,10 +134,9 @@ class PowerSeries:
         k = _lift(np.arange(1, self.order + 1), self.coeffs.ndim)
         return PowerSeries(k * self.coeffs[1:])
 
-    def integrate(self, const: complex = 0.0) -> "PowerSeries":
+    def integrate(self) -> "PowerSeries":
         c = self.coeffs
-        out = np.empty((len(c) + 1,) + c.shape[1:], dtype=complex)
-        out[0] = const
+        out = np.zeros((len(c) + 1,) + c.shape[1:], dtype=complex)
         out[1:] = c / _lift(np.arange(1, len(c) + 1), c.ndim)
         return PowerSeries(out)
 

@@ -29,8 +29,8 @@ from .maps import (ExpMap, GapMap, Hypocycloid, TwoGapMap,
                    inverse_exp_map, lambert_w0, lambert_w0_power_series,
                    to_exterior_map, two_gap_faber_system)
 from .poly import evaluate_rows
-from .verify import (CheckReport, _row_deviation, check_derivative_identity,
-                     check_gap_coefficient_recovery, combine,
+from .verify import (CheckReport, _refuse_undecided, _row_deviation, _row_scale,
+                     check_derivative_identity, check_gap_coefficient_recovery, combine,
                      exponential_map_characterization, leading_common_root_order)
 
 SUITE_NAMES = (
@@ -44,10 +44,14 @@ SUITE_NAMES = (
 # seeded draws
 # ---------------------------------------------------------------------------
 
-def draw_disk(rng: np.random.Generator, radius: float) -> complex:
-    r = radius * math.sqrt(rng.uniform())
+def draw_polar(rng: np.random.Generator, r: float) -> complex:
+    """A point of modulus r at a uniform angle."""
     phi = rng.uniform(0.0, 2.0 * math.pi)
     return complex(r * math.cos(phi), r * math.sin(phi))
+
+
+def draw_disk(rng: np.random.Generator, radius: float) -> complex:
+    return draw_polar(rng, radius * math.sqrt(rng.uniform()))
 
 
 def draw_exterior_map(rng: np.random.Generator, truncation: int) -> ExteriorMap:
@@ -57,23 +61,16 @@ def draw_exterior_map(rng: np.random.Generator, truncation: int) -> ExteriorMap:
     return ExteriorMap(alpha0, tail)
 
 
-def draw_gap_map(rng: np.random.Generator, n_max: int = 5) -> GapMap:
-    """Random gap map whose tail spans j = n..2n with |alpha_j| <= 2/(j+1).
+def draw_gap_map(rng: np.random.Generator) -> GapMap:
+    """Random gap map, 1 <= n <= 5, whose tail spans j = n..2n with |alpha_j| <= 2/(j+1).
 
     z0 stays in the unit disk so the recurrence round-off at z0 (which
     scales like (1+|z0|)^{2n+1} eps) stays clear of the 1e-10 tolerances.
     """
-    n = int(rng.integers(1, n_max + 1))
+    n = int(rng.integers(1, 6))
     z0 = draw_disk(rng, 1.0)
-    tail = []
-    for j in range(n, 2 * n + 1):
-        bound = 2.0 / (j + 1)
-        if j == n:
-            r = bound * (0.4 + 0.6 * rng.uniform())
-            phi = rng.uniform(0.0, 2.0 * math.pi)
-            tail.append(complex(r * math.cos(phi), r * math.sin(phi)))
-        else:
-            tail.append(draw_disk(rng, bound))
+    lead = draw_polar(rng, 2.0 / (n + 1) * (0.4 + 0.6 * rng.uniform()))
+    tail = [lead] + [draw_disk(rng, 2.0 / (j + 1)) for j in range(n + 1, 2 * n + 1)]
     return GapMap(z0, n, tail)
 
 
@@ -90,18 +87,9 @@ def draw_two_gap_map(rng: np.random.Generator, pattern_valid: bool = False) -> T
     else:
         n = m + 2 + int(rng.integers(0, 4))
     z0 = draw_disk(rng, 1.0)
-    r = (0.3 + 0.7 * rng.uniform()) / (m + 1)
-    phi = rng.uniform(0.0, 2.0 * math.pi)
-    alpha_m = complex(r * math.cos(phi), r * math.sin(phi))
-    tail = []
-    for j in range(n, n + 3):
-        bound = 1.0 / (j + 1)
-        if j == n:
-            rr = bound * (0.4 + 0.6 * rng.uniform())
-            pp = rng.uniform(0.0, 2.0 * math.pi)
-            tail.append(complex(rr * math.cos(pp), rr * math.sin(pp)))
-        else:
-            tail.append(draw_disk(rng, bound))
+    alpha_m = draw_polar(rng, (0.3 + 0.7 * rng.uniform()) / (m + 1))
+    lead = draw_polar(rng, 1.0 / (n + 1) * (0.4 + 0.6 * rng.uniform()))
+    tail = [lead] + [draw_disk(rng, 1.0 / (j + 1)) for j in (n + 1, n + 2)]
     return TwoGapMap(z0, m, alpha_m, n, tail)
 
 
@@ -177,8 +165,8 @@ def suite_theorem1(seed: int = 0, tol: float = 1e-10) -> CheckReport:
         system = faber_system_from_recurrence(to_exterior_map(gap, n_highest), n_highest)
         profile = leading_common_root_order(system, gap.z0, tol)
         ok = profile.first_nonvanishing == gap.n + 1
-        value_resid = abs(profile.values[gap.n] - (gap.n + 1) * abs(gap.alpha_n())) \
-            / (1.0 + (gap.n + 1) * abs(gap.alpha_n()))
+        value_resid = abs(profile.values[gap.n] - (gap.n + 1) * abs(gap.tail[0])) \
+            / (1.0 + (gap.n + 1) * abs(gap.tail[0]))
         head = gap.n + 2
         closed_resid = float(_row_deviation(gap_faber_closed_form(gap, gap.n + 1).coeffs,
                                             system.coeffs[:head, :head]).max())
@@ -225,14 +213,18 @@ def suite_theorem3(seed: int = 0, n_highest: int = 20, tol: float = 1e-9) -> Che
     reports = []
     for i in range(10):
         eta = draw_disk(rng, 1.5)
-        r = 0.2 + 0.8 * rng.uniform()
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        lam = complex(r * math.cos(phi), r * math.sin(phi))
+        lam = draw_polar(rng, 0.2 + 0.8 * rng.uniform())
         emap = exp_map_exterior(eta, lam, n_highest)
         detected = exponential_map_characterization(emap, eta, n_highest, tol)
-        closed_resid = float(_row_deviation(
-            exp_map_faber_closed_form(eta, lam, n_highest).coeffs,
-            faber_system_from_recurrence(emap, n_highest).coeffs).max())
+        closed = exp_map_faber_closed_form(eta, lam, n_highest).coeffs
+        recurrence = faber_system_from_recurrence(emap, n_highest).coeffs
+        rows = _row_deviation(closed, recurrence)
+        closed_resid = float(rows.max())
+        if closed_resid > tol:      # the same sum over term magnitudes bounds its round-off
+            sizes = exp_map_faber_closed_form(-abs(eta), -abs(lam), n_highest).coeffs.real
+            bound = (np.finfo(float).eps * np.arange(1, n_highest + 2) * sizes.max(axis=1)
+                     / _row_scale(closed, recurrence))
+            _refuse_undecided(f"theorem3 case {i}, N={n_highest}", rows, bound, tol)
         k = int(rng.integers(1, emap.truncation + 1))
         bumped_tail = list(emap.tail)
         bumped_tail[k - 1] += 1e-3
@@ -275,8 +267,7 @@ def suite_lambert(seed: int = 0, tol: float = 1e-12) -> CheckReport:
         count += 1
         res = lambert_w0(t)
         if not res.converged:
-            return CheckReport("lambert", False, math.inf,
-                               notes=f"no convergence at t={t}")
+            raise ArithmeticError(f"lambert: no convergence at t={t}")
         worst_grid = max(worst_grid, res.residual / (1.0 + abs(t)))
     # inverse map round trip through the exponential map
     eta, lam = 0.3 - 0.2j, 0.8
@@ -361,5 +352,6 @@ def run_suite(name: str, seed: int = 0, n_highest: int | None = None,
         kwargs = {key: value for key, value in given.items() if key in taken}
         if "seed" in taken:
             kwargs["seed"] = seed
-        reports.append(suite(**kwargs))
+        with np.errstate(all="ignore"):     # CheckReport.judged refuses what overflows
+            reports.append(suite(**kwargs))
     return reports

@@ -85,3 +85,23 @@ def test_traced_lambert_suite_reads_lambert_results(capsys):
     assert metrics["maps.lambert.calls"] > 0
     assert metrics["maps.lambert.iterations"] > 0
     assert metrics["maps.lambert.unconverged"] == 0
+
+
+
+def test_traced_family_commands_reach_every_layer(capsys):
+    tracer = _load_tracer()
+    t = tracer.Tracer()
+    t.begin_pass()
+    t.install()
+    try:
+        codes = [cli.main(["gen", "--family", "gap", "--n", "2", "--tail", "0.3,0.1",
+                           "--N", "12"]),
+                 cli.main(["roots", "--family", "twogap", "--m", "1", "--n", "3",
+                           "--tail", "0.2,0.1", "--j-max", "8"])]
+    finally:
+        t.uninstall()
+    capsys.readouterr()
+    assert codes == [0, 0]
+    metrics = t.pass_metrics()
+    for name in ("cli.main.s", "faber.recurrence.calls", "poly.roots.calls"):
+        assert metrics[name] > 0, name

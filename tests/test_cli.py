@@ -1,11 +1,20 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from faberpoly.cli import main
+from faberpoly.faber import FaberSystem
+from faberpoly.maps import FAMILIES
 from faberpoly.poly import ComplexPolynomial, RootFindingError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*argv):
@@ -50,6 +59,47 @@ class TestGen:
         assert payload["N"] == 4
 
 
+#: for each family, options setting every field to a non-default value, and
+#: the JSON "map" object gen writes for them
+FAMILY_MAPS = {
+    "shift": (["--alpha0", "0.5-1j"], {"alpha0": [0.5, -1.0]}),
+    "gap": (["--z0", "0.25j", "--n", "2", "--tail", "0.3,0.1j"],
+            {"z0": [0.0, 0.25], "n": 2, "tail": [[0.3, 0.0], [0.0, 0.1]]}),
+    "twogap": (["--z0", "-0.5", "--m", "2", "--alpha-m", "0.1+0.2j", "--n", "5",
+                "--tail", "0.2,0.05"],
+               {"z0": [-0.5, 0.0], "m": 2, "alpha_m": [0.1, 0.2], "n": 5,
+                "tail": [[0.2, 0.0], [0.05, 0.0]]}),
+    "hypocycloid": (["--m", "3"], {"m": 3}),
+    "expmap": (["--eta", "0.2-0.1j", "--lambda", "0.6+0.2j"],
+               {"eta": [0.2, -0.1], "lambda": [0.6, 0.2]}),
+}
+
+
+class TestFamilies:
+    def test_every_family_is_offered(self):
+        assert list(FAMILY_MAPS) == list(FAMILIES)
+
+    @pytest.mark.parametrize("family", FAMILY_MAPS)
+    def test_gen_map_names_every_field_in_order(self, family):
+        argv, expected = FAMILY_MAPS[family]
+        code, out = run_cli("gen", "--family", family, *argv, "--N", "4")
+        assert code == 0
+        desc = json.loads(out)["map"]
+        assert desc == {"family": family, **expected}
+        keys = ["lambda" if f.name == "lam" else f.name for f in fields(FAMILIES[family])]
+        assert list(desc) == ["family", *keys]
+
+
+def run_module(*argv):
+    """The CLI in a fresh interpreter: exit code, stdout and stderr as text."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-m", "faberpoly.cli", *argv], cwd=ROOT,
+                            env=env, capture_output=True, text=True, timeout=300)
+    return result.returncode, result.stdout, result.stderr
+
+
 class TestVerify:
     def test_eq14_passes(self):
         code, out = run_cli("verify", "--suite", "eq14", "--lambda", "0.7", "--N", "20")
@@ -89,6 +139,37 @@ class TestVerify:
         monkeypatch.setattr(verify, "_kernel_tables", corrupted)
         code, out = run_cli("verify", "--suite", "eq14", "--lambda", "0.7", "--N", "20")
         assert code == 1 and json.loads(out)["pass"] is False
+
+    def test_theorem3_round_off_above_tol_is_ill_conditioned(self):
+        # case 8 of seed 0 loses 1.8e-8 to the closed form's binomial shift
+        code, out, err = run_cli_with_stderr("verify", "--suite", "theorem3", "--N", "30")
+        assert code == 3 and out == ""
+        message = json.loads(err)["message"]
+        assert "ill-conditioned in float64" in message
+        assert all(part in message for part in ("theorem3", "N=30", "j="))
+
+    @pytest.mark.parametrize("n", ["20", "30"])
+    def test_theorem3_wrong_closed_form_still_fails(self, monkeypatch, n):
+        import faberpoly.suites as suites
+
+        original = suites.exp_map_faber_closed_form
+
+        def corrupted(eta, lam, n_highest):
+            table = original(eta, lam, n_highest).coeffs.copy()
+            table[5, 2] += 1e-3
+            return FaberSystem(table)
+
+        monkeypatch.setattr(suites, "exp_map_faber_closed_form", corrupted)
+        code, out = run_cli("verify", "--suite", "theorem3", "--N", n)
+        assert code == 1 and json.loads(out)["pass"] is False
+
+    @pytest.mark.parametrize("suite", ["recurrence-vs-oracle", "eq13", "eq16"])
+    def test_series_suite_overflow_is_refused(self, suite):
+        code, out, err = run_module("verify", "--suite", suite, "--N", "600")
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1
+        message = json.loads(err)["message"]
+        assert repr(suite) in message and "not finite" in message
 
     def test_deterministic_bytes(self):
         a = run_cli("verify", "--suite", "theorem1", "--seed", "5")
@@ -153,6 +234,13 @@ class TestBoundary:
         assert abs(point[0] - 2.718281828459045) < 1e-12
         assert point[1] == 0.0
 
+    def test_overflowing_point_is_refused(self):
+        code, out, err = run_module("boundary", "--lambda", "1000", "--theta", "0")
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1
+        message = json.loads(err)["message"]
+        assert "theta=0.0" in message and "lambda=(1000+0j)" in message
+
     def test_grid_sampling(self):
         _, out = run_cli("boundary", "--lambda", "0.4", "--samples", "16")
         assert len(json.loads(out)["results"]) == 16
@@ -166,6 +254,11 @@ class TestKernel:
         assert results[0] == [[1.0, 0.0]]
         # P_1 = z
         assert results[1][0] == [0.0, 0.0] and results[1][1] == [1.0, 0.0]
+
+    def test_overflow_is_an_error_not_a_table(self):
+        code, out, err = run_cli_with_stderr("kernel", "--lambda", "50", "--N", "200")
+        assert code == 3 and out == ""
+        assert "P_192" in json.loads(err)["message"]
 
     def test_every_row_keeps_full_degree(self):
         code, out = run_cli("kernel", "--lambda", "0.9", "--N", "200")

@@ -105,10 +105,10 @@ class TestRecurrence:
         with pytest.raises(OverflowError, match="F_234"):
             faber_system_from_recurrence(emap, 240)
 
-    def test_views_are_built_once(self):
+    def test_index_reads_the_table_row(self):
         fs = faber_system_from_recurrence(to_exterior_map(Hypocycloid(2), 6), 6)
-        assert fs[4] is fs[4]
-        assert fs[-1] is fs[6]
+        assert fs[4].coeffs == tuple(fs.coeffs[4, :5].tolist())
+        assert fs[-1] == fs[6]
         with pytest.raises(IndexError):
             fs[7]
 

@@ -85,8 +85,10 @@ class TestJudged:
             CheckReport("c", True, 3e-10, (1e-12, 3e-10))
         assert not CheckReport.judged("c", [1e-12, 3e-9], 1e-9).passed
 
-    def test_nan_fails(self):
-        assert not CheckReport.judged("c", [0.0, float("nan")], 1e-9).passed
+    def test_non_finite_residual_raises(self):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ArithmeticError, match="'c'.*not finite"):
+                CheckReport.judged("c", [0.0, bad], 1e-9)
 
     def test_refuses_an_empty_verdict(self):
         with pytest.raises(ValueError, match="'c'"):
