@@ -231,9 +231,10 @@ def hypocycloid_faber_closed_form(m: int, n_highest: int) -> FaberSystem:
         F_j(z) = j * sum_{k=0}^{floor(j/(m+1))}
                  (-1)^k (j-mk-1)! / ((j-(m+1)k)! m^k k!) * z^{j-(m+1)k}.
 
-    The factorial ratio is an exact integer computation (the bracket is the
-    integer floor); each coefficient is converted to float once, so no
-    gamma evaluation or overflow-prone floating product is involved.
+    The integer j (j-mk-1)! / ((j-(m+1)k)! k!) is carried exactly from k - 1
+    to k, and each coefficient, that integer over m^k, is rounded to float
+    once, so no gamma evaluation or overflow-prone floating product is
+    involved.  An OverflowError names m and the first row float64 cannot hold.
     """
     if m < 1:
         raise ValueError("hypocycloid order m must be at least 1")
@@ -241,11 +242,16 @@ def hypocycloid_faber_closed_form(m: int, n_highest: int) -> FaberSystem:
         raise ValueError("the closed form starts at index 1")
     table = np.eye(n_highest + 1, dtype=complex)
     for j in range(1, n_highest + 1):
-        for k in range(j // (m + 1) + 1):
-            power = j - (m + 1) * k
-            ratio = Fraction(math.factorial(j - m * k - 1),
-                             math.factorial(power) * m ** k * math.factorial(k))
-            table[j, power] = (-1) ** k * float(Fraction(j) * ratio)
+        numerator = 1               # j (j-mk-1)! / ((j-(m+1)k)! k!) at k = 0
+        for k in range(1, j // (m + 1) + 1):
+            power, low = j - (m + 1) * k, j - m * k
+            numerator = (numerator * math.prod(range(power + 1, power + m + 2))
+                         // (k * math.prod(range(low, low + m))))
+            try:
+                table[j, power] = (-1) ** k * numerator / m ** k
+            except OverflowError:
+                raise OverflowError(f"the hypocycloid closed form for m={m} overflows "
+                                    f"float64 from F_{j} on") from None
     return FaberSystem(table)
 
 

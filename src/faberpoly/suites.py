@@ -28,10 +28,10 @@ from .maps import (ExpMap, GapMap, Hypocycloid, TwoGapMap,
                    gap_faber_closed_form, hypocycloid_faber_closed_form,
                    inverse_exp_map, lambert_w0, lambert_w0_power_series,
                    to_exterior_map, two_gap_faber_system)
-from .poly import evaluate_rows
-from .verify import (CheckReport, _refuse_undecided, _row_deviation, _row_scale,
-                     check_derivative_identity, check_gap_coefficient_recovery, combine,
-                     exponential_map_characterization, leading_common_root_order)
+from .poly import RootFindingError, evaluate_rows
+from .verify import (CheckReport, _refuse_non_finite, _refuse_undecided, _row_deviation,
+                     _row_scale, check_derivative_identity, check_gap_coefficient_recovery,
+                     combine, exponential_map_characterization, leading_common_root_order)
 
 SUITE_NAMES = (
     "recurrence-vs-oracle", "eq13", "eq14", "eq16",
@@ -104,49 +104,52 @@ def _value_residual(expected, table: np.ndarray, z) -> float:
     return float(np.max(np.abs(np.asarray(expected) - values) / (1.0 + magnitudes)))
 
 
+def _per_map(name: str, seed: int, maps: int, truncation: int, residual,
+             tol: float) -> CheckReport:
+    """Judge ``residual(rng, emap)`` on ``maps`` seeded random maps of the given
+    truncation; the first map whose residual is not finite stops the check."""
+    rng = np.random.default_rng(seed)
+    residuals = []
+    for _ in range(maps):
+        r = residual(rng, draw_exterior_map(rng, truncation))
+        _refuse_non_finite(name, (r,))
+        residuals.append(r)
+    return CheckReport.judged(name, residuals, tol)
+
+
 def suite_recurrence_vs_oracle(seed: int = 0, n_highest: int = 30,
                                tol: float = 1e-9) -> CheckReport:
     """Recurrence-generated values against the log-series oracle, on 50
     random maps of truncation 30 with 20 points each."""
-    rng = np.random.default_rng(seed)
-    per_map = []
-    for _ in range(50):
-        emap = draw_exterior_map(rng, 30)
+    def residual(rng, emap):
         table = faber_system_from_recurrence(emap, n_highest).coeffs[1:]
         z = np.array([draw_disk(rng, 3.0) for _ in range(20)])
-        oracle = faber_values_from_log_series(emap, z, n_highest)
-        per_map.append(_value_residual(oracle, table, z))
-    return CheckReport.judged("recurrence-vs-oracle", per_map, tol)
+        return _value_residual(faber_values_from_log_series(emap, z, n_highest), table, z)
+    return _per_map("recurrence-vs-oracle", seed, 50, 30, residual, tol)
 
 
 def suite_eq13(seed: int = 0, n_highest: int = 20, tol: float = 1e-9) -> CheckReport:
     """Value generating series Psi'(w) w/(Psi(w)-z) against the recurrence,
     on 30 random pairs of a map of truncation 24 and a point."""
-    rng = np.random.default_rng(seed)
-    residuals = []
-    for _ in range(30):
-        emap = draw_exterior_map(rng, 24)
+    def residual(rng, emap):
         z = draw_disk(rng, 3.0)
         table = faber_system_from_recurrence(emap, n_highest).coeffs
-        coeffs = faber_values_from_ratio_series(emap, z, n_highest)
-        residuals.append(_value_residual(coeffs, table, z))
-    return CheckReport.judged("eq13", residuals, tol)
+        return _value_residual(faber_values_from_ratio_series(emap, z, n_highest), table, z)
+    return _per_map("eq13", seed, 30, 24, residual, tol)
 
 
 def suite_eq16(seed: int = 0, n_highest: int = 20, tol: float = 1e-9) -> CheckReport:
     """Derivative generating series 1/(Psi(w)-z) against the recurrence,
     on 30 random pairs of a map of truncation 24 and a point."""
-    rng = np.random.default_rng(seed)
     index = np.arange(1, n_highest + 1)
-    residuals = []
-    for _ in range(30):
-        emap = draw_exterior_map(rng, 24)
+
+    def residual(rng, emap):
         z = draw_disk(rng, 3.0)
         f = faber_system_from_recurrence(emap, n_highest).coeffs
         values, magnitudes = evaluate_rows(f[1:, 1:] * index, z)    # row j-1 is F_j'
         coeffs = faber_derivative_values_from_series(emap, z, n_highest)
-        residuals.append(float(np.max(np.abs(coeffs - values / index) / (1.0 + magnitudes))))
-    return CheckReport.judged("eq16", residuals, tol)
+        return float(np.max(np.abs(coeffs - values / index) / (1.0 + magnitudes)))
+    return _per_map("eq16", seed, 30, 24, residual, tol)
 
 
 def suite_eq14(lam: complex = 0.7, n_highest: int = 20, tol: float = 1e-9) -> CheckReport:
@@ -237,8 +240,11 @@ def suite_theorem3(seed: int = 0, n_highest: int = 20, tol: float = 1e-9) -> Che
 
 def suite_chebyshev(n_highest: int = 24, tol: float = 1e-12) -> CheckReport:
     """Single-cusp closed form reduces to doubled Chebyshev on the half scale."""
-    residuals = _row_deviation(hypocycloid_faber_closed_form(1, n_highest).coeffs,
-                               chebyshev_scaled(n_highest).coeffs)[1:].tolist()
+    try:
+        closed = hypocycloid_faber_closed_form(1, n_highest).coeffs
+    except OverflowError as exc:
+        raise OverflowError(f"chebyshev at N={n_highest}: {exc}") from exc
+    residuals = _row_deviation(closed, chebyshev_scaled(n_highest).coeffs)[1:].tolist()
     return CheckReport.judged("chebyshev", residuals, tol)
 
 
@@ -305,7 +311,12 @@ def suite_rays(n_highest: int = 24, tol: float = 1e-6) -> CheckReport:
         for j in range(1, n_highest + 1):
             p = system[j]
             scale = 1.0 + sum(abs(c) for c in p.coeffs)
-            for r in p.roots():
+            try:
+                roots = p.roots()
+            except RootFindingError as exc:
+                raise RootFindingError(f"rays at m={m}, roots of F_{j}: {exc}",
+                                       exc.roots, exc.residuals) from exc
+            for r in roots:
                 worst_resid = max(worst_resid, abs(p.evaluate(r)) / scale)
                 if abs(r) <= 1e-8:
                     continue

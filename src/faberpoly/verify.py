@@ -50,12 +50,17 @@ class CheckReport:
         residuals = tuple(residuals)
         if not residuals:
             raise ValueError(f"check {name!r} has no residuals to judge")
-        if not all(map(math.isfinite, residuals)):
-            raise ArithmeticError(f"check {name!r} has a residual not finite in float64")
+        _refuse_non_finite(name, residuals)
         return cls(name, all(r <= tol for r in residuals), max(residuals), residuals)
 
     def to_dict(self) -> dict:
         return {**asdict(self), "residuals": list(self.residuals)}
+
+
+def _refuse_non_finite(name: str, residuals: Iterable[float]) -> None:
+    """Raise ArithmeticError naming check ``name`` when a residual is NaN or inf."""
+    if not all(map(math.isfinite, residuals)):
+        raise ArithmeticError(f"check {name!r} has a residual not finite in float64")
 
 
 def combine(name: str, reports: list[CheckReport]) -> CheckReport:

@@ -171,6 +171,35 @@ class TestVerify:
         message = json.loads(err)["message"]
         assert repr(suite) in message and "not finite" in message
 
+    @pytest.mark.parametrize("suite", ["recurrence-vs-oracle", "eq13", "eq16"])
+    def test_series_suite_stops_at_the_first_non_finite_map(self, monkeypatch, suite):
+        import faberpoly.suites as suites
+
+        original = suites.faber_system_from_recurrence
+        calls = []
+
+        def counted(emap, n_highest):
+            calls.append(n_highest)
+            return original(emap, n_highest)
+
+        monkeypatch.setattr(suites, "faber_system_from_recurrence", counted)
+        with pytest.raises(ArithmeticError, match="not finite"):
+            suites.run_suite(suite, n_highest=600)
+        assert calls == [600]
+
+    def test_chebyshev_overflow_names_suite_m_and_row(self):
+        code, out, err = run_cli_with_stderr("verify", "--suite", "chebyshev", "--N", "1500")
+        assert code == 3 and out == ""
+        assert json.loads(err)["message"] == (
+            "chebyshev at N=1500: the hypocycloid closed form for m=1 overflows float64 "
+            "from F_1482 on")
+
+    def test_rays_root_failure_names_suite_m_and_index(self):
+        code, out, err = run_cli_with_stderr("verify", "--suite", "rays", "--N", "200")
+        assert code == 3 and out == ""
+        message = json.loads(err)["message"]
+        assert all(part in message for part in ("rays", "m=", "F_", "Aberth"))
+
     def test_deterministic_bytes(self):
         a = run_cli("verify", "--suite", "theorem1", "--seed", "5")
         b = run_cli("verify", "--suite", "theorem1", "--seed", "5")

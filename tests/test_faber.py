@@ -319,8 +319,9 @@ class TestKernelPolys:
             theta = rng.uniform(0, 2 * math.pi)
             z = 0.5 * cmath.exp(1j * theta) * cmath.exp(lam * cmath.exp(-1j * theta))
             t_series = PowerSeries([0, 1] + [0] * (order - 1))
-            exp_part = PowerSeries([0, -lam] + [0] * (order - 1)).exp()
-            kernel = (PowerSeries.one(order) - z * (t_series * exp_part)).reciprocal()
+            exp_part = PowerSeries([(-lam) ** k / math.factorial(k) for k in range(order + 1)])
+            kernel = PowerSeries(PowerSeries.one(order).coeffs
+                                 - z * (t_series * exp_part).coeffs).reciprocal()
             for j in range(order + 1):
                 assert abs(kernel.coeffs[j] - ps[j].evaluate(z)) <= 1e-10 * (
                     1.0 + abs(ps[j].evaluate(z)))

@@ -44,14 +44,14 @@ class TestReciprocal:
         rng = np.random.default_rng(0)
         a = PowerSeries([1.5] + [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                                  for _ in range(20)])
-        assert a.reciprocal().reciprocal().deviation(a) < 1e-12
+        assert np.max(np.abs(a.reciprocal().reciprocal().coeffs - a.coeffs)) < 1e-12
 
     def test_kernel_at_origin_is_one(self):
         # 1 - z t e^{-lam t} with z = 0 is the constant 1
         lam = 0.7
         t_exp = PowerSeries([0, 1]) * PowerSeries([(-lam) ** k / math.factorial(k)
                                                    for k in range(2)])
-        kernel = PowerSeries.one(1) - 0.0 * t_exp
+        kernel = PowerSeries(PowerSeries.one(1).coeffs - 0.0 * t_exp.coeffs)
         assert tuple(kernel.reciprocal().coeffs) == (1 + 0j, 0j)
 
     def test_zero_constant_term_rejected(self):
@@ -67,32 +67,6 @@ class TestLogExp:
         with pytest.raises(ValueError):
             series(2, 1).log1()
 
-    def test_exp_needs_zero_constant(self):
-        with pytest.raises(ValueError):
-            series(1, 1).exp()
-
-    def test_exp_of_zero(self):
-        assert tuple(PowerSeries.constant(0, 3).exp().coeffs) == (1 + 0j, 0j, 0j, 0j)
-
-    def test_exp_of_scalar_multiple(self):
-        lam = 0.3 + 0.4j
-        e = PowerSeries([0, lam] + [0] * 8).exp()
-        for k in range(9):
-            assert abs(e.coeffs[k] - lam ** k / math.factorial(k)) < 1e-14
-
-    def test_exp_coefficients_match_exterior_map_tail(self):
-        # coefficient of t^{j+1} in exp(lam t) is lam^{j+1}/(j+1)!, which is
-        # exactly the j-th tail coefficient of the exponential exterior map
-        from faberpoly.faber import exp_map_exterior
-
-        lam = 0.8 - 0.1j
-        e = PowerSeries([0, lam] + [0] * 9).exp()
-        emap = exp_map_exterior(0.0, lam, 9)
-        for j in range(1, 10):
-            expected = lam ** (j + 1) / math.factorial(j + 1)
-            assert abs(e.coeffs[j + 1] - expected) < 1e-14
-            assert abs(emap.alpha(j) - expected) < 1e-14
-
     def test_mercator_series(self):
         # log(1 + c t) = sum (-1)^{k+1} c^k t^k / k
         c = -0.35 + 0.2j
@@ -100,26 +74,6 @@ class TestLogExp:
         for k in range(1, 19):
             expected = -((-c) ** k) / k
             assert abs(log.coeffs[k] - expected) < 1e-13
-
-
-class TestPow:
-    def test_first_power(self):
-        a = series(1, 2, 3)
-        assert tuple((a ** 1).coeffs) == tuple(a.coeffs)
-
-    def test_square(self):
-        assert tuple((series(1, 1, 0) ** 2).coeffs) == (1 + 0j, 2 + 0j, 1 + 0j)
-
-    def test_zeroth_power(self):
-        assert tuple((series(2, 5) ** 0).coeffs) == (1 + 0j, 0j)
-
-    def test_negative_power_via_reciprocal(self):
-        a = series(1, -1, 0, 0)
-        assert (a ** -1).deviation(a.reciprocal()) == 0.0
-
-    def test_negative_power_of_noninvertible_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            series(0, 1) ** -2
 
 
 class TestBatches:
@@ -139,25 +93,22 @@ class TestBatches:
             bound = 64 * np.finfo(float).eps * (1.0 + np.max(np.abs(want)))
             assert np.max(np.abs(batched.coeffs[:, i, j] - want)) <= bound
 
-    def test_reciprocal_log_exp(self):
+    def test_reciprocal_and_log(self):
         self.assert_entries(self.batched.reciprocal(), lambda s, i, j: s.reciprocal())
         self.assert_entries(self.batched.log1(), lambda s, i, j: s.log1())
-        self.assert_entries((self.batched - 1.0).exp(), lambda s, i, j: (s - 1.0).exp())
 
     def test_products_broadcast_batch_axes(self):
         plain = series(1, 2j, -0.5, 0.25, 0, 1, 0, 0, 3)
         first_row = PowerSeries(self.batched.coeffs[:, :1, :])      # batch shape (1, 4)
         self.assert_entries(self.batched * self.batched, lambda s, i, j: s * s)
         self.assert_entries(plain * self.batched, lambda s, i, j: plain * s)
-        self.assert_entries(self.batched ** 3, lambda s, i, j: s ** 3)
+        self.assert_entries(self.batched * self.batched * self.batched,
+                            lambda s, i, j: s * s * s)
         self.assert_entries(first_row * self.batched,
                             lambda s, i, j: self.entry[0, j] * s)
 
     def test_array_constant_goes_to_each_entry(self):
         z = np.arange(4) * 0.5j
-        row = PowerSeries(self.batched.coeffs[:, 0, :])
-        assert np.array_equal((row + z).coeffs[0], row.coeffs[0] + z)
-        assert np.array_equal((row + z).coeffs[1:], row.coeffs[1:])
         scaled = series(1, 1, 1) * z
         assert scaled.coeffs.shape == (3, 4)
         assert np.array_equal(scaled.coeffs[2], z)
@@ -166,14 +117,6 @@ class TestBatches:
 class TestBookkeeping:
     def test_order_counts_coefficients(self):
         assert series(1, 2, 3).order == 2
-
-    def test_cannot_read_beyond_order(self):
-        with pytest.raises(IndexError):
-            series(1, 2).coefficient(2)
-
-    def test_cannot_extend(self):
-        with pytest.raises(ValueError):
-            series(1, 2).truncated(5)
 
 
 @pytest.mark.parametrize("batch", [(), (2, 3)], ids=["unbatched", "batched"])
@@ -188,10 +131,16 @@ def test_truncating_first_or_last_is_bit_identical(batch):
         coeffs[0] = 1.0
         wide = PowerSeries(coeffs)
         for op in (PowerSeries.reciprocal, PowerSeries.log1):
-            assert np.array_equal(op(wide).truncated(n).coeffs, op(wide.truncated(n)).coeffs)
+            assert np.array_equal(op(wide).coeffs[:n + 1],
+                                  op(PowerSeries(coeffs[:n + 1])).coeffs)
 
 
 # -- property tests -----------------------------------------------------------
+
+def _deviation(a, b):
+    """max |a_k - b_k| over two series of one order."""
+    return np.max(np.abs(a.coeffs - b.coeffs))
+
 
 def bounded_series(order=30, scale=1.0):
     return st.lists(
@@ -202,13 +151,13 @@ def bounded_series(order=30, scale=1.0):
 @settings(max_examples=40, deadline=None)
 @given(bounded_series(), bounded_series())
 def test_mul_commutes(a, b):
-    assert (a * b).deviation(b * a) <= 1e-12
+    assert _deviation(a * b, b * a) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
 @given(bounded_series(), bounded_series(), bounded_series())
 def test_mul_associates(a, b, c):
-    assert ((a * b) * c).deviation(a * (b * c)) <= 1e-12
+    assert _deviation((a * b) * c, a * (b * c)) <= 1e-12
 
 
 def _unit_constant(s):
@@ -221,44 +170,35 @@ def test_reciprocal_is_multiplicative(a, b):
     a, b = _unit_constant(a), _unit_constant(b)
     lhs = (a * b).reciprocal()
     rhs = a.reciprocal() * b.reciprocal()
-    assert lhs.deviation(rhs) <= 1e-9 * (1.0 + max(abs(c) for c in lhs.coeffs))
+    assert _deviation(lhs, rhs) <= 1e-9 * (1.0 + max(abs(c) for c in lhs.coeffs))
 
 
 @settings(max_examples=30, deadline=None)
 @given(bounded_series(scale=0.8), bounded_series(scale=0.8))
 def test_log_of_product_is_sum_of_logs(a, b):
     a, b = _unit_constant(a), _unit_constant(b)
-    lhs = (a * b).log1()
-    rhs = a.log1() + b.log1()
-    assert lhs.deviation(rhs) <= 1e-9 * (1.0 + max(abs(c) for c in lhs.coeffs))
+    lhs = (a * b).log1().coeffs
+    rhs = a.log1().coeffs + b.log1().coeffs
+    assert np.max(np.abs(lhs - rhs)) <= 1e-9 * (1.0 + np.max(np.abs(lhs)))
+
+
+def _assert_log_derivative(a):
+    # (log a)' a = a'; the product's round-off scales with the coefficients
+    # of (log a)', which can grow geometrically for unit-magnitude inputs
+    log_derivative = a.log1().derivative()
+    scale = 1.0 + np.max(np.abs(log_derivative.coeffs))
+    assert _deviation(log_derivative * a, a.derivative()) <= 1e-11 * scale
 
 
 @settings(max_examples=40, deadline=None)
 @given(bounded_series())
-def test_exp_log_round_trip(a):
-    # round-trip error scales with the intermediate log coefficients, which
-    # can grow geometrically for unit-magnitude inputs
-    a = _unit_constant(a)
-    log = a.log1()
-    scale = 1.0 + max(abs(c) for c in log.coeffs)
-    assert log.exp().deviation(a) <= 1e-11 * scale
+def test_log_derivative_recovers_series(a):
+    _assert_log_derivative(_unit_constant(a))
 
 
-@settings(max_examples=40, deadline=None)
-@given(bounded_series(scale=0.9))
-def test_log_exp_round_trip(a):
-    a = PowerSeries((0j,) + tuple(a.coeffs[1:]))
-    e = a.exp()
-    scale = 1.0 + max(abs(c) for c in e.coeffs)
-    assert e.log1().deviation(a) <= 1e-11 * scale
-
-
-def test_exp_log_round_trip_seeded_unit_draws():
+def test_log_derivative_recovers_series_seeded_unit_draws():
     rng = np.random.default_rng(19)
     for _ in range(60):
         coeffs = [1.0] + [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) / math.sqrt(2)
                           for _ in range(30)]
-        a = PowerSeries(coeffs)
-        log = a.log1()
-        scale = 1.0 + max(abs(c) for c in log.coeffs)
-        assert log.exp().deviation(a) <= 1e-11 * scale
+        _assert_log_derivative(PowerSeries(coeffs))
