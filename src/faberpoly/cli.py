@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
-import io
 import json
 import sys
 from dataclasses import fields
@@ -147,16 +146,10 @@ def _family_from_args(args) -> tuple[object, dict]:
     return FAMILIES[args.family](*values), desc
 
 
-def _rows(table: np.ndarray) -> list:
-    """Row j of a lower-triangular table as its j + 1 coefficients, each an [re, im] pair."""
-    pairs = np.stack((table.real, table.imag), -1)
-    return [pairs[j, :j + 1].tolist() for j in range(len(table))]
-
-
 def _run_gen(args):
     fam, desc = _family_from_args(args)
     table = faber_system_from_recurrence(to_exterior_map(fam, args.N), args.N).coeffs
-    return desc, args.N, _rows(table), {}, True
+    return desc, args.N, table, {}, True
 
 
 def _run_verify(args):
@@ -203,24 +196,46 @@ def _run_boundary(args):
 
 def _run_kernel(args):
     table = kernel_polys(args.lam, args.N).coeffs
-    return {"family": _EXP_FAMILY, "lambda": _pair(args.lam)}, args.N, _rows(table), {}, True
+    return {"family": _EXP_FAMILY, "lambda": _pair(args.lam)}, args.N, table, {}, True
+
+
+#: one coefficient of a table row, as json.dump(..., indent=2) lays it out
+_JSON_PAIR = "\n      [\n        %r,\n        %r\n      ]"
+
+
+def _write_json(payload: dict, stream) -> None:
+    """Write the payload as json.dump(payload, stream, indent=2) does, and a newline.
+
+    The lower-triangular coefficient table of gen and kernel is written
+    here, row j by one %r template of j + 1 [re, im] pairs, in place of
+    "results" in the envelope.  Rows go to the stream one at a time, so no
+    copy of the whole text is ever held."""
+    table = payload["results"]
+    if not isinstance(table, np.ndarray):
+        stream.write(json.dumps(payload, indent=2) + "\n")
+        return
+    envelope = json.dumps({**payload, "results": None}, indent=2)
+    head, _, tail = envelope.partition('"results": null')
+    values = table.view(float)                    # re and im interleaved
+    stream.write(head + '"results": [\n')
+    for j in range(len(table)):
+        stream.write(("    [" + ",".join([_JSON_PAIR] * (j + 1)) + "\n    ]")
+                     % tuple(values[j, :2 * j + 2].tolist()))
+        stream.write(",\n" if j < len(table) - 1 else "\n  ]")
+    stream.write(tail + "\n")
 
 
 def _write_csv(payload: dict, stream) -> None:
     writer = csv.writer(stream)
     command = payload["command"]
     if command in ("gen", "kernel"):
-        width = max(len(row) for row in payload["results"])
-        header = ["j"]
-        for k in range(width):
-            header += [f"re_{k}", f"im_{k}"]
-        writer.writerow(header)
-        for j, row in enumerate(payload["results"]):
-            flat = []
-            for k in range(width):
-                re, im = row[k] if k < len(row) else (0.0, 0.0)
-                flat += [repr(re), repr(im)]
-            writer.writerow([j] + flat)
+        table = payload["results"]
+        width = len(table)
+        writer.writerow(["j"] + [f"{part}_{k}" for k in range(width) for part in ("re", "im")])
+        values = table.view(float)                # re and im interleaved
+        for j in range(width):
+            writer.writerow([j] + [repr(x) for x in values[j, :2 * j + 2].tolist()]
+                            + ["0.0"] * (2 * (width - 1 - j)))
     elif command == "roots":
         writer.writerow(["j", "k", "re", "im"])
         for entry in payload["results"]:
@@ -256,18 +271,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     payload = {"command": args.command, "map": desc, "N": n,
                "results": results, "residuals": residuals, "pass": ok}
-    buffer = io.StringIO()
-    if args.format == "csv":
-        _write_csv(payload, buffer)
-    else:
-        json.dump(payload, buffer, indent=2)
-        buffer.write("\n")
-    text = buffer.getvalue()
+    write = _write_csv if args.format == "csv" else _write_json
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write(payload, fh)
     else:
-        sys.stdout.write(text)
+        write(payload, sys.stdout)
     return EXIT_PASS if ok else EXIT_CHECK_FAILURE
 
 

@@ -7,8 +7,14 @@ recurrence
     F_{j+1}(z) = (z - a0) F_j(z) - sum_{k=1}^{j} a_k F_{j-k}(z) - j a_j,
 
 with F_0 = 1 and F_1 = z - a0 (empty sums are zero, a_k = 0 beyond the
-truncation).  Independently of the recurrence, the values F_j(z) are the
-coefficients of two generating series in t = 1/w,
+truncation).  Read down the columns of the coefficient table, the
+recurrence is a triangular Toeplitz solve: with g(t) = 1 + a0 t + a1 t^2
++ ... (Psi(w)/w at t = 1/w) and h = 1/g, column m (the z^m coefficients
+of F_0, F_1, ...) is h times column m - 1 shifted down one row, and
+column 0 is h times the series 1 - sum_{k>=1} k a_k t^{k+1} of Psi'(w)
+(Curtiss, Amer. Math. Monthly 1971).  Independently of the recurrence,
+the values F_j(z) are the coefficients of two generating series in
+t = 1/w,
 
     log((Psi(w) - z) / w)        = - sum_{j>=1} (F_j(z) / j) t^j,
     Psi'(w) w / (Psi(w) - z)     =   sum_{j>=0}  F_j(z)      t^j,
@@ -100,26 +106,35 @@ def exp_map_exterior(eta: complex, lam: complex, truncation: int) -> ExteriorMap
 
 
 def faber_system_from_recurrence(emap: ExteriorMap, n_highest: int) -> FaberSystem:
-    """Generate F_0 ... F_N by the coefficient recurrence, one table row per step.
+    """Generate F_0 ... F_N by the coefficient recurrence, one table column per step.
 
-    Row j+1 is (z - a0) times row j (a two-term convolution), minus the one
-    contraction of a_1..a_j with rows j-1..0, minus j a_j in the constant
-    term.  Deterministic: the same map always yields bit-identical systems.
-    Raises OverflowError naming the first F_j that float64 cannot hold.
+    Column 0 is the truncated product of h = 1/g with the series of Psi'(w);
+    column m is the truncated product of h with column m - 1 shifted down
+    one row, so every step is one contiguous convolution and the diagonal
+    comes out exactly 1.  h comes from its own triangular loop here, never
+    from the series engine the oracles use.  Deterministic: the same map
+    always yields bit-identical systems.  Raises OverflowError naming the
+    first F_j that float64 cannot hold.
     """
     if n_highest < 0:
         raise ValueError("need a nonnegative highest index")
-    a = np.zeros(n_highest + 1, dtype=complex)
-    a[:min(emap.truncation, n_highest) + 1] = (emap.alpha0,) + emap.tail[:n_highest]
-    x_shift = np.array((-a[0], 1.0))
-    f = np.eye(n_highest + 1, dtype=complex)     # every F_j is monic
-    f[1:2, 0] = x_shift[0]                         # F_1 = z - a0, when N >= 1
+    n = n_highest
+    a = np.zeros(n + 1, dtype=complex)
+    a[:min(emap.truncation, n) + 1] = (emap.alpha0,) + emap.tail[:n]
+    g = np.concatenate(((1.0,), a[:n]))
+    dpsi = np.zeros(n + 1, dtype=complex)        # Psi'(w) = 1 - sum k a_k t^{k+1}
+    dpsi[0] = 1.0
+    dpsi[2:] = -np.arange(1, n) * a[1:n]
+    h = np.zeros(n + 1, dtype=complex)
+    h[0] = 1.0
+    cols = np.zeros((n + 1, n + 1), dtype=complex)    # row m is column m of the table
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, n_highest):
-            f[j + 1, :j + 2] = np.convolve(x_shift, f[j, :j + 1])
-            f[j + 1, :j] -= a[1:j + 1] @ f[j - 1::-1, :j]
-            f[j + 1, 0] -= j * a[j]
-    return FaberSystem(_finite_rows(f, "the recurrence", "F"))
+        for k in range(1, n + 1):
+            h[k] = -(g[1:k + 1] @ h[k - 1::-1])
+        cols[0] = np.convolve(h, dpsi)[:n + 1]
+        for m in range(1, n + 1):
+            cols[m, m:] = np.convolve(h[:n + 1 - m], cols[m - 1, m - 1:n])[:n + 1 - m]
+    return FaberSystem(_finite_rows(np.ascontiguousarray(cols.T), "the recurrence", "F"))
 
 
 def _finite_rows(table: np.ndarray, source: str, letter: str) -> np.ndarray:

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -194,6 +195,25 @@ class TestVerify:
             "chebyshev at N=1500: the hypocycloid closed form for m=1 overflows float64 "
             "from F_1482 on")
 
+    def test_he_formula_overflow_names_suite_m_and_row(self):
+        code, out, err = run_cli_with_stderr("verify", "--suite", "he-formula", "--N", "1500")
+        assert code == 3 and out == ""
+        assert json.loads(err)["message"] == (
+            "he-formula at N=1500, m=1: the hypocycloid closed form for m=1 overflows "
+            "float64 from F_1482 on")
+
+    def test_he_formula_recurrence_overflow_names_suite_and_m(self, monkeypatch):
+        import faberpoly.suites as suites
+
+        def overflowing(emap, n_highest):
+            raise OverflowError("the recurrence overflows float64 from F_9 on")
+
+        monkeypatch.setattr(suites, "faber_system_from_recurrence", overflowing)
+        code, out, err = run_cli_with_stderr("verify", "--suite", "he-formula", "--N", "12")
+        assert code == 3 and out == ""
+        assert json.loads(err)["message"] == (
+            "he-formula at N=12, m=1: the recurrence overflows float64 from F_9 on")
+
     def test_rays_root_failure_names_suite_m_and_index(self):
         code, out, err = run_cli_with_stderr("verify", "--suite", "rays", "--N", "200")
         assert code == 3 and out == ""
@@ -295,6 +315,78 @@ class TestKernel:
         results = json.loads(out)["results"]
         assert [len(row) for row in results] == list(range(1, 202))
         assert all(row[-1] == [1.0, 0.0] for row in results)
+
+
+#: gen options per family, complex where they can be, so both parts of a coefficient vary
+GEN_OPTIONS = {"shift": ("--alpha0", "0.3-0.2j"),
+               "gap": ("--z0", "0.1", "--n", "3", "--tail", "0.2,-0.1j"),
+               "twogap": ("--z0", "0.1j"),
+               "hypocycloid": ("--m", "2"),
+               "expmap": ("--eta", "-0.2", "--lambda", "0.4+0.3j")}
+
+
+def _pair_rows(table):
+    """Row j of a table as its j + 1 coefficients, each an [re, im] list."""
+    return [[[c.real, c.imag] for c in row[:j + 1].tolist()] for j, row in enumerate(table)]
+
+
+def _pair_csv(rows) -> str:
+    """The gen/kernel CSV layout written pair by pair from [re, im] lists."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    width = len(rows)
+    writer.writerow(["j"] + [f"{part}_{k}" for k in range(width) for part in ("re", "im")])
+    for j, row in enumerate(rows):
+        flat = []
+        for k in range(width):
+            re, im = row[k] if k < len(row) else (0.0, 0.0)
+            flat += [repr(re), repr(im)]
+        writer.writerow([j] + flat)
+    return buffer.getvalue()
+
+
+class TestTableWriter:
+    """gen and kernel write the table they computed byte for byte as
+    json.dump(..., indent=2) and the pair-by-pair CSV layout write it from
+    [re, im] lists."""
+
+    def test_every_family_is_written(self):
+        assert set(GEN_OPTIONS) == set(FAMILIES)
+
+    @pytest.mark.parametrize("negative_zeros", [False, True], ids=["computed", "negative-zeros"])
+    @pytest.mark.parametrize("n", [0, 1, 40])
+    @pytest.mark.parametrize("argv", [("gen", "--family", name, *options)
+                                      for name, options in GEN_OPTIONS.items()]
+                             + [("kernel", "--lambda=-0.7+0.2j")],
+                             ids=[*GEN_OPTIONS, "kernel"])
+    def test_bytes_match_the_pair_layout(self, monkeypatch, argv, n, negative_zeros):
+        import faberpoly.cli as cli
+
+        tables = []
+
+        def recorded(generate):
+            def run(*args):
+                table = generate(*args).coeffs.copy()
+                if negative_zeros:              # every zero, the upper triangle's too
+                    parts = table.view(float)
+                    parts[parts == 0] = -0.0
+                tables.append(table)
+                return FaberSystem(table)
+            return run
+
+        for name in ("faber_system_from_recurrence", "kernel_polys"):
+            monkeypatch.setattr(cli, name, recorded(getattr(cli, name)))
+        code, out = run_cli(*argv, "--N", str(n))
+        assert code == 0
+        rows = _pair_rows(tables[-1])
+        expected = {"command": argv[0], "map": json.loads(out)["map"], "N": n,
+                    "results": rows, "residuals": {}, "pass": True}
+        assert out == json.dumps(expected, indent=2) + "\n"
+        if negative_zeros:
+            assert "-0.0" in out
+        code, out = run_cli(*argv, "--N", str(n), "--format", "csv")
+        assert code == 0
+        assert out == _pair_csv(_pair_rows(tables[-1]))
 
 
 def run_cli_with_stderr(*argv):

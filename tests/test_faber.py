@@ -5,6 +5,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -111,6 +112,40 @@ class TestRecurrence:
         assert fs[-1] == fs[6]
         with pytest.raises(IndexError):
             fs[7]
+
+
+def mpmath_recurrence_rows(emap, n_highest):
+    """Rows F_0..F_N of the row recurrence in 60-digit arithmetic, rounded to complex."""
+    with mpmath.workdps(60):
+        a = [mpmath.mpc(emap.alpha(k)) for k in range(n_highest + 1)]
+        rows = [[mpmath.mpc(1)], [-a[0], mpmath.mpc(1)]]
+        for j in range(1, n_highest):
+            nxt = [mpmath.mpc(0)] + rows[j]
+            for i, c in enumerate(rows[j]):
+                nxt[i] -= a[0] * c
+            for k in range(1, j + 1):
+                for i, c in enumerate(rows[j - k]):
+                    nxt[i] -= a[k] * c
+            nxt[0] -= j * a[j]
+            rows.append(nxt)
+        return [np.array([complex(c) for c in row]) for row in rows[:n_highest + 1]]
+
+
+@pytest.mark.parametrize("emap", [
+    *(pytest.param(ExteriorMap(2 * r, (r * r,)), id=f"double-zero-r={r}")      # g = (1 + r t)^2
+      for r in (0.5, 2.0, 0.9 + 0.4j)),
+    *(pytest.param(ExteriorMap(3 * r, (3 * r * r, r ** 3)), id=f"triple-zero-r={r}")
+      for r in (0.5, 2.0, -1.5j)),                                             # g = (1 + r t)^3
+    *(pytest.param(exp_map_exterior(eta, lam, 60), id=f"expmap-eta={eta}-lam={lam}")
+      for eta, lam in ((0.3 - 0.2j, 0.5), (0.0, 2.0), (0.1j, 1 + 1j), (0.0, 5.0))),
+])
+def test_recurrence_matches_60_digit_rows(emap):
+    # h = 1/g grows like a polynomial times |r|^k where g has a double or
+    # triple zero; each row stays within 64 eps of its scale all the same
+    table = faber_system_from_recurrence(emap, 60).coeffs
+    for j, ref in enumerate(mpmath_recurrence_rows(emap, 60)):
+        scale = 1.0 + np.abs(ref).max()
+        assert np.abs(table[j, :j + 1] - ref).max() <= 64 * np.finfo(float).eps * scale, j
 
 
 def bounded_complex(radius):
@@ -251,6 +286,16 @@ def test_series_engine_and_oracles_stay_off_the_recurrence(monkeypatch):
         assert not any(isinstance(inner, (ast.Import, ast.ImportFrom))
                        for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
                        for inner in ast.walk(node)), module.__name__
+
+    # the recurrence and the kernel polynomials take h = 1/g from their own loop
+    def refuse_series(*args, **kwargs):
+        raise AssertionError("the recurrence used the series engine")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(series_module, "PowerSeries", refuse_series)
+        patch.setattr(faber, "PowerSeries", refuse_series)
+        faber_system_from_recurrence(exp_map_exterior(0.1, 0.6j, 30), 30)
+        kernel_polys(0.7 - 0.2j, 30)
 
     def refuse(*args, **kwargs):
         raise AssertionError("an oracle ran the recurrence")
