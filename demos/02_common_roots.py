@@ -8,10 +8,11 @@ vanish at a single point from index 2 on; this script profiles both
 patterns and shows the common point is unique.
 """
 
-from faberpoly import (GapMap, check_gap_coefficient_recovery, exp_map_exterior,
-                       exp_map_faber_closed_form, exponential_map_characterization,
-                       faber_system_from_recurrence, leading_common_root_order,
-                       to_exterior_map)
+from faberpoly import (ComplexPolynomial, GapMap, check_gap_coefficient_recovery,
+                       exp_map_exterior, exp_map_faber_closed_form,
+                       exponential_map_characterization, faber_system_from_recurrence,
+                       leading_common_root_order, to_exterior_map)
+from faberpoly.poly import evaluate_rows
 
 # -- a gap map: zeros up to n, a jump at n + 1 --------------------------------
 
@@ -49,8 +50,8 @@ print()
 
 # uniqueness: F_2 has roots eta and eta + 2 lam, but F_3 rejects the latter
 closed = exp_map_faber_closed_form(eta, lam, 3)
-f2, f3 = closed[2], closed[3]
+f3_at_reflected = evaluate_rows(closed[3:], eta + 2 * lam)[0][0]
 print("uniqueness of the common point:")
-print(f"  roots of F_2: {[f'{r:.4f}' for r in f2.roots()]}")
+print(f"  roots of F_2: {[f'{r:.4f}' for r in ComplexPolynomial(closed[2, :3]).roots()]}")
 print(f"  F_3 at the reflected point eta + 2 lam: "
-      f"{abs(f3.evaluate(eta + 2 * lam)):.6f}  (equals |lam|^3 = {abs(lam) ** 3:.6f})")
+      f"{abs(f3_at_reflected):.6f}  (equals |lam|^3 = {abs(lam) ** 3:.6f})")

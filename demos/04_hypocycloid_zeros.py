@@ -9,14 +9,18 @@ zeros sit on the rays joining the origin to the cusps.
 
 import math
 
-from faberpoly import chebyshev_scaled, hypocycloid_faber_closed_form
+import numpy as np
+from numpy.polynomial import Polynomial
+
+from faberpoly import ComplexPolynomial, chebyshev_scaled, hypocycloid_faber_closed_form
 
 # -- the m = 1 case is the Chebyshev family on [-2, 2] -------------------------
 
 print("m = 1 closed form vs doubled Chebyshev on the half scale:")
 closed, cheb = hypocycloid_faber_closed_form(1, 8), chebyshev_scaled(8)
 for j in (2, 3, 4, 8):
-    print(f"  F_{j}(z) = {closed[j]}   (deviation {closed[j].coefficient_deviation(cheb[j]):.1e})")
+    print(f"  F_{j}(z) = {Polynomial(closed[j, :j + 1].real, symbol='z'):ascii}   "
+          f"(coefficient difference {np.abs(closed[j] - cheb[j]).max():.1e})")
 print()
 
 # -- zeros on cusp rays ---------------------------------------------------------
@@ -27,7 +31,7 @@ for m in (2, 3):
           f"{[f'{d * 180 / math.pi:.0f}deg' for d in directions]}")
     closed = hypocycloid_faber_closed_form(m, 12)
     for j in (7, 12):
-        roots = closed[j].roots()
+        roots = ComplexPolynomial(closed[j, :j + 1]).roots()
         print(f"  zeros of F_{j}:")
         for r in sorted(roots, key=lambda r: (round(abs(r), 6), math.atan2(r.imag, r.real))):
             if abs(r) <= 1e-8:

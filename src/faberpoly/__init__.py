@@ -5,10 +5,9 @@ recurrence, series-based value oracles, and per-family closed forms --
 plus verifiers for the identities tying them together.
 """
 
-from .faber import (ExteriorMap, FaberSystem, exp_map_exterior,
-                    faber_derivative_values_from_series, faber_system_from_recurrence,
-                    faber_values_from_log_series, faber_values_from_ratio_series,
-                    kernel_polys)
+from .faber import (ExteriorMap, exp_map_exterior, faber_derivative_values_from_series,
+                    faber_system_from_recurrence, faber_values_from_log_series,
+                    faber_values_from_ratio_series, kernel_polys)
 from .maps import (BranchCutError, ExpMap, GapMap, Hypocycloid, LambertResult,
                    MapFamily, Shift, TwoGapMap, chebyshev_scaled, evaluate_map,
                    exp_map_boundary, exp_map_faber_closed_form, gap_faber_closed_form,
@@ -24,9 +23,9 @@ from .verify import (CheckReport, CommonRootProfile, check_derivative_identity,
 
 __all__ = [
     "BranchCutError", "CheckReport", "CommonRootProfile", "ComplexPolynomial",
-    "ExpMap", "ExteriorMap", "FaberSystem", "GapMap", "Hypocycloid",
-    "LambertResult", "MapFamily", "PowerSeries", "RootFindingError", "Shift",
-    "TwoGapMap", "chebyshev_scaled", "check_derivative_identity",
+    "ExpMap", "ExteriorMap", "GapMap", "Hypocycloid", "LambertResult",
+    "MapFamily", "PowerSeries", "RootFindingError", "Shift", "TwoGapMap",
+    "chebyshev_scaled", "check_derivative_identity",
     "check_gap_coefficient_recovery", "check_inverse_power_decay",
     "evaluate_map", "exp_map_boundary", "exp_map_exterior",
     "exp_map_faber_closed_form", "exponential_map_characterization",

@@ -27,7 +27,7 @@ import numpy as np
 
 from .faber import faber_system_from_recurrence, kernel_polys
 from .maps import FAMILIES, BranchCutError, ExpMap, exp_map_boundary, to_exterior_map
-from .poly import RootFindingError
+from .poly import ComplexPolynomial, RootFindingError
 from .suites import SUITE_NAMES, run_suite
 
 EXIT_PASS = 0
@@ -148,7 +148,7 @@ def _family_from_args(args) -> tuple[object, dict]:
 
 def _run_gen(args):
     fam, desc = _family_from_args(args)
-    table = faber_system_from_recurrence(to_exterior_map(fam, args.N), args.N).coeffs
+    table = faber_system_from_recurrence(to_exterior_map(fam, args.N), args.N)
     return desc, args.N, table, {}, True
 
 
@@ -164,11 +164,11 @@ def _run_roots(args):
     fam, desc = _family_from_args(args)
     if args.j_min < 1 or args.j_max < args.j_min:
         raise ValueError("need 1 <= j-min <= j-max")
-    system = faber_system_from_recurrence(to_exterior_map(fam, args.j_max), args.j_max)
+    table = faber_system_from_recurrence(to_exterior_map(fam, args.j_max), args.j_max)
     results = []
     for j in range(args.j_min, args.j_max + 1):
         try:
-            roots = system[j].roots()
+            roots = ComplexPolynomial(table[j, :j + 1]).roots()
         except RootFindingError as exc:
             raise RootFindingError(f"roots of F_{j} of {json.dumps(desc)}: {exc}",
                                    exc.roots, exc.residuals) from exc
@@ -195,7 +195,7 @@ def _run_boundary(args):
 
 
 def _run_kernel(args):
-    table = kernel_polys(args.lam, args.N).coeffs
+    table = kernel_polys(args.lam, args.N)
     return {"family": _EXP_FAMILY, "lambda": _pair(args.lam)}, args.N, table, {}, True
 
 
@@ -273,8 +273,12 @@ def main(argv=None) -> int:
                "results": results, "residuals": residuals, "pass": ok}
     write = _write_csv if args.format == "csv" else _write_json
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write(payload, fh)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                write(payload, fh)
+        except OSError as exc:
+            _emit_error("usage", f"cannot write --out {args.out!r}: {exc.strerror}")
+            return EXIT_USAGE
     else:
         write(payload, sys.stdout)
     return EXIT_PASS if ok else EXIT_CHECK_FAILURE

@@ -7,14 +7,16 @@ recurrence
     F_{j+1}(z) = (z - a0) F_j(z) - sum_{k=1}^{j} a_k F_{j-k}(z) - j a_j,
 
 with F_0 = 1 and F_1 = z - a0 (empty sums are zero, a_k = 0 beyond the
-truncation).  Read down the columns of the coefficient table, the
-recurrence is a triangular Toeplitz solve: with g(t) = 1 + a0 t + a1 t^2
-+ ... (Psi(w)/w at t = 1/w) and h = 1/g, column m (the z^m coefficients
-of F_0, F_1, ...) is h times column m - 1 shifted down one row, and
-column 0 is h times the series 1 - sum_{k>=1} k a_k t^{k+1} of Psi'(w)
-(Curtiss, Amer. Math. Monthly 1971).  Independently of the recurrence,
-the values F_j(z) are the coefficients of two generating series in
-t = 1/w,
+truncation).  A Faber system F_0 ... F_N is one read-only (N+1) x (N+1)
+lower-triangular complex table whose row j holds the ascending
+coefficients of F_j: entry [j, j] is 1 and everything right of it is 0.
+Read down the columns of the table, the recurrence is a triangular
+Toeplitz solve: with g(t) = 1 + a0 t + a1 t^2 + ... (Psi(w)/w at t = 1/w)
+and h = 1/g, column m (the z^m coefficients of F_0, F_1, ...) is h times
+column m - 1 shifted down one row, and column 0 is h times the series
+1 - sum_{k>=1} k a_k t^{k+1} of Psi'(w) (Curtiss, Amer. Math. Monthly
+1971).  Independently of the recurrence, the values F_j(z) are the
+coefficients of two generating series in t = 1/w,
 
     log((Psi(w) - z) / w)        = - sum_{j>=1} (F_j(z) / j) t^j,
     Psi'(w) w / (Psi(w) - z)     =   sum_{j>=0}  F_j(z)      t^j,
@@ -33,7 +35,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .poly import ComplexPolynomial
 from .series import PowerSeries
 
 
@@ -65,33 +66,6 @@ class ExteriorMap:
         return 0j
 
 
-@dataclass(frozen=True, eq=False)
-class FaberSystem:
-    """A prefix F_0 ... F_N of monic polynomials, row j of degree j: the
-    Faber polynomials of one map, or its kernel polynomials.
-
-    ``coeffs`` is an (N+1) x (N+1) lower-triangular complex array whose
-    row j holds the ascending coefficients of F_j; it is read-only.
-    ``system[j]`` is F_j as a ComplexPolynomial of degree j.
-    """
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs.flags.writeable = False
-
-    @property
-    def highest_index(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, j: int) -> ComplexPolynomial:
-        j = range(len(self.coeffs))[j]
-        return ComplexPolynomial(self.coeffs[j, :j + 1])
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-
 def exp_map_exterior(eta: complex, lam: complex, truncation: int) -> ExteriorMap:
     """Coefficient form of eta + w*exp(lam/w): alpha0 = eta + lam and
     alpha_j = lam^{j+1}/(j+1)!, truncated after ``truncation`` terms."""
@@ -105,8 +79,10 @@ def exp_map_exterior(eta: complex, lam: complex, truncation: int) -> ExteriorMap
     return ExteriorMap(eta + lam, tail)
 
 
-def faber_system_from_recurrence(emap: ExteriorMap, n_highest: int) -> FaberSystem:
-    """Generate F_0 ... F_N by the coefficient recurrence, one table column per step.
+def faber_system_from_recurrence(emap: ExteriorMap, n_highest: int) -> np.ndarray:
+    """F_0 ... F_N by the coefficient recurrence, as the read-only
+    (N+1) x (N+1) lower-triangular table whose row j holds the ascending
+    coefficients of F_j; one table column per step.
 
     Column 0 is the truncated product of h = 1/g with the series of Psi'(w);
     column m is the truncated product of h with column m - 1 shifted down
@@ -124,17 +100,17 @@ def faber_system_from_recurrence(emap: ExteriorMap, n_highest: int) -> FaberSyst
     g = np.concatenate(((1.0,), a[:n]))
     dpsi = np.zeros(n + 1, dtype=complex)        # Psi'(w) = 1 - sum k a_k t^{k+1}
     dpsi[0] = 1.0
-    dpsi[2:] = -np.arange(1, n) * a[1:n]
     h = np.zeros(n + 1, dtype=complex)
     h[0] = 1.0
     cols = np.zeros((n + 1, n + 1), dtype=complex)    # row m is column m of the table
     with np.errstate(over="ignore", invalid="ignore"):
+        dpsi[2:] = -np.arange(1, n) * a[1:n]
         for k in range(1, n + 1):
             h[k] = -(g[1:k + 1] @ h[k - 1::-1])
         cols[0] = np.convolve(h, dpsi)[:n + 1]
         for m in range(1, n + 1):
             cols[m, m:] = np.convolve(h[:n + 1 - m], cols[m - 1, m - 1:n])[:n + 1 - m]
-    return FaberSystem(_finite_rows(np.ascontiguousarray(cols.T), "the recurrence", "F"))
+    return _read_only(_finite_rows(np.ascontiguousarray(cols.T), "the recurrence", "F"))
 
 
 def _finite_rows(table: np.ndarray, source: str, letter: str) -> np.ndarray:
@@ -142,6 +118,12 @@ def _finite_rows(table: np.ndarray, source: str, letter: str) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
     if bad.size:
         raise OverflowError(f"{source} overflows float64 from {letter}_{bad[0]} on")
+    return table
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    """The coefficient table, marked read-only as every generator returns it."""
+    table.flags.writeable = False
     return table
 
 
@@ -219,7 +201,7 @@ def _kernel_tables(lam: complex, n_highest: int) -> tuple[np.ndarray, np.ndarray
     Raises OverflowError naming the first P_j that float64 cannot hold.
     """
     lam = complex(lam)
-    f = faber_system_from_recurrence(exp_map_exterior(0.0, lam, n_highest), n_highest).coeffs
+    f = faber_system_from_recurrence(exp_map_exterior(0.0, lam, n_highest), n_highest)
     p = f.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, n_highest + 1):
@@ -227,10 +209,11 @@ def _kernel_tables(lam: complex, n_highest: int) -> tuple[np.ndarray, np.ndarray
     return f, _finite_rows(p, "the kernel recurrence", "P")
 
 
-def kernel_polys(lam: complex, n_highest: int) -> FaberSystem:
-    """P_0 ... P_N with P_j = sum_{k=0}^{j} lam^{j-k} F_k, for the map w*exp(lam/w).
+def kernel_polys(lam: complex, n_highest: int) -> np.ndarray:
+    """P_0 ... P_N with P_j = sum_{k=0}^{j} lam^{j-k} F_k, for the map w*exp(lam/w),
+    as a read-only table like the recurrence's, row j holding P_j.
 
     Built as the exact Horner combination P_j = lam * P_{j-1} + F_j.  These
     are the t-coefficients of the kernel 1/(1 - z t exp(-lam t)).
     """
-    return FaberSystem(_kernel_tables(lam, n_highest)[1])
+    return _read_only(_kernel_tables(lam, n_highest)[1])

@@ -11,11 +11,12 @@ ExpMap(eta, lam)               eta + w exp(lam / w)
 
 Each family knows its exterior-map coefficient form (for the recurrence
 path) and, where one exists, a closed form for its Faber polynomials,
-returned like the recurrence's as one FaberSystem table of rows 0..N: the
-gap families produce shifted monomials with a single correction term, the
-hypocycloid family has an explicit binomial-factorial formula (scaled
-Chebyshev polynomials when m = 1), and the exponential family has the
-explicit sum F_j(z) = j sum_k (-lam)^{j-k} k^{j-k-1}/(j-k)! (z-eta)^k.
+returned like the recurrence's as one read-only coefficient table of rows
+0..N, row j holding the ascending coefficients of F_j: the gap families
+produce shifted monomials with a single correction term, the hypocycloid
+family has an explicit binomial-factorial formula (scaled Chebyshev
+polynomials when m = 1), and the exponential family has the explicit sum
+F_j(z) = j sum_k (-lam)^{j-k} k^{j-k-1}/(j-k)! (z-eta)^k.
 
 The exponential family also carries its inverse map through the principal
 branch of the Lambert W function (one Halley run from one seed chosen by the
@@ -34,7 +35,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .faber import ExteriorMap, FaberSystem, exp_map_exterior
+from .faber import ExteriorMap, _read_only, exp_map_exterior
 from .series import PowerSeries
 
 BRANCH_POINT = -math.exp(-1.0)
@@ -154,7 +155,7 @@ def to_exterior_map(family: MapFamily, truncation: int) -> ExteriorMap:
     exponential family truncates its factorial tail after ``truncation``
     terms.
     """
-    if not isinstance(family, (Shift, GapMap, TwoGapMap, Hypocycloid, ExpMap)):
+    if not isinstance(family, tuple(FAMILIES.values())):
         raise TypeError(f"not a map family: {family!r}")
     if isinstance(family, ExpMap):
         return exp_map_exterior(family.eta, family.lam, truncation)
@@ -185,7 +186,7 @@ def evaluate_map(family: MapFamily, w: complex) -> complex:
 # closed-form Faber polynomials
 # ---------------------------------------------------------------------------
 
-def gap_faber_closed_form(family: GapMap, n_highest: int) -> FaberSystem:
+def gap_faber_closed_form(family: GapMap, n_highest: int) -> np.ndarray:
     """F_0 ... F_N of a gap map, N <= n + 1: (z - z0)^j for j <= n, and the
     single corrected polynomial (z - z0)^{n+1} - (n+1) alpha_n at j = n + 1."""
     if n_highest < 0:
@@ -195,14 +196,14 @@ def gap_faber_closed_form(family: GapMap, n_highest: int) -> FaberSystem:
     table = _shifted_power_table(family.z0, n_highest)
     if n_highest == family.n + 1:
         table[-1, 0] -= (family.n + 1) * family.tail[0]
-    return FaberSystem(table)
+    return _read_only(table)
 
 
-def two_gap_faber_system(family: TwoGapMap, n_highest: int) -> FaberSystem:
+def two_gap_faber_system(family: TwoGapMap, n_highest: int) -> np.ndarray:
     """F_0 ... F_N of a two-gap map by its four-branch piecewise recurrence:
     shifted monomials up to m, one corrected monomial at m + 1, a constant-
     coefficient three-term recurrence up to n, then the full-tail recurrence.
-    Row j of the system's own table holds F_j.
+    Row j of the table holds F_j.
     """
     if n_highest < 0:
         raise ValueError("need a nonnegative highest index")
@@ -222,10 +223,10 @@ def two_gap_faber_system(family: TwoGapMap, n_highest: int) -> FaberSystem:
                 row[:j - k + 1] -= family.tail[k - n] * table[j - k, :j - k + 1]
             if j <= top:
                 row[0] -= j * family.tail[j - n]
-    return FaberSystem(table)
+    return _read_only(table)
 
 
-def hypocycloid_faber_closed_form(m: int, n_highest: int) -> FaberSystem:
+def hypocycloid_faber_closed_form(m: int, n_highest: int) -> np.ndarray:
     """F_0 ... F_N of w + 1/(m w^m), N >= 1, with row j >= 1 from He's formula
 
         F_j(z) = j * sum_{k=0}^{floor(j/(m+1))}
@@ -252,10 +253,10 @@ def hypocycloid_faber_closed_form(m: int, n_highest: int) -> FaberSystem:
             except OverflowError:
                 raise OverflowError(f"the hypocycloid closed form for m={m} overflows "
                                     f"float64 from F_{j} on") from None
-    return FaberSystem(table)
+    return _read_only(table)
 
 
-def chebyshev_scaled(n_highest: int) -> FaberSystem:
+def chebyshev_scaled(n_highest: int) -> np.ndarray:
     """Rows 0..N: T_0 = 1, then 2 T_j(z/2) for j >= 1, by the three-term
     recurrence C_{j+1} = z C_j - C_{j-1} seeded with C_0 = 2 and C_1 = z."""
     if n_highest < 0:
@@ -266,10 +267,10 @@ def chebyshev_scaled(n_highest: int) -> FaberSystem:
         table[j + 1, 1:j + 2] = table[j, :j + 1]
         table[j + 1, :j] -= table[j - 1, :j]
     table[0, 0] = 1.0
-    return FaberSystem(table)
+    return _read_only(table)
 
 
-def exp_map_faber_closed_form(eta: complex, lam: complex, n_highest: int) -> FaberSystem:
+def exp_map_faber_closed_form(eta: complex, lam: complex, n_highest: int) -> np.ndarray:
     """F_0 ... F_N of eta + w exp(lam/w), N >= 1, from the explicit sum
 
         F_j(z) = j sum_{k=0}^{j} (-lam)^{j-k} k^{j-k-1}/(j-k)! (z-eta)^k,   j >= 1,
@@ -285,7 +286,7 @@ def exp_map_faber_closed_form(eta: complex, lam: complex, n_highest: int) -> Fab
         for k in range(j):
             rational = Fraction(j) * Fraction(k) ** (j - k - 1) / math.factorial(j - k)
             in_powers[j, k] = float(rational) * (-lam) ** (j - k)
-    return FaberSystem(in_powers @ _shifted_power_table(complex(eta), n_highest))
+    return _read_only(in_powers @ _shifted_power_table(complex(eta), n_highest))
 
 
 def _shifted_power_table(z0: complex, n_highest: int) -> np.ndarray:

@@ -1,4 +1,9 @@
-"""Dense complex polynomial arithmetic.
+"""Dense complex polynomials: Aberth root finding, and Horner evaluation of
+coefficient tables.
+
+A Faber system is a coefficient table (see :mod:`faberpoly.faber`);
+``evaluate_rows`` evaluates all its rows at once, and one row becomes a
+:class:`ComplexPolynomial` only to find its roots.
 
 Coefficients are stored in ascending order: ``coeffs[k]`` multiplies
 ``z**k``.  Trailing coefficients that are exactly zero are dropped and
@@ -53,17 +58,6 @@ class ComplexPolynomial:
     def __init__(self, coeffs: Iterable[complex] = ()):
         object.__setattr__(self, "coeffs", _trimmed(coeffs))
 
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "ComplexPolynomial":
-        return cls(())
-
-    @classmethod
-    def monomial(cls, k: int, c: complex = 1.0) -> "ComplexPolynomial":
-        """c * z**k"""
-        return cls((0.0,) * k + (complex(c),))
-
     # -- structure ------------------------------------------------------------
 
     @property
@@ -73,13 +67,6 @@ class ComplexPolynomial:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def max_magnitude(self) -> float:
-        return max((abs(c) for c in self.coeffs), default=0.0)
-
-    def coefficient(self, k: int) -> complex:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0j
 
     # -- evaluation and calculus ----------------------------------------------
 
@@ -128,7 +115,7 @@ class ComplexPolynomial:
     def __mul__(self, other):
         if isinstance(other, ComplexPolynomial):
             if self.is_zero() or other.is_zero():
-                return ComplexPolynomial.zero()
+                return ComplexPolynomial()
             prod = np.convolve(np.asarray(self.coeffs, dtype=complex),
                                np.asarray(other.coeffs, dtype=complex))
             return ComplexPolynomial(prod)
@@ -139,21 +126,12 @@ class ComplexPolynomial:
     def compose_affine(self, a: complex, b: complex) -> "ComplexPolynomial":
         """The polynomial z -> p(a*z + b), expanded by Horner's scheme."""
         if self.is_zero():
-            return ComplexPolynomial.zero()
+            return ComplexPolynomial()
         affine = ComplexPolynomial((b, a))
         acc = ComplexPolynomial((self.coeffs[-1],))
         for c in reversed(self.coeffs[:-1]):
             acc = acc * affine + ComplexPolynomial((c,))
         return acc
-
-    # -- comparisons ----------------------------------------------------------
-
-    def coefficient_deviation(self, other: "ComplexPolynomial") -> float:
-        """max_k |p_k - q_k| normalized by 1 + the larger coefficient magnitude."""
-        n = max(len(self.coeffs), len(other.coeffs))
-        dev = max((abs(self.coefficient(k) - other.coefficient(k)) for k in range(n)),
-                  default=0.0)
-        return dev / (1.0 + max(self.max_magnitude, other.max_magnitude))
 
     # -- root finding ---------------------------------------------------------
 
@@ -218,18 +196,6 @@ class ComplexPolynomial:
             residuals = np.abs(_horner(np.asarray(self.coeffs, dtype=complex), x))
         residuals[~np.isfinite(residuals)] = np.inf
         raise RootFindingError(message, zeros + list(x), [0.0] * r + list(residuals))
-
-    # -- misc -----------------------------------------------------------------
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            parts.append(f"({c:g})z^{k}" if k else f"({c:g})")
-        return " + ".join(parts)
 
 
 def _horner(coeffs_ascending: np.ndarray, x: np.ndarray) -> np.ndarray:

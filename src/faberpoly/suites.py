@@ -28,7 +28,7 @@ from .maps import (ExpMap, GapMap, Hypocycloid, TwoGapMap,
                    gap_faber_closed_form, hypocycloid_faber_closed_form,
                    inverse_exp_map, lambert_w0, lambert_w0_power_series,
                    to_exterior_map, two_gap_faber_system)
-from .poly import RootFindingError, evaluate_rows
+from .poly import ComplexPolynomial, RootFindingError, evaluate_rows
 from .verify import (CheckReport, _refuse_non_finite, _refuse_undecided, _row_deviation,
                      _row_scale, check_derivative_identity, check_gap_coefficient_recovery,
                      combine, exponential_map_characterization, leading_common_root_order)
@@ -122,7 +122,7 @@ def suite_recurrence_vs_oracle(seed: int = 0, n_highest: int = 30,
     """Recurrence-generated values against the log-series oracle, on 50
     random maps of truncation 30 with 20 points each."""
     def residual(rng, emap):
-        table = faber_system_from_recurrence(emap, n_highest).coeffs[1:]
+        table = faber_system_from_recurrence(emap, n_highest)[1:]
         z = np.array([draw_disk(rng, 3.0) for _ in range(20)])
         return _value_residual(faber_values_from_log_series(emap, z, n_highest), table, z)
     return _per_map("recurrence-vs-oracle", seed, 50, 30, residual, tol)
@@ -133,7 +133,7 @@ def suite_eq13(seed: int = 0, n_highest: int = 20, tol: float = 1e-9) -> CheckRe
     on 30 random pairs of a map of truncation 24 and a point."""
     def residual(rng, emap):
         z = draw_disk(rng, 3.0)
-        table = faber_system_from_recurrence(emap, n_highest).coeffs
+        table = faber_system_from_recurrence(emap, n_highest)
         return _value_residual(faber_values_from_ratio_series(emap, z, n_highest), table, z)
     return _per_map("eq13", seed, 30, 24, residual, tol)
 
@@ -145,7 +145,7 @@ def suite_eq16(seed: int = 0, n_highest: int = 20, tol: float = 1e-9) -> CheckRe
 
     def residual(rng, emap):
         z = draw_disk(rng, 3.0)
-        f = faber_system_from_recurrence(emap, n_highest).coeffs
+        f = faber_system_from_recurrence(emap, n_highest)
         values, magnitudes = evaluate_rows(f[1:, 1:] * index, z)    # row j-1 is F_j'
         coeffs = faber_derivative_values_from_series(emap, z, n_highest)
         return float(np.max(np.abs(coeffs - values / index) / (1.0 + magnitudes)))
@@ -154,7 +154,11 @@ def suite_eq16(seed: int = 0, n_highest: int = 20, tol: float = 1e-9) -> CheckRe
 
 def suite_eq14(lam: complex = 0.7, n_highest: int = 20, tol: float = 1e-9) -> CheckReport:
     """Polynomial identity z F_j'(z) = j sum_k lam^{j-k} F_k(z)."""
-    return replace(check_derivative_identity(lam, n_highest, tol), name="eq14")
+    try:
+        report = check_derivative_identity(lam, n_highest, tol)
+    except OverflowError as exc:
+        raise OverflowError(f"eq14 at lambda={lam}, N={n_highest}: {exc}") from exc
+    return replace(report, name="eq14")
 
 
 def suite_theorem1(seed: int = 0, tol: float = 1e-10) -> CheckReport:
@@ -165,14 +169,14 @@ def suite_theorem1(seed: int = 0, tol: float = 1e-10) -> CheckReport:
     for i in range(20):
         gap = draw_gap_map(rng)
         n_highest = 2 * gap.n + 2
-        system = faber_system_from_recurrence(to_exterior_map(gap, n_highest), n_highest)
-        profile = leading_common_root_order(system, gap.z0, tol)
+        table = faber_system_from_recurrence(to_exterior_map(gap, n_highest), n_highest)
+        profile = leading_common_root_order(table, gap.z0, tol)
         ok = profile.first_nonvanishing == gap.n + 1
         value_resid = abs(profile.values[gap.n] - (gap.n + 1) * abs(gap.tail[0])) \
             / (1.0 + (gap.n + 1) * abs(gap.tail[0]))
         head = gap.n + 2
-        closed_resid = float(_row_deviation(gap_faber_closed_form(gap, gap.n + 1).coeffs,
-                                            system.coeffs[:head, :head]).max())
+        closed_resid = float(_row_deviation(gap_faber_closed_form(gap, gap.n + 1),
+                                            table[:head, :head]).max())
         recovery = check_gap_coefficient_recovery(gap, n_highest, tol)
         worst = max(value_resid, closed_resid, recovery.max_residual)
         reports.append(CheckReport(
@@ -193,11 +197,11 @@ def suite_theorem2(seed: int = 0, n_highest: int = 24, tol: float = 1e-9) -> Che
         fam = draw_two_gap_map(rng)
         closed = two_gap_faber_system(fam, n_highest)
         generic = faber_system_from_recurrence(to_exterior_map(fam, n_highest), n_highest)
-        coeff_resid = float(_row_deviation(closed.coeffs, generic.coeffs).max())
+        coeff_resid = float(_row_deviation(closed, generic).max())
         # value pattern at z0: zero up to n except the single index m+1
         pat = draw_two_gap_map(rng, pattern_valid=True)
         rows = faber_system_from_recurrence(to_exterior_map(pat, n_highest),
-                                            n_highest).coeffs[1:pat.n + 1]
+                                            n_highest)[1:pat.n + 1]
         values = np.abs(evaluate_rows(rows, pat.z0)[0])          # |F_j(z0)|, j = 1..
         pattern = values / (1.0 + np.abs(rows).max(axis=1))
         if pat.m < len(rows):
@@ -219,12 +223,12 @@ def suite_theorem3(seed: int = 0, n_highest: int = 20, tol: float = 1e-9) -> Che
         lam = draw_polar(rng, 0.2 + 0.8 * rng.uniform())
         emap = exp_map_exterior(eta, lam, n_highest)
         detected = exponential_map_characterization(emap, eta, n_highest, tol)
-        closed = exp_map_faber_closed_form(eta, lam, n_highest).coeffs
-        recurrence = faber_system_from_recurrence(emap, n_highest).coeffs
+        closed = exp_map_faber_closed_form(eta, lam, n_highest)
+        recurrence = faber_system_from_recurrence(emap, n_highest)
         rows = _row_deviation(closed, recurrence)
         closed_resid = float(rows.max())
         if closed_resid > tol:      # the same sum over term magnitudes bounds its round-off
-            sizes = exp_map_faber_closed_form(-abs(eta), -abs(lam), n_highest).coeffs.real
+            sizes = exp_map_faber_closed_form(-abs(eta), -abs(lam), n_highest).real
             bound = (np.finfo(float).eps * np.arange(1, n_highest + 2) * sizes.max(axis=1)
                      / _row_scale(closed, recurrence))
             _refuse_undecided(f"theorem3 case {i}, N={n_highest}", rows, bound, tol)
@@ -241,10 +245,10 @@ def suite_theorem3(seed: int = 0, n_highest: int = 20, tol: float = 1e-9) -> Che
 def suite_chebyshev(n_highest: int = 24, tol: float = 1e-12) -> CheckReport:
     """Single-cusp closed form reduces to doubled Chebyshev on the half scale."""
     try:
-        closed = hypocycloid_faber_closed_form(1, n_highest).coeffs
+        closed = hypocycloid_faber_closed_form(1, n_highest)
     except OverflowError as exc:
         raise OverflowError(f"chebyshev at N={n_highest}: {exc}") from exc
-    residuals = _row_deviation(closed, chebyshev_scaled(n_highest).coeffs)[1:].tolist()
+    residuals = _row_deviation(closed, chebyshev_scaled(n_highest))[1:].tolist()
     return CheckReport.judged("chebyshev", residuals, tol)
 
 
@@ -254,8 +258,8 @@ def suite_he_formula(n_highest: int = 24, tol: float = 1e-9) -> CheckReport:
     for m in range(1, 5):
         emap = to_exterior_map(Hypocycloid(m), n_highest)
         try:
-            closed = hypocycloid_faber_closed_form(m, n_highest).coeffs
-            recurrence = faber_system_from_recurrence(emap, n_highest).coeffs
+            closed = hypocycloid_faber_closed_form(m, n_highest)
+            recurrence = faber_system_from_recurrence(emap, n_highest)
         except OverflowError as exc:
             raise OverflowError(f"he-formula at N={n_highest}, m={m}: {exc}") from exc
         residuals = _row_deviation(closed, recurrence)
@@ -311,17 +315,18 @@ def suite_rays(n_highest: int = 24, tol: float = 1e-6) -> CheckReport:
         directions = [2.0 * math.pi * v / (m + 1) for v in range(m + 1)]
         worst_angle = 0.0
         worst_resid = 0.0
-        system = hypocycloid_faber_closed_form(m, n_highest)
+        table = hypocycloid_faber_closed_form(m, n_highest)
         for j in range(1, n_highest + 1):
-            p = system[j]
-            scale = 1.0 + sum(abs(c) for c in p.coeffs)
+            row = table[j:j + 1, :j + 1]
             try:
-                roots = p.roots()
+                roots = ComplexPolynomial(row[0]).roots()
             except RootFindingError as exc:
                 raise RootFindingError(f"rays at m={m}, roots of F_{j}: {exc}",
                                        exc.roots, exc.residuals) from exc
+            values = evaluate_rows(row, np.array(roots))[0]
+            scale = 1.0 + np.abs(row).sum()
+            worst_resid = max(worst_resid, float(np.abs(values).max() / scale))
             for r in roots:
-                worst_resid = max(worst_resid, abs(p.evaluate(r)) / scale)
                 if abs(r) <= 1e-8:
                     continue
                 a = math.atan2(r.imag, r.real) % (2.0 * math.pi)

@@ -12,10 +12,12 @@ Every check returns a :class:`CheckReport`.  The facts made testable here:
   2 on are z0 + w exp((alpha0 - z0)/w), equivalently the tail must match
   alpha_j = (alpha0 - z0)^{j+1}/(j+1)!.
 
-All zero tests are relative to the coefficient scale of the polynomial
-being evaluated, since recurrence round-off grows with the index.  The
-infinite "all later values vanish" statements are necessarily checked up
-to the generated horizon, which the profile reports explicitly.
+A Faber system is read as the generators return it, one lower-triangular
+coefficient table whose row j holds F_j, and two systems are compared row
+by row.  All zero tests are relative to the coefficient scale of the
+polynomial being evaluated, since recurrence round-off grows with the
+index.  The infinite "all later values vanish" statements are necessarily
+checked up to the generated horizon, which the profile reports explicitly.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .faber import (ExteriorMap, FaberSystem, _kernel_tables, exp_map_exterior,
-                    faber_system_from_recurrence)
+from .faber import ExteriorMap, _kernel_tables, exp_map_exterior, faber_system_from_recurrence
 from .maps import GapMap, inverse_exp_map, to_exterior_map
 from .poly import evaluate_rows
 
@@ -85,7 +86,8 @@ def _row_scale(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _row_deviation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per row, max_k |a_k - b_k| relative to ``_row_scale`` (as coefficient_deviation)."""
+    """Per row, max_k |a_k - b_k| relative to ``_row_scale``: the coefficient
+    deviation of two systems, one entry per index j."""
     return _magnitude(a - b).max(axis=1) / _row_scale(a, b)
 
 
@@ -121,18 +123,19 @@ class CommonRootProfile:
         return len(self.values)
 
 
-def leading_common_root_order(system: FaberSystem, z0: complex,
+def leading_common_root_order(table: np.ndarray, z0: complex,
                               tol: float = 1e-10) -> CommonRootProfile:
-    """Profile the values |F_j(z0)|, j = 1..N, against per-index scales.
+    """Profile the values |F_j(z0)|, j = 1..N, of the coefficient table of
+    F_0 ... F_N against per-index scales.
 
     A value counts as nonzero when it exceeds tol * (1 + max coefficient
     magnitude of F_j).  For a gap map with parameters (z0, n) the expected
     outcome is first_nonvanishing = n + 1.
     """
-    if system.highest_index < 2:
+    if len(table) < 3:
         raise ValueError("profiling needs at least F_1 and F_2")
     z0 = complex(z0)
-    rows = system.coeffs[1:]
+    rows = table[1:]
     values = np.abs(evaluate_rows(rows, z0)[0])
     nonzero = np.flatnonzero(values > tol * (1.0 + np.abs(rows).max(axis=1)))
     first = int(nonzero[0]) + 1 if nonzero.size else None
@@ -151,7 +154,7 @@ def check_gap_coefficient_recovery(family: GapMap, n_highest: int,
         raise ValueError(f"recovering alpha_{family.n} needs N >= {family.n + 1}, "
                          f"got {n_highest}")
     emap = to_exterior_map(family, n_highest)
-    values = evaluate_rows(faber_system_from_recurrence(emap, n_highest).coeffs, family.z0)[0]
+    values = evaluate_rows(faber_system_from_recurrence(emap, n_highest), family.z0)[0]
     residuals = []
     for j in range(family.n, min(2 * family.n, n_highest - 1) + 1):
         expected = emap.alpha(j)
@@ -172,7 +175,7 @@ def exponential_map_characterization(emap: ExteriorMap, z0: complex, n_highest: 
     if n_highest < 3:
         raise ValueError("need at least F_3 to characterize the pattern")
     z0 = complex(z0)
-    table = faber_system_from_recurrence(emap, n_highest).coeffs
+    table = faber_system_from_recurrence(emap, n_highest)
     nonzero = np.abs(evaluate_rows(table, z0)[0]) > tol * (1.0 + np.abs(table).max(axis=1))
     if not nonzero[1] or nonzero[2:].any():
         return False
@@ -227,13 +230,13 @@ def check_inverse_power_decay(eta: complex, lam: complex, z_samples: Sequence[co
     if j == 0:
         return CheckReport(name="inverse-power-decay", passed=True, max_residual=0.0,
                            residuals=(0.0,) * len(pts), notes="trivial at j = 0")
-    fs = faber_system_from_recurrence(exp_map_exterior(eta, lam, j), j)
+    row = faber_system_from_recurrence(exp_map_exterior(eta, lam, j), j)[j:]
     tails = []
-    for z in pts:
+    for z, value in zip(pts, evaluate_rows(row, np.array(pts))[0][0].tolist()):
         phi = inverse_exp_map(z, eta, lam)
         if abs(phi) <= 1.0:
             raise ValueError(f"sample {z} maps inside the unit disk; it is not exterior")
-        tails.append(phi ** j - fs[j].evaluate(z))
+        tails.append(phi ** j - value)
     ok = True
     ratios = []
     for (z0, q0), (z1, q1) in zip(zip(pts, tails), zip(pts[1:], tails[1:])):

@@ -30,10 +30,11 @@ from faberpoly.maps import (ExpMap, Hypocycloid, chebyshev_scaled, evaluate_map,
                             inverse_exp_map, lambert_w0, lambert_w0_power_series,
                             starlikeness_grid_infimum, to_exterior_map,
                             two_gap_faber_system, univalence_certificate_bound)
+from faberpoly.poly import ComplexPolynomial, evaluate_rows
 from faberpoly.series import PowerSeries
 from faberpoly.suites import (draw_disk, draw_exterior_map, draw_gap_map,
                               draw_two_gap_map)
-from faberpoly.verify import check_derivative_identity
+from faberpoly.verify import _row_deviation, check_derivative_identity
 
 
 def verdict(number: int, passed: bool, text: str) -> None:
@@ -51,9 +52,8 @@ def test_criterion_01_oracle_equivalence():
         for _ in range(20):
             z = draw_disk(rng, 3.0)
             oracle = faber_values_from_log_series(emap, z, 30)
-            for j in range(1, 31):
-                scale = 1.0 + system[j].evaluation_magnitude(z)
-                worst = max(worst, abs(oracle[j - 1] - system[j].evaluate(z)) / scale)
+            values, magnitudes = evaluate_rows(system[1:], z)
+            worst = max(worst, np.max(np.abs(oracle - values) / (1.0 + magnitudes)))
     verdict(1, worst <= tol,
             f"log-series oracle vs recurrence, 50 maps x 20 points, j <= 30: "
             f"max deviation {worst:.3e} <= {tol}")
@@ -66,8 +66,7 @@ def test_criterion_02_closed_form_equivalence():
     for m in range(1, 5):
         system = faber_system_from_recurrence(to_exterior_map(Hypocycloid(m), 24), 24)
         closed = hypocycloid_faber_closed_form(m, 24)
-        for j in range(1, 25):
-            worst = max(worst, closed[j].coefficient_deviation(system[j]))
+        worst = max(worst, _row_deviation(closed, system).max())
     # exponential families over moduli and phases
     for mod in (0.0, 0.3, 0.7, 1.0):
         phases = [1.0] if mod == 0.0 else [cmath.exp(2j * math.pi * k / 8) for k in range(8)]
@@ -76,8 +75,7 @@ def test_criterion_02_closed_form_equivalence():
             for eta in (0.0, 0.35 - 0.2j):
                 system = faber_system_from_recurrence(exp_map_exterior(eta, lam, 20), 20)
                 closed = exp_map_faber_closed_form(eta, lam, 20)
-                for j in range(1, 21):
-                    worst = max(worst, closed[j].coefficient_deviation(system[j]))
+                worst = max(worst, _row_deviation(closed, system).max())
     # gap maps: closed form up to n + 1
     rng = np.random.default_rng(2)
     for _ in range(8):
@@ -85,16 +83,14 @@ def test_criterion_02_closed_form_equivalence():
         system = faber_system_from_recurrence(
             to_exterior_map(gap, max(gap.highest_index, gap.n + 1)), gap.n + 1)
         closed = gap_faber_closed_form(gap, gap.n + 1)
-        for j in range(gap.n + 2):
-            worst = max(worst, closed[j].coefficient_deviation(system[j]))
+        worst = max(worst, _row_deviation(closed, system).max())
     # two-gap maps: full piecewise system
     for _ in range(8):
         fam = draw_two_gap_map(rng)
         closed = two_gap_faber_system(fam, 24)
         generic = faber_system_from_recurrence(
             to_exterior_map(fam, max(fam.highest_index, 24)), 24)
-        for j in range(25):
-            worst = max(worst, closed[j].coefficient_deviation(generic[j]))
+        worst = max(worst, _row_deviation(closed, generic).max())
     verdict(2, worst <= tol,
             f"closed forms vs recurrence (hypocycloid, exponential, gap, two-gap): "
             f"max coefficient deviation {worst:.3e} <= {tol}")
@@ -103,7 +99,7 @@ def test_criterion_02_closed_form_equivalence():
 def test_criterion_03_chebyshev_identity():
     tol = 1e-12
     closed, cheb = hypocycloid_faber_closed_form(1, 24), chebyshev_scaled(24)
-    worst = max(closed[j].coefficient_deviation(cheb[j]) for j in range(1, 25))
+    worst = _row_deviation(closed, cheb)[1:].max()
     verdict(3, worst <= tol,
             f"single-cusp closed form equals doubled Chebyshev, j = 1..24: "
             f"max deviation {worst:.3e} <= {tol}")
@@ -115,9 +111,9 @@ def test_criterion_04_exponential_common_root_pattern():
     rng = np.random.default_rng(4)
     for eta, lam in ((0.0, 0.5), (0.3 - 0.1j, 0.8j), (1.0, -0.6 + 0.6j), (0.2, 1.0)):
         emap = exp_map_exterior(eta, lam, 20)
-        system = faber_system_from_recurrence(emap, 20)
-        ok &= abs(abs(system[1].evaluate(eta)) - abs(lam)) <= 1e-12 * (1 + abs(lam))
-        tail_max = max(abs(system[j].evaluate(eta)) for j in range(2, 21))
+        values = np.abs(evaluate_rows(faber_system_from_recurrence(emap, 20), eta)[0])
+        ok &= abs(values[1] - abs(lam)) <= 1e-12 * (1 + abs(lam))
+        tail_max = values[2:].max()
         worst_tail = max(worst_tail, tail_max)
         ok &= tail_max <= 1e-10
         # perturbing any tail coefficient participating in F_1..F_20 must
@@ -126,7 +122,7 @@ def test_criterion_04_exponential_common_root_pattern():
             tail = list(emap.tail)
             tail[k - 1] += 1e-3
             bumped = faber_system_from_recurrence(ExteriorMap(emap.alpha0, tail), 20)
-            broken = max(abs(bumped[j].evaluate(eta)) for j in range(2, 21))
+            broken = np.abs(evaluate_rows(bumped[2:], eta)[0]).max()
             ok &= broken > 1e-4
     verdict(4, ok,
             f"|F_1(eta)| = |lam| and F_j(eta) = 0 for 2 <= j <= 20 "
@@ -137,19 +133,17 @@ def test_criterion_05_generating_series_identities():
     tol = 1e-9
     rng = np.random.default_rng(5)
     worst = 0.0
+    index = np.arange(1, 21)
     for _ in range(30):
         emap = draw_exterior_map(rng, 24)
         z = draw_disk(rng, 3.0)
         system = faber_system_from_recurrence(emap, 20)
         ratio = faber_values_from_ratio_series(emap, z, 20)
         deriv = faber_derivative_values_from_series(emap, z, 20)
-        for j in range(21):
-            scale = 1.0 + system[j].evaluation_magnitude(z)
-            worst = max(worst, abs(ratio[j] - system[j].evaluate(z)) / scale)
-            if j >= 1:
-                dp = system[j].derivative()
-                dscale = 1.0 + dp.evaluation_magnitude(z)
-                worst = max(worst, abs(deriv[j - 1] - dp.evaluate(z) / j) / dscale)
+        values, magnitudes = evaluate_rows(system, z)
+        worst = max(worst, np.max(np.abs(ratio - values) / (1.0 + magnitudes)))
+        values, magnitudes = evaluate_rows(system[1:, 1:] * index, z)   # row j-1 is F_j'
+        worst = max(worst, np.max(np.abs(deriv - values / index) / (1.0 + magnitudes)))
     for lam in (0.7, 0.3 + 0.4j, cmath.exp(0.6j)):
         report = check_derivative_identity(lam, 20, tol)
         worst = max(worst, report.max_residual)
@@ -166,18 +160,16 @@ def test_criterion_06_kernel_expansion():
         ps = kernel_polys(lam, 15)
         fs = faber_system_from_recurrence(exp_map_exterior(0.0, lam, 15), 15)
         # definitional combination P_j = sum lam^{j-k} F_k, coefficientwise
-        for j in range(16):
-            direct = fs[0] * (lam ** j)
-            for k in range(1, j + 1):
-                direct = direct + (lam ** (j - k)) * fs[k]
-            worst_coeff = max(worst_coeff, ps[j].coefficient_deviation(direct))
+        direct = np.array([sum(lam ** (j - k) * fs[k] for k in range(j + 1))
+                           for j in range(16)])
+        worst_coeff = max(worst_coeff, _row_deviation(ps, direct).max())
         # kernel values: 20 points with z on the half-scale boundary curve
         for _ in range(20):
             theta = rng.uniform(0.0, 2.0 * math.pi)
             z = 0.5 * exp_map_boundary(lam, theta)
             t = draw_disk(rng, 0.5)
             kernel_value = 1.0 / (1.0 - z * t * cmath.exp(-lam * t))
-            partial = sum(p.evaluate(z) * t ** j for j, p in enumerate(ps))
+            partial = sum(p * t ** j for j, p in enumerate(evaluate_rows(ps, z)[0].tolist()))
             worst_sum = max(worst_sum, abs(kernel_value - partial))
         # series-engine coefficients of 1/(1 - z t e^{-lam t}) at fixed z
         t_series = PowerSeries([0, 1] + [0] * 14)
@@ -186,9 +178,8 @@ def test_criterion_06_kernel_expansion():
             z = 0.5 * exp_map_boundary(lam, rng.uniform(0.0, 2.0 * math.pi))
             kernel = PowerSeries(PowerSeries.one(15).coeffs
                                  - z * (t_series * exp_series).coeffs).reciprocal()
-            for j in range(16):
-                worst_series = max(worst_series,
-                                   abs(kernel.coeffs[j] - ps[j].evaluate(z)))
+            worst_series = max(worst_series,
+                               np.abs(kernel.coeffs - evaluate_rows(ps, z)[0]).max())
     passed = (worst_sum <= sum_tol and worst_coeff <= coeff_tol
               and worst_series <= series_tol)
     verdict(6, passed,
@@ -240,10 +231,10 @@ def test_criterion_08_gap_coefficient_recovery():
     for _ in range(20):
         gap = draw_gap_map(rng)
         emap = to_exterior_map(gap, max(gap.highest_index, 2 * gap.n + 1))
-        system = faber_system_from_recurrence(emap, 2 * gap.n + 1)
+        values = evaluate_rows(faber_system_from_recurrence(emap, 2 * gap.n + 1), gap.z0)[0]
         for j in range(gap.n, 2 * gap.n + 1):
             expected = emap.alpha(j)
-            recovered = -system[j + 1].evaluate(gap.z0) / (j + 1)
+            recovered = -values[j + 1] / (j + 1)
             worst = max(worst, abs(recovered - expected) / (1.0 + abs(expected)))
             bound_ok &= abs(expected) <= 2.0 / (j + 1) + 1e-15
     verdict(8, worst <= tol and bound_ok,
@@ -274,12 +265,11 @@ def test_criterion_10_root_rays():
         directions = [2 * math.pi * v / (m + 1) for v in range(m + 1)]
         system = hypocycloid_faber_closed_form(m, 24)
         for j in range(1, 25):
-            p = system[j]
-            if p.degree < 1:
-                continue
-            scale = 1.0 + sum(abs(c) for c in p.coeffs)
-            for r in p.roots():
-                worst_resid = max(worst_resid, abs(p.evaluate(r)) / scale)
+            row = system[j:j + 1, :j + 1]
+            roots = ComplexPolynomial(row[0]).roots()
+            values = evaluate_rows(row, np.array(roots))[0]
+            worst_resid = max(worst_resid, np.abs(values).max() / (1.0 + np.abs(row).sum()))
+            for r in roots:
                 if abs(r) <= 1e-8:
                     continue
                 angle = math.atan2(r.imag, r.real) % (2 * math.pi)

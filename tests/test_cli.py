@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from faberpoly.cli import main
-from faberpoly.faber import FaberSystem
 from faberpoly.maps import FAMILIES
 from faberpoly.poly import ComplexPolynomial, RootFindingError
 
@@ -91,13 +90,13 @@ class TestFamilies:
         assert list(desc) == ["family", *keys]
 
 
-def run_module(*argv):
+def run_module(*argv, python_flags=()):
     """The CLI in a fresh interpreter: exit code, stdout and stderr as text."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-m", "faberpoly.cli", *argv], cwd=ROOT,
-                            env=env, capture_output=True, text=True, timeout=300)
+    result = subprocess.run([sys.executable, *python_flags, "-m", "faberpoly.cli", *argv],
+                            cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     return result.returncode, result.stdout, result.stderr
 
 
@@ -121,6 +120,14 @@ class TestVerify:
         error = json.loads(capsys.readouterr().err)
         assert "ill-conditioned in float64" in error["message"]
         assert all(part in error["message"] for part in ("eq14", "lambda=", "N=40", "j="))
+
+    def test_eq14_overflow_names_the_suite(self):
+        code, out, err = run_cli_with_stderr("verify", "--suite", "eq14", "--lambda", "1e300",
+                                             "--N", "5")
+        assert code == 3 and out == ""
+        message = json.loads(err)["message"]
+        assert message.startswith("eq14 at lambda=(1e+300+0j), N=5: ")
+        assert "F_2" in message
 
     def test_eq14_round_off_below_tol_passes(self):
         code, out = run_cli("verify", "--suite", "eq14", "--lambda", "5", "--N", "40")
@@ -156,9 +163,9 @@ class TestVerify:
         original = suites.exp_map_faber_closed_form
 
         def corrupted(eta, lam, n_highest):
-            table = original(eta, lam, n_highest).coeffs.copy()
+            table = original(eta, lam, n_highest).copy()
             table[5, 2] += 1e-3
-            return FaberSystem(table)
+            return table
 
         monkeypatch.setattr(suites, "exp_map_faber_closed_form", corrupted)
         code, out = run_cli("verify", "--suite", "theorem3", "--N", n)
@@ -366,12 +373,12 @@ class TestTableWriter:
 
         def recorded(generate):
             def run(*args):
-                table = generate(*args).coeffs.copy()
+                table = generate(*args).copy()
                 if negative_zeros:              # every zero, the upper triangle's too
                     parts = table.view(float)
                     parts[parts == 0] = -0.0
                 tables.append(table)
-                return FaberSystem(table)
+                return table
             return run
 
         for name in ("faber_system_from_recurrence", "kernel_polys"):
@@ -446,6 +453,39 @@ class TestErrors:
     def test_malformed_complex(self):
         code, _ = run_cli("gen", "--family", "shift", "--alpha0", "bogus", "--N", "2")
         assert code == 2
+
+    def test_overflowing_map_coefficients_give_one_error_line(self):
+        # even with warnings as errors: no RuntimeWarning, only the JSON error
+        code, out, err = run_module("gen", "--family", "expmap", "--lambda", "1e308",
+                                    "--N", "3", python_flags=("-W", "error"))
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1
+        error = json.loads(err)
+        assert error["error"] == "non-convergence" and "F_2" in error["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--family", "shift", "--N", "2"),
+        ("verify", "--suite", "chebyshev"),
+        ("roots", "--family", "hypocycloid", "--j-max", "3"),
+        ("boundary", "--samples", "4"),
+        ("kernel", "--N", "2", "--format", "csv"),
+    ], ids=["gen", "verify", "roots", "boundary", "kernel"])
+    def test_unwritable_out_is_usage_error(self, tmp_path, argv):
+        target = tmp_path / "no" / "such" / "dir" / "x.json"
+        code, out, err = run_cli_with_stderr(*argv, "--out", str(target))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        error = json.loads(err)
+        assert error["error"] == "usage" and str(target) in error["message"]
+        assert not target.parent.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_out_that_fails_on_write_is_usage_error(self):
+        code, out, err = run_cli_with_stderr("gen", "--family", "shift", "--N", "2",
+                                             "--out", "/dev/full")
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "usage" and "/dev/full" in error["message"]
 
     def test_overflow_is_an_error_not_a_table(self):
         code, out, err = run_cli_with_stderr("gen", "--family", "shift", "--alpha0", "20",

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from faberpoly.faber import FaberSystem, exp_map_exterior, faber_system_from_recurrence
+from faberpoly.faber import exp_map_exterior, faber_system_from_recurrence, kernel_polys
 from faberpoly.maps import (BRANCH_POINT, BranchCutError, ExpMap, GapMap, Hypocycloid,
                             Shift, TwoGapMap, chebyshev_scaled, evaluate_map,
                             exp_map_boundary, exp_map_faber_closed_form,
@@ -14,8 +14,9 @@ from faberpoly.maps import (BRANCH_POINT, BranchCutError, ExpMap, GapMap, Hypocy
                             starlikeness_grid_infimum, starlikeness_infimum,
                             to_exterior_map, two_gap_faber_system,
                             univalence_certificate_bound)
-from faberpoly.poly import ComplexPolynomial
+from faberpoly.poly import ComplexPolynomial, evaluate_rows
 from faberpoly.suites import draw_two_gap_map
+from faberpoly.verify import _row_deviation
 
 try:
     from scipy.special import lambertw as scipy_lambertw
@@ -102,20 +103,18 @@ class TestEvaluateMap:
 class TestGapClosedForm:
     def test_low_indices_are_shifted_monomials(self):
         fam = GapMap(1.0, 3, (0.2,))
-        assert gap_faber_closed_form(fam, 0)[0].coeffs == (1 + 0j,)
-        p = gap_faber_closed_form(fam, 3)[3]
-        assert p.coefficient_deviation(
-            ComplexPolynomial((-1, 1)) * ComplexPolynomial((-1, 1)) * ComplexPolynomial((-1, 1))) < 1e-15
+        assert gap_faber_closed_form(fam, 0).tolist() == [[1]]
+        assert gap_faber_closed_form(fam, 3)[3].tolist() == [-1, 3, -3, 1]    # (z - 1)^3
 
     def test_corrected_index(self):
         # (z-1)^4 - 0.8
-        p = gap_faber_closed_form(GapMap(1.0, 3, (0.2,)), 4)[4]
-        assert abs(p.coeffs[0] - (1.0 - 0.8)) < 1e-15
-        assert abs(p.evaluate(1.0) + 0.8) < 1e-15
+        p = gap_faber_closed_form(GapMap(1.0, 3, (0.2,)), 4)[4:]
+        assert abs(p[0, 0] - (1.0 - 0.8)) < 1e-15
+        assert abs(evaluate_rows(p, 1.0)[0][0] + 0.8) < 1e-15
 
     def test_monomial_root_structure(self):
         fam = GapMap(0.5 + 0.5j, 2, (0.3,))
-        for r in gap_faber_closed_form(fam, 2)[2].roots():
+        for r in ComplexPolynomial(gap_faber_closed_form(fam, 2)[2]).roots():
             assert abs(r - (0.5 + 0.5j)) < 1e-7
 
     def test_beyond_closed_range_rejected(self):
@@ -127,8 +126,7 @@ class TestGapClosedForm:
         emap = to_exterior_map(fam, 8)
         fs = faber_system_from_recurrence(emap, 4)
         closed = gap_faber_closed_form(fam, 4)
-        for j in range(5):
-            assert closed[j].coefficient_deviation(fs[j]) < 1e-12
+        assert _row_deviation(closed, fs).max() < 1e-12
 
 
 class TestTwoGapSystem:
@@ -136,10 +134,9 @@ class TestTwoGapSystem:
         fam = TwoGapMap(0.2, 2, 0.3, 5, (0.1,))
         system = two_gap_faber_system(fam, 8)
         # branch 1: F_2 = (z - z0)^2
-        assert system[2].coefficient_deviation(
-            ComplexPolynomial((-0.2, 1)) * ComplexPolynomial((-0.2, 1))) < 1e-14
+        assert np.abs(system[2, :3] - (0.04, -0.4, 1)).max() < 1e-14
         # branch 2: F_3 = (z - z0)^3 - 3 alpha_m
-        assert abs(system[3].evaluate(0.2) + 3 * 0.3) < 1e-14
+        assert abs(evaluate_rows(system[3:4], 0.2)[0][0] + 3 * 0.3) < 1e-14
 
     def test_matches_generic_recurrence(self):
         rng = np.random.default_rng(17)
@@ -148,15 +145,14 @@ class TestTwoGapSystem:
             system = two_gap_faber_system(fam, 20)
             emap = to_exterior_map(fam, max(fam.highest_index, 20))
             generic = faber_system_from_recurrence(emap, 20)
-            for j in range(21):
-                assert system[j].coefficient_deviation(generic[j]) <= 1e-10
+            assert _row_deviation(system, generic).max() <= 1e-10
 
 
 class TestHypocycloidClosedForm:
     def test_single_cusp_hand_values(self):
         system = hypocycloid_faber_closed_form(1, 3)
-        assert system[3].coeffs == (0j, -3 + 0j, 0j, 1 + 0j)
-        assert system[2].coeffs == (-2 + 0j, 0j, 1 + 0j)
+        assert system[3].tolist() == [0, -3, 0, 1]
+        assert system[2].tolist() == [-2, 0, 1, 0]
 
     def test_rejects_index_zero(self):
         with pytest.raises(ValueError):
@@ -167,101 +163,91 @@ class TestHypocycloidClosedForm:
         for m in (2, 3):
             system = hypocycloid_faber_closed_form(m, 9)
             for j in (4, 7, 9):
-                p = system[j]
-                low = next(k for k, c in enumerate(p.coeffs) if c != 0)
-                assert low == j % (m + 1)
+                assert np.flatnonzero(system[j])[0] == j % (m + 1)
 
     def test_matches_recurrence_m2(self):
         emap = to_exterior_map(Hypocycloid(2), 24)
         fs = faber_system_from_recurrence(emap, 24)
         closed = hypocycloid_faber_closed_form(2, 24)
-        for j in range(1, 25):
-            dev = closed[j].coefficient_deviation(fs[j])
-            assert dev <= 1e-9
+        assert _row_deviation(closed, fs).max() <= 1e-9
 
     def test_tenth_polynomial_equal_within(self):
         # two independently computed F_10 compared within a tolerance
         emap = to_exterior_map(Hypocycloid(2), 10)
         fs = faber_system_from_recurrence(emap, 10)
-        assert hypocycloid_faber_closed_form(2, 10)[10].coefficient_deviation(fs[10]) <= 1e-10
+        assert _row_deviation(hypocycloid_faber_closed_form(2, 10)[10:], fs[10:]).max() <= 1e-10
 
 
 class TestChebyshevScaled:
     def test_low_indices(self):
         system = chebyshev_scaled(4)
-        assert system[0].coeffs == (1 + 0j,)
-        assert system[1].coeffs == (0j, 1 + 0j)
-        assert system[4].coeffs == (2 + 0j, 0j, -4 + 0j, 0j, 1 + 0j)
+        assert system[0].tolist() == [1, 0, 0, 0, 0]
+        assert system[1].tolist() == [0, 1, 0, 0, 0]
+        assert system[4].tolist() == [2, 0, -4, 0, 1]
 
     def test_equals_single_cusp_closed_form(self):
         closed, cheb = hypocycloid_faber_closed_form(1, 24), chebyshev_scaled(24)
-        for j in range(1, 25):
-            assert closed[j].coefficient_deviation(cheb[j]) <= 1e-12
+        assert _row_deviation(closed, cheb)[1:].max() <= 1e-12
 
 
 class TestExpMapClosedForm:
     def test_first_index(self):
         p = exp_map_faber_closed_form(0.3, 0.2j, 1)[1]
-        assert p.coefficient_deviation(ComplexPolynomial((-0.3 - 0.2j, 1))) < 1e-15
+        assert np.abs(p - (-0.3 - 0.2j, 1)).max() < 1e-15
 
     def test_second_index_hand_sum(self):
         eta, lam = 0.5, 0.25
         p = exp_map_faber_closed_form(eta, lam, 2)[2]
-        shifted = ComplexPolynomial((-eta, 1))
-        expected = shifted * shifted - (2 * lam) * shifted
-        assert p.coefficient_deviation(expected) < 1e-14
+        expected = np.convolve((-eta, 1), (-eta, 1)) - 2 * lam * np.array((-eta, 1, 0))
+        assert np.abs(p - expected).max() < 1e-14
 
     def test_zero_parameter_collapses_to_monomials(self):
         # 0^0 = 1 convention: lam = 0 must give (z - eta)^j
         eta = 0.7 - 0.1j
         p = exp_map_faber_closed_form(eta, 0.0, 6)[6]
-        expected = ComplexPolynomial((1.0,))
-        shifted = ComplexPolynomial((-eta, 1))
-        for _ in range(6):
-            expected = expected * shifted
-        assert p.coefficient_deviation(expected) < 1e-13
+        expected = [math.comb(6, k) * (-eta) ** (6 - k) for k in range(7)]
+        assert np.abs(p - expected).max() < 1e-13
 
     def test_common_root_at_center(self):
         for lam in (0.3, 0.9j, -0.5 + 0.5j, 1.0):
             eta = 0.2 - 0.4j
-            system = exp_map_faber_closed_form(eta, lam, 20)
-            for j in range(2, 21):
-                p = system[j]
-                assert abs(p.evaluate(eta)) <= 1e-10 * (1.0 + p.max_magnitude)
+            system = exp_map_faber_closed_form(eta, lam, 20)[2:]
+            values = evaluate_rows(system, eta)[0]
+            assert np.all(np.abs(values) <= 1e-10 * (1.0 + np.abs(system).max(axis=1)))
 
     def test_second_root_is_reflected_point(self):
         eta, lam = 0.1, 0.45
-        roots = exp_map_faber_closed_form(eta, lam, 2)[2].roots()
+        roots = ComplexPolynomial(exp_map_faber_closed_form(eta, lam, 2)[2]).roots()
         for expected in (eta, eta + 2 * lam):
             assert min(abs(r - expected) for r in roots) < 1e-9
 
     def test_third_polynomial_rejects_reflected_point(self):
         # F_3(eta + 2 lam) = -lam^3, nonzero whenever lam is
         for lam in (0.3, 0.8j, -0.6):
-            p = exp_map_faber_closed_form(0.0, lam, 3)[3]
-            assert abs(p.evaluate(2 * lam) + lam ** 3) < 1e-12
+            p = exp_map_faber_closed_form(0.0, lam, 3)[3:]
+            assert abs(evaluate_rows(p, 2 * lam)[0][0] + lam ** 3) < 1e-12
 
     def test_matches_recurrence(self):
         eta, lam = 0.35 - 0.2j, 0.7 * cmath.exp(0.5j)
         fs = faber_system_from_recurrence(exp_map_exterior(eta, lam, 20), 20)
         closed = exp_map_faber_closed_form(eta, lam, 20)
-        for j in range(1, 21):
-            dev = closed[j].coefficient_deviation(fs[j])
-            assert dev <= 1e-9
+        assert _row_deviation(closed, fs).max() <= 1e-9
 
 
-# coefficients reach 1e20 at j = 100 (single cusp), so a relative trim would drop the leading 1
+# every generator of a Faber or kernel system: coefficients reach 1e20 at
+# j = 100 (single cusp), so a relative trim would drop the leading 1
 @pytest.mark.parametrize("build", [
     lambda: gap_faber_closed_form(GapMap(0.9 - 0.4j, 99, (0.3,)), 100),
     lambda: two_gap_faber_system(TwoGapMap(0.9 - 0.4j, 2, 0.3, 5, (0.2, 0.1)), 100),
     lambda: hypocycloid_faber_closed_form(1, 100),
     lambda: chebyshev_scaled(100),
     lambda: exp_map_faber_closed_form(0.3, 0.5, 60),
-], ids=["gap", "twogap", "hypocycloid", "chebyshev", "expmap"])
+    lambda: faber_system_from_recurrence(to_exterior_map(ExpMap(0.3, 0.9), 100), 100),
+    lambda: kernel_polys(0.9, 100),
+], ids=["gap", "twogap", "hypocycloid", "chebyshev", "expmap", "recurrence", "kernel"])
 def test_closed_form_table_is_read_only_and_monic(build):
-    system = build()
-    assert isinstance(system, FaberSystem)
-    table = system.coeffs
+    table = build()
+    assert table.shape == (len(table), len(table)) and table.dtype == complex
     assert not table.flags.writeable
     assert np.all(np.diagonal(table) == 1.0)
     assert np.all(np.triu(table, 1) == 0.0)
@@ -501,8 +487,7 @@ class TestRootRays:
             directions = [2 * math.pi * v / (m + 1) for v in range(m + 1)]
             system = hypocycloid_faber_closed_form(m, 24)
             for j in (5, 11, 24):
-                p = system[j]
-                for r in p.roots():
+                for r in ComplexPolynomial(system[j]).roots():
                     if abs(r) <= 1e-8:
                         continue
                     angle = math.atan2(r.imag, r.real) % (2 * math.pi)

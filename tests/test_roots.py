@@ -35,7 +35,7 @@ def draw(rng, family):
 
 
 def faber(family, j):
-    return faber_system_from_recurrence(to_exterior_map(family, j), j)[j]
+    return poly.ComplexPolynomial(faber_system_from_recurrence(to_exterior_map(family, j), j)[j])
 
 
 def assert_roots_within_residual_bound(p, roots):
@@ -70,7 +70,7 @@ def test_exp_map_roots_match_mpmath(eta, lam, j):
     """Every 50-digit root q has a computed root within 64 eps times its
     condition number sum_k |c_k| |q|^k / |p'(q)| (the first-order effect of a
     64-eps backward error); these roots are simple and far apart on that scale."""
-    p = exp_map_faber_closed_form(eta, lam, j)[j]
+    p = poly.ComplexPolynomial(exp_map_faber_closed_form(eta, lam, j)[j])
     found = p.roots()
     assert len(found) == j
     with mpmath.workdps(50):
@@ -89,7 +89,7 @@ def test_exp_map_roots_match_mpmath(eta, lam, j):
 def test_sweep_count_ceiling(monkeypatch, build):
     """Each Aberth sweep is one Horner pass.  Started on the Cauchy circle,
     these took about 128 and 176 sweeps; from the Newton polygon, about 14 and 22."""
-    p = build()
+    p = poly.ComplexPolynomial(build())
     passes = []
     horner = poly._horner
 

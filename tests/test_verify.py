@@ -3,8 +3,9 @@ import pytest
 
 from faberpoly.faber import ExteriorMap, exp_map_exterior, faber_system_from_recurrence
 from faberpoly.maps import GapMap, Hypocycloid, to_exterior_map
+from faberpoly.poly import evaluate_rows
 from faberpoly.suites import draw_gap_map, draw_two_gap_map
-from faberpoly.verify import (CheckReport, check_gap_coefficient_recovery,
+from faberpoly.verify import (CheckReport, _row_deviation, check_gap_coefficient_recovery,
                               exponential_map_characterization,
                               leading_common_root_order)
 
@@ -48,9 +49,9 @@ class TestGapCoefficientRecovery:
 
     def test_values_recover_coefficients_directly(self):
         gap = GapMap(0.0, 2, (0.3, 0.1))
-        system = faber_system_from_recurrence(to_exterior_map(gap, 6), 6)
-        assert abs(-system[3].evaluate(0.0) / 3 - 0.3) < 1e-14
-        assert abs(-system[4].evaluate(0.0) / 4 - 0.1) < 1e-14
+        values = evaluate_rows(faber_system_from_recurrence(to_exterior_map(gap, 6), 6), 0.0)[0]
+        assert abs(-values[3] / 3 - 0.3) < 1e-14
+        assert abs(-values[4] / 4 - 0.1) < 1e-14
 
     def test_random_batch(self):
         rng = np.random.default_rng(8)
@@ -77,6 +78,21 @@ class TestGapCoefficientRecovery:
             for offset, alpha in enumerate(gap.tail):
                 j = gap.n + offset
                 assert abs(alpha) <= 2.0 / (j + 1) + 1e-15
+
+
+class TestRowDeviation:
+    def test_equal_to_itself(self):
+        table = np.array([[1, 0, 0], [2, 1, 0], [0, 3j, 1]])
+        assert np.all(_row_deviation(table, table) == 0.0)
+
+    def test_detects_offset(self):
+        # relative to 1 + the larger max |c| of the two rows: 1e-7 / 2 here
+        tol = 1e-8
+        a = np.array([[1, 0, 0], [0, 0, 1]], dtype=complex)
+        b = a.copy()
+        b[1, 0] = 10 * tol
+        assert _row_deviation(a, b).tolist() == [0.0, 10 * tol / 2]
+        assert not _row_deviation(a, b).max() <= tol
 
 
 class TestJudged:
@@ -132,14 +148,12 @@ class TestTwoGapValuePattern:
             fam = draw_two_gap_map(rng, pattern_valid=True)
             emap = to_exterior_map(fam, max(fam.highest_index, 2 * fam.n))
             system = faber_system_from_recurrence(emap, 2 * fam.n)
+            values = np.abs(evaluate_rows(system, fam.z0)[0])
             for j in range(1, fam.n + 1):
-                v = abs(system[j].evaluate(fam.z0))
                 if j == fam.m + 1:
                     expected = (fam.m + 1) * abs(fam.alpha_m)
-                    assert abs(v - expected) <= 1e-10 * (1 + expected)
+                    assert abs(values[j] - expected) <= 1e-10 * (1 + expected)
                 else:
-                    assert v <= 1e-10 * (1.0 + system[j].max_magnitude)
+                    assert values[j] <= 1e-10 * (1.0 + np.abs(system[j]).max())
             # both singled-out values are nonzero
-            v_m = abs(system[fam.m + 1].evaluate(fam.z0))
-            v_n = abs(system[fam.n + 1].evaluate(fam.z0))
-            assert v_m > 1e-6 and v_n > 1e-8
+            assert values[fam.m + 1] > 1e-6 and values[fam.n + 1] > 1e-8
