@@ -70,6 +70,32 @@ def _parse_complex_list(text: str) -> tuple[complex, ...]:
     return tuple(_parse_complex(part) for part in text.split(",") if part)
 
 
+#: options that take a number, or a comma-separated list of numbers
+_NUMBER_OPTIONS = ("--lambda", "--alpha0", "--z0", "--eta", "--alpha-m", "--tail",
+                   "--tol", "--theta")
+
+
+def _is_number_list(text: str) -> bool:
+    try:
+        return bool([complex(part.replace(" ", "")) for part in text.split(",") if part])
+    except ValueError:
+        return False
+
+
+def _attach_numbers(argv: list[str]) -> list[str]:
+    """Join a number that starts with "-" to the option before it, as in
+    ``--lambda=-0.7+0.2j``: argparse reads only plain negative decimals
+    such as -0.7 as values, and anything else that starts with "-" (-1j,
+    -1e-3) as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _NUMBER_OPTIONS and arg.startswith("-") and _is_number_list(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _pair(z: complex) -> list[float]:
     z = complex(z)
     return [z.real, z.imag]
@@ -256,7 +282,7 @@ def _write_csv(payload: dict, stream) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_numbers(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     runners = {"gen": _run_gen, "verify": _run_verify, "roots": _run_roots,

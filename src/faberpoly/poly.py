@@ -2,8 +2,10 @@
 coefficient tables.
 
 A Faber system is a coefficient table (see :mod:`faberpoly.faber`);
-``evaluate_rows`` evaluates all its rows at once, and one row becomes a
-:class:`ComplexPolynomial` only to find its roots.
+``evaluate_rows`` evaluates all its rows at once.  The private kernel
+``_aberth`` finds the roots of many rows in one batched Aberth iteration
+(the ``rays`` suite hands it a whole table), and
+:meth:`ComplexPolynomial.roots` is a batch of one row.
 
 Coefficients are stored in ascending order: ``coeffs[k]`` multiplies
 ``z**k``.  Trailing coefficients that are exactly zero are dropped and
@@ -33,13 +35,16 @@ class RootFindingError(ArithmeticError):
 
     Carries the last finite iterates (``roots``) and their residuals
     ``|p(r)|``, ``inf`` where that overflows and never NaN, so callers can
-    inspect or retry.
+    inspect or retry.  ``row`` is the failing row's position in the batch
+    given to ``_aberth``.
     """
 
-    def __init__(self, message: str, roots: Sequence[complex], residuals: Sequence[float]):
+    def __init__(self, message: str, roots: Sequence[complex], residuals: Sequence[float],
+                 row: int | None = None):
         super().__init__(message)
         self.roots = [complex(r) for r in roots]
         self.residuals = [float(r) for r in residuals]
+        self.row = row
 
 
 def _trimmed(raw: Iterable[complex]) -> tuple[complex, ...]:
@@ -151,57 +156,146 @@ class ComplexPolynomial:
         iterate and its noise floor must be finite.  A non-finite iterate,
         or ``ROOT_MAX_ITER`` sweeps without convergence, raises a
         :class:`RootFindingError` carrying the last finite iterates.
+
+        This is a batch of one row of the kernel ``_aberth``.
         """
         if self.degree < 1:
             raise ValueError("root finding needs degree >= 1")
-        c = np.asarray(self.coeffs, dtype=complex)
-        r = int(np.flatnonzero(c)[0])
-        zeros = [0j] * r
-        c = c[r:] / c[-1]
+        return _aberth([np.asarray(self.coeffs, dtype=complex)])[0].tolist()
+
+
+#: most iterate pairs, rows times the square of their padded degree, that one
+#: block of ``_aberth`` iterates at once; a larger row forms a block alone
+_PAIR_BUDGET = 1 << 12
+
+
+def _aberth(rows: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Roots of each ascending coefficient row (last entry nonzero, degree
+    >= 1), by the rules of :meth:`ComplexPolynomial.roots`.
+
+    Rows are iterated together in blocks, in ascending order, each under
+    ``_PAIR_BUDGET``.  Aberth's iterates do not interact across polynomials,
+    so every row follows its own rules and its own sweep count.  After the
+    first block in which a row fails, a :class:`RootFindingError` names the
+    lowest failing row by its position ``row`` in ``rows``.
+    """
+    found: list[np.ndarray | None] = []
+    block: list[tuple[int, np.ndarray, np.ndarray]] = []   # (position, row, monic part)
+    width = 0
+    for i, raw in enumerate(rows):
+        row = np.asarray(raw, dtype=complex)
+        r = int(np.flatnonzero(row)[0])
+        c = row[r:] / row[-1]
         n = len(c) - 1
-        if n == 0:
-            return zeros
-        if n == 1:
-            return zeros + [complex(-c[0])]
+        if n <= 1:
+            found.append(np.concatenate((np.zeros(r, dtype=complex), -c[:n])))
+            continue
+        found.append(None)
+        if block and (len(block) + 1) * max(width, n) ** 2 > _PAIR_BUDGET:
+            _solve_block(block, found)
+            block, width = [], 0
+        block.append((i, row, c))
+        width = max(width, n)
+    if block:
+        _solve_block(block, found)
+    return found
+
+
+def _solve_block(block: list[tuple[int, np.ndarray, np.ndarray]], found: list) -> None:
+    """Iterate the rows of one block at once and store each row's roots in
+    ``found``.  Rows are padded to the widest; a padded iterate sits at 0
+    and counts as settled.  Its pairs and each iterate's pair with itself
+    read +inf in the differences, so they drop out of the Aberth sums.
+    Finished rows leave the working arrays; the differences are written
+    into one buffer allocated per block."""
+    ns = np.array([len(c) - 1 for _, _, c in block])
+    n = int(ns.max())
+    # row k holds c_k, the z^k coefficient of p', and |c_k|, one row per
+    # Horner step over the stacked points (x, x, |x|) of each polynomial
+    stacked = np.zeros((n + 1, 3, len(block), 1), dtype=complex)
+    x = np.zeros((len(block), n), dtype=complex)
+    for p, (_, _, c) in enumerate(block):
+        k = len(c) - 1
         abs_c = np.abs(c)
-        dc = np.append(c[1:] * np.arange(1, n + 1), 0.0)
-        # row k holds c_k, the z^k coefficient of p', and |c_k|, one row per
-        # Horner step over the stacked points (x, x, |x|)
-        stacked = np.stack((c, dc, abs_c), axis=-1)[..., None]
-        eps = np.finfo(float).eps
-        x = _newton_polygon_starts(abs_c)
-        with np.errstate(all="ignore"):
-            for sweep in range(ROOT_MAX_ITER):
-                pv, dv, magnitude = _horner(stacked, np.stack((x, x, np.abs(x))))
-                diff = x[:, None] - x[None, :]
-                np.fill_diagonal(diff, np.inf)
-                if np.any(diff == 0):
-                    # split coinciding iterates deterministically and retry
-                    x = x + (1e-12 + 1e-12j) * (1.0 + np.abs(x)) * (np.arange(n) + 1)
-                    continue
-                noise_floor = 4.0 * eps * magnitude.real
-                settled = np.isfinite(noise_floor) & (np.abs(pv) <= noise_floor)
-                newton = np.where(settled, 0j, pv / np.where(dv == 0, 1.0, dv))
-                denom = 1.0 - newton * (1.0 / diff).sum(axis=1)
-                step = np.where(settled, 0j, newton / np.where(denom == 0, 1.0, denom))
-                x_next = x - step
-                if not np.all(np.isfinite(x_next)):
-                    message = f"Aberth iteration left the finite range in sweep {sweep + 1}"
-                    break
-                x = x_next
-                if bool(np.all(settled | (np.abs(step) < ROOT_STEP_TOL * (1.0 + np.abs(x))))):
-                    return zeros + [complex(z) for z in x]
-            else:
-                message = f"Aberth iteration did not converge in {ROOT_MAX_ITER} sweeps"
-            residuals = np.abs(_horner(np.asarray(self.coeffs, dtype=complex), x))
-        residuals[~np.isfinite(residuals)] = np.inf
-        raise RootFindingError(message, zeros + list(x), [0.0] * r + list(residuals))
+        stacked[:k + 1, :, p, 0] = np.stack((c, np.append(c[1:] * np.arange(1, k + 1), 0.0),
+                                             abs_c), axis=-1)
+        x[p, :k] = _newton_polygon_starts(abs_c)
+    padded = np.arange(n) >= ns[:, None] if ns.min() < n else None
+    blocked = np.eye(n, dtype=bool)[None]
+    if padded is not None:
+        blocked = blocked | padded[:, :, None] | padded[:, None, :]
+    buffer = np.empty((len(block), n, n), dtype=complex)
+    live = np.arange(len(block))          # block position of each working row
+    failed: dict[int, tuple[str, np.ndarray]] = {}
+    eps = np.finfo(float).eps
+    with np.errstate(all="ignore"):
+        for sweep in range(ROOT_MAX_ITER):
+            pv, dv, magnitude = _horner(stacked, np.array((x, x, np.abs(x))))
+            diff = np.subtract(x[:, :, None], x[:, None, :], out=buffer[:len(x)])
+            np.copyto(diff, np.inf, where=blocked)
+            coincide = diff == 0
+            split = coincide.any(axis=(1, 2)) if coincide.any() else None
+            noise_floor = 4.0 * eps * magnitude.real
+            settled = np.isfinite(noise_floor) & (np.abs(pv) <= noise_floor)
+            if padded is not None:
+                settled |= padded
+            newton = np.where(settled, 0j, pv / np.where(dv == 0, 1.0, dv))
+            denom = 1.0 - newton * np.divide(1.0, diff, out=diff).sum(axis=-1)
+            step = np.where(settled, 0j, newton / np.where(denom == 0, 1.0, denom))
+            x_next = x - step
+            if split is not None:
+                # split coinciding iterates deterministically and retry
+                xs = x[split]
+                x_next[split] = xs + (1e-12 + 1e-12j) * (1.0 + np.abs(xs)) * (np.arange(n) + 1)
+            finite = np.isfinite(x_next)
+            leave = None
+            if not finite.all():
+                leave = ~finite.all(axis=-1)
+                if split is not None:
+                    leave &= ~split
+                message = f"Aberth iteration left the finite range in sweep {sweep + 1}"
+                for p in np.flatnonzero(leave):
+                    failed[int(live[p])] = (message, x[p])
+            x = x_next
+            # a row that left the finite range is never done: its step is not finite
+            done = (settled | (np.abs(step) < ROOT_STEP_TOL * (1.0 + np.abs(x)))).all(axis=-1)
+            if split is not None:
+                done &= ~split
+            if not done.any() and leave is None:
+                continue
+            for p in np.flatnonzero(done):
+                i, raw, c = block[live[p]]
+                found[i] = np.concatenate((np.zeros(len(raw) - len(c), dtype=complex),
+                                           x[p, :len(c) - 1]))
+            keep = ~done if leave is None else ~(done | leave)
+            if failed:
+                keep &= live < min(failed)   # rows past a failure no longer count
+            if not keep.any():
+                break
+            x, stacked, live = x[keep], stacked[:, :, keep], live[keep]
+            if padded is not None:
+                padded, blocked = padded[keep], blocked[keep]
+        else:
+            message = f"Aberth iteration did not converge in {ROOT_MAX_ITER} sweeps"
+            for p, q in enumerate(live):
+                failed.setdefault(int(q), (message, x[p]))
+        if not failed:
+            return
+        q = min(failed)
+        message, last = failed[q]
+        i, raw, c = block[q]
+        last = last[:len(c) - 1]
+        residuals = np.abs(_horner(raw, last))
+    residuals[~np.isfinite(residuals)] = np.inf
+    r = len(raw) - len(c)
+    raise RootFindingError(message, [0j] * r + list(last), [0.0] * r + list(residuals), row=i)
 
 
 def _horner(coeffs_ascending: np.ndarray, x: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(x)
-    for c in coeffs_ascending[::-1]:
-        acc = acc * x + c
+    acc = np.zeros_like(x) * x + coeffs_ascending[-1]   # the result's shape and dtype
+    for c in coeffs_ascending[-2::-1]:
+        acc *= x
+        acc += c
     return acc
 
 

@@ -28,7 +28,7 @@ from .maps import (ExpMap, GapMap, Hypocycloid, TwoGapMap,
                    gap_faber_closed_form, hypocycloid_faber_closed_form,
                    inverse_exp_map, lambert_w0, lambert_w0_power_series,
                    to_exterior_map, two_gap_faber_system)
-from .poly import ComplexPolynomial, RootFindingError, evaluate_rows
+from .poly import RootFindingError, _aberth, _horner, evaluate_rows
 from .verify import (CheckReport, _refuse_non_finite, _refuse_undecided, _row_deviation,
                      _row_scale, check_derivative_identity, check_gap_coefficient_recovery,
                      combine, exponential_map_characterization, leading_common_root_order)
@@ -308,31 +308,29 @@ def suite_rays(n_highest: int = 24, tol: float = 1e-6) -> CheckReport:
     """Roots of hypocycloid Faber polynomials sit on the cusp rays, m = 1..4.
 
     ``tol`` judges the worst angle of a root off its nearest ray; every
-    root's residual must stay within 1e-8 of its polynomial's scale.
+    root's residual must stay within 1e-8 of its polynomial's scale.  Each
+    m solves its whole table in one batched Aberth call, and row j's roots
+    fill row j - 1 of a lower-triangular block.
     """
     reports = []
+    own = np.tri(n_highest, dtype=bool)          # row j - 1 holds the j roots of F_j
     for m in range(1, 5):
-        directions = [2.0 * math.pi * v / (m + 1) for v in range(m + 1)]
-        worst_angle = 0.0
-        worst_resid = 0.0
         table = hypocycloid_faber_closed_form(m, n_highest)
-        for j in range(1, n_highest + 1):
-            row = table[j:j + 1, :j + 1]
-            try:
-                roots = ComplexPolynomial(row[0]).roots()
-            except RootFindingError as exc:
-                raise RootFindingError(f"rays at m={m}, roots of F_{j}: {exc}",
-                                       exc.roots, exc.residuals) from exc
-            values = evaluate_rows(row, np.array(roots))[0]
-            scale = 1.0 + np.abs(row).sum()
-            worst_resid = max(worst_resid, float(np.abs(values).max() / scale))
-            for r in roots:
-                if abs(r) <= 1e-8:
-                    continue
-                a = math.atan2(r.imag, r.real) % (2.0 * math.pi)
-                d = min(min(abs(a - phi), 2.0 * math.pi - abs(a - phi))
-                        for phi in directions)
-                worst_angle = max(worst_angle, d)
+        rows = table[1:]
+        try:
+            found = _aberth([row[:j + 1] for j, row in enumerate(rows, 1)])
+        except RootFindingError as exc:
+            raise RootFindingError(f"rays at m={m}, roots of F_{exc.row + 1}: {exc}",
+                                   exc.roots, exc.residuals) from exc
+        roots = np.zeros((n_highest, n_highest), dtype=complex)
+        roots[own] = np.concatenate(found)
+        values = np.abs(_horner(rows.T[:, :, None], roots))
+        scale = 1.0 + np.abs(rows).sum(axis=1)
+        worst_resid = float((np.where(own, values, 0.0).max(axis=1) / scale).max())
+        angles = np.arctan2(roots.imag, roots.real) % (2.0 * math.pi)
+        off = np.abs(angles[..., None] - 2.0 * math.pi * np.arange(m + 1) / (m + 1))
+        off = np.minimum(off, 2.0 * math.pi - off).min(axis=-1)
+        worst_angle = float(off.max(initial=0.0, where=own & (np.abs(roots) > 1e-8)))
         ok = worst_angle <= tol and worst_resid <= 1e-8
         reports.append(CheckReport(f"rays-m{m}", ok, worst_angle))
     return combine("rays", reports)

@@ -450,6 +450,27 @@ class TestErrors:
                           "--tail", "0.2")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, flag, value", [
+        (("kernel", "--N", "2"), "--lambda", "-0.7+0.2j"),
+        (("gen", "--family", "shift", "--N", "2"), "--alpha0", "-1j"),
+        (("gen", "--family", "gap", "--N", "4"), "--z0", "-0.5+0.1j"),
+        (("gen", "--family", "expmap", "--N", "3"), "--eta", "-1e-1-0.1j"),
+        (("gen", "--family", "twogap", "--N", "3"), "--alpha-m", "-0.1+0.1j"),
+        (("gen", "--family", "gap", "--N", "4"), "--tail", "-0.2,0.1"),
+        (("verify", "--suite", "eq14", "--N", "5"), "--tol", "-1e-3"),
+        (("boundary",), "--theta", "-1e-3"),
+    ], ids=["lambda", "alpha0", "z0", "eta", "alpha-m", "tail", "tol", "theta"])
+    def test_number_starting_with_minus_is_a_value(self, argv, flag, value):
+        # argparse alone reads only plain negative decimals as values
+        joined = run_cli(*argv, f"{flag}={value}")
+        assert run_cli(*argv, flag, value) == joined
+        assert joined[0] in (0, 1)
+
+    def test_missing_number_still_names_its_option(self):
+        code, out, err = run_cli_with_stderr("kernel", "--lambda", "--N", "3")
+        assert code == 2 and out == ""
+        assert "--lambda" in json.loads(err)["message"]
+
     def test_malformed_complex(self):
         code, _ = run_cli("gen", "--family", "shift", "--alpha0", "bogus", "--N", "2")
         assert code == 2
