@@ -279,10 +279,16 @@ def _write_csv(payload: dict, stream) -> None:
         raise ValueError(f"no CSV layout for {command}")
 
 
+#: the parser main() builds on its first call and reuses after that
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(_attach_numbers(sys.argv[1:] if argv is None else list(argv)))
+        args = _parser.parse_args(_attach_numbers(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     runners = {"gen": _run_gen, "verify": _run_verify, "roots": _run_roots,

@@ -30,7 +30,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence, Union
 
 import numpy as np
@@ -276,16 +275,17 @@ def exp_map_faber_closed_form(eta: complex, lam: complex, n_highest: int) -> np.
         F_j(z) = j sum_{k=0}^{j} (-lam)^{j-k} k^{j-k-1}/(j-k)! (z-eta)^k,   j >= 1,
 
     with the 0^0 = 1 convention (so F_1 = z - eta - lam, and lam = 0
-    collapses to (z-eta)^j).  The exact rational coefficients in powers of
-    z - eta multiply the binomial table of those powers."""
+    collapses to (z-eta)^j).  Each rational coefficient in powers of z - eta,
+    rounded once to float by an exact integer division, multiplies the
+    binomial table of those powers."""
     if n_highest < 1:
         raise ValueError("the closed form starts at index 1")
     lam = complex(lam)
     in_powers = np.eye(n_highest + 1, dtype=complex)    # row j: F_j in powers of z - eta
     for j in range(1, n_highest + 1):
         for k in range(j):
-            rational = Fraction(j) * Fraction(k) ** (j - k - 1) / math.factorial(j - k)
-            in_powers[j, k] = float(rational) * (-lam) ** (j - k)
+            rational = j * k ** (j - k - 1) / math.factorial(j - k)
+            in_powers[j, k] = rational * (-lam) ** (j - k)
     return _read_only(in_powers @ _shifted_power_table(complex(eta), n_highest))
 
 

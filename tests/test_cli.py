@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from faberpoly import cli
 from faberpoly.cli import main
 from faberpoly.maps import FAMILIES
 from faberpoly.poly import ComplexPolynomial, RootFindingError
@@ -531,3 +532,30 @@ class TestErrors:
         assert out == ""
         error = json.loads(err)
         assert error["error"] == "usage" and "not a finite number" in error["message"]
+
+
+class TestParserReuse:
+    def test_main_builds_its_parser_once(self, monkeypatch):
+        built = []
+        original = cli.build_parser
+
+        def counted():
+            built.append(None)
+            return original()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counted)
+        for argv in (("gen", "--family", "shift", "--N", "2"), ("verify", "--suite", "eq14"),
+                     ("verify", "--suite", "nonsense"), ("kernel", "--N", "3"),
+                     ("roots", "--family", "hypocycloid", "--j-max", "3"),
+                     ("boundary", "--samples", "2")):
+            run_cli_with_stderr(*argv)
+        assert len(built) == 1
+
+    def test_a_reused_parser_writes_what_a_fresh_one_writes(self, monkeypatch):
+        gen = ("gen", "--family", "twogap", "--z0", "0.1j", "--m", "2", "--alpha-m", "-0.3j",
+               "--n", "5", "--tail", "0.1,0.05", "--N", "12")
+        monkeypatch.setattr(cli, "_parser", None)
+        assert run_cli_with_stderr("verify", "--suite", "chebyshev")[0] == 0
+        assert run_cli_with_stderr("gen", "--family", "shift", "--N", "x")[0] == 2
+        assert run_cli_with_stderr(*gen) == run_module(*gen)

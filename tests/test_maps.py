@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -13,7 +14,7 @@ from faberpoly.maps import (BRANCH_POINT, BranchCutError, ExpMap, GapMap, Hypocy
                             inverse_exp_map, lambert_w0, lambert_w0_power_series,
                             starlikeness_grid_infimum, starlikeness_infimum,
                             to_exterior_map, two_gap_faber_system,
-                            univalence_certificate_bound)
+                            univalence_certificate_bound, _shifted_power_table)
 from faberpoly.poly import ComplexPolynomial, evaluate_rows
 from faberpoly.suites import draw_two_gap_map
 from faberpoly.verify import _row_deviation
@@ -190,7 +191,42 @@ class TestChebyshevScaled:
         assert _row_deviation(closed, cheb)[1:].max() <= 1e-12
 
 
+def fraction_closed_form(eta, lam, n_highest):
+    """The exp-map closed form with each coefficient an exact Fraction,
+    rounded by float(), as the reference for the integer-division form."""
+    lam = complex(lam)
+    in_powers = np.eye(n_highest + 1, dtype=complex)
+    for j in range(1, n_highest + 1):
+        for k in range(j):
+            rational = Fraction(j) * Fraction(k) ** (j - k - 1) / math.factorial(j - k)
+            in_powers[j, k] = float(rational) * (-lam) ** (j - k)
+    return in_powers @ _shifted_power_table(complex(eta), n_highest)
+
+
 class TestExpMapClosedForm:
+    @pytest.mark.parametrize("eta", [0.0, 0.3 - 0.2j, -1.2 + 0.7j])
+    @pytest.mark.parametrize("lam", [0.0, 1e-3j, 0.45, -0.8 + 0.3j, 1.7, -3.0 - 2.0j])
+    def test_bit_identical_to_the_fraction_form(self, eta, lam):
+        for n in (1, 2, 7, 20, 33, 60):
+            table = exp_map_faber_closed_form(eta, lam, n)
+            assert table.tobytes() == fraction_closed_form(eta, lam, n).tobytes()
+
+    @pytest.mark.parametrize("n", [171, 300])
+    @pytest.mark.parametrize("lam, overflows", [(0.45, False), (-5.0 + 1.0j, False),
+                                                (100.0, True), (-1e3j, True)])
+    def test_past_the_float_factorials_same_table_or_same_overflow(self, n, lam, overflows):
+        # (j - k)! leaves the float range from 171 on; the division stays exact
+        if not overflows:
+            table = exp_map_faber_closed_form(0.2, lam, n)
+            assert table.tobytes() == fraction_closed_form(0.2, lam, n).tobytes()
+            return
+        with pytest.raises(OverflowError) as reference:
+            fraction_closed_form(0.2, lam, n)
+        with pytest.raises(OverflowError) as raised:
+            exp_map_faber_closed_form(0.2, lam, n)
+        assert (type(raised.value), str(raised.value)) == (type(reference.value),
+                                                           str(reference.value))
+
     def test_first_index(self):
         p = exp_map_faber_closed_form(0.3, 0.2j, 1)[1]
         assert np.abs(p - (-0.3 - 0.2j, 1)).max() < 1e-15
