@@ -30,7 +30,7 @@ print(f"expected jump at n + 1 = {gap.n + 1}; "
 print()
 
 # the tail coefficients are recoverable from the polynomial values at z0
-report = check_gap_coefficient_recovery(gap, 8, 1e-10)
+report = check_gap_coefficient_recovery(system, gap, 1e-10)
 print(f"coefficient recovery a_j = -F_(j+1)(z0)/(j+1): "
       f"passed={report.passed}, max residual {report.max_residual:.2e}")
 print()
@@ -45,7 +45,7 @@ print(f"exponential map with eta = {eta}, lam = {lam}:")
 print(f"  |F_1(eta)| = {profile.values[0]:.6f} (equals |lam|)")
 print(f"  max |F_j(eta)| for j >= 2: {max(profile.values[1:]):.3e}")
 print(f"  characterization check: "
-      f"{exponential_map_characterization(emap, eta, 16, 1e-9)}")
+      f"{exponential_map_characterization(system, emap, eta, 1e-9)}")
 print()
 
 # uniqueness: F_2 has roots eta and eta + 2 lam, but F_3 rejects the latter

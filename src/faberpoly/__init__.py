@@ -18,15 +18,15 @@ from .maps import (BranchCutError, ExpMap, GapMap, Hypocycloid, LambertResult,
 from .poly import ComplexPolynomial, RootFindingError
 from .series import PowerSeries
 from .verify import (CheckReport, CommonRootProfile, check_derivative_identity,
-                     check_gap_coefficient_recovery, check_inverse_power_decay,
-                     exponential_map_characterization, leading_common_root_order)
+                     check_gap_coefficient_recovery, exponential_map_characterization,
+                     leading_common_root_order)
 
 __all__ = [
     "BranchCutError", "CheckReport", "CommonRootProfile", "ComplexPolynomial",
     "ExpMap", "ExteriorMap", "GapMap", "Hypocycloid", "LambertResult",
     "MapFamily", "PowerSeries", "RootFindingError", "Shift", "TwoGapMap",
     "chebyshev_scaled", "check_derivative_identity",
-    "check_gap_coefficient_recovery", "check_inverse_power_decay",
+    "check_gap_coefficient_recovery",
     "evaluate_map", "exp_map_boundary", "exp_map_exterior",
     "exp_map_faber_closed_form", "exponential_map_characterization",
     "faber_derivative_values_from_series", "faber_system_from_recurrence",

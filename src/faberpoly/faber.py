@@ -25,7 +25,8 @@ coefficients of two generating series in t = 1/w,
 which this module evaluates with the truncated-series engine as numeric
 oracles against the recurrence.  For the exponential map w*exp(lam/w) it
 also builds the kernel polynomials P_j = sum_{k<=j} lam^{j-k} F_k.  This
-module only generates; the checkers live in :mod:`faberpoly.verify`.
+module only generates; the checkers in :mod:`faberpoly.verify` read the
+tables their callers built here, and judge them.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .faber import ExteriorMap, _read_only, exp_map_exterior
+from .faber import ExteriorMap, _finite_rows, _read_only, exp_map_exterior
 from .series import PowerSeries
 
 BRANCH_POINT = -math.exp(-1.0)
@@ -195,14 +195,15 @@ def gap_faber_closed_form(family: GapMap, n_highest: int) -> np.ndarray:
     table = _shifted_power_table(family.z0, n_highest)
     if n_highest == family.n + 1:
         table[-1, 0] -= (family.n + 1) * family.tail[0]
-    return _read_only(table)
+    return _read_only(_finite_rows(table, "the gap closed form", "F"))
 
 
 def two_gap_faber_system(family: TwoGapMap, n_highest: int) -> np.ndarray:
     """F_0 ... F_N of a two-gap map by its four-branch piecewise recurrence:
     shifted monomials up to m, one corrected monomial at m + 1, a constant-
     coefficient three-term recurrence up to n, then the full-tail recurrence.
-    Row j of the table holds F_j.
+    Row j of the table holds F_j.  Raises OverflowError naming the first
+    F_j that float64 cannot hold.
     """
     if n_highest < 0:
         raise ValueError("need a nonnegative highest index")
@@ -212,17 +213,18 @@ def two_gap_faber_system(family: TwoGapMap, n_highest: int) -> np.ndarray:
     table[:head + 1, :head + 1] = _shifted_power_table(z0, head)
     if head == m + 1:
         table[head, 0] -= (m + 1) * am
-    for j in range(head, n_highest):
-        row, prev = table[j + 1], table[j, :j + 1]
-        row[1:j + 2] = prev                     # (z - z0) F_j - alpha_m F_{j-m}
-        row[:j + 1] -= z0 * prev
-        row[:j - m + 1] -= am * table[j - m, :j - m + 1]
-        if j >= n:                              # the tail from index n on
-            for k in range(n, min(j, top) + 1):
-                row[:j - k + 1] -= family.tail[k - n] * table[j - k, :j - k + 1]
-            if j <= top:
-                row[0] -= j * family.tail[j - n]
-    return _read_only(table)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(head, n_highest):
+            row, prev = table[j + 1], table[j, :j + 1]
+            row[1:j + 2] = prev                     # (z - z0) F_j - alpha_m F_{j-m}
+            row[:j + 1] -= z0 * prev
+            row[:j - m + 1] -= am * table[j - m, :j - m + 1]
+            if j >= n:                              # the tail from index n on
+                for k in range(n, min(j, top) + 1):
+                    row[:j - k + 1] -= family.tail[k - n] * table[j - k, :j - k + 1]
+                if j <= top:
+                    row[0] -= j * family.tail[j - n]
+    return _read_only(_finite_rows(table, "the two-gap recurrence", "F"))
 
 
 def hypocycloid_faber_closed_form(m: int, n_highest: int) -> np.ndarray:
@@ -277,24 +279,36 @@ def exp_map_faber_closed_form(eta: complex, lam: complex, n_highest: int) -> np.
     with the 0^0 = 1 convention (so F_1 = z - eta - lam, and lam = 0
     collapses to (z-eta)^j).  Each rational coefficient in powers of z - eta,
     rounded once to float by an exact integer division, multiplies the
-    binomial table of those powers."""
+    binomial table of those powers.  Raises OverflowError naming the first
+    F_j that float64 cannot hold."""
     if n_highest < 1:
         raise ValueError("the closed form starts at index 1")
     lam = complex(lam)
+    powers = _shifted_power_table(complex(eta), n_highest)
+    held = int(np.isfinite(powers).all(axis=1).sum())   # NaN from the first overflow on
     in_powers = np.eye(n_highest + 1, dtype=complex)    # row j: F_j in powers of z - eta
-    for j in range(1, n_highest + 1):
+    for j in range(1, held):
         for k in range(j):
             rational = j * k ** (j - k - 1) / math.factorial(j - k)
             in_powers[j, k] = rational * (-lam) ** (j - k)
-    return _read_only(in_powers @ _shifted_power_table(complex(eta), n_highest))
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = in_powers[:, :held] @ powers[:held]
+    table[held:] = np.nan
+    return _read_only(_finite_rows(table, "the exp-map closed form", "F"))
 
 
 def _shifted_power_table(z0: complex, n_highest: int) -> np.ndarray:
     """Lower-triangular table whose row j holds the ascending coefficients of
-    (z - z0)^j, j = 0..N, by the binomial theorem."""
+    (z - z0)^j, j = 0..N, by the binomial theorem.  From the first row with a
+    binomial or a power beyond float64 on, the rows are NaN, for the caller's
+    ``_finite_rows`` to name."""
     table = np.zeros((n_highest + 1, n_highest + 1), dtype=complex)
     for j in range(n_highest + 1):
-        table[j, :j + 1] = [math.comb(j, k) * (-z0) ** (j - k) for k in range(j + 1)]
+        try:
+            table[j, :j + 1] = [math.comb(j, k) * (-z0) ** (j - k) for k in range(j + 1)]
+        except OverflowError:
+            table[j:] = np.nan
+            break
     return table
 
 

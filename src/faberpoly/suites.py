@@ -1,8 +1,11 @@
 """Named, seeded verification suites combining every module.
 
-Each suite returns a :class:`CheckReport`; all randomness flows through an
-explicit seed, so a suite run is reproducible bit for bit.  These are the
-checks the command line exposes under ``verify --suite NAME``.
+Each suite returns one :class:`CheckReport` from ``CheckReport.verdict`` (or
+``judged``) over its cases, one (passed, residual) per map, pair or m,
+taken lazily, so the first residual that is not finite stops the suite
+before the next case is drawn.  All randomness flows through an explicit
+seed, so a suite run is reproducible bit for bit.  These are the checks
+the command line exposes under ``verify --suite NAME``.
 
 The draws are part of every report.  Each disk point takes two uniforms
 from the generator, its radius and then its angle (``draw_disks`` takes k
@@ -34,9 +37,9 @@ from .maps import (ExpMap, GapMap, Hypocycloid, TwoGapMap,
                    inverse_exp_map, lambert_w0, lambert_w0_power_series,
                    to_exterior_map, two_gap_faber_system)
 from .poly import RootFindingError, _aberth, _horner, evaluate_rows
-from .verify import (CheckReport, _refuse_non_finite, _refuse_undecided, _row_deviation,
-                     _row_scale, check_derivative_identity, check_gap_coefficient_recovery,
-                     combine, exponential_map_characterization, leading_common_root_order)
+from .verify import (CheckReport, _refuse_undecided, _row_deviation, _row_scale,
+                     check_derivative_identity, check_gap_coefficient_recovery,
+                     exponential_map_characterization, leading_common_root_order)
 
 SUITE_NAMES = (
     "recurrence-vs-oracle", "eq13", "eq14", "eq16",
@@ -123,12 +126,8 @@ def _per_map(name: str, seed: int, maps: int, truncation: int, residual,
     """Judge ``residual(rng, emap)`` on ``maps`` seeded random maps of the given
     truncation; the first map whose residual is not finite stops the check."""
     rng = np.random.default_rng(seed)
-    residuals = []
-    for _ in range(maps):
-        r = residual(rng, draw_exterior_map(rng, truncation))
-        _refuse_non_finite(name, (r,))
-        residuals.append(r)
-    return CheckReport.judged(name, residuals, tol)
+    return CheckReport.judged(name, (residual(rng, draw_exterior_map(rng, truncation))
+                                     for _ in range(maps)), tol)
 
 
 def suite_recurrence_vs_oracle(seed: int = 0, n_highest: int = 30,
@@ -179,23 +178,22 @@ def suite_theorem1(seed: int = 0, tol: float = 1e-10) -> CheckReport:
     """Gap maps: monomial prefix, first nonvanishing value, coefficient
     recovery, on 20 random draws."""
     rng = np.random.default_rng(seed)
-    reports = []
-    for i in range(20):
-        gap = draw_gap_map(rng)
-        n_highest = 2 * gap.n + 2
-        table = faber_system_from_recurrence(to_exterior_map(gap, n_highest), n_highest)
-        profile = leading_common_root_order(table, gap.z0, tol)
-        ok = profile.first_nonvanishing == gap.n + 1
-        value_resid = abs(profile.values[gap.n] - (gap.n + 1) * abs(gap.tail[0])) \
-            / (1.0 + (gap.n + 1) * abs(gap.tail[0]))
-        head = gap.n + 2
-        closed_resid = float(_row_deviation(gap_faber_closed_form(gap, gap.n + 1),
-                                            table[:head, :head]).max())
-        recovery = check_gap_coefficient_recovery(gap, n_highest, tol)
-        worst = max(value_resid, closed_resid, recovery.max_residual)
-        reports.append(CheckReport(
-            f"theorem1-case-{i}", ok and worst <= tol and recovery.passed, worst))
-    return combine("theorem1", reports)
+
+    def cases():
+        for _ in range(20):
+            gap = draw_gap_map(rng)
+            n_highest = 2 * gap.n + 2
+            table = faber_system_from_recurrence(to_exterior_map(gap, n_highest), n_highest)
+            profile = leading_common_root_order(table, gap.z0, tol)
+            expected = (gap.n + 1) * abs(gap.tail[0])
+            value_resid = abs(profile.values[gap.n] - expected) / (1.0 + expected)
+            head = gap.n + 2
+            closed_resid = _row_deviation(gap_faber_closed_form(gap, gap.n + 1),
+                                          table[:head, :head]).max()
+            recovery = check_gap_coefficient_recovery(table, gap, tol)
+            worst = np.max((value_resid, closed_resid, recovery.max_residual))
+            yield profile.first_nonvanishing == gap.n + 1 and worst <= tol, worst
+    return CheckReport.verdict("theorem1", cases())
 
 
 def suite_theorem2(seed: int = 0, n_highest: int = 24, tol: float = 1e-9) -> CheckReport:
@@ -206,54 +204,61 @@ def suite_theorem2(seed: int = 0, n_highest: int = 24, tol: float = 1e-9) -> Che
     value pattern only on maps with n <= 2m + 1 (see draw_two_gap_map).
     """
     rng = np.random.default_rng(seed)
-    reports = []
-    for i in range(10):
-        fam = draw_two_gap_map(rng)
-        closed = two_gap_faber_system(fam, n_highest)
-        generic = faber_system_from_recurrence(to_exterior_map(fam, n_highest), n_highest)
-        coeff_resid = float(_row_deviation(closed, generic).max())
-        # value pattern at z0: zero up to n except the single index m+1
-        pat = draw_two_gap_map(rng, pattern_valid=True)
-        rows = faber_system_from_recurrence(to_exterior_map(pat, n_highest),
-                                            n_highest)[1:pat.n + 1]
-        values = np.abs(evaluate_rows(rows, pat.z0)[0])          # |F_j(z0)|, j = 1..
-        pattern = values / (1.0 + np.abs(rows).max(axis=1))
-        if pat.m < len(rows):
-            expected = (pat.m + 1) * abs(pat.alpha_m)
-            pattern[pat.m] = abs(values[pat.m] - expected) / (1.0 + expected)
-        pattern_resid = float(pattern.max(initial=0.0))
-        reports.append(CheckReport.judged(f"theorem2-case-{i}",
-                                          (coeff_resid, pattern_resid), tol))
-    return combine("theorem2", reports)
+
+    def cases():
+        for i in range(10):
+            try:
+                fam = draw_two_gap_map(rng)
+                closed = two_gap_faber_system(fam, n_highest)
+                generic = faber_system_from_recurrence(to_exterior_map(fam, n_highest),
+                                                       n_highest)
+                # value pattern at z0: zero up to n except the single index m+1
+                pat = draw_two_gap_map(rng, pattern_valid=True)
+                rows = faber_system_from_recurrence(to_exterior_map(pat, n_highest),
+                                                    n_highest)[1:pat.n + 1]
+            except OverflowError as exc:
+                raise OverflowError(f"theorem2 case {i}, N={n_highest}: {exc}") from exc
+            values = np.abs(evaluate_rows(rows, pat.z0)[0])          # |F_j(z0)|, j = 1..
+            pattern = values / (1.0 + np.abs(rows).max(axis=1))
+            if pat.m < len(rows):
+                expected = (pat.m + 1) * abs(pat.alpha_m)
+                pattern[pat.m] = abs(values[pat.m] - expected) / (1.0 + expected)
+            yield np.max((_row_deviation(closed, generic).max(), pattern.max(initial=0.0)))
+    return CheckReport.judged("theorem2", cases(), tol)
 
 
 def suite_theorem3(seed: int = 0, n_highest: int = 20, tol: float = 1e-9) -> CheckReport:
     """Exponential maps: common-root pattern, closed form, perturbation
     breaks it, on 10 random draws."""
     rng = np.random.default_rng(seed)
-    reports = []
-    for i in range(10):
-        eta = draw_disk(rng, 1.5)
-        lam = draw_polar(rng, 0.2 + 0.8 * rng.uniform())
-        emap = exp_map_exterior(eta, lam, n_highest)
-        detected = exponential_map_characterization(emap, eta, n_highest, tol)
-        closed = exp_map_faber_closed_form(eta, lam, n_highest)
-        recurrence = faber_system_from_recurrence(emap, n_highest)
-        rows = _row_deviation(closed, recurrence)
-        closed_resid = float(rows.max())
-        if closed_resid > tol:      # the same sum over term magnitudes bounds its round-off
-            sizes = exp_map_faber_closed_form(-abs(eta), -abs(lam), n_highest).real
-            bound = (np.finfo(float).eps * np.arange(1, n_highest + 2) * sizes.max(axis=1)
-                     / _row_scale(closed, recurrence))
-            _refuse_undecided(f"theorem3 case {i}, N={n_highest}", rows, bound, tol)
-        k = int(rng.integers(1, emap.truncation + 1))
-        bumped_tail = list(emap.tail)
-        bumped_tail[k - 1] += 1e-3
-        bumped = ExteriorMap(emap.alpha0, bumped_tail)
-        broken = not exponential_map_characterization(bumped, eta, n_highest, tol)
-        ok = detected and broken and closed_resid <= tol
-        reports.append(CheckReport(f"theorem3-case-{i}", ok, closed_resid))
-    return combine("theorem3", reports)
+
+    def cases():
+        for i in range(10):
+            eta = draw_disk(rng, 1.5)
+            lam = draw_polar(rng, 0.2 + 0.8 * rng.uniform())
+            where = f"theorem3 case {i}, N={n_highest}"
+            try:
+                emap = exp_map_exterior(eta, lam, n_highest)
+                recurrence = faber_system_from_recurrence(emap, n_highest)
+                detected = exponential_map_characterization(recurrence, emap, eta, tol)
+                closed = exp_map_faber_closed_form(eta, lam, n_highest)
+                rows = _row_deviation(closed, recurrence)
+                closed_resid = rows.max()
+                if closed_resid > tol:  # the same sum over term magnitudes bounds its round-off
+                    sizes = exp_map_faber_closed_form(-abs(eta), -abs(lam), n_highest).real
+                    bound = (np.finfo(float).eps * np.arange(1, n_highest + 2)
+                             * sizes.max(axis=1) / _row_scale(closed, recurrence))
+                    _refuse_undecided(where, rows, bound, tol)
+                k = int(rng.integers(1, emap.truncation + 1))
+                bumped_tail = list(emap.tail)
+                bumped_tail[k - 1] += 1e-3
+                bumped = ExteriorMap(emap.alpha0, bumped_tail)
+                broken = not exponential_map_characterization(
+                    faber_system_from_recurrence(bumped, n_highest), bumped, eta, tol)
+            except OverflowError as exc:
+                raise OverflowError(f"{where}: {exc}") from exc
+            yield detected and broken and closed_resid <= tol, closed_resid
+    return CheckReport.verdict("theorem3", cases())
 
 
 def suite_chebyshev(n_highest: int = 24, tol: float = 1e-12) -> CheckReport:
@@ -268,17 +273,16 @@ def suite_chebyshev(n_highest: int = 24, tol: float = 1e-12) -> CheckReport:
 
 def suite_he_formula(n_highest: int = 24, tol: float = 1e-9) -> CheckReport:
     """Hypocycloid closed form against the recurrence for m = 1..4."""
-    reports = []
-    for m in range(1, 5):
-        emap = to_exterior_map(Hypocycloid(m), n_highest)
-        try:
-            closed = hypocycloid_faber_closed_form(m, n_highest)
-            recurrence = faber_system_from_recurrence(emap, n_highest)
-        except OverflowError as exc:
-            raise OverflowError(f"he-formula at N={n_highest}, m={m}: {exc}") from exc
-        residuals = _row_deviation(closed, recurrence)
-        reports.append(CheckReport.judged(f"he-formula-m{m}", residuals.tolist(), tol))
-    return combine("he-formula", reports)
+    def cases():
+        for m in range(1, 5):
+            emap = to_exterior_map(Hypocycloid(m), n_highest)
+            try:
+                closed = hypocycloid_faber_closed_form(m, n_highest)
+                recurrence = faber_system_from_recurrence(emap, n_highest)
+            except OverflowError as exc:
+                raise OverflowError(f"he-formula at N={n_highest}, m={m}: {exc}") from exc
+            yield _row_deviation(closed, recurrence).max()
+    return CheckReport.judged("he-formula", cases(), tol)
 
 
 def suite_lambert(seed: int = 0, tol: float = 1e-12) -> CheckReport:
@@ -287,7 +291,7 @@ def suite_lambert(seed: int = 0, tol: float = 1e-12) -> CheckReport:
     rng = np.random.default_rng(seed)
     # defining-identity residual off the cut: a pair on the cut is replaced by
     # a fresh one, drawn in a block with the other replacements
-    worst_grid = 0.0
+    grid = []
     wanted = 1000
     while wanted:
         pairs = rng.uniform(-4.0, 4.0, size=(wanted, 2)).tolist()
@@ -300,26 +304,26 @@ def suite_lambert(seed: int = 0, tol: float = 1e-12) -> CheckReport:
             res = lambert_w0(t)
             if not res.converged:
                 raise ArithmeticError(f"lambert: no convergence at t={t}")
-            worst_grid = max(worst_grid, res.residual / (1.0 + abs(t)))
+            grid.append(res.residual / (1.0 + abs(t)))
     # inverse map round trip through the exponential map
     eta, lam = 0.3 - 0.2j, 0.8
     fam = ExpMap(eta, lam)
-    worst_round = 0.0
+    round_trips = []
     for u, v in rng.uniform(size=(100, 2)).tolist():
         radius = 1.1 + 8.9 * u
         w = radius * cmath.exp(1j * (2.0 * math.pi * v))
         z = evaluate_map(fam, w)
-        worst_round = max(worst_round, abs(inverse_exp_map(z, eta, lam) - w))
+        round_trips.append(abs(inverse_exp_map(z, eta, lam) - w))
     # summed power series against Halley values on |t| = 0.1
     series = lambert_w0_power_series(1, 20)
-    worst_series = 0.0
+    misses = []
     for k in range(16):
         t = 0.1 * cmath.exp(2j * math.pi * k / 16.0)
         summed = sum(c * t ** i for i, c in enumerate(series.coeffs.tolist()))
-        worst_series = max(worst_series, abs(summed - lambert_w0(t).value))
-    passed = worst_grid <= tol and worst_round <= 1e-10 and worst_series <= 1e-10
-    return CheckReport("lambert", passed, max(worst_grid, worst_round, worst_series),
-                       (worst_grid, worst_round, worst_series))
+        misses.append(abs(summed - lambert_w0(t).value))
+    return CheckReport.verdict("lambert", ((worst <= bound, worst) for worst, bound in
+                                           zip(map(np.max, (grid, round_trips, misses)),
+                                               (tol, 1e-10, 1e-10))))
 
 
 def suite_rays(n_highest: int = 24, tol: float = 1e-6) -> CheckReport:
@@ -330,28 +334,28 @@ def suite_rays(n_highest: int = 24, tol: float = 1e-6) -> CheckReport:
     m solves its whole table in one batched Aberth call, and row j's roots
     fill row j - 1 of a lower-triangular block.
     """
-    reports = []
     own = np.tri(n_highest, dtype=bool)          # row j - 1 holds the j roots of F_j
-    for m in range(1, 5):
-        table = hypocycloid_faber_closed_form(m, n_highest)
-        rows = table[1:]
-        try:
-            found = _aberth([row[:j + 1] for j, row in enumerate(rows, 1)])
-        except RootFindingError as exc:
-            raise RootFindingError(f"rays at m={m}, roots of F_{exc.row + 1}: {exc}",
-                                   exc.roots, exc.residuals) from exc
-        roots = np.zeros((n_highest, n_highest), dtype=complex)
-        roots[own] = np.concatenate(found)
-        values = np.abs(_horner(rows.T[:, :, None], roots))
-        scale = 1.0 + np.abs(rows).sum(axis=1)
-        worst_resid = float((np.where(own, values, 0.0).max(axis=1) / scale).max())
-        angles = np.arctan2(roots.imag, roots.real) % (2.0 * math.pi)
-        off = np.abs(angles[..., None] - 2.0 * math.pi * np.arange(m + 1) / (m + 1))
-        off = np.minimum(off, 2.0 * math.pi - off).min(axis=-1)
-        worst_angle = float(off.max(initial=0.0, where=own & (np.abs(roots) > 1e-8)))
-        ok = worst_angle <= tol and worst_resid <= 1e-8
-        reports.append(CheckReport(f"rays-m{m}", ok, worst_angle))
-    return combine("rays", reports)
+
+    def cases():
+        for m in range(1, 5):
+            table = hypocycloid_faber_closed_form(m, n_highest)
+            rows = table[1:]
+            try:
+                found = _aberth([row[:j + 1] for j, row in enumerate(rows, 1)])
+            except RootFindingError as exc:
+                raise RootFindingError(f"rays at m={m}, roots of F_{exc.row + 1}: {exc}",
+                                       exc.roots, exc.residuals) from exc
+            roots = np.zeros((n_highest, n_highest), dtype=complex)
+            roots[own] = np.concatenate(found)
+            values = np.abs(_horner(rows.T[:, :, None], roots))
+            scale = 1.0 + np.abs(rows).sum(axis=1)
+            worst_resid = (np.where(own, values, 0.0).max(axis=1) / scale).max()
+            angles = np.arctan2(roots.imag, roots.real) % (2.0 * math.pi)
+            off = np.abs(angles[..., None] - 2.0 * math.pi * np.arange(m + 1) / (m + 1))
+            off = np.minimum(off, 2.0 * math.pi - off).min(axis=-1)
+            worst_angle = off.max(initial=0.0, where=own & (np.abs(roots) > 1e-8))
+            yield worst_angle <= tol and worst_resid <= 1e-8, worst_angle
+    return CheckReport.verdict("rays", cases())
 
 
 #: the command-line flag of each option a suite may take
@@ -388,6 +392,6 @@ def run_suite(name: str, seed: int = 0, n_highest: int | None = None,
         kwargs = {key: value for key, value in given.items() if key in taken}
         if "seed" in taken:
             kwargs["seed"] = seed
-        with np.errstate(all="ignore"):     # CheckReport.judged refuses what overflows
+        with np.errstate(all="ignore"):     # CheckReport.verdict refuses what overflows
             reports.append(suite(**kwargs))
     return reports

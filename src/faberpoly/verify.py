@@ -1,9 +1,12 @@
 """Verdicts and checkers for the identities and theorems of Faber systems.
 
-Every check returns a :class:`CheckReport`.  The facts made testable here:
+Every report comes from :meth:`CheckReport.verdict`, which takes each case's
+(passed, residual) in order and refuses the first residual that is NaN or
+inf; :meth:`CheckReport.judged` is its case of residuals held to one
+tolerance.  The facts made testable here:
 
 * z F_j'(z) = j P_j(z) for the exponential map w*exp(lam/w) and its
-  kernel polynomials, and Phi(z)^j - F_j(z) = O(1/z) along a ray;
+  kernel polynomials;
 * a map of the form w + z0 + sum_{j>=n} alpha_j w^{-j} (alpha_n != 0) has
   F_j(z0) = 0 exactly for j = 1..n, with |F_{n+1}(z0)| = (n+1)|alpha_n|;
 * for such a map the tail coefficients are recoverable from the values,
@@ -14,22 +17,24 @@ Every check returns a :class:`CheckReport`.  The facts made testable here:
 
 A Faber system is read as the generators return it, one lower-triangular
 coefficient table whose row j holds F_j, and two systems are compared row
-by row.  All zero tests are relative to the coefficient scale of the
-polynomial being evaluated, since recurrence round-off grows with the
-index.  The infinite "all later values vanish" statements are necessarily
-checked up to the generated horizon, which the profile reports explicitly.
+by row.  A checker of one map reads the table its caller built, with N its
+number of rows less one.  All zero tests are relative to the coefficient
+scale of the polynomial being evaluated, since recurrence round-off grows
+with the index.  The infinite "all later values vanish" statements are
+necessarily checked up to the generated horizon, which the profile reports
+explicitly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .faber import ExteriorMap, _kernel_tables, exp_map_exterior, faber_system_from_recurrence
-from .maps import GapMap, inverse_exp_map, to_exterior_map
+from .faber import ExteriorMap, _kernel_tables
+from .maps import GapMap, to_exterior_map
 from .poly import evaluate_rows
 
 
@@ -44,36 +49,30 @@ class CheckReport:
     notes: str = ""
 
     @classmethod
-    def judged(cls, name: str, residuals: Iterable[float], tol: float) -> CheckReport:
-        """Pass exactly when every residual is at most ``tol``; a verdict over no
-        residuals is refused with a ValueError, one over a NaN or inf with an
-        ArithmeticError."""
-        residuals = tuple(residuals)
+    def verdict(cls, name: str, cases: Iterable[tuple[bool, float]]) -> CheckReport:
+        """One report over the cases' (passed, residual) pairs, taken in order:
+        it passes exactly when every case does, and keeps every residual and
+        the worst.  The first residual that is NaN or inf is refused with an
+        ArithmeticError before a later case is taken, and a verdict over no
+        cases with a ValueError."""
+        passed, residuals = True, []
+        for ok, r in cases:
+            if not math.isfinite(r):
+                raise ArithmeticError(f"check {name!r} has a residual not finite in float64 "
+                                      f"at case {len(residuals)}")
+            passed = passed and bool(ok)
+            residuals.append(float(r))
         if not residuals:
             raise ValueError(f"check {name!r} has no residuals to judge")
-        _refuse_non_finite(name, residuals)
-        return cls(name, all(r <= tol for r in residuals), max(residuals), residuals)
+        return cls(name, passed, max(residuals), tuple(residuals))
+
+    @classmethod
+    def judged(cls, name: str, residuals: Iterable[float], tol: float) -> CheckReport:
+        """The verdict whose cases pass exactly when their residual is at most ``tol``."""
+        return cls.verdict(name, ((r <= tol, r) for r in residuals))
 
     def to_dict(self) -> dict:
         return {**asdict(self), "residuals": list(self.residuals)}
-
-
-def _refuse_non_finite(name: str, residuals: Iterable[float]) -> None:
-    """Raise ArithmeticError naming check ``name`` when a residual is NaN or inf."""
-    if not all(map(math.isfinite, residuals)):
-        raise ArithmeticError(f"check {name!r} has a residual not finite in float64")
-
-
-def combine(name: str, reports: list[CheckReport]) -> CheckReport:
-    """Roll sub-reports into one verdict keeping the worst residual."""
-    worst = max((r.max_residual for r in reports), default=0.0)
-    return CheckReport(
-        name=name,
-        passed=all(r.passed for r in reports),
-        max_residual=worst,
-        residuals=tuple(r.max_residual for r in reports),
-        notes="; ".join(r.notes for r in reports if r.notes),
-    )
 
 
 def _magnitude(t: np.ndarray) -> np.ndarray:
@@ -142,19 +141,20 @@ def leading_common_root_order(table: np.ndarray, z0: complex,
     return CommonRootProfile(z0=z0, first_nonvanishing=first, values=tuple(values.tolist()))
 
 
-def check_gap_coefficient_recovery(family: GapMap, n_highest: int,
+def check_gap_coefficient_recovery(table: np.ndarray, family: GapMap,
                                    tol: float = 1e-10) -> CheckReport:
-    """Verify alpha_j = -F_{j+1}(z0)/(j+1) for j = n .. min(2n, N-1).
+    """Verify alpha_j = -F_{j+1}(z0)/(j+1) for j = n .. min(2n, N-1) on the
+    coefficient table of F_0 ... F_N of the gap map.
 
-    Uses the recurrence-generated system of the gap map; residuals are
-    normalized by 1 + |alpha_j|.  N must be at least n + 1, the first
-    index whose value carries a tail coefficient.
+    Residuals are normalized by 1 + |alpha_j|.  N must be at least n + 1,
+    the first index whose value carries a tail coefficient.
     """
+    n_highest = len(table) - 1
     if n_highest <= family.n:
         raise ValueError(f"recovering alpha_{family.n} needs N >= {family.n + 1}, "
                          f"got {n_highest}")
     emap = to_exterior_map(family, n_highest)
-    values = evaluate_rows(faber_system_from_recurrence(emap, n_highest), family.z0)[0]
+    values = evaluate_rows(table, family.z0)[0]
     residuals = []
     for j in range(family.n, min(2 * family.n, n_highest - 1) + 1):
         expected = emap.alpha(j)
@@ -163,19 +163,19 @@ def check_gap_coefficient_recovery(family: GapMap, n_highest: int,
     return CheckReport.judged("gap-coefficient-recovery", residuals, tol)
 
 
-def exponential_map_characterization(emap: ExteriorMap, z0: complex, n_highest: int,
+def exponential_map_characterization(table: np.ndarray, emap: ExteriorMap, z0: complex,
                                      tol: float = 1e-9) -> bool:
-    """True exactly when the map carries the exponential-map common-root pattern.
+    """True exactly when the map, with the coefficient table of F_0 ... F_N,
+    carries the exponential-map common-root pattern.
 
     Checks both directions jointly: (a) the value profile at z0 shows
     |F_1(z0)| > 0 and F_j(z0) = 0 for all 2 <= j <= N, and (b) the tail
     coefficients match alpha_j = (alpha0 - z0)^{j+1}/(j+1)! up to the
     truncation.  A shift map (z0 = alpha0) fails (a) by construction.
     """
-    if n_highest < 3:
+    if len(table) < 4:
         raise ValueError("need at least F_3 to characterize the pattern")
     z0 = complex(z0)
-    table = faber_system_from_recurrence(emap, n_highest)
     nonzero = np.abs(evaluate_rows(table, z0)[0]) > tol * (1.0 + np.abs(table).max(axis=1))
     if not nonzero[1] or nonzero[2:].any():
         return False
@@ -209,47 +209,3 @@ def check_derivative_identity(lam: complex, n_highest: int, tol: float = 1e-9) -
     bound = np.finfo(float).eps * k * growth / _row_scale(lhs, rhs)
     _refuse_undecided(f"eq14 at lambda={lam}, N={n_highest}", residuals, bound, tol)
     return CheckReport.judged("derivative-identity", residuals.tolist(), tol)
-
-
-def check_inverse_power_decay(eta: complex, lam: complex, z_samples: Sequence[complex],
-                              j: int) -> CheckReport:
-    """Check that Phi(z)^j - F_j(z) decays like O(1/z) along one ray.
-
-    ``z_samples`` are points of growing modulus outside the closed image of
-    the map eta + w*exp(lam/w).  The principal part is never materialized:
-    the check asserts only that consecutive magnitudes shrink like the
-    radius ratio, up to a factor of 2 either way.  Numerically the
-    samples must keep |z|^j well below 1/eps times the principal-part
-    size, otherwise cancellation swamps the signal.
-    """
-    if j < 0:
-        raise ValueError("power must be nonnegative")
-    pts = sorted((complex(z) for z in z_samples), key=abs)
-    if len(pts) < 2:
-        raise ValueError("need at least two sample moduli")
-    if j == 0:
-        return CheckReport(name="inverse-power-decay", passed=True, max_residual=0.0,
-                           residuals=(0.0,) * len(pts), notes="trivial at j = 0")
-    row = faber_system_from_recurrence(exp_map_exterior(eta, lam, j), j)[j:]
-    tails = []
-    for z, value in zip(pts, evaluate_rows(row, np.array(pts))[0][0].tolist()):
-        phi = inverse_exp_map(z, eta, lam)
-        if abs(phi) <= 1.0:
-            raise ValueError(f"sample {z} maps inside the unit disk; it is not exterior")
-        tails.append(phi ** j - value)
-    ok = True
-    ratios = []
-    for (z0, q0), (z1, q1) in zip(zip(pts, tails), zip(pts[1:], tails[1:])):
-        expected = abs(z0) / abs(z1)
-        actual = abs(q1) / abs(q0) if abs(q0) > 0 else math.inf
-        ratios.append(actual)
-        if not (0.5 * expected <= actual <= 2.0 * expected):
-            ok = False
-    worst = max((abs(r / (abs(z0) / abs(z1)) - 1.0) for r, (z0, z1) in
-                 zip(ratios, zip(pts, pts[1:]))), default=0.0)
-    return CheckReport(
-        name="inverse-power-decay",
-        passed=ok,
-        max_residual=worst,
-        residuals=tuple(ratios),
-    )

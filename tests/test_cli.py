@@ -222,6 +222,66 @@ class TestVerify:
         assert json.loads(err)["message"] == (
             "he-formula at N=12, m=1: the recurrence overflows float64 from F_9 on")
 
+    @pytest.mark.parametrize("suite, row", [("theorem3", 892), ("theorem2", 1110)])
+    def test_theorem_overflow_names_suite_case_and_row(self, suite, row):
+        code, out, err = run_cli_with_stderr("verify", "--suite", suite, "--N", "1200")
+        assert code == 3 and out == ""
+        assert json.loads(err)["message"] == (
+            f"{suite} case 0, N=1200: the recurrence overflows float64 from F_{row} on")
+
+    def test_theorem3_closed_form_overflow_names_case_and_row(self, monkeypatch):
+        # as `verify --suite theorem3 --N 700 --tol 10 --seed 1` does at case 5
+        # (F_621), after five exact closed forms at N = 700 too slow for tier 1
+        import faberpoly.suites as suites
+
+        def overflowing(eta, lam, n_highest):
+            raise OverflowError("the exp-map closed form overflows float64 from F_9 on")
+
+        monkeypatch.setattr(suites, "exp_map_faber_closed_form", overflowing)
+        code, out, err = run_cli_with_stderr("verify", "--suite", "theorem3", "--N", "12")
+        assert code == 3 and out == ""
+        assert json.loads(err)["message"] == (
+            "theorem3 case 0, N=12: the exp-map closed form overflows float64 from F_9 on")
+
+    @pytest.mark.parametrize("suite, generator", [
+        ("theorem1", "gap_faber_closed_form"), ("theorem2", "two_gap_faber_system"),
+        ("theorem3", "exp_map_faber_closed_form"),
+        ("he-formula", "hypocycloid_faber_closed_form")])
+    def test_a_non_finite_closed_form_row_is_refused(self, monkeypatch, suite, generator):
+        # a closed form whose last row is NaN, as the exp-map form returned rows
+        # past float64 before it refused them; no report prints NaN
+        import faberpoly.suites as suites
+
+        original = getattr(suites, generator)
+
+        def non_finite(*args):
+            table = original(*args).copy()
+            table[-1, 0] = complex("nan")
+            return table
+
+        monkeypatch.setattr(suites, generator, non_finite)
+        code, out, err = run_cli_with_stderr("verify", "--suite", suite)
+        assert code == 3 and "NaN" not in out and out == ""
+        message = json.loads(err)["message"]
+        assert repr(suite) in message and "not finite" in message
+
+    def test_lambert_refuses_a_non_finite_series_miss(self, monkeypatch):
+        # the series miss came last in a running max that kept 0.0 over NaN
+        import faberpoly.suites as suites
+        from faberpoly.series import PowerSeries
+
+        original = suites.lambert_w0_power_series
+
+        def non_finite(j, order):
+            coeffs = original(j, order).coeffs.copy()
+            coeffs[-1] = complex("nan")
+            return PowerSeries(coeffs)
+
+        monkeypatch.setattr(suites, "lambert_w0_power_series", non_finite)
+        code, out, err = run_cli_with_stderr("verify", "--suite", "lambert")
+        assert code == 3 and out == ""
+        assert "'lambert'" in json.loads(err)["message"]
+
     def test_rays_root_failure_names_suite_m_and_index(self):
         code, out, err = run_cli_with_stderr("verify", "--suite", "rays", "--N", "200")
         assert code == 3 and out == ""

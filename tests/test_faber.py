@@ -20,8 +20,7 @@ from faberpoly.maps import ExpMap, Hypocycloid, Shift, to_exterior_map
 from faberpoly.poly import ComplexPolynomial, evaluate_rows
 from faberpoly.series import PowerSeries
 from faberpoly.suites import draw_disk, draw_exterior_map
-from faberpoly.verify import (_row_deviation, check_derivative_identity,
-                              check_inverse_power_decay)
+from faberpoly.verify import _row_deviation, check_derivative_identity
 
 
 class TestExteriorMap:
@@ -407,34 +406,3 @@ class TestDerivativeIdentity:
     def test_full_run(self):
         report = check_derivative_identity(0.7, 20, tol=1e-9)
         assert report.passed and report.max_residual <= 1e-9
-
-
-class TestInversePowerDecay:
-    def test_trivial_at_j0(self):
-        report = check_inverse_power_decay(0.0, 0.5, [10.0, 100.0], 0)
-        assert report.passed
-
-    def test_linear_term(self):
-        report = check_inverse_power_decay(0.0, 0.5, [10.0, 100.0, 1000.0], 1)
-        assert report.passed
-
-    def test_mid_power_decade_pair(self):
-        # at j = 5 the leading Laurent coefficient is small, so only some
-        # parameter/ray combinations are inside the asymptotic regime at
-        # |z| = 10; lam = 0.6 on the imaginary ray is
-        report = check_inverse_power_decay(0.0, 0.6, [10.0 * 1j, 100.0 * 1j], 5)
-        assert report.passed
-        assert 0.05 <= report.residuals[0] <= 0.2
-
-    def test_cubed_three_decades(self):
-        ray = cmath.exp(0.3j)
-        report = check_inverse_power_decay(0.1, 0.4, [10 * ray, 100 * ray, 1000 * ray], 3)
-        assert report.passed
-
-    def test_interior_point_rejected(self):
-        with pytest.raises(ValueError):
-            check_inverse_power_decay(0.0, 0.5, [0.1, 0.2], 2)
-
-    def test_needs_two_samples(self):
-        with pytest.raises(ValueError):
-            check_inverse_power_decay(0.0, 0.5, [10.0], 1)

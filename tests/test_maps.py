@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -287,6 +288,38 @@ def test_closed_form_table_is_read_only_and_monic(build):
     assert not table.flags.writeable
     assert np.all(np.diagonal(table) == 1.0)
     assert np.all(np.triu(table, 1) == 0.0)
+
+
+# each closed form names itself and the first row float64 cannot hold, as the
+# recurrence does, and warns about nothing on the way
+@pytest.mark.parametrize("build, message", [
+    (lambda: two_gap_faber_system(TwoGapMap(0.9, 1, 0.4, 3, [0.2, 0.1]), 1500),
+     "the two-gap recurrence overflows float64 from F_1429 on"),
+    (lambda: two_gap_faber_system(TwoGapMap(1e3, 150, 0.4, 153, [0.2]), 160),
+     "the two-gap recurrence overflows float64 from F_103 on"),
+    # (-z0)^103 leaves float64 in the binomial table of the shifted powers
+    (lambda: gap_faber_closed_form(GapMap(1e3, 200, [0.1]), 201),
+     "the gap closed form overflows float64 from F_103 on"),
+    (lambda: exp_map_faber_closed_form(1e3, 0.1, 110),
+     "the exp-map closed form overflows float64 from F_103 on"),
+    # the product with the shifted powers overflows before the powers do (F_182)
+    (lambda: exp_map_faber_closed_form(-50.0, 10.0, 200),
+     "the exp-map closed form overflows float64 from F_175 on"),
+    (lambda: exp_map_faber_closed_form(10.0, 10.0, 250),
+     "the exp-map closed form overflows float64 from F_243 on"),
+], ids=["twogap-recurrence", "twogap-head", "gap", "expmap-powers", "expmap-early-row",
+        "expmap-product"])
+def test_closed_form_overflow_names_the_form_and_the_first_row(build, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError) as raised:
+            build()
+    assert str(raised.value) == message
+
+
+def test_shifted_powers_are_nan_from_the_first_row_float64_cannot_hold():
+    table = _shifted_power_table(1e3, 105)
+    assert np.isfinite(table[:103]).all() and np.isnan(table[103:]).all()
 
 
 class TestLambert:
