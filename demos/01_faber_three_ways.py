@@ -17,13 +17,14 @@ from faberpoly.poly import evaluate_rows
 
 N = 8
 family = Hypocycloid(2)
-emap = to_exterior_map(family, N)
+a = to_exterior_map(family, N)           # a[k] = a_k
 
-print(f"map: w + 1/(2 w^2), coefficients a0={emap.alpha0}, tail={emap.tail[:3]}...")
+a0, *tail = a[:4].tolist()
+print(f"map: w + 1/(2 w^2), coefficients a0={a0}, tail={tuple(tail)}...")
 print()
 
 # path 1: the recurrence fills the whole prefix F_0..F_N, one table row per F_j
-system = faber_system_from_recurrence(emap, N)
+system = faber_system_from_recurrence(a, N)
 print("recurrence-generated polynomials:")
 for j in (2, 3, 6):
     print(f"  F_{j}(z) = {Polynomial(system[j, :j + 1].real, symbol='z'):ascii}")
@@ -40,7 +41,7 @@ print()
 
 # path 3: the log series produces values F_j(z) without any polynomial
 z = 1.3 - 0.4j
-values = faber_values_from_log_series(emap, z, N)
+values = faber_values_from_log_series(a, z, N)
 direct = evaluate_rows(system, z)[0]
 print(f"log-series values at z = {z} vs polynomial evaluation:")
 for j in (1, 4, 8):
@@ -53,7 +54,7 @@ print()
 rng = np.random.default_rng(0)
 xy = rng.uniform(-2, 2, size=(50, 2))
 zz = xy[:, 0] + 1j * xy[:, 1]
-vals = faber_values_from_log_series(emap, zz, N)              # shape (N, 50)
+vals = faber_values_from_log_series(a, zz, N)              # shape (N, 50)
 direct, magnitude = evaluate_rows(system[1:], zz)
 worst = np.max(np.abs(vals - direct) / (1.0 + magnitude))
 print(f"max scaled deviation across 50 random points, j <= {N}: {worst:.2e}")

@@ -17,8 +17,8 @@ from faberpoly.poly import evaluate_rows
 # -- a gap map: zeros up to n, a jump at n + 1 --------------------------------
 
 gap = GapMap(z0=1.0, n=3, tail=(0.2, -0.05, 0.03, 0.01))
-emap = to_exterior_map(gap, gap.highest_index)
-system = faber_system_from_recurrence(emap, 8)
+a = to_exterior_map(gap, gap.highest_index)
+system = faber_system_from_recurrence(a, 8)
 profile = leading_common_root_order(system, gap.z0, 1e-10)
 
 print(f"gap map with z0 = {gap.z0}, n = {gap.n}:")
@@ -38,14 +38,14 @@ print()
 # -- the exponential map: one persistent common root --------------------------
 
 eta, lam = 0.4 - 0.1j, 0.7
-emap = exp_map_exterior(eta, lam, 16)
-system = faber_system_from_recurrence(emap, 16)
+a = exp_map_exterior(eta, lam, 16)
+system = faber_system_from_recurrence(a, 16)
 profile = leading_common_root_order(system, eta, 1e-10)
 print(f"exponential map with eta = {eta}, lam = {lam}:")
 print(f"  |F_1(eta)| = {profile.values[0]:.6f} (equals |lam|)")
 print(f"  max |F_j(eta)| for j >= 2: {max(profile.values[1:]):.3e}")
 print(f"  characterization check: "
-      f"{exponential_map_characterization(system, emap, eta, 1e-9)}")
+      f"{exponential_map_characterization(system, a, eta, 1e-9)}")
 print()
 
 # uniqueness: F_2 has roots eta and eta + 2 lam, but F_3 rejects the latter

@@ -5,7 +5,7 @@ recurrence, series-based value oracles, and per-family closed forms --
 plus verifiers for the identities tying them together.
 """
 
-from .faber import (ExteriorMap, exp_map_exterior, faber_derivative_values_from_series,
+from .faber import (exp_map_exterior, faber_derivative_values_from_series,
                     faber_system_from_recurrence, faber_values_from_log_series,
                     faber_values_from_ratio_series, kernel_polys)
 from .maps import (BranchCutError, ExpMap, GapMap, Hypocycloid, LambertResult,
@@ -23,7 +23,7 @@ from .verify import (CheckReport, CommonRootProfile, check_derivative_identity,
 
 __all__ = [
     "BranchCutError", "CheckReport", "CommonRootProfile", "ComplexPolynomial",
-    "ExpMap", "ExteriorMap", "GapMap", "Hypocycloid", "LambertResult",
+    "ExpMap", "GapMap", "Hypocycloid", "LambertResult",
     "MapFamily", "PowerSeries", "RootFindingError", "Shift", "TwoGapMap",
     "chebyshev_scaled", "check_derivative_identity",
     "check_gap_coefficient_recovery",

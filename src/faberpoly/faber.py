@@ -1,13 +1,15 @@
 """Faber systems of exterior maps.
 
-An exterior map is w + a0 + a1/w + a2/w^2 + ... on |w| > 1.  Its Faber
-polynomials F_j are monic of degree j and satisfy the coefficient
+An exterior map is w + a0 + a1/w + a2/w^2 + ... on |w| > 1, given by its
+coefficient array a with a[k] = a_k (a read-only 1-D complex array holding
+at least a_0; any sequence of numbers is accepted in its place).  Its
+Faber polynomials F_j are monic of degree j and satisfy the coefficient
 recurrence
 
     F_{j+1}(z) = (z - a0) F_j(z) - sum_{k=1}^{j} a_k F_{j-k}(z) - j a_j,
 
 with F_0 = 1 and F_1 = z - a0 (empty sums are zero, a_k = 0 beyond the
-truncation).  A Faber system F_0 ... F_N is one read-only (N+1) x (N+1)
+last entry of a).  A Faber system F_0 ... F_N is one read-only (N+1) x (N+1)
 lower-triangular complex table whose row j holds the ascending
 coefficients of F_j: entry [j, j] is 1 and everything right of it is 0.
 Read down the columns of the table, the recurrence is a triangular
@@ -31,57 +33,39 @@ tables their callers built here, and judge them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .series import PowerSeries
 
 
-@dataclass(frozen=True)
-class ExteriorMap:
-    """Coefficient data of a map w + alpha0 + sum_{k>=1} alpha_k w^{-k}.
-
-    Tail coefficients beyond the truncation are exactly zero.
-    """
-
-    alpha0: complex
-    tail: tuple[complex, ...]
-
-    def __init__(self, alpha0: complex, tail: Sequence[complex] = ()):
-        object.__setattr__(self, "alpha0", complex(alpha0))
-        object.__setattr__(self, "tail", tuple(complex(c) for c in tail))
-
-    @property
-    def truncation(self) -> int:
-        return len(self.tail)
-
-    def alpha(self, k: int) -> complex:
-        if k < 0:
-            raise IndexError("coefficient index must be nonnegative")
-        if k == 0:
-            return self.alpha0
-        if k <= len(self.tail):
-            return self.tail[k - 1]
-        return 0j
+def _map_coefficients(coeffs) -> np.ndarray:
+    """The map w + a_0 + a_1/w + ... as its read-only coefficient array a,
+    a[k] = a_k (zero beyond the last entry); a ValueError unless ``coeffs``
+    is one-dimensional and holds at least a_0."""
+    a = np.array(coeffs, dtype=complex)
+    if a.ndim != 1 or not a.size:
+        raise ValueError(f"a map is a 1-D array a_0, a_1, ... of at least one "
+                         f"coefficient, got shape {a.shape}")
+    a.flags.writeable = False
+    return a
 
 
-def exp_map_exterior(eta: complex, lam: complex, truncation: int) -> ExteriorMap:
-    """Coefficient form of eta + w*exp(lam/w): alpha0 = eta + lam and
-    alpha_j = lam^{j+1}/(j+1)!, truncated after ``truncation`` terms."""
+def exp_map_exterior(eta: complex, lam: complex, truncation: int) -> np.ndarray:
+    """Coefficient array of eta + w*exp(lam/w): a_0 = eta + lam and
+    a_j = lam^{j+1}/(j+1)! for j = 1..``truncation``."""
     eta = complex(eta)
     lam = complex(lam)
-    tail = []
+    a = [eta + lam]
     c = lam
     for j in range(1, truncation + 1):
         c = c * lam / (j + 1)
-        tail.append(c)
-    return ExteriorMap(eta + lam, tail)
+        a.append(c)
+    return _map_coefficients(a)
 
 
-def faber_system_from_recurrence(emap: ExteriorMap, n_highest: int) -> np.ndarray:
-    """F_0 ... F_N by the coefficient recurrence, as the read-only
+def faber_system_from_recurrence(a, n_highest: int) -> np.ndarray:
+    """F_0 ... F_N of the map with coefficient array ``a`` by the
+    coefficient recurrence, as the read-only
     (N+1) x (N+1) lower-triangular table whose row j holds the ascending
     coefficients of F_j; one table column per step.
 
@@ -96,8 +80,9 @@ def faber_system_from_recurrence(emap: ExteriorMap, n_highest: int) -> np.ndarra
     if n_highest < 0:
         raise ValueError("need a nonnegative highest index")
     n = n_highest
+    given = _map_coefficients(a)[:n + 1]
     a = np.zeros(n + 1, dtype=complex)
-    a[:min(emap.truncation, n) + 1] = (emap.alpha0,) + emap.tail[:n]
+    a[:len(given)] = given
     g = np.concatenate(((1.0,), a[:n]))
     dpsi = np.zeros(n + 1, dtype=complex)        # Psi'(w) = 1 - sum k a_k t^{k+1}
     dpsi[0] = 1.0
@@ -128,15 +113,14 @@ def _read_only(table: np.ndarray) -> np.ndarray:
     return table
 
 
-def _map_minus_z_over_w(emap: ExteriorMap, z, order: int) -> PowerSeries:
+def _map_minus_z_over_w(a, z, order: int) -> PowerSeries:
     """(Psi(w) - z)/w as a series in t = 1/w: 1 + (a0 - z) t + sum a_k t^{k+1},
     batched over the shape of ``z``."""
     z = np.asarray(z, dtype=complex)
-    tail = emap.tail[:max(order - 1, 0)]
+    a = _map_coefficients(a)[:order]      # at order 0 there is no t term
     base = np.zeros(order + 1, dtype=complex)
     base[0] = 1.0
-    base[1:2] = emap.alpha0        # slices: at order 0 there is no t term
-    base[2:len(tail) + 2] = tail
+    base[1:len(a) + 1] = a
     coeffs = np.broadcast_to(base.reshape((-1,) + (1,) * z.ndim), base.shape + z.shape).copy()
     coeffs[1:2] -= z
     return PowerSeries(coeffs)
@@ -148,7 +132,7 @@ def _oracle_values(values: np.ndarray, z):
     return values.tolist() if np.ndim(z) == 0 else np.array(values)
 
 
-def faber_values_from_log_series(emap: ExteriorMap, z, n_highest: int):
+def faber_values_from_log_series(a, z, n_highest: int):
     """Values [F_1(z), ..., F_N(z)] read off the log generating series.
 
     ``z`` is a point, giving a list, or an array of points, giving an array
@@ -158,12 +142,12 @@ def faber_values_from_log_series(emap: ExteriorMap, z, n_highest: int):
     """
     if n_highest < 1:
         raise ValueError("need at least F_1")
-    log_series = _map_minus_z_over_w(emap, z, n_highest).log1()
+    log_series = _map_minus_z_over_w(a, z, n_highest).log1()
     index = np.arange(1, n_highest + 1).reshape((-1,) + (1,) * np.ndim(z))
     return _oracle_values(-index * log_series.coeffs[1:n_highest + 1], z)
 
 
-def faber_values_from_ratio_series(emap: ExteriorMap, z, n_highest: int):
+def faber_values_from_ratio_series(a, z, n_highest: int):
     """Coefficients 0..N of Psi'(w) w / (Psi(w) - z) in t = 1/w.
 
     Coefficient j equals F_j(z); the numerator series is
@@ -173,16 +157,16 @@ def faber_values_from_ratio_series(emap: ExteriorMap, z, n_highest: int):
     if n_highest < 0:
         raise ValueError("need a nonnegative highest index")
     order = max(n_highest, 1)
-    tail = emap.tail[:order - 1]
+    tail = _map_coefficients(a)[1:order]
     num = np.zeros(order + 1, dtype=complex)
     num[0] = 1.0
-    num[2:len(tail) + 2] = -np.arange(1, len(tail) + 1) * np.asarray(tail, dtype=complex)
-    denom = _map_minus_z_over_w(emap, z, order)
+    num[2:len(tail) + 2] = -np.arange(1, len(tail) + 1) * tail
+    denom = _map_minus_z_over_w(a, z, order)
     ratio = PowerSeries(num) * denom.reciprocal()
     return _oracle_values(ratio.coeffs[: n_highest + 1], z)
 
 
-def faber_derivative_values_from_series(emap: ExteriorMap, z, n_highest: int):
+def faber_derivative_values_from_series(a, z, n_highest: int):
     """Coefficients 1..N of 1/(Psi(w) - z) in t = 1/w; entry j-1 equals F_j'(z)/j.
 
     Uses 1/(Psi(w) - z) = t * reciprocal((Psi(w) - z)/w), whose constant
@@ -191,7 +175,7 @@ def faber_derivative_values_from_series(emap: ExteriorMap, z, n_highest: int):
     """
     if n_highest < 1:
         raise ValueError("need at least index 1")
-    recip = _map_minus_z_over_w(emap, z, n_highest).reciprocal()
+    recip = _map_minus_z_over_w(a, z, n_highest).reciprocal()
     return _oracle_values(recip.coeffs[:n_highest], z)
 
 

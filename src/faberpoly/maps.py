@@ -34,7 +34,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .faber import ExteriorMap, _finite_rows, _read_only, exp_map_exterior
+from .faber import _finite_rows, _map_coefficients, _read_only, exp_map_exterior
 from .series import PowerSeries
 
 BRANCH_POINT = -math.exp(-1.0)
@@ -146,10 +146,11 @@ FAMILIES = {"shift": Shift, "gap": GapMap, "twogap": TwoGapMap,
             "hypocycloid": Hypocycloid, "expmap": ExpMap}
 
 
-def to_exterior_map(family: MapFamily, truncation: int) -> ExteriorMap:
-    """Coefficient form of a family member, for the recurrence generator.
+def to_exterior_map(family: MapFamily, truncation: int) -> np.ndarray:
+    """Coefficient array a (a[k] = a_k, read-only) of a family member, for
+    the recurrence generator and the series oracles.
 
-    The finite families are padded with zeros to max(truncation,
+    The finite families fill zeros up to index max(truncation,
     ``highest_index``), so every structurally nonzero index is kept; the
     exponential family truncates its factorial tail after ``truncation``
     terms.
@@ -158,16 +159,17 @@ def to_exterior_map(family: MapFamily, truncation: int) -> ExteriorMap:
         raise TypeError(f"not a map family: {family!r}")
     if isinstance(family, ExpMap):
         return exp_map_exterior(family.eta, family.lam, truncation)
+    a = np.zeros(max(truncation, getattr(family, "highest_index", 0)) + 1, dtype=complex)
     if isinstance(family, Shift):
-        return ExteriorMap(family.alpha0, (0j,) * truncation)
-    tail = [0j] * max(truncation, family.highest_index)
-    if isinstance(family, Hypocycloid):
-        tail[family.m - 1] = 1.0 / family.m
-        return ExteriorMap(0.0, tail)
-    if isinstance(family, TwoGapMap):
-        tail[family.m - 1] = family.alpha_m
-    tail[family.n - 1:family.highest_index] = family.tail
-    return ExteriorMap(family.z0, tail)
+        a[0] = family.alpha0
+    elif isinstance(family, Hypocycloid):
+        a[family.m] = 1.0 / family.m
+    else:
+        a[0] = family.z0
+        if isinstance(family, TwoGapMap):
+            a[family.m] = family.alpha_m
+        a[family.n:family.highest_index + 1] = family.tail
+    return _map_coefficients(a)
 
 
 def evaluate_map(family: MapFamily, w: complex) -> complex:
@@ -177,8 +179,8 @@ def evaluate_map(family: MapFamily, w: complex) -> complex:
         raise ValueError("the map is not defined at w = 0")
     if isinstance(family, ExpMap):
         return family.eta + w * cmath.exp(family.lam / w)
-    emap = to_exterior_map(family, 0)       # keeps every nonzero index of a finite family
-    return w + emap.alpha0 + sum(c * w ** -k for k, c in enumerate(emap.tail, 1))
+    a0, *tail = to_exterior_map(family, 0).tolist()   # every nonzero index of a finite family
+    return w + a0 + sum(c * w ** -k for k, c in enumerate(tail, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +290,13 @@ def exp_map_faber_closed_form(eta: complex, lam: complex, n_highest: int) -> np.
     held = int(np.isfinite(powers).all(axis=1).sum())   # NaN from the first overflow on
     in_powers = np.eye(n_highest + 1, dtype=complex)    # row j: F_j in powers of z - eta
     for j in range(1, held):
-        for k in range(j):
-            rational = j * k ** (j - k - 1) / math.factorial(j - k)
-            in_powers[j, k] = rational * (-lam) ** (j - k)
+        try:
+            for k in range(j):
+                rational = j * k ** (j - k - 1) / math.factorial(j - k)
+                in_powers[j, k] = rational * (-lam) ** (j - k)
+        except OverflowError:               # a coefficient of row j leaves float64
+            held = j
+            break
     with np.errstate(over="ignore", invalid="ignore"):
         table = in_powers[:, :held] @ powers[:held]
     table[held:] = np.nan
@@ -299,13 +305,16 @@ def exp_map_faber_closed_form(eta: complex, lam: complex, n_highest: int) -> np.
 
 def _shifted_power_table(z0: complex, n_highest: int) -> np.ndarray:
     """Lower-triangular table whose row j holds the ascending coefficients of
-    (z - z0)^j, j = 0..N, by the binomial theorem.  From the first row with a
-    binomial or a power beyond float64 on, the rows are NaN, for the caller's
-    ``_finite_rows`` to name."""
+    (z - z0)^j, j = 0..N, by the binomial theorem.  A power that is exactly
+    zero is multiplied by 1 in place of its binomial, so only a nonzero term
+    can overflow.  From the first row with a binomial or a power beyond
+    float64 on, the rows are NaN, for the caller's ``_finite_rows`` to name."""
     table = np.zeros((n_highest + 1, n_highest + 1), dtype=complex)
     for j in range(n_highest + 1):
         try:
-            table[j, :j + 1] = [math.comb(j, k) * (-z0) ** (j - k) for k in range(j + 1)]
+            powers = [(-z0) ** (j - k) for k in range(j + 1)]
+            table[j, :j + 1] = [(math.comb(j, k) if power else 1) * power
+                                for k, power in enumerate(powers)]
         except OverflowError:
             table[j:] = np.nan
             break

@@ -28,7 +28,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .faber import (ExteriorMap, exp_map_exterior, faber_system_from_recurrence,
+from .faber import (_map_coefficients, exp_map_exterior, faber_system_from_recurrence,
                     faber_values_from_log_series, faber_values_from_ratio_series,
                     faber_derivative_values_from_series)
 from .maps import (ExpMap, GapMap, Hypocycloid, TwoGapMap,
@@ -72,10 +72,9 @@ def draw_disk(rng: np.random.Generator, radius: float) -> complex:
     return draw_disks(rng, [radius])[0]
 
 
-def draw_exterior_map(rng: np.random.Generator, truncation: int) -> ExteriorMap:
-    """Random coefficients with |alpha_k| <= 1/(k+1)."""
-    alpha0, *tail = draw_disks(rng, [1.0 / (k + 1) for k in range(truncation + 1)])
-    return ExteriorMap(alpha0, tail)
+def draw_exterior_map(rng: np.random.Generator, truncation: int) -> np.ndarray:
+    """Random coefficient array a_0 .. a_truncation with |a_k| <= 1/(k+1)."""
+    return _map_coefficients(draw_disks(rng, [1.0 / (k + 1) for k in range(truncation + 1)]))
 
 
 def draw_gap_map(rng: np.random.Generator) -> GapMap:
@@ -123,7 +122,7 @@ def _value_residual(expected, table: np.ndarray, z) -> float:
 
 def _per_map(name: str, seed: int, maps: int, truncation: int, residual,
              tol: float) -> CheckReport:
-    """Judge ``residual(rng, emap)`` on ``maps`` seeded random maps of the given
+    """Judge ``residual(rng, a)`` on ``maps`` seeded random maps of the given
     truncation; the first map whose residual is not finite stops the check."""
     rng = np.random.default_rng(seed)
     return CheckReport.judged(name, (residual(rng, draw_exterior_map(rng, truncation))
@@ -134,20 +133,20 @@ def suite_recurrence_vs_oracle(seed: int = 0, n_highest: int = 30,
                                tol: float = 1e-9) -> CheckReport:
     """Recurrence-generated values against the log-series oracle, on 50
     random maps of truncation 30 with 20 points each."""
-    def residual(rng, emap):
-        table = faber_system_from_recurrence(emap, n_highest)[1:]
+    def residual(rng, a):
+        table = faber_system_from_recurrence(a, n_highest)[1:]
         z = np.array(draw_disks(rng, [3.0] * 20))
-        return _value_residual(faber_values_from_log_series(emap, z, n_highest), table, z)
+        return _value_residual(faber_values_from_log_series(a, z, n_highest), table, z)
     return _per_map("recurrence-vs-oracle", seed, 50, 30, residual, tol)
 
 
 def suite_eq13(seed: int = 0, n_highest: int = 20, tol: float = 1e-9) -> CheckReport:
     """Value generating series Psi'(w) w/(Psi(w)-z) against the recurrence,
     on 30 random pairs of a map of truncation 24 and a point."""
-    def residual(rng, emap):
+    def residual(rng, a):
         z = draw_disk(rng, 3.0)
-        table = faber_system_from_recurrence(emap, n_highest)
-        return _value_residual(faber_values_from_ratio_series(emap, z, n_highest), table, z)
+        table = faber_system_from_recurrence(a, n_highest)
+        return _value_residual(faber_values_from_ratio_series(a, z, n_highest), table, z)
     return _per_map("eq13", seed, 30, 24, residual, tol)
 
 
@@ -156,11 +155,11 @@ def suite_eq16(seed: int = 0, n_highest: int = 20, tol: float = 1e-9) -> CheckRe
     on 30 random pairs of a map of truncation 24 and a point."""
     index = np.arange(1, n_highest + 1)
 
-    def residual(rng, emap):
+    def residual(rng, a):
         z = draw_disk(rng, 3.0)
-        f = faber_system_from_recurrence(emap, n_highest)
+        f = faber_system_from_recurrence(a, n_highest)
         values, magnitudes = evaluate_rows(f[1:, 1:] * index, z)    # row j-1 is F_j'
-        coeffs = faber_derivative_values_from_series(emap, z, n_highest)
+        coeffs = faber_derivative_values_from_series(a, z, n_highest)
         return float(np.max(np.abs(coeffs - values / index) / (1.0 + magnitudes)))
     return _per_map("eq16", seed, 30, 24, residual, tol)
 
@@ -238,9 +237,9 @@ def suite_theorem3(seed: int = 0, n_highest: int = 20, tol: float = 1e-9) -> Che
             lam = draw_polar(rng, 0.2 + 0.8 * rng.uniform())
             where = f"theorem3 case {i}, N={n_highest}"
             try:
-                emap = exp_map_exterior(eta, lam, n_highest)
-                recurrence = faber_system_from_recurrence(emap, n_highest)
-                detected = exponential_map_characterization(recurrence, emap, eta, tol)
+                a = exp_map_exterior(eta, lam, n_highest)
+                recurrence = faber_system_from_recurrence(a, n_highest)
+                detected = exponential_map_characterization(recurrence, a, eta, tol)
                 closed = exp_map_faber_closed_form(eta, lam, n_highest)
                 rows = _row_deviation(closed, recurrence)
                 closed_resid = rows.max()
@@ -249,10 +248,8 @@ def suite_theorem3(seed: int = 0, n_highest: int = 20, tol: float = 1e-9) -> Che
                     bound = (np.finfo(float).eps * np.arange(1, n_highest + 2)
                              * sizes.max(axis=1) / _row_scale(closed, recurrence))
                     _refuse_undecided(where, rows, bound, tol)
-                k = int(rng.integers(1, emap.truncation + 1))
-                bumped_tail = list(emap.tail)
-                bumped_tail[k - 1] += 1e-3
-                bumped = ExteriorMap(emap.alpha0, bumped_tail)
+                bumped = a.copy()
+                bumped[int(rng.integers(1, len(a)))] += 1e-3
                 broken = not exponential_map_characterization(
                     faber_system_from_recurrence(bumped, n_highest), bumped, eta, tol)
             except OverflowError as exc:
@@ -275,10 +272,10 @@ def suite_he_formula(n_highest: int = 24, tol: float = 1e-9) -> CheckReport:
     """Hypocycloid closed form against the recurrence for m = 1..4."""
     def cases():
         for m in range(1, 5):
-            emap = to_exterior_map(Hypocycloid(m), n_highest)
+            a = to_exterior_map(Hypocycloid(m), n_highest)
             try:
                 closed = hypocycloid_faber_closed_form(m, n_highest)
-                recurrence = faber_system_from_recurrence(emap, n_highest)
+                recurrence = faber_system_from_recurrence(a, n_highest)
             except OverflowError as exc:
                 raise OverflowError(f"he-formula at N={n_highest}, m={m}: {exc}") from exc
             yield _row_deviation(closed, recurrence).max()

@@ -33,7 +33,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .faber import ExteriorMap, _kernel_tables
+from .faber import _kernel_tables, _map_coefficients, exp_map_exterior
 from .maps import GapMap, to_exterior_map
 from .poly import evaluate_rows
 
@@ -153,25 +153,27 @@ def check_gap_coefficient_recovery(table: np.ndarray, family: GapMap,
     if n_highest <= family.n:
         raise ValueError(f"recovering alpha_{family.n} needs N >= {family.n + 1}, "
                          f"got {n_highest}")
-    emap = to_exterior_map(family, n_highest)
+    a = to_exterior_map(family, n_highest)
     values = evaluate_rows(table, family.z0)[0]
     residuals = []
     for j in range(family.n, min(2 * family.n, n_highest - 1) + 1):
-        expected = emap.alpha(j)
+        expected = complex(a[j])
         recovered = -complex(values[j + 1]) / (j + 1)
         residuals.append(abs(recovered - expected) / (1.0 + abs(expected)))
     return CheckReport.judged("gap-coefficient-recovery", residuals, tol)
 
 
-def exponential_map_characterization(table: np.ndarray, emap: ExteriorMap, z0: complex,
+def exponential_map_characterization(table: np.ndarray, a, z0: complex,
                                      tol: float = 1e-9) -> bool:
-    """True exactly when the map, with the coefficient table of F_0 ... F_N,
-    carries the exponential-map common-root pattern.
+    """True exactly when the map with coefficient array ``a``, with the
+    coefficient table of F_0 ... F_N, carries the exponential-map
+    common-root pattern.
 
     Checks both directions jointly: (a) the value profile at z0 shows
     |F_1(z0)| > 0 and F_j(z0) = 0 for all 2 <= j <= N, and (b) the tail
-    coefficients match alpha_j = (alpha0 - z0)^{j+1}/(j+1)! up to the
-    truncation.  A shift map (z0 = alpha0) fails (a) by construction.
+    a[1:] matches a_j = (a_0 - z0)^{j+1}/(j+1)!, the tail of
+    ``exp_map_exterior`` at lam = a_0 - z0.  A shift map (z0 = a_0) fails
+    (a) by construction.
     """
     if len(table) < 4:
         raise ValueError("need at least F_3 to characterize the pattern")
@@ -179,13 +181,9 @@ def exponential_map_characterization(table: np.ndarray, emap: ExteriorMap, z0: c
     nonzero = np.abs(evaluate_rows(table, z0)[0]) > tol * (1.0 + np.abs(table).max(axis=1))
     if not nonzero[1] or nonzero[2:].any():
         return False
-    lam = emap.alpha0 - z0
-    power = lam
-    for j in range(1, emap.truncation + 1):
-        power = power * lam / (j + 1)
-        if abs(emap.alpha(j) - power) > tol * (1.0 + abs(power)):
-            return False
-    return True
+    a = _map_coefficients(a)
+    expected = exp_map_exterior(z0, a[0] - z0, len(a) - 1)[1:]
+    return not (_magnitude(a[1:] - expected) > tol * (1.0 + _magnitude(expected))).any()
 
 
 def check_derivative_identity(lam: complex, n_highest: int, tol: float = 1e-9) -> CheckReport:

@@ -14,6 +14,7 @@ def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                            capture_output=True, text=True, timeout=120)
+    # pyproject's filterwarnings reaches pytest only: the demo process gets the flag itself
+    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                            cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faberpoly.faber import (ExteriorMap, exp_map_exterior,
+from faberpoly import suites
+from faberpoly.faber import (exp_map_exterior,
                              faber_derivative_values_from_series,
                              faber_system_from_recurrence,
                              faber_values_from_log_series,
@@ -19,23 +20,61 @@ from faberpoly.faber import (ExteriorMap, exp_map_exterior,
 from faberpoly.maps import ExpMap, Hypocycloid, Shift, to_exterior_map
 from faberpoly.poly import ComplexPolynomial, evaluate_rows
 from faberpoly.series import PowerSeries
-from faberpoly.suites import draw_disk, draw_exterior_map
+from faberpoly.suites import draw_disk, draw_exterior_map, suite_theorem3
 from faberpoly.verify import _row_deviation, check_derivative_identity
 
 
-class TestExteriorMap:
-    def test_truncation_counts_tail(self):
-        emap = ExteriorMap(1j, (0.5, 0.25))
-        assert emap.truncation == 2
-        assert emap.alpha(0) == 1j
-        assert emap.alpha(2) == 0.25
-        assert emap.alpha(7) == 0j
+class TestMapCoefficients:
+    """A map is its coefficient array a, a[k] = a_k, checked once on the way in."""
+
+    @pytest.mark.parametrize("as_given", [list, tuple, np.array], ids=["list", "tuple", "ndarray"])
+    def test_any_sequence_gives_the_same_bytes(self, as_given):
+        coeffs = [0.25 + 1j, 0.4, -0.2j, 0.1]
+        given, reference = as_given(coeffs), np.array(coeffs, dtype=complex)
+        assert (faber_system_from_recurrence(given, 12).tobytes()
+                == faber_system_from_recurrence(reference, 12).tobytes())
+        z = np.array([0.5, -1.0 + 0.3j, 2.0j])
+        for oracle in ORACLES:
+            assert oracle(given, z, 12).tobytes() == oracle(reference, z, 12).tobytes()
+            assert oracle(given, 0.7j, 12) == oracle(reference, 0.7j, 12)
+
+    @pytest.mark.parametrize("coeffs", [0.5, [[0.5, 0.1]], []], ids=["0-d", "2-D", "empty"])
+    def test_not_one_dimensional_or_empty_is_refused(self, coeffs):
+        with pytest.raises(ValueError, match="1-D array"):
+            faber_system_from_recurrence(coeffs, 4)
+        for oracle in ORACLES:
+            with pytest.raises(ValueError, match="1-D array"):
+                oracle(coeffs, 0.5, 4)
+
+    @pytest.mark.parametrize("build", [
+        lambda: exp_map_exterior(0.1, 0.5j, 6),
+        lambda: to_exterior_map(Hypocycloid(3), 6),
+        lambda: to_exterior_map(Shift(0.5), 0),
+        lambda: draw_exterior_map(np.random.default_rng(2), 6),
+    ], ids=["exp_map_exterior", "to_exterior_map", "to_exterior_map-shift", "draw_exterior_map"])
+    def test_every_map_is_a_read_only_array(self, build):
+        a = build()
+        assert isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype == complex
+        assert not a.flags.writeable
+
+    def test_theorem3_never_writes_into_a_map(self, monkeypatch):
+        handed = []
+
+        def writable_map(*args):
+            a = exp_map_exterior(*args).copy()
+            handed.append((a, a.tobytes()))
+            return a
+
+        monkeypatch.setattr(suites, "exp_map_exterior", writable_map)
+        assert suite_theorem3(seed=0).passed
+        assert len(handed) == 10
+        assert all(a.tobytes() == before for a, before in handed)
 
 
 class TestRecurrence:
     def test_shift_map_gives_shifted_monomials(self):
         a0 = 0.3 - 0.7j
-        fs = faber_system_from_recurrence(ExteriorMap(a0, ()), 5)
+        fs = faber_system_from_recurrence([a0], 5)
         expected = np.eye(6, dtype=complex)
         for j in range(1, 6):
             expected[j, :j + 1] = np.convolve(expected[j - 1, :j], (-a0, 1))
@@ -54,7 +93,7 @@ class TestRecurrence:
         assert _row_deviation(fs[2:], np.array([[0, -1, 1]])).max() < 1e-15
 
     def test_first_two_polynomials_exact(self):
-        emap = ExteriorMap(0.25 + 1j, (0.4, -0.2j, 0.1))
+        emap = [0.25 + 1j, 0.4, -0.2j, 0.1]
         fs = faber_system_from_recurrence(emap, 8)
         assert fs[0, :1].tolist() == [1]
         assert fs[1, :2].tolist() == [-(0.25 + 1j), 1]
@@ -75,7 +114,7 @@ class TestRecurrence:
 
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
-            faber_system_from_recurrence(ExteriorMap(0), -1)
+            faber_system_from_recurrence([0], -1)
 
     def test_matches_term_by_term_recurrence(self):
         # the recurrence row by row, one tail term at a time; the table sums
@@ -85,12 +124,12 @@ class TestRecurrence:
             emap = draw_exterior_map(rng, 30)
             fs = faber_system_from_recurrence(emap, 30)
             rows = np.eye(31, dtype=complex)
-            rows[1, 0] = -emap.alpha0
+            rows[1, 0] = -emap[0]
             for j in range(1, 30):
                 rows[j + 1, :j + 2] = np.convolve(rows[1, :2], rows[j, :j + 1])
                 for k in range(1, j + 1):
-                    rows[j + 1] -= emap.alpha(k) * rows[j - k]
-                rows[j + 1, 0] -= j * emap.alpha(j)
+                    rows[j + 1] -= emap[k] * rows[j - k]
+                rows[j + 1, 0] -= j * emap[j]
             assert _row_deviation(fs, rows).max() <= 64 * np.finfo(float).eps
 
     def test_large_constant_term_keeps_degree(self):
@@ -114,7 +153,8 @@ class TestRecurrence:
 def mpmath_recurrence_rows(emap, n_highest):
     """Rows F_0..F_N of the row recurrence in 60-digit arithmetic, rounded to complex."""
     with mpmath.workdps(60):
-        a = [mpmath.mpc(emap.alpha(k)) for k in range(n_highest + 1)]
+        a = [mpmath.mpc(complex(c)) for c in emap[:n_highest + 1]]
+        a += [mpmath.mpc(0)] * (n_highest + 1 - len(a))
         rows = [[mpmath.mpc(1)], [-a[0], mpmath.mpc(1)]]
         for j in range(1, n_highest):
             nxt = [mpmath.mpc(0)] + rows[j]
@@ -129,9 +169,9 @@ def mpmath_recurrence_rows(emap, n_highest):
 
 
 @pytest.mark.parametrize("emap", [
-    *(pytest.param(ExteriorMap(2 * r, (r * r,)), id=f"double-zero-r={r}")      # g = (1 + r t)^2
+    *(pytest.param([2 * r, r * r], id=f"double-zero-r={r}")      # g = (1 + r t)^2
       for r in (0.5, 2.0, 0.9 + 0.4j)),
-    *(pytest.param(ExteriorMap(3 * r, (3 * r * r, r ** 3)), id=f"triple-zero-r={r}")
+    *(pytest.param([3 * r, 3 * r * r, r ** 3], id=f"triple-zero-r={r}")
       for r in (0.5, 2.0, -1.5j)),                                             # g = (1 + r t)^3
     *(pytest.param(exp_map_exterior(eta, lam, 60), id=f"expmap-eta={eta}-lam={lam}")
       for eta, lam in ((0.3 - 0.2j, 0.5), (0.0, 2.0), (0.1j, 1 + 1j), (0.0, 5.0))),
@@ -171,7 +211,7 @@ class TestLogSeriesOracle:
     def test_shift_map_values(self):
         a0 = 0.4 + 0.1j
         z = 1.3 - 0.2j
-        values = faber_values_from_log_series(ExteriorMap(a0, ()), z, 8)
+        values = faber_values_from_log_series([a0], z, 8)
         for j in range(1, 9):
             assert abs(values[j - 1] - (z - a0) ** j) < 1e-12 * (1 + abs(z - a0) ** j)
 
@@ -194,7 +234,7 @@ class TestLogSeriesOracle:
 
     def test_needs_at_least_one_index(self):
         with pytest.raises(ValueError):
-            faber_values_from_log_series(ExteriorMap(0), 1.0, 0)
+            faber_values_from_log_series([0], 1.0, 0)
 
 
 class TestSeriesOrder:
@@ -222,13 +262,13 @@ class TestBatchedOracles:
 
     @pytest.mark.parametrize("oracle, length", ORACLE_LENGTHS)
     def test_array_z_adds_its_shape(self, oracle, length):
-        emap = ExteriorMap(0.3 - 0.1j, (0.2, 0.05j))
+        emap = [0.3 - 0.1j, 0.2, 0.05j]
         assert oracle(emap, np.linspace(-1.0, 1.0, 5), 8).shape == (length, 5)
         assert oracle(emap, np.full((3, 4), 0.5j), 8).shape == (length, 3, 4)
 
     @pytest.mark.parametrize("oracle, length", ORACLE_LENGTHS)
     def test_scalar_z_still_gives_a_list(self, oracle, length):
-        emap = ExteriorMap(0.3 - 0.1j, (0.2, 0.05j))
+        emap = [0.3 - 0.1j, 0.2, 0.05j]
         for z in (0.5j, np.complex128(0.5j), np.asarray(0.5j)):
             values = oracle(emap, z, 8)
             assert isinstance(values, list) and len(values) == length
@@ -294,7 +334,7 @@ def test_series_engine_and_oracles_stay_off_the_recurrence(monkeypatch):
         raise AssertionError("an oracle ran the recurrence")
 
     monkeypatch.setattr(faber, "faber_system_from_recurrence", refuse)
-    emap = ExteriorMap(0.2, (0.1, 0.05j, -0.02))
+    emap = [0.2, 0.1, 0.05j, -0.02]
     z = np.array([[0.5, -1.0 + 0.3j], [2.0j, 1.5]])
     for oracle in ORACLES:
         assert np.all(np.isfinite(oracle(emap, z, 12)))
@@ -302,13 +342,13 @@ def test_series_engine_and_oracles_stay_off_the_recurrence(monkeypatch):
 
 class TestRatioSeries:
     def test_zeroth_coefficient_is_one(self):
-        emap = ExteriorMap(0.2, (0.3,))
+        emap = [0.2, 0.3]
         assert abs(faber_values_from_ratio_series(emap, 0.7j, 4)[0] - 1.0) < 1e-14
 
     def test_shift_map_is_geometric(self):
         a0 = 0.15 - 0.25j
         z = 0.8 + 0.6j
-        coeffs = faber_values_from_ratio_series(ExteriorMap(a0, ()), z, 10)
+        coeffs = faber_values_from_ratio_series([a0], z, 10)
         for j in range(11):
             assert abs(coeffs[j] - (z - a0) ** j) < 1e-11 * (1 + abs(z - a0) ** j)
 
@@ -320,7 +360,7 @@ class TestRatioSeries:
 
 class TestDerivativeSeries:
     def test_first_coefficient(self):
-        emap = ExteriorMap(0.5 + 0.1j, (0.2,))
+        emap = [0.5 + 0.1j, 0.2]
         values = faber_derivative_values_from_series(emap, 1.7 - 0.4j, 3)
         assert abs(values[0] - 1.0) < 1e-14  # F_1' = 1
 

@@ -52,33 +52,29 @@ class TestFamilyInvariants:
 
 class TestToExteriorMap:
     def test_single_cusp(self):
-        emap = to_exterior_map(Hypocycloid(1), 5)
-        assert emap.alpha0 == 0j
-        assert emap.tail == (1 + 0j, 0j, 0j, 0j, 0j)
+        assert to_exterior_map(Hypocycloid(1), 5).tolist() == [0j, 1 + 0j, 0j, 0j, 0j, 0j]
 
     def test_exponential_factorial_tail(self):
         lam = 0.5
-        emap = to_exterior_map(ExpMap(0.0, lam), 3)
-        assert abs(emap.alpha0 - lam) < 1e-15
+        a = to_exterior_map(ExpMap(0.0, lam), 3)
+        assert len(a) == 4 and abs(a[0] - lam) < 1e-15
         expected = (lam ** 2 / 2, lam ** 3 / 6, lam ** 4 / 24)
-        for got, want in zip(emap.tail, expected):
+        for got, want in zip(a[1:], expected):
             assert abs(got - want) < 1e-15
 
     def test_gap_layout(self):
-        emap = to_exterior_map(GapMap(1.0, 3, (0.2,)), 3)
-        assert emap.alpha0 == 1.0
-        assert emap.tail == (0j, 0j, 0.2 + 0j)
+        assert to_exterior_map(GapMap(1.0, 3, (0.2,)), 3).tolist() == [1.0, 0j, 0j, 0.2 + 0j]
 
     def test_short_truncation_is_padded(self):
         # a truncation below highest_index keeps every structurally nonzero index
-        assert to_exterior_map(GapMap(1.0, 3, (0.2,)), 2).tail == (0j, 0j, 0.2 + 0j)
-        assert to_exterior_map(Hypocycloid(4), 0).tail == (0j, 0j, 0j, 0.25 + 0j)
+        assert to_exterior_map(GapMap(1.0, 3, (0.2,)), 2).tolist() == [1.0, 0j, 0j, 0.2 + 0j]
+        assert to_exterior_map(Hypocycloid(4), 0).tolist() == [0j, 0j, 0j, 0j, 0.25 + 0j]
         two_gap = to_exterior_map(TwoGapMap(0.5, 1, 0.3, 3, (0.1, 0.2)), 1)
-        assert two_gap.tail == (0.3 + 0j, 0j, 0.1 + 0j, 0.2 + 0j)
+        assert two_gap.tolist() == [0.5, 0.3 + 0j, 0j, 0.1 + 0j, 0.2 + 0j]
 
     def test_shift_has_zero_tail(self):
-        emap = to_exterior_map(Shift(2j), 4)
-        assert emap.alpha0 == 2j and all(c == 0 for c in emap.tail)
+        a = to_exterior_map(Shift(2j), 4)
+        assert len(a) == 5 and a[0] == 2j and not a[1:].any()
 
 
 class TestEvaluateMap:
@@ -221,12 +217,14 @@ class TestExpMapClosedForm:
             table = exp_map_faber_closed_form(0.2, lam, n)
             assert table.tobytes() == fraction_closed_form(0.2, lam, n).tobytes()
             return
-        with pytest.raises(OverflowError) as reference:
+        # the reference's (-lam)^(j - k) leaves float64 and raises bare; the
+        # closed form names itself and the row that overflows first
+        with pytest.raises(OverflowError, match="complex exponentiation"):
             fraction_closed_form(0.2, lam, n)
         with pytest.raises(OverflowError) as raised:
             exp_map_faber_closed_form(0.2, lam, n)
-        assert (type(raised.value), str(raised.value)) == (type(reference.value),
-                                                           str(reference.value))
+        first = {100.0: 155, -1e3j: 103}[lam]
+        assert str(raised.value) == f"the exp-map closed form overflows float64 from F_{first} on"
 
     def test_first_index(self):
         p = exp_map_faber_closed_form(0.3, 0.2j, 1)[1]
@@ -307,8 +305,13 @@ def test_closed_form_table_is_read_only_and_monic(build):
      "the exp-map closed form overflows float64 from F_175 on"),
     (lambda: exp_map_faber_closed_form(10.0, 10.0, 250),
      "the exp-map closed form overflows float64 from F_243 on"),
+    # (-lam)^(j - k) of one coefficient leaves float64 while the row is formed
+    (lambda: exp_map_faber_closed_form(0.2, 100.0, 171),
+     "the exp-map closed form overflows float64 from F_155 on"),
+    (lambda: exp_map_faber_closed_form(0.0, 5.0, 450),
+     "the exp-map closed form overflows float64 from F_442 on"),
 ], ids=["twogap-recurrence", "twogap-head", "gap", "expmap-powers", "expmap-early-row",
-        "expmap-product"])
+        "expmap-product", "expmap-coefficient", "expmap-coefficient-eta0"])
 def test_closed_form_overflow_names_the_form_and_the_first_row(build, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -320,6 +323,15 @@ def test_closed_form_overflow_names_the_form_and_the_first_row(build, message):
 def test_shifted_powers_are_nan_from_the_first_row_float64_cannot_hold():
     table = _shifted_power_table(1e3, 105)
     assert np.isfinite(table[:103]).all() and np.isnan(table[103:]).all()
+
+
+def test_a_zero_power_never_overflows_the_binomial_table():
+    # math.comb(j, k) leaves float64 from j = 1030 on; at z0 = 0 every power
+    # but the leading one is exactly 0, so the rows are the monomials z^j
+    table = gap_faber_closed_form(GapMap(0.0, 1100, [0.1]), 1101)
+    expected = np.eye(1102, dtype=complex)
+    expected[-1, 0] = -1101 * 0.1
+    assert table.tobytes() == expected.tobytes()
 
 
 class TestLambert:
