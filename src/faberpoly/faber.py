@@ -2,9 +2,10 @@
 
 An exterior map is w + a0 + a1/w + a2/w^2 + ... on |w| > 1, given by its
 coefficient array a with a[k] = a_k (a read-only 1-D complex array holding
-at least a_0; any sequence of numbers is accepted in its place).  Its
-Faber polynomials F_j are monic of degree j and satisfy the coefficient
-recurrence
+at least a_0; any sequence of numbers is accepted in its place), and a
+(B, n+1) array is a stack of B maps, which the recurrence and the oracles
+take in one pass.  Its Faber polynomials F_j are monic of degree j and
+satisfy the coefficient recurrence
 
     F_{j+1}(z) = (z - a0) F_j(z) - sum_{k=1}^{j} a_k F_{j-k}(z) - j a_j,
 
@@ -38,14 +39,15 @@ import numpy as np
 from .series import PowerSeries
 
 
-def _map_coefficients(coeffs) -> np.ndarray:
+def _map_coefficients(coeffs, stack: bool = False) -> np.ndarray:
     """The map w + a_0 + a_1/w + ... as its read-only coefficient array a,
-    a[k] = a_k (zero beyond the last entry); a ValueError unless ``coeffs``
-    is one-dimensional and holds at least a_0."""
+    a[k] = a_k (zero beyond the last entry), or with ``stack`` a 2-D stack of
+    maps, one per row; a ValueError unless ``coeffs`` is such and holds a_0."""
     a = np.array(coeffs, dtype=complex)
-    if a.ndim != 1 or not a.size:
+    if a.ndim not in ((1, 2) if stack else (1,)) or not a.size:
+        stacks = " (a stack of maps a 2-D one)" if stack else ""
         raise ValueError(f"a map is a 1-D array a_0, a_1, ... of at least one "
-                         f"coefficient, got shape {a.shape}")
+                         f"coefficient{stacks}, got shape {a.shape}")
     a.flags.writeable = False
     return a
 
@@ -67,36 +69,75 @@ def faber_system_from_recurrence(a, n_highest: int) -> np.ndarray:
     """F_0 ... F_N of the map with coefficient array ``a`` by the
     coefficient recurrence, as the read-only
     (N+1) x (N+1) lower-triangular table whose row j holds the ascending
-    coefficients of F_j; one table column per step.
+    coefficients of F_j; one table column per step.  A stack of B maps,
+    one per row of ``a``, gives the (B, N+1, N+1) stack of their tables.
 
-    Column 0 is the truncated product of h = 1/g with the series of Psi'(w);
-    column m is the truncated product of h with column m - 1 shifted down
-    one row, so every step is one contiguous convolution and the diagonal
-    comes out exactly 1.  h comes from its own triangular loop here, never
-    from the series engine the oracles use.  Deterministic: the same map
-    always yields bit-identical systems.  Raises OverflowError naming the
-    first F_j that float64 cannot hold.
+    Deterministic: the same map or stack always yields bit-identical
+    systems.  Raises OverflowError naming the first F_j that float64 cannot
+    hold, in a stack that of the first map with one; the error carries the
+    map's position (``map``) and the row (``row``).
     """
     if n_highest < 0:
         raise ValueError("need a nonnegative highest index")
-    n = n_highest
-    given = _map_coefficients(a)[:n + 1]
-    a = np.zeros(n + 1, dtype=complex)
-    a[:len(given)] = given
-    g = np.concatenate(((1.0,), a[:n]))
-    dpsi = np.zeros(n + 1, dtype=complex)        # Psi'(w) = 1 - sum k a_k t^{k+1}
-    dpsi[0] = 1.0
-    h = np.zeros(n + 1, dtype=complex)
-    h[0] = 1.0
-    cols = np.zeros((n + 1, n + 1), dtype=complex)    # row m is column m of the table
+    given = _map_coefficients(a, stack=True)
+    maps = given.reshape(-1, given.shape[-1])
+    tables = _recurrence_tables(maps, n_highest)
+    if not np.isfinite(tables).all():
+        k = int(np.flatnonzero(~np.isfinite(tables).all(axis=(1, 2)))[0])
+        again = _recurrence_tables(maps[k:k + 1], n_highest, stop=True)[0]
+        j = int(np.flatnonzero(~np.isfinite(again).all(axis=1))[0])
+        where = f" in map {k}" if given.ndim == 2 else ""
+        error = OverflowError(f"the recurrence overflows float64{where} from F_{j} on")
+        error.map, error.row = k, j
+        raise error
+    return _read_only(tables if given.ndim == 2 else tables[0])
+
+
+def _recurrence_tables(maps: np.ndarray, n: int, stop: bool = False) -> np.ndarray:
+    """The (B, N+1, N+1) tables of a stack of maps, unchecked.  Column 0 is
+    h = 1/g times the series of Psi'(w), column m is h times column m - 1
+    shifted down one row: one product with the lower-triangular Toeplitz
+    matrix of h per column and map, so the diagonal comes out exactly 1.
+    h comes from its own loop here, never from the oracles' series engine.
+
+    A zero above the diagonal times inf is NaN, so a row that is not finite
+    spoils the rows above it in every later column.  With ``stop`` each
+    column stops above the first row found not finite, the rows from it on
+    are NaN, and the first row not finite is the one float64 cannot hold.
+    """
+    maps = maps[:, :n + 1]
+    b = len(maps)
+    ng = np.zeros((b, 1, n + 1), dtype=complex)        # -g[1:] = -a_0, -a_1, ..., zero-padded
+    ng[:, 0, :maps.shape[1]] = -maps
+    dpsi = np.zeros((b, n + 1, 1), dtype=complex)      # Psi'(w) = 1 - sum k a_k t^{k+1}
+    dpsi[:, 0] = 1.0
+    padded = np.zeros((b, 2 * n + 1), dtype=complex)   # n zeros above the diagonal, then h
+    h = padded[:, n:]
+    h[:, 0] = 1.0
+    cols = np.zeros((b, n + 1, n + 1, 1), dtype=complex)    # [:, m] is column m of the table
+    rows = n + 1                                            # the rows a column fills
     with np.errstate(over="ignore", invalid="ignore"):
-        dpsi[2:] = -np.arange(1, n) * a[1:n]
+        dpsi[:, 2:, 0] = np.arange(1, n) * ng[:, 0, 1:n]
         for k in range(1, n + 1):
-            h[k] = -(g[1:k + 1] @ h[k - 1::-1])
-        cols[0] = np.convolve(h, dpsi)[:n + 1]
-        for m in range(1, n + 1):
-            cols[m, m:] = np.convolve(h[:n + 1 - m], cols[m - 1, m - 1:n])[:n + 1 - m]
-    return _read_only(_finite_rows(np.ascontiguousarray(cols.T), "the recurrence", "F"))
+            np.matmul(ng[:, :, :k], h[:, k - 1::-1, None], out=h[:, k, None, None])
+        # toeplitz[:, i, l] = h[i - l], the zeros of ``padded`` above the diagonal,
+        # copied to C order so that a map's products are the same in any stack
+        step = h.strides[1]
+        toeplitz = np.lib.stride_tricks.as_strided(
+            h, (b, n + 1, n + 1), (padded.strides[0], step, -step)).copy()
+        for m in range(n + 1):
+            # entry l of the vector feeds row max(m - 1, 0) + l on
+            vector = dpsi[:, :rows] if m == 0 else cols[:, m - 1, m - 1:rows - 1]
+            if stop:
+                bad = np.flatnonzero(~np.isfinite(vector))
+                rows = max(m - 1, 0) + int(bad[0]) if bad.size else rows
+            if m >= rows:
+                break
+            np.matmul(toeplitz[:, :rows - m, :rows - m], vector[:, :rows - m],
+                      out=cols[:, m, m:rows])
+    cols[:, :, rows:] = np.nan
+    del toeplitz
+    return np.ascontiguousarray(cols[..., 0].transpose(0, 2, 1))
 
 
 def _finite_rows(table: np.ndarray, source: str, letter: str) -> np.ndarray:
@@ -113,23 +154,32 @@ def _read_only(table: np.ndarray) -> np.ndarray:
     return table
 
 
-def _map_minus_z_over_w(a, z, order: int) -> PowerSeries:
-    """(Psi(w) - z)/w as a series in t = 1/w: 1 + (a0 - z) t + sum a_k t^{k+1},
-    batched over the shape of ``z``."""
+def _per_map_series(a: np.ndarray, z: np.ndarray, order: int, shift: int,
+                    tail: np.ndarray) -> np.ndarray:
+    """Coefficients of 1 + sum_k tail_k t^{k+shift} to ``order`` for each map
+    of ``a`` (a map or a stack), series axis first, then one entry per point
+    of z for a map (per point of its row of z for each map of a stack)."""
+    tail = tail[..., :order + 1 - shift].T
+    coeffs = np.zeros((order + 1,) + a.shape[:-1] + z.shape[a.ndim - 1:], dtype=complex)
+    coeffs[0] = 1.0
+    coeffs[shift:shift + len(tail)] = tail.reshape(tail.shape + (1,) * (coeffs.ndim - tail.ndim))
+    return coeffs
+
+
+def _map_minus_z_over_w(a: np.ndarray, z, order: int) -> PowerSeries:
+    """(Psi(w) - z)/w as a series in t = 1/w: 1 + (a0 - z) t + sum a_k t^{k+1}."""
     z = np.asarray(z, dtype=complex)
-    a = _map_coefficients(a)[:order]      # at order 0 there is no t term
-    base = np.zeros(order + 1, dtype=complex)
-    base[0] = 1.0
-    base[1:len(a) + 1] = a
-    coeffs = np.broadcast_to(base.reshape((-1,) + (1,) * z.ndim), base.shape + z.shape).copy()
+    coeffs = _per_map_series(a, z, order, 1, a)
     coeffs[1:2] -= z
     return PowerSeries(coeffs)
 
 
-def _oracle_values(values: np.ndarray, z):
-    """The values of one point as a list of complex; those of an array of
-    points as an array with one column per point."""
-    return values.tolist() if np.ndim(z) == 0 else np.array(values)
+def _oracle_values(values: np.ndarray, a: np.ndarray, z):
+    """The values of one map at one point as a list of complex; otherwise an
+    array with one column per point, behind one axis of maps for a stack."""
+    if a.ndim == 1 and np.ndim(z) == 0:
+        return values.tolist()
+    return np.array(values.swapaxes(0, 1) if a.ndim == 2 else values, order="C")
 
 
 def faber_values_from_log_series(a, z, n_highest: int):
@@ -137,14 +187,17 @@ def faber_values_from_log_series(a, z, n_highest: int):
 
     ``z`` is a point, giving a list, or an array of points, giving an array
     of shape (N, *z.shape) whose entry [j-1, ...] is F_j at the point z[...].
+    A stack of B maps takes one row of points per map, z[b] for map b, and
+    gives shape (B, N, *z.shape[1:]).
     This path never touches the recurrence: it builds (Psi(w) - z)/w,
     takes the series log, and returns -j times the t^j coefficients.
     """
     if n_highest < 1:
         raise ValueError("need at least F_1")
-    log_series = _map_minus_z_over_w(a, z, n_highest).log1()
-    index = np.arange(1, n_highest + 1).reshape((-1,) + (1,) * np.ndim(z))
-    return _oracle_values(-index * log_series.coeffs[1:n_highest + 1], z)
+    a = _map_coefficients(a, stack=True)
+    values = _map_minus_z_over_w(a, z, n_highest).log1().coeffs[1:n_highest + 1]
+    index = np.arange(1, n_highest + 1).reshape((-1,) + (1,) * (values.ndim - 1))
+    return _oracle_values(-index * values, a, z)
 
 
 def faber_values_from_ratio_series(a, z, n_highest: int):
@@ -152,18 +205,17 @@ def faber_values_from_ratio_series(a, z, n_highest: int):
 
     Coefficient j equals F_j(z); the numerator series is
     1 - sum_{k>=1} k a_k t^{k+1}.  A point gives a list, an array of
-    points an array of shape (N+1, *z.shape).
+    points an array of shape (N+1, *z.shape), and a stack of maps, as for
+    the log series, shape (B, N+1, *z.shape[1:]).
     """
     if n_highest < 0:
         raise ValueError("need a nonnegative highest index")
     order = max(n_highest, 1)
-    tail = _map_coefficients(a)[1:order]
-    num = np.zeros(order + 1, dtype=complex)
-    num[0] = 1.0
-    num[2:len(tail) + 2] = -np.arange(1, len(tail) + 1) * tail
-    denom = _map_minus_z_over_w(a, z, order)
-    ratio = PowerSeries(num) * denom.reciprocal()
-    return _oracle_values(ratio.coeffs[: n_highest + 1], z)
+    a = _map_coefficients(a, stack=True)
+    tail = a[..., 1:order]
+    num = _per_map_series(tail, np.asarray(z), order, 2, -np.arange(1, tail.shape[-1] + 1) * tail)
+    ratio = PowerSeries(num) * _map_minus_z_over_w(a, z, order).reciprocal()
+    return _oracle_values(ratio.coeffs[: n_highest + 1], a, z)
 
 
 def faber_derivative_values_from_series(a, z, n_highest: int):
@@ -171,12 +223,14 @@ def faber_derivative_values_from_series(a, z, n_highest: int):
 
     Uses 1/(Psi(w) - z) = t * reciprocal((Psi(w) - z)/w), whose constant
     term is 1, so no division hazard arises.  A point gives a list, an array
-    of points an array of shape (N, *z.shape).
+    of points an array of shape (N, *z.shape), and a stack of maps, as for
+    the log series, shape (B, N, *z.shape[1:]).
     """
     if n_highest < 1:
         raise ValueError("need at least index 1")
+    a = _map_coefficients(a, stack=True)
     recip = _map_minus_z_over_w(a, z, n_highest).reciprocal()
-    return _oracle_values(recip.coeffs[:n_highest], z)
+    return _oracle_values(recip.coeffs[:n_highest], a, z)
 
 
 def _kernel_tables(lam: complex, n_highest: int) -> tuple[np.ndarray, np.ndarray]:

@@ -326,8 +326,13 @@ def evaluate_rows(table: np.ndarray, z) -> tuple[np.ndarray, np.ndarray]:
 
     ``z`` is a point or an array of points; both results have shape
     (len(table), *z.shape), entry [j, ...] for row j at the point z[...].
+    A stack of B tables takes one row of points per table, z[b] for table
+    b, and gives shape (B, len(table[0]), *z.shape[1:]).
     """
     z = np.asarray(z, dtype=complex)
-    shape = table.T.shape + (1,) * z.ndim
+    stacked = table.ndim - 2
+    points = (...,) + (None,) * (z.ndim - stacked)     # coefficient axis first, then room for z
+    z = np.expand_dims(z, stacked)
     r = np.hypot(z.real, z.imag)   # abs() of a Python complex; np.abs(z) can differ by an ulp
-    return _horner(table.T.reshape(shape), z), _horner(np.abs(table).T.reshape(shape), r)
+    return (_horner(np.moveaxis(table, -1, 0)[points], z),
+            _horner(np.moveaxis(np.abs(table), -1, 0)[points], r))

@@ -3,9 +3,13 @@
 Each suite returns one :class:`CheckReport` from ``CheckReport.verdict`` (or
 ``judged``) over its cases, one (passed, residual) per map, pair or m,
 taken lazily, so the first residual that is not finite stops the suite
-before the next case is drawn.  All randomness flows through an explicit
-seed, so a suite run is reproducible bit for bit.  These are the checks
-the command line exposes under ``verify --suite NAME``.
+before the next case is computed.  The three series suites
+(``recurrence-vs-oracle``, ``eq13``, ``eq16``) draw all their cases first
+and then judge them in blocks, one stacked recurrence, oracle call and
+Horner pass per block, so that stop skips the blocks after it.  All
+randomness flows through an explicit seed, so a suite run is
+reproducible bit for bit.  These are the checks the command line exposes
+under ``verify --suite NAME``.
 
 The draws are part of every report.  Each disk point takes two uniforms
 from the generator, its radius and then its angle (``draw_disks`` takes k
@@ -113,41 +117,62 @@ def draw_two_gap_map(rng: np.random.Generator, pattern_valid: bool = False) -> T
 # suites
 # ---------------------------------------------------------------------------
 
-def _value_residual(expected, table: np.ndarray, z) -> float:
-    """Worst |expected_j - row_j(z)| over the table rows and the points z,
-    each relative to 1 + the row's Horner magnitude at that point."""
-    values, magnitudes = evaluate_rows(table, z)
-    return float(np.max(np.abs(np.asarray(expected) - values) / (1.0 + magnitudes)))
+def _value_residuals(expected: np.ndarray, tables: np.ndarray, z: np.ndarray,
+                     index=1.0) -> np.ndarray:
+    """Per map of a stack, the worst |expected_j - row_j(z) / index_j| over its
+    rows and points, each relative to 1 + the row's Horner magnitude there."""
+    values, magnitudes = evaluate_rows(tables, z)
+    return np.max(np.abs(expected - values / index) / (1.0 + magnitudes), axis=(1, 2))
 
 
-def _per_map(name: str, seed: int, maps: int, truncation: int, residual,
-             tol: float) -> CheckReport:
-    """Judge ``residual(rng, a)`` on ``maps`` seeded random maps of the given
-    truncation; the first map whose residual is not finite stops the check."""
+#: most table entries, maps times (N+1)^2, that one block of a series suite
+#: builds at once (with the oracle's series about 1 MB at the default N); a
+#: larger table forms a block alone
+_TABLE_BUDGET = 1 << 14
+
+
+def _series_suite(name: str, seed: int, maps: int, truncation: int, points: int,
+                  n_highest: int, residuals, tol: float) -> CheckReport:
+    """Judge ``residuals(a, tables, z)``, one per map of a stack a with its
+    recurrence tables and its row of points z, on ``maps`` seeded maps of the
+    given truncation with ``points`` points each, all drawn first (a map,
+    then its points), then judged in blocks under ``_TABLE_BUDGET``.  The
+    first case not finite, or whose table overflows, stops the check."""
     rng = np.random.default_rng(seed)
-    return CheckReport.judged(name, (residual(rng, draw_exterior_map(rng, truncation))
-                                     for _ in range(maps)), tol)
+    drawn = [(draw_exterior_map(rng, truncation), draw_disks(rng, [3.0] * points))
+             for _ in range(maps)]
+    size = max(1, _TABLE_BUDGET // (n_highest + 1) ** 2)
+
+    def cases():
+        for start in range(0, maps, size):
+            a, z = (np.array(block) for block in zip(*drawn[start:start + size]))
+            try:
+                tables = faber_system_from_recurrence(a, n_highest)
+            except OverflowError as exc:
+                if exc.map:          # the maps before it are judged first
+                    yield from residuals(a[:exc.map], faber_system_from_recurrence(
+                        a[:exc.map], n_highest), z[:exc.map]).tolist()
+                raise OverflowError(f"{name} case {start + exc.map}, N={n_highest}: the "
+                                    f"recurrence overflows float64 from F_{exc.row} on") from exc
+            yield from residuals(a, tables, z).tolist()
+    return CheckReport.judged(name, cases(), tol)
 
 
 def suite_recurrence_vs_oracle(seed: int = 0, n_highest: int = 30,
                                tol: float = 1e-9) -> CheckReport:
     """Recurrence-generated values against the log-series oracle, on 50
     random maps of truncation 30 with 20 points each."""
-    def residual(rng, a):
-        table = faber_system_from_recurrence(a, n_highest)[1:]
-        z = np.array(draw_disks(rng, [3.0] * 20))
-        return _value_residual(faber_values_from_log_series(a, z, n_highest), table, z)
-    return _per_map("recurrence-vs-oracle", seed, 50, 30, residual, tol)
+    def residuals(a, tables, z):
+        return _value_residuals(faber_values_from_log_series(a, z, n_highest), tables[:, 1:], z)
+    return _series_suite("recurrence-vs-oracle", seed, 50, 30, 20, n_highest, residuals, tol)
 
 
 def suite_eq13(seed: int = 0, n_highest: int = 20, tol: float = 1e-9) -> CheckReport:
     """Value generating series Psi'(w) w/(Psi(w)-z) against the recurrence,
     on 30 random pairs of a map of truncation 24 and a point."""
-    def residual(rng, a):
-        z = draw_disk(rng, 3.0)
-        table = faber_system_from_recurrence(a, n_highest)
-        return _value_residual(faber_values_from_ratio_series(a, z, n_highest), table, z)
-    return _per_map("eq13", seed, 30, 24, residual, tol)
+    def residuals(a, tables, z):
+        return _value_residuals(faber_values_from_ratio_series(a, z, n_highest), tables, z)
+    return _series_suite("eq13", seed, 30, 24, 1, n_highest, residuals, tol)
 
 
 def suite_eq16(seed: int = 0, n_highest: int = 20, tol: float = 1e-9) -> CheckReport:
@@ -155,13 +180,10 @@ def suite_eq16(seed: int = 0, n_highest: int = 20, tol: float = 1e-9) -> CheckRe
     on 30 random pairs of a map of truncation 24 and a point."""
     index = np.arange(1, n_highest + 1)
 
-    def residual(rng, a):
-        z = draw_disk(rng, 3.0)
-        f = faber_system_from_recurrence(a, n_highest)
-        values, magnitudes = evaluate_rows(f[1:, 1:] * index, z)    # row j-1 is F_j'
-        coeffs = faber_derivative_values_from_series(a, z, n_highest)
-        return float(np.max(np.abs(coeffs - values / index) / (1.0 + magnitudes)))
-    return _per_map("eq16", seed, 30, 24, residual, tol)
+    def residuals(a, tables, z):        # row j-1 of the evaluated rows is F_j'
+        return _value_residuals(faber_derivative_values_from_series(a, z, n_highest),
+                                tables[:, 1:, 1:] * index, z, index[:, None])
+    return _series_suite("eq16", seed, 30, 24, 1, n_highest, residuals, tol)
 
 
 def suite_eq14(lam: complex = 0.7, n_highest: int = 20, tol: float = 1e-9) -> CheckReport:

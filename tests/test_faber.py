@@ -38,8 +38,9 @@ class TestMapCoefficients:
             assert oracle(given, z, 12).tobytes() == oracle(reference, z, 12).tobytes()
             assert oracle(given, 0.7j, 12) == oracle(reference, 0.7j, 12)
 
-    @pytest.mark.parametrize("coeffs", [0.5, [[0.5, 0.1]], []], ids=["0-d", "2-D", "empty"])
+    @pytest.mark.parametrize("coeffs", [0.5, [[[0.5, 0.1]]], []], ids=["0-d", "3-D", "empty"])
     def test_not_one_dimensional_or_empty_is_refused(self, coeffs):
+        # a 2-D array is a stack of maps (see TestStackedMaps)
         with pytest.raises(ValueError, match="1-D array"):
             faber_system_from_recurrence(coeffs, 4)
         for oracle in ORACLES:
@@ -298,6 +299,96 @@ class TestBatchedOracles:
             z = np.array([draw_disk(rng, 3.0) for _ in range(6)]).reshape(2, 3)
             narrow = oracle(emap, z, 30)
             assert np.array_equal(narrow, oracle(emap, z, 2 * 30 + 4)[:len(narrow)])
+
+
+@st.composite
+def map_stacks(draw, max_maps=8, max_n=60):
+    """A (B, t+1) stack of maps with |a_k| <= 2/(k+1), and an N up to ``max_n``."""
+    maps, length = draw(st.integers(1, max_maps)), draw(st.integers(1, 13))
+    stack = [[draw(bounded_complex(2.0 / (k + 1))) for k in range(length)] for _ in range(maps)]
+    return np.array(stack, dtype=complex), draw(st.integers(0, max_n))
+
+
+class TestStackedMaps:
+    """A (B, n+1) stack of maps gives what each map gives alone, with a map axis first.
+
+    The stack is computed in one pass, so its products are stacked BLAS
+    calls where a map alone makes 2-D ones.  The two need not round alike,
+    so each map is held to its 1-D result within 4 eps of the row scale,
+    not bit for bit.
+    """
+
+    EPS = np.finfo(float).eps
+
+    @settings(max_examples=25, deadline=None)
+    @given(map_stacks())
+    def test_each_table_of_a_stack_is_its_table_alone(self, drawn):
+        stack, n = drawn
+        tables = faber_system_from_recurrence(stack, n)
+        assert tables.shape == (len(stack), n + 1, n + 1) and not tables.flags.writeable
+        for a, table in zip(stack, tables):
+            alone = faber_system_from_recurrence(a, n)
+            assert table.shape == alone.shape and table.dtype == alone.dtype
+            assert table.flags.writeable == alone.flags.writeable
+            assert np.all(_row_deviation(table, alone) <= 4 * self.EPS)
+
+    @settings(max_examples=15, deadline=None)
+    @given(map_stacks(max_n=40), st.integers(1, 4), st.data())
+    def test_each_map_of_a_stack_gets_its_oracle_values_alone(self, drawn, points, data):
+        stack, n = drawn
+        n = max(n, 1)
+        z = np.array([[data.draw(bounded_complex(3.0)) for _ in range(points)]
+                      for _ in stack])
+        for oracle in ORACLES:
+            values = oracle(stack, z, n)
+            for b, a in enumerate(stack):
+                alone = oracle(a, z[b], n)
+                assert values[b].shape == alone.shape
+                scale = 1.0 + np.abs(alone).max(axis=1, keepdims=True)
+                assert np.all(np.abs(values[b] - alone) <= 4 * self.EPS * scale)
+
+    @settings(max_examples=15, deadline=None)
+    @given(map_stacks(max_n=40), st.integers(1, 4), st.data())
+    def test_each_stacked_table_evaluates_as_alone(self, drawn, points, data):
+        stack, n = drawn
+        tables = faber_system_from_recurrence(stack, n)
+        z = np.array([[data.draw(bounded_complex(3.0)) for _ in range(points)]
+                      for _ in stack])
+        values, magnitudes = evaluate_rows(tables, z)
+        assert values.shape == magnitudes.shape == (len(stack), n + 1, points)
+        for b, table in enumerate(tables):
+            alone, alone_magnitudes = evaluate_rows(table, z[b])
+            assert np.all(np.abs(values[b] - alone) <= 4 * self.EPS * (1.0 + alone_magnitudes))
+            assert np.all(np.abs(magnitudes[b] - alone_magnitudes)
+                          <= 4 * self.EPS * alone_magnitudes)
+
+    def test_one_point_per_map(self):
+        stack = np.array([[0.3, 0.1j], [-0.2, 0.05]])
+        z = np.array([0.5, -1.0j])
+        assert faber_values_from_log_series(stack, z, 6).shape == (2, 6)
+        assert evaluate_rows(faber_system_from_recurrence(stack, 6), z)[0].shape == (2, 7)
+
+    def test_a_stack_names_its_first_overflowing_map_and_row(self):
+        # map 1 (a shift by 20) overflows from F_234 and map 2 from F_2; the
+        # stack names map 1, at the row it names alone
+        stack = np.array([[0.1, 0.05], [20.0, 0.0], [1e200, 0.0]])
+        with pytest.raises(OverflowError, match="^the recurrence overflows float64 in map 1 "
+                                                "from F_234 on$") as raised:
+            faber_system_from_recurrence(stack, 240)
+        assert (raised.value.map, raised.value.row) == (1, 234)
+        with pytest.raises(OverflowError, match="^the recurrence overflows float64 from F_234 on$"):
+            faber_system_from_recurrence(stack[1], 240)
+
+    @pytest.mark.parametrize("lam, row", [(20.0, 319), (50.0, 247)])
+    def test_the_named_row_is_the_first_float64_cannot_hold(self, lam, row):
+        # an infinite entry turns the rows above it NaN in later columns (zero
+        # times inf in the Toeplitz product); the row named is still the first
+        # whose own recurrence leaves float64: the table up to it is finite
+        a = exp_map_exterior(0.1, lam, 400)
+        for n in (400, row):
+            with pytest.raises(OverflowError, match=f"from F_{row} on"):
+                faber_system_from_recurrence(a, n)
+        assert np.isfinite(faber_system_from_recurrence(a, row - 1)).all()
 
 
 def test_series_engine_and_oracles_stay_off_the_recurrence(monkeypatch):

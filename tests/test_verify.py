@@ -193,6 +193,89 @@ def test_one_recurrence_table_per_map(monkeypatch, suite, calls):
     assert report.passed and len(counted) == calls
 
 
+SERIES_SUITES = [("recurrence-vs-oracle", "faber_values_from_log_series"),
+                 ("eq13", "faber_values_from_ratio_series"),
+                 ("eq16", "faber_derivative_values_from_series")]
+
+
+@pytest.mark.parametrize("suite, oracle", SERIES_SUITES)
+def test_one_recurrence_and_one_oracle_call_per_block(monkeypatch, suite, oracle):
+    # at the default N the 30 maps of eq13 and eq16 form one block; the 50
+    # maps of recurrence-vs-oracle (N = 30) form three, 17 + 17 + 16 under
+    # the budget of table entries
+    stacks = {"recurrence": [], "oracle": []}
+    for kind, name in (("recurrence", "faber_system_from_recurrence"), ("oracle", oracle)):
+        original = getattr(suites, name)
+
+        def counting(a, *args, _original=original, _calls=stacks[kind]):
+            _calls.append(np.shape(a))
+            return _original(a, *args)
+        monkeypatch.setattr(suites, name, counting)
+    report, = suites.run_suite(suite)
+    assert report.passed
+    maps = {"recurrence-vs-oracle": [17, 17, 16]}.get(suite, [30])
+    for shapes in stacks.values():
+        assert [shape[0] for shape in shapes] == maps
+        assert all(len(shape) == 2 for shape in shapes)
+
+
+def overflow_case_7(monkeypatch, nan_case=None):
+    """eq13 with the map of case 7 replaced by one whose F_2 leaves float64
+    (a_0 = 1e200), and the oracle values of case ``nan_case`` NaN."""
+    original_draw, drawn = suites.draw_exterior_map, []
+
+    def draw(rng, truncation):
+        a = original_draw(rng, truncation)      # the same draws, in the same order
+        drawn.append(a)
+        return np.array([1e200] + [0.0] * truncation) if len(drawn) == 8 else a
+    monkeypatch.setattr(suites, "draw_exterior_map", draw)
+    original_oracle = suites.faber_values_from_ratio_series
+
+    def oracle(a, z, n_highest):
+        values = original_oracle(a, z, n_highest)
+        if nan_case is not None and len(values) > nan_case:
+            values[nan_case] = np.nan
+        return values
+    monkeypatch.setattr(suites, "faber_values_from_ratio_series", oracle)
+
+
+def test_a_block_refuses_its_first_non_finite_case_before_a_later_overflow(monkeypatch):
+    overflow_case_7(monkeypatch, nan_case=3)
+    with pytest.raises(ArithmeticError, match="residual not finite in float64 at case 3$"):
+        suites.run_suite("eq13")
+
+
+def test_a_block_refuses_its_overflowing_case(monkeypatch):
+    overflow_case_7(monkeypatch)
+    with pytest.raises(OverflowError, match="^eq13 case 7, N=20: the recurrence overflows "
+                                            "float64 from F_2 on$"):
+        suites.run_suite("eq13")
+
+
+@pytest.mark.parametrize("suite, oracle", SERIES_SUITES)
+def test_n_above_the_map_truncation_pads_the_tail_with_zeros(suite, oracle):
+    # maps of truncation 30 (recurrence-vs-oracle) and 24 at N = 40: each map
+    # judged alone, its tail padded with zeros, gives the suite's residual
+    report, = suites.run_suite(suite, n_highest=40)
+    rng = np.random.default_rng(0)
+    maps, truncation, points = {"recurrence-vs-oracle": (50, 30, 20)}.get(suite, (30, 24, 1))
+    first = 0 if suite == "eq13" else 1
+    expected = []
+    for _ in range(maps):
+        a = np.concatenate((suites.draw_exterior_map(rng, truncation), np.zeros(40 - truncation)))
+        z = np.array(suites.draw_disks(rng, [3.0] * points))
+        table = faber_system_from_recurrence(a, 40)
+        if suite == "eq16":
+            table = table[:, 1:] * np.arange(41)[1:]
+        values, magnitudes = evaluate_rows(table[first:], z)
+        if suite == "eq16":
+            values = values / np.arange(1, 41)[:, None]
+        oracle_values = getattr(suites, oracle)(a, z, 40)
+        expected.append(np.max(np.abs(oracle_values - values) / (1.0 + magnitudes)))
+    assert report.passed
+    assert np.allclose(report.residuals, expected, rtol=0.0, atol=1e-15)
+
+
 class TestExponentialCharacterization:
     def test_detects_generated_map(self):
         emap = exp_map_exterior(0.4 - 0.1j, 0.6, 20)
