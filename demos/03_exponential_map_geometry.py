@@ -25,7 +25,7 @@ for t in (0.0, complex(cmath.e), -0.25, 1 + 2j):
           f"residual={res.residual:.1e}")
 series = lambert_w0_power_series(1, 20)
 t = 0.1
-summed = sum(c * t ** k for k, c in enumerate(series.coeffs))
+summed = sum(c * t ** k for k, c in enumerate(series))
 print(f"  power series at t = {t}: {summed:.12f} vs Halley "
       f"{lambert_w0(t).value:.12f}")
 print()

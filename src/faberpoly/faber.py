@@ -154,22 +154,14 @@ def _read_only(table: np.ndarray) -> np.ndarray:
     return table
 
 
-def _per_map_series(a: np.ndarray, z: np.ndarray, order: int, shift: int,
-                    tail: np.ndarray) -> np.ndarray:
-    """Coefficients of 1 + sum_k tail_k t^{k+shift} to ``order`` for each map
-    of ``a`` (a map or a stack), series axis first, then one entry per point
-    of z for a map (per point of its row of z for each map of a stack)."""
-    tail = tail[..., :order + 1 - shift].T
+def _map_minus_z_over_w(a: np.ndarray, z, order: int) -> PowerSeries:
+    """(Psi(w) - z)/w = 1 + (a0 - z) t + sum a_k t^{k+1} in t = 1/w to ``order``,
+    series axis first, then the points z of a map (of a stack: each map's row of z)."""
+    z = np.asarray(z, dtype=complex)
+    tail = a[..., :order].T
     coeffs = np.zeros((order + 1,) + a.shape[:-1] + z.shape[a.ndim - 1:], dtype=complex)
     coeffs[0] = 1.0
-    coeffs[shift:shift + len(tail)] = tail.reshape(tail.shape + (1,) * (coeffs.ndim - tail.ndim))
-    return coeffs
-
-
-def _map_minus_z_over_w(a: np.ndarray, z, order: int) -> PowerSeries:
-    """(Psi(w) - z)/w as a series in t = 1/w: 1 + (a0 - z) t + sum a_k t^{k+1}."""
-    z = np.asarray(z, dtype=complex)
-    coeffs = _per_map_series(a, z, order, 1, a)
+    coeffs[1:1 + len(tail)] = tail.reshape(tail.shape + (1,) * (coeffs.ndim - tail.ndim))
     coeffs[1:2] -= z
     return PowerSeries(coeffs)
 
@@ -203,8 +195,9 @@ def faber_values_from_log_series(a, z, n_highest: int):
 def faber_values_from_ratio_series(a, z, n_highest: int):
     """Coefficients 0..N of Psi'(w) w / (Psi(w) - z) in t = 1/w.
 
-    Coefficient j equals F_j(z); the numerator series is
-    1 - sum_{k>=1} k a_k t^{k+1}.  A point gives a list, an array of
+    Coefficient j equals F_j(z).  The numerator series
+    1 - sum_{k>=1} k a_k t^{k+1} is d - t d' for d = (Psi(w) - z)/w, so its
+    coefficient k is (1 - k) d_k.  A point gives a list, an array of
     points an array of shape (N+1, *z.shape), and a stack of maps, as for
     the log series, shape (B, N+1, *z.shape[1:]).
     """
@@ -212,9 +205,9 @@ def faber_values_from_ratio_series(a, z, n_highest: int):
         raise ValueError("need a nonnegative highest index")
     order = max(n_highest, 1)
     a = _map_coefficients(a, stack=True)
-    tail = a[..., 1:order]
-    num = _per_map_series(tail, np.asarray(z), order, 2, -np.arange(1, tail.shape[-1] + 1) * tail)
-    ratio = PowerSeries(num) * _map_minus_z_over_w(a, z, order).reciprocal()
+    d = _map_minus_z_over_w(a, z, order)
+    k = np.arange(order + 1).reshape((-1,) + (1,) * (d.coeffs.ndim - 1))
+    ratio = PowerSeries((1 - k) * d.coeffs) * d.reciprocal()
     return _oracle_values(ratio.coeffs[: n_highest + 1], a, z)
 
 

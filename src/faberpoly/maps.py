@@ -35,7 +35,6 @@ from typing import Sequence, Union
 import numpy as np
 
 from .faber import _finite_rows, _map_coefficients, _read_only, exp_map_exterior
-from .series import PowerSeries
 
 BRANCH_POINT = -math.exp(-1.0)
 
@@ -427,28 +426,26 @@ def inverse_exp_map(z: complex, eta: complex, lam: complex) -> complex:
     return -lam / res.value
 
 
-def lambert_w0_power_series(j: int, order: int) -> PowerSeries:
-    """Truncated power series of W0(t)^j.
+def lambert_w0_power_series(j: int, order: int) -> np.ndarray:
+    """Coefficients 0..``order`` of the truncated power series of W0(t)^j, as
+    a read-only complex array.
 
     Coefficient of t^k is -j (-k)^{k-j-1} / (k-j)! for k >= j, with the
-    0/0 = 1 and 0^0 = 1 conventions.  For j >= 0 the series is returned
-    directly (zeros below t^j).  For j < 0 the expansion is a Laurent
+    0/0 = 1 and 0^0 = 1 conventions.  For j >= 0 entry k holds the t^k
+    coefficient (zeros below t^j).  For j < 0 the expansion is a Laurent
     series starting at t^j, so the regular factor t^{-j} W0(t)^j is
     returned instead: entry i holds the t^{i+j} coefficient.  Magnitudes
     are accumulated in log scale, so large orders cannot overflow.
     """
     if order < max(j, 1):
         raise ValueError("order must cover the leading index")
+    coeffs = np.zeros(order + 1, dtype=complex)
     if j == 0:
-        return PowerSeries.one(order)
-    offset = j if j < 0 else 0
-    coeffs = [0j] * (order + 1)
-    for i in range(order + 1):
-        k = i + offset
-        if k < j:
-            continue
-        coeffs[i] = complex(_w0_power_coefficient(j, k))
-    return PowerSeries(coeffs)
+        coeffs[0] = 1.0
+    else:
+        for i in range(max(j, 0), order + 1):
+            coeffs[i] = _w0_power_coefficient(j, i + min(j, 0))
+    return _read_only(coeffs)
 
 
 def _w0_power_coefficient(j: int, k: int) -> float:

@@ -9,8 +9,8 @@ coefficients beyond the stated order, and binary operations truncate to
 the shorter operand.  Multiplication is plain O(N^2) convolution, which is
 degree-exact: coefficients up to the result order depend only on input
 coefficients up to that order.  The operations are those the
-generating-series oracles need: products, reciprocal, derivative,
-integral and the log of a series with unit constant term.
+generating-series oracles need: the product of two series, the reciprocal
+and the log of a series with unit constant term.
 """
 
 from __future__ import annotations
@@ -52,20 +52,13 @@ class PowerSeries:
         cs.flags.writeable = False
         object.__setattr__(self, "coeffs", cs)
 
-    @classmethod
-    def one(cls, order: int) -> "PowerSeries":
-        cs = np.zeros(order + 1, dtype=complex)
-        cs[0] = 1.0
-        return cls(cs)
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
     def __mul__(self, other):
         if not isinstance(other, PowerSeries):
-            other = np.asarray(other, dtype=complex)
-            return PowerSeries(_lift(self.coeffs, other.ndim + 1) * other)
+            return NotImplemented
         a, b = _pair(self.coeffs, other.coeffs)
         if a.ndim == 1:
             return PowerSeries(np.convolve(a, b)[: len(a)])
@@ -88,22 +81,16 @@ class PowerSeries:
             r[k] = -dot(a[1:k + 1], r[k - 1::-1]) * r[0]
         return PowerSeries(r)
 
-    def derivative(self) -> "PowerSeries":
-        if self.order == 0:
-            return PowerSeries(np.zeros_like(self.coeffs))
-        k = _lift(np.arange(1, self.order + 1), self.coeffs.ndim)
-        return PowerSeries(k * self.coeffs[1:])
-
-    def integrate(self) -> "PowerSeries":
-        c = self.coeffs
-        out = np.zeros((len(c) + 1,) + c.shape[1:], dtype=complex)
-        out[1:] = c / _lift(np.arange(1, len(c) + 1), c.ndim)
-        return PowerSeries(out)
-
     def log1(self) -> "PowerSeries":
-        """log of a series with unit constant term, via (log a)' = a'/a."""
-        if np.any(np.abs(self.coeffs[0] - 1.0) > CONST_TERM_TOL):
+        """log b of a series a with unit constant term, in one triangular pass
+        over (log a)' a = a' (Knuth, TAOCP vol. 2, 4.7): with c_k = k b_k,
+        c_k a_0 = k a_k - sum_{0<i<k} c_i a_{k-i}."""
+        a = self.coeffs
+        if np.any(np.abs(a[0] - 1.0) > CONST_TERM_TOL):
             raise ValueError("log needs constant term 1")
-        if self.order == 0:
-            return PowerSeries(np.zeros_like(self.coeffs))
-        return (self.derivative() * self.reciprocal()).integrate()
+        dot = operator.matmul if a.ndim == 1 else _contract0
+        c = np.zeros(a.shape, dtype=complex)
+        for k in range(1, len(a)):
+            c[k] = (k * a[k] - dot(c[1:k], a[k - 1:0:-1])) / a[0]
+        c[1:] /= _lift(np.arange(1, len(a)), a.ndim)
+        return PowerSeries(c)

@@ -338,7 +338,7 @@ def suite_lambert(seed: int = 0, tol: float = 1e-12) -> CheckReport:
     misses = []
     for k in range(16):
         t = 0.1 * cmath.exp(2j * math.pi * k / 16.0)
-        summed = sum(c * t ** i for i, c in enumerate(series.coeffs.tolist()))
+        summed = sum(c * t ** i for i, c in enumerate(series.tolist()))
         misses.append(abs(summed - lambert_w0(t).value))
     return CheckReport.verdict("lambert", ((worst <= bound, worst) for worst, bound in
                                            zip(map(np.max, (grid, round_trips, misses)),
@@ -387,15 +387,16 @@ def run_suite(name: str, seed: int = 0, n_highest: int | None = None,
 
     Each option goes to the suites whose signature takes it.  A single
     suite refuses an option it does not take; 'all' gives each option to
-    the suites that take it.  ``n_highest`` must be at least 1, and at
-    least 3 for ``theorem3`` (also under 'all').  A ValueError names the
-    suite.  Suites are looked up by module-global name at call time, so a
-    rebound ``suite_*`` function is the one that runs.
+    the suites that take it.  ``n_highest`` must be at least 1 (3 for
+    ``theorem3``, also under 'all'), ``seed`` and ``tol`` at least 0.  A
+    ValueError names the suite and the option.  Suites are looked up by
+    module-global name at call time, so a rebound ``suite_*`` is the one run.
     """
     if name != "all" and name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
-    if n_highest is not None and n_highest < 1:
-        raise ValueError(f"suite {name!r} needs N >= 1, got {n_highest}")
+    for flag, value, least in (("N", n_highest, 1), ("--seed", seed, 0), ("--tol", tol, 0)):
+        if value is not None and value < least:
+            raise ValueError(f"suite {name!r} needs {flag} >= {least}, got {value}")
     if n_highest is not None and n_highest < 3 and name in ("theorem3", "all"):
         raise ValueError(f"suite 'theorem3' needs N >= 3 to characterize the common-root "
                          f"pattern, got {n_highest}")

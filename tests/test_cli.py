@@ -14,6 +14,7 @@ from faberpoly import cli
 from faberpoly.cli import main
 from faberpoly.maps import FAMILIES
 from faberpoly.poly import ComplexPolynomial, RootFindingError
+from faberpoly.suites import SUITE_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -268,14 +269,13 @@ class TestVerify:
     def test_lambert_refuses_a_non_finite_series_miss(self, monkeypatch):
         # the series miss came last in a running max that kept 0.0 over NaN
         import faberpoly.suites as suites
-        from faberpoly.series import PowerSeries
 
         original = suites.lambert_w0_power_series
 
         def non_finite(j, order):
-            coeffs = original(j, order).coeffs.copy()
+            coeffs = original(j, order).copy()
             coeffs[-1] = complex("nan")
-            return PowerSeries(coeffs)
+            return coeffs
 
         monkeypatch.setattr(suites, "lambert_w0_power_series", non_finite)
         code, out, err = run_cli_with_stderr("verify", "--suite", "lambert")
@@ -506,6 +506,22 @@ class TestErrors:
         message = json.loads(err)["message"]
         assert "suite 'theorem3'" in message and "N >= 3" in message
 
+    @pytest.mark.parametrize("suite", SUITE_NAMES + ("all",))
+    @pytest.mark.parametrize("flag", ["--seed", "--tol"])
+    def test_verify_refuses_a_negative_seed_or_tol(self, suite, flag):
+        # a negative seed draws nothing, and no residual falls below a negative tolerance
+        for given in ((flag, "-1"), (f"{flag}=-1",)):
+            code, out, err = run_cli_with_stderr("verify", "--suite", suite, *given)
+            assert code == 2 and out == ""
+            message = json.loads(err)["message"]
+            assert f"suite {suite!r}" in message and f"{flag} >= 0" in message
+
+    def test_verify_takes_a_zero_seed_and_tol(self):
+        code, out, err = run_cli_with_stderr("verify", "--suite", "chebyshev",
+                                             "--seed", "0", "--tol", "0")
+        assert code == 0 and err == ""
+        assert json.loads(out)["pass"] is True
+
     def test_invalid_family_parameters(self):
         code, _ = run_cli("gen", "--family", "gap", "--z0", "1", "--n", "0",
                           "--tail", "0.2")
@@ -518,7 +534,8 @@ class TestErrors:
         (("gen", "--family", "expmap", "--N", "3"), "--eta", "-1e-1-0.1j"),
         (("gen", "--family", "twogap", "--N", "3"), "--alpha-m", "-0.1+0.1j"),
         (("gen", "--family", "gap", "--N", "4"), "--tail", "-0.2,0.1"),
-        (("verify", "--suite", "eq14", "--N", "5"), "--tol", "-1e-3"),
+        # negative zero: the one tolerance starting with "-" that verify takes
+        (("verify", "--suite", "eq14", "--N", "5"), "--tol", "-0e0"),
         (("boundary",), "--theta", "-1e-3"),
     ], ids=["lambda", "alpha0", "z0", "eta", "alpha-m", "tail", "tol", "theta"])
     def test_number_starting_with_minus_is_a_value(self, argv, flag, value):

@@ -393,10 +393,13 @@ class TestStackedMaps:
 
 def test_series_engine_and_oracles_stay_off_the_recurrence(monkeypatch):
     import faberpoly.faber as faber
+    import faberpoly.maps as maps
     import faberpoly.series as series_module
 
-    # faber.py generates only: no checker, no maps, no import deferred into a function
-    for module, allowed in ((series_module, {"numpy"}), (faber, {"numpy", ".poly", ".series"})):
+    # faber.py generates only: no checker, no maps, no import deferred into a
+    # function; the series engine serves the oracles alone, not maps.py
+    for module, allowed in ((series_module, {"numpy"}), (faber, {"numpy", ".poly", ".series"}),
+                            (maps, {"numpy", ".faber"})):
         tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
         imported = set()
         for node in ast.walk(tree):
@@ -429,6 +432,23 @@ def test_series_engine_and_oracles_stay_off_the_recurrence(monkeypatch):
     z = np.array([[0.5, -1.0 + 0.3j], [2.0j, 1.5]])
     for oracle in ORACLES:
         assert np.all(np.isfinite(oracle(emap, z, 12)))
+
+
+def test_log_oracle_takes_no_reciprocal_and_no_product(monkeypatch):
+    # the log is one triangular pass of its own, so it shares no series
+    # operation with the ratio and derivative oracles
+    def refuse(*args, **kwargs):
+        raise AssertionError("the log oracle used a series product or reciprocal")
+
+    monkeypatch.setattr(PowerSeries, "reciprocal", refuse)
+    monkeypatch.setattr(PowerSeries, "__mul__", refuse)
+    emap = [0.2, 0.1, 0.05j, -0.02]
+    stack = [emap, [-0.3j, 0.0, 0.2, 0.1]]
+    z = np.array([[0.5, -1.0 + 0.3j], [2.0j, 1.5]])
+    for values in (faber_values_from_log_series(emap, 0.7j, 12),
+                   faber_values_from_log_series(emap, z, 12),
+                   faber_values_from_log_series(stack, z, 12)):
+        assert np.all(np.isfinite(values))
 
 
 class TestRatioSeries:
@@ -489,7 +509,7 @@ class TestKernelPolys:
             z = 0.5 * cmath.exp(1j * theta) * cmath.exp(lam * cmath.exp(-1j * theta))
             t_series = PowerSeries([0, 1] + [0] * (order - 1))
             exp_part = PowerSeries([(-lam) ** k / math.factorial(k) for k in range(order + 1)])
-            kernel = PowerSeries(PowerSeries.one(order).coeffs
+            kernel = PowerSeries(PowerSeries([1] + [0] * order).coeffs
                                  - z * (t_series * exp_part).coeffs).reciprocal()
             values = evaluate_rows(ps, z)[0]
             assert np.all(np.abs(kernel.coeffs - values) <= 1e-10 * (1.0 + np.abs(values)))

@@ -17,6 +17,7 @@ from faberpoly.maps import (BRANCH_POINT, BranchCutError, ExpMap, GapMap, Hypocy
                             to_exterior_map, two_gap_faber_system,
                             univalence_certificate_bound, _shifted_power_table)
 from faberpoly.poly import ComplexPolynomial, evaluate_rows
+from faberpoly.series import PowerSeries
 from faberpoly.suites import draw_two_gap_map
 from faberpoly.verify import _row_deviation
 
@@ -483,28 +484,30 @@ class TestInverseExpMap:
 class TestLambertPowerSeries:
     def test_leading_coefficients(self):
         s = lambert_w0_power_series(1, 4)
-        assert abs(s.coeffs[1] - 1.0) < 1e-15
-        assert abs(s.coeffs[2] + 1.0) < 1e-15
-        assert abs(s.coeffs[3] - 1.5) < 1e-15
-        assert s.coeffs[0] == 0
+        assert abs(s[1] - 1.0) < 1e-15
+        assert abs(s[2] + 1.0) < 1e-15
+        assert abs(s[3] - 1.5) < 1e-15
+        assert s[0] == 0
 
     def test_zeroth_power_is_one(self):
-        assert tuple(lambert_w0_power_series(0, 5).coeffs) == (1 + 0j,) + (0j,) * 5
+        s = lambert_w0_power_series(0, 5)
+        assert tuple(s) == (1 + 0j,) + (0j,) * 5
+        assert isinstance(s, np.ndarray) and not s.flags.writeable
 
     def test_square_matches_serial_power(self):
         # coefficients grow like e^k, so agreement is relative to their scale
         direct = lambert_w0_power_series(2, 20)
-        w1 = lambert_w0_power_series(1, 20)
-        scale = 1.0 + max(abs(c) for c in direct.coeffs)
-        assert np.max(np.abs(direct.coeffs - (w1 * w1).coeffs)) <= 1e-11 * scale
+        w1 = PowerSeries(lambert_w0_power_series(1, 20))
+        scale = 1.0 + max(abs(c) for c in direct)
+        assert np.max(np.abs(direct - (w1 * w1).coeffs)) <= 1e-11 * scale
 
     def test_negative_power_against_reciprocal(self):
         # both sides normalized to start at t^0: W0^{-1} * t against
         # reciprocal of W0 / t
         n = 18
         w1 = lambert_w0_power_series(1, n)
-        regular = type(w1)(w1.coeffs[1:])           # W0(t)/t
-        inv = lambert_w0_power_series(-1, n)         # t * W0(t)^{-1}
+        regular = PowerSeries(w1[1:])                        # W0(t)/t
+        inv = PowerSeries(lambert_w0_power_series(-1, n))    # t * W0(t)^{-1}
         recip = regular.reciprocal()
         scale = 1.0 + max(abs(c) for c in recip.coeffs)
         assert np.max(np.abs(inv.coeffs[:n] - recip.coeffs)) <= 1e-10 * scale
@@ -516,12 +519,12 @@ class TestLambertPowerSeries:
         s = lambert_w0_power_series(1, 20)
         for k in range(12):
             t = 0.1 * cmath.exp(2j * math.pi * k / 12)
-            total = sum(c * t ** i for i, c in enumerate(s.coeffs))
+            total = sum(c * t ** i for i, c in enumerate(s))
             assert abs(total - lambert_w0(t).value) <= 1e-10
 
     def test_large_order_does_not_overflow(self):
         s = lambert_w0_power_series(1, 400)
-        assert all(math.isfinite(c.real) and math.isfinite(c.imag) for c in s.coeffs)
+        assert all(math.isfinite(c.real) and math.isfinite(c.imag) for c in s)
 
 
 class TestGeometryFunctionals:
