@@ -53,14 +53,14 @@ print()
 
 print("starlikeness functional inf Re(w Psi'(w)/(Psi(w) - eta)):")
 for mod in (0.0, 0.5, 1.0):
-    closed = starlikeness_infimum(0.0, mod)
-    grid = starlikeness_grid_infimum(0.0, mod)
+    closed = starlikeness_infimum(mod)
+    grid = starlikeness_grid_infimum(mod)
     print(f"  |lam| = {mod}: closed form {closed:.6f}, grid infimum {grid:.6f}")
 print()
 
 print("non-univalence certificates (bound above 6 rules univalence out):")
 r_grid = np.linspace(1.0005, 3.0, 20000)
 for mod in (0.9, 1.0, 1.05, 1.5):
-    bound = univalence_certificate_bound(0.0, mod, r_grid)
+    bound = univalence_certificate_bound(mod, r_grid)
     flag = "NOT univalent" if bound > 6 else "no certificate"
     print(f"  |lam| = {mod}: max bound {bound:9.3f}  -> {flag}")

@@ -16,16 +16,14 @@ from .maps import (BranchCutError, ExpMap, GapMap, Hypocycloid, LambertResult,
                    starlikeness_infimum, to_exterior_map, two_gap_faber_system,
                    univalence_certificate_bound)
 from .poly import ComplexPolynomial, RootFindingError
-from .series import PowerSeries
 from .verify import (CheckReport, CommonRootProfile, check_derivative_identity,
                      check_gap_coefficient_recovery, exponential_map_characterization,
                      leading_common_root_order)
 
 __all__ = [
     "BranchCutError", "CheckReport", "CommonRootProfile", "ComplexPolynomial",
-    "ExpMap", "GapMap", "Hypocycloid", "LambertResult",
-    "MapFamily", "PowerSeries", "RootFindingError", "Shift", "TwoGapMap",
-    "chebyshev_scaled", "check_derivative_identity",
+    "ExpMap", "GapMap", "Hypocycloid", "LambertResult", "MapFamily", "RootFindingError",
+    "Shift", "TwoGapMap", "chebyshev_scaled", "check_derivative_identity",
     "check_gap_coefficient_recovery",
     "evaluate_map", "exp_map_boundary", "exp_map_exterior",
     "exp_map_faber_closed_form", "exponential_map_characterization",

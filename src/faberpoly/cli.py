@@ -101,6 +101,20 @@ def _pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
+#: each family option by field name: its flag, parser, default and help
+_FAMILY_OPTIONS = {
+    "alpha0": ("--alpha0", _parse_complex, 0j, "shift constant"),
+    "z0": ("--z0", _parse_complex, 0j, "gap-map center"),
+    "eta": ("--eta", _parse_complex, 0j, "exponential-map center"),
+    "lam": ("--lambda", _parse_complex, 0.5 + 0j, "exponential-map tail parameter"),
+    "m": ("--m", int, 1, "hypocycloid order / first gap index"),
+    "n": ("--n", int, 3, "gap index"),
+    "alpha_m": ("--alpha-m", _parse_complex, 0.25 + 0j, "two-gap early coefficient"),
+    "tail": ("--tail", _parse_complex_list, (0.2 + 0j,),
+             "comma-separated tail coefficients alpha_n..alpha_M"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="faberpoly",
                      description="Faber polynomials of exterior maps: "
@@ -109,17 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_family(p):
         p.add_argument("--family", required=True, choices=list(FAMILIES))
-        p.add_argument("--alpha0", type=_parse_complex, default=0j, help="shift constant")
-        p.add_argument("--z0", type=_parse_complex, default=0j, help="gap-map center")
-        p.add_argument("--eta", type=_parse_complex, default=0j, help="exponential-map center")
-        p.add_argument("--lambda", dest="lam", type=_parse_complex, default=0.5 + 0j,
-                       help="exponential-map tail parameter")
-        p.add_argument("--m", type=int, default=1, help="hypocycloid order / first gap index")
-        p.add_argument("--n", type=int, default=3, help="gap index")
-        p.add_argument("--alpha-m", dest="alpha_m", type=_parse_complex, default=0.25 + 0j,
-                       help="two-gap early coefficient")
-        p.add_argument("--tail", type=_parse_complex_list, default=(0.2 + 0j,),
-                       help="comma-separated tail coefficients alpha_n..alpha_M")
+        for dest, (flag, parse, _, text) in _FAMILY_OPTIONS.items():
+            p.add_argument(flag, dest=dest, type=parse, default=argparse.SUPPRESS, help=text)
 
     def add_output(p):
         p.add_argument("--format", choices=["json", "csv"], default="json")
@@ -132,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", required=True, choices=list(SUITE_NAMES) + ["all"])
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--N", type=int, default=None)
     p_verify.add_argument("--tol", type=_parse_real, default=None)
     p_verify.add_argument("--lambda", dest="lam", type=_parse_complex, default=None)
@@ -146,9 +151,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_boundary = sub.add_parser("boundary", help="boundary curve samples")
     p_boundary.add_argument("--lambda", dest="lam", type=_parse_complex, default=0.5 + 0j)
-    p_boundary.add_argument("--theta", type=_parse_real, default=None,
-                            help="single angle; omit to sample a uniform grid")
-    p_boundary.add_argument("--samples", type=int, default=64)
+    angles = p_boundary.add_mutually_exclusive_group()
+    angles.add_argument("--theta", type=_parse_real, default=None,
+                        help="single angle; omit to sample a uniform grid")
+    angles.add_argument("--samples", type=int, default=None, help="grid size (default 64)")
     add_output(p_boundary)
 
     p_kernel = sub.add_parser("kernel", help="kernel polynomial coefficients")
@@ -161,9 +167,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _family_from_args(args) -> tuple[object, dict]:
     """The --family member built from the options named like its fields, in
-    field order, and its JSON description from the same values."""
+    field order (an option not given takes its default), and its JSON
+    description from the same values.  A ValueError names the family and
+    every other family option given."""
     names = [f.name for f in fields(FAMILIES[args.family])]
-    values = [getattr(args, name) for name in names]
+    foreign = [flag for dest, (flag, *_) in _FAMILY_OPTIONS.items()
+               if dest not in names and hasattr(args, dest)]
+    if foreign:
+        raise ValueError(f"family {args.family!r} takes no {' or '.join(foreign)}")
+    values = [getattr(args, name, _FAMILY_OPTIONS[name][2]) for name in names]
     desc = {"family": args.family}
     for name, value in zip(names, values):
         desc["lambda" if name == "lam" else name] = (
@@ -181,7 +193,7 @@ def _run_gen(args):
 def _run_verify(args):
     reports = run_suite(args.suite, seed=args.seed, n_highest=args.N,
                         tol=args.tol, lam=args.lam)
-    return ({"suite": args.suite, "seed": args.seed}, args.N,
+    return ({"suite": args.suite, "seed": args.seed or 0}, args.N,
             [r.to_dict() for r in reports], {r.name: r.max_residual for r in reports},
             all(r.passed for r in reports))
 
@@ -203,12 +215,11 @@ def _run_roots(args):
 
 
 def _run_boundary(args):
-    if args.samples < 1:
-        raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    if args.theta is not None:
-        thetas = [float(args.theta)]
-    else:
-        thetas = list(np.linspace(0.0, 2.0 * np.pi, args.samples, endpoint=False))
+    samples = 64 if args.samples is None else args.samples
+    if samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {samples}")
+    thetas = ([float(args.theta)] if args.theta is not None
+              else np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False).tolist())
     results = []
     for th in thetas:
         with np.errstate(all="ignore"):

@@ -472,14 +472,14 @@ def exp_map_boundary(lam: complex, theta):
     return value
 
 
-def starlikeness_infimum(eta: complex, lam: complex) -> float:
-    """inf over |w| > 1 of Re(w Psi'(w) / (Psi(w) - eta)) for the exponential
-    map, in closed form: 1 - |lam|.  Nonnegative exactly when |lam| <= 1,
-    which certifies starlikeness (hence univalence) about eta."""
+def starlikeness_infimum(lam: complex) -> float:
+    """inf over |w| > 1 of Re(w Psi'(w) / (Psi(w) - eta)) = Re((w - lam)/w) for
+    the exponential map, in closed form: 1 - |lam|.  Nonnegative exactly when
+    |lam| <= 1, which certifies starlikeness (hence univalence) about eta."""
     return 1.0 - abs(complex(lam))
 
 
-def starlikeness_grid_infimum(eta: complex, lam: complex) -> float:
+def starlikeness_grid_infimum(lam: complex) -> float:
     """Grid infimum of Re((w - lam)/w) over 1 < |w| <= 1000, on 400 geometric
     radii by 720 angles.
 
@@ -494,7 +494,7 @@ def starlikeness_grid_infimum(eta: complex, lam: complex) -> float:
     return float(np.min(1.0 - (lam / w).real))
 
 
-def univalence_certificate_bound(eta: complex, lam: complex, r_grid) -> float:
+def univalence_certificate_bound(lam: complex, r_grid) -> float:
     """Largest grid value of (R^2 - 1) |lam|^2 / (R |R - |lam||) over R > 1.
 
     The supremum of (|w|^2 - 1) |w Psi''(w)/Psi'(w)| is at most 6 for every

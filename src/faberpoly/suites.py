@@ -377,41 +377,40 @@ def suite_rays(n_highest: int = 24, tol: float = 1e-6) -> CheckReport:
     return CheckReport.verdict("rays", cases())
 
 
-#: the command-line flag of each option a suite may take
-_OPTION_FLAGS = {"n_highest": "--N", "tol": "--tol", "lam": "--lambda"}
+#: each option a suite may take: its command-line flag and least value
+_OPTIONS = {"n_highest": ("--N", 1), "seed": ("--seed", 0), "tol": ("--tol", 0),
+            "lam": ("--lambda", None)}
 
 
-def run_suite(name: str, seed: int = 0, n_highest: int | None = None,
+def run_suite(name: str, seed: int | None = None, n_highest: int | None = None,
               tol: float | None = None, lam: complex | None = None) -> list[CheckReport]:
-    """Run one suite (or 'all') with optional overrides.
+    """Run one suite (or 'all'); an option left None keeps each suite's default.
 
-    Each option goes to the suites whose signature takes it.  A single
-    suite refuses an option it does not take; 'all' gives each option to
-    the suites that take it.  ``n_highest`` must be at least 1 (3 for
-    ``theorem3``, also under 'all'), ``seed`` and ``tol`` at least 0.  A
-    ValueError names the suite and the option.  Suites are looked up by
-    module-global name at call time, so a rebound ``suite_*`` is the one run.
+    Each option goes to the suites whose signature takes it, so ``seed``
+    reaches only the suites that draw.  A single suite refuses an option it
+    does not take.  ``n_highest`` must be at least 1 (3 for ``theorem3``,
+    also under 'all'), ``seed`` and ``tol`` at least 0.  A ValueError names
+    the suite and the flag.  Suites are looked up by module-global name at
+    call time, so a rebound ``suite_*`` is the one run.
     """
     if name != "all" and name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
-    for flag, value, least in (("N", n_highest, 1), ("--seed", seed, 0), ("--tol", tol, 0)):
-        if value is not None and value < least:
+    options = {"n_highest": n_highest, "seed": seed, "tol": tol, "lam": lam}
+    given = {key: value for key, value in options.items() if value is not None}
+    for key, value in given.items():
+        flag, least = _OPTIONS[key]
+        if least is not None and value < least:
             raise ValueError(f"suite {name!r} needs {flag} >= {least}, got {value}")
     if n_highest is not None and n_highest < 3 and name in ("theorem3", "all"):
         raise ValueError(f"suite 'theorem3' needs N >= 3 to characterize the common-root "
                          f"pattern, got {n_highest}")
-    options = {"n_highest": n_highest, "tol": tol, "lam": lam}
-    given = {key: value for key, value in options.items() if value is not None}
     reports = []
     for suite_name in SUITE_NAMES if name == "all" else (name,):
         suite = globals()["suite_" + suite_name.replace("-", "_")]
         taken = inspect.signature(suite).parameters
-        refused = [_OPTION_FLAGS[key] for key in given if key not in taken]
+        refused = [_OPTIONS[key][0] for key in given if key not in taken]
         if refused and name != "all":
             raise ValueError(f"suite {name!r} takes no {' or '.join(refused)}")
-        kwargs = {key: value for key, value in given.items() if key in taken}
-        if "seed" in taken:
-            kwargs["seed"] = seed
         with np.errstate(all="ignore"):     # CheckReport.verdict refuses what overflows
-            reports.append(suite(**kwargs))
+            reports.append(suite(**{key: given[key] for key in taken if key in given}))
     return reports

@@ -246,12 +246,12 @@ def test_criterion_09_starlikeness_functionals():
     grid_step = 2.0 * math.pi / 720.0
     worst = 0.0
     for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
-        gap = abs(starlikeness_grid_infimum(0.0, lam) - (1.0 - lam))
+        gap = abs(starlikeness_grid_infimum(lam) - (1.0 - lam))
         worst = max(worst, gap)
     infimum_ok = worst <= 1e-6 + grid_step
     r_grid = np.linspace(1.0005, 3.0, 20000)
     certificate_ok = all(
-        univalence_certificate_bound(0.0, lam, r_grid) > 6.0
+        univalence_certificate_bound(lam, r_grid) > 6.0
         for lam in (1.05, 1.2 * cmath.exp(0.7j), 1.5, 2.0))
     verdict(9, infimum_ok and certificate_ok,
             f"grid infimum within {worst:.3e} of 1 - |lam| "

@@ -1,6 +1,8 @@
 import csv
+import inspect
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from faberpoly import cli
+from faberpoly import cli, suites
 from faberpoly.cli import main
 from faberpoly.maps import FAMILIES
 from faberpoly.poly import ComplexPolynomial, RootFindingError
@@ -342,6 +344,19 @@ class TestRoots:
         assert "F_7" in message and "hypocycloid" in message
         assert "did not converge" in message
 
+    def test_csv_layout(self):
+        argv = ("roots", "--family", "expmap", "--eta", "0.1", "--j-min", "2", "--j-max", "4")
+        code, out = run_cli(*argv, "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["j", "k", "re", "im"]
+        assert [row[:2] for row in rows[1:]] == [[str(j), str(k)] for j in range(2, 5)
+                                                 for k in range(j)]
+        assert all(repr(float(x)) == x for row in rows[1:] for x in row[2:])
+        results = json.loads(run_cli(*argv)[1])["results"]
+        assert [row[2:] for row in rows[1:]] == [[repr(re), repr(im)] for entry in results
+                                                 for re, im in entry["roots"]]
+
 
 class TestBoundary:
     def test_single_angle_example(self):
@@ -361,6 +376,18 @@ class TestBoundary:
     def test_grid_sampling(self):
         _, out = run_cli("boundary", "--lambda", "0.4", "--samples", "16")
         assert len(json.loads(out)["results"]) == 16
+
+    def test_csv_layout(self):
+        argv = ("boundary", "--lambda", "0.4+0.1j", "--samples", "3")
+        code, out = run_cli(*argv, "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["theta", "re", "im"]
+        assert all(repr(float(x)) == x for row in rows[1:] for x in row)
+        results = json.loads(run_cli(*argv)[1])["results"]
+        assert rows[1:] == [[repr(e["theta"])] + [repr(v) for v in e["point"]] for e in results]
+        assert [float(row[0]) for row in rows[1:]] == pytest.approx([0.0, 2.0 * math.pi / 3,
+                                                                     4.0 * math.pi / 3])
 
 
 class TestKernel:
@@ -517,10 +544,17 @@ class TestErrors:
             assert f"suite {suite!r}" in message and f"{flag} >= 0" in message
 
     def test_verify_takes_a_zero_seed_and_tol(self):
-        code, out, err = run_cli_with_stderr("verify", "--suite", "chebyshev",
-                                             "--seed", "0", "--tol", "0")
-        assert code == 0 and err == ""
-        assert json.loads(out)["pass"] is True
+        # the seed on a suite that draws; the tolerance on one whose residuals are exactly 0
+        for argv in (("eq16", "--seed", "0"), ("chebyshev", "--tol", "0")):
+            code, out, err = run_cli_with_stderr("verify", "--suite", *argv)
+            assert code == 0 and err == ""
+            assert json.loads(out)["pass"] is True
+
+    def test_verify_refuses_a_complex_tol(self):
+        code, out, err = run_cli_with_stderr("verify", "--suite", "eq14", "--tol", "1j")
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "usage" and "not a real number" in error["message"]
 
     def test_invalid_family_parameters(self):
         code, _ = run_cli("gen", "--family", "gap", "--z0", "1", "--n", "0",
@@ -609,6 +643,94 @@ class TestErrors:
         assert out == ""
         error = json.loads(err)
         assert error["error"] == "usage" and "not a finite number" in error["message"]
+
+
+#: each family option by field name: its flag and its default value
+FAMILY_OPTION_DEFAULTS = {"alpha0": ("--alpha0", "0"), "z0": ("--z0", "0"),
+                          "eta": ("--eta", "0"), "lam": ("--lambda", "0.5"),
+                          "m": ("--m", "1"), "n": ("--n", "3"),
+                          "alpha_m": ("--alpha-m", "0.25"), "tail": ("--tail", "0.2")}
+#: the flag of each option a suite may take, by parameter name
+SUITE_FLAGS = {"seed": "--seed", "n_highest": "--N", "tol": "--tol", "lam": "--lambda"}
+FAMILY_ARGS = {"gen": ("--N", "3"), "roots": ("--j-max", "3")}
+
+
+def _family_options(own):
+    """(family, flag, default) for each option the family's fields name (own)
+    or do not name."""
+    return [(family, flag, value) for family, cls in FAMILIES.items()
+            for name, (flag, value) in FAMILY_OPTION_DEFAULTS.items()
+            if (name in {f.name for f in fields(cls)}) == own]
+
+
+def _suite_options():
+    """(suite, flag, default) for each option a suite's signature names."""
+    return [(name, SUITE_FLAGS[key], repr(parameter.default)) for name in SUITE_NAMES
+            for key, parameter in inspect.signature(
+                getattr(suites, "suite_" + name.replace("-", "_"))).parameters.items()]
+
+
+#: every (command, option) that would change nothing, the family or suite
+#: the refusal names, and the flags it names
+IGNORED_OPTIONS = (
+    [((command, "--family", family, *FAMILY_ARGS[command], flag, value),
+      f"family {family!r}", (flag,))
+     for command in FAMILY_ARGS for family, flag, value in _family_options(own=False)]
+    + [(("verify", "--suite", suite, "--seed", "3"), f"suite {suite!r}", ("--seed",))
+       for suite in ("chebyshev", "eq14", "he-formula", "rays")]
+    + [(("boundary", "--samples", "5", "--theta", "0"), "", ("--samples", "--theta"))])
+
+
+class TestOneOptionRule:
+    """An option that would change nothing is refused; one that a family's
+    fields or a suite's signature names is taken."""
+
+    def test_every_ignored_option_is_listed(self):
+        # 28 foreign family options under gen and roots, --seed on four suites,
+        # --samples with --theta
+        assert len(IGNORED_OPTIONS) == 2 * 28 + 4 + 1
+
+    @pytest.mark.parametrize("argv, owner, flags", IGNORED_OPTIONS,
+                             ids=[" ".join(argv) for argv, _, _ in IGNORED_OPTIONS])
+    def test_an_option_that_changes_nothing_is_refused(self, argv, owner, flags):
+        code, out, err = run_cli_with_stderr(*argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        message = json.loads(err)["message"]
+        assert owner in message and all(flag in message for flag in flags)
+
+    @pytest.mark.parametrize("command", FAMILY_ARGS)
+    @pytest.mark.parametrize("family, flag, value", _family_options(own=True))
+    def test_a_family_takes_its_own_options(self, command, family, flag, value):
+        argv = (command, "--family", family, *FAMILY_ARGS[command])
+        default = run_cli_with_stderr(*argv)
+        assert default[0] == 0
+        assert run_cli_with_stderr(*argv, flag, value) == default
+
+    @pytest.mark.parametrize("suite, flag, value", _suite_options())
+    def test_a_suite_takes_its_own_options(self, suite, flag, value):
+        code, out, err = run_cli_with_stderr("verify", "--suite", suite, flag, value)
+        assert code == 0 and err == ""
+        report, default = json.loads(out), json.loads(run_cli("verify", "--suite", suite)[1])
+        assert report.pop("N") == (int(value) if flag == "--N" else None)
+        default.pop("N")
+        assert report == default
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "4"), ("--N", "12"), ("--tol", "1e-6"),
+                                             ("--lambda", "0.3")])
+    def test_all_takes_every_suite_option(self, flag, value):
+        code, out, err = run_cli_with_stderr("verify", "--suite", "all", flag, value)
+        assert code == 0 and err == ""
+        assert [r["name"] for r in json.loads(out)["results"]] == list(SUITE_NAMES)
+
+    def test_verify_echoes_seed_zero_when_none_is_given(self):
+        for suite in ("chebyshev", "theorem1", "all"):
+            assert json.loads(run_cli("verify", "--suite", suite)[1])["map"]["seed"] == 0
+
+    @pytest.mark.parametrize("argv", [(), ("--samples", "64")], ids=["default", "samples-64"])
+    def test_boundary_grid_defaults_to_64_angles(self, argv):
+        code, out = run_cli("boundary", *argv)
+        assert code == 0 and len(json.loads(out)["results"]) == 64
 
 
 class TestParserReuse:

@@ -544,25 +544,25 @@ class TestGeometryFunctionals:
                 assert abs(psi - gamma) < 10 * eps + 1e-12
 
     def test_starlikeness_closed_form(self):
-        assert starlikeness_infimum(0.0, 0.0) == 1.0
-        assert starlikeness_infimum(0.0, 0.5) == 0.5
-        assert starlikeness_infimum(1.0, -0.5j) == 0.5
+        assert starlikeness_infimum(0.0) == 1.0
+        assert starlikeness_infimum(0.5) == 0.5
+        assert starlikeness_infimum(-0.5j) == 0.5
 
     def test_grid_infimum_tracks_closed_form(self):
         for lam in (0.0, 0.25, 0.75):
-            grid = starlikeness_grid_infimum(0.0, lam)
+            grid = starlikeness_grid_infimum(lam)
             assert abs(grid - (1.0 - lam)) <= 1e-6 + 2 * math.pi / 720
 
     def test_certificate_bound_flags_large_parameters(self):
         r_grid = np.linspace(1.0005, 3.0, 20000)
         for lam in (1.05, 1.3, 2.0):
-            assert univalence_certificate_bound(0.0, lam, r_grid) > 6.0
+            assert univalence_certificate_bound(lam, r_grid) > 6.0
         # univalent side stays uncertifiable
-        assert univalence_certificate_bound(0.0, 0.9, r_grid) <= 6.0
+        assert univalence_certificate_bound(0.9, r_grid) <= 6.0
 
     def test_certificate_grid_must_be_exterior(self):
         with pytest.raises(ValueError):
-            univalence_certificate_bound(0.0, 1.2, [0.9, 1.5])
+            univalence_certificate_bound(1.2, [0.9, 1.5])
 
 
 class TestRootRays:

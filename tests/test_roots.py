@@ -104,6 +104,27 @@ def test_sweep_count_ceiling(monkeypatch, build):
     assert len(passes) <= 30
 
 
+def test_coinciding_iterates_are_split(monkeypatch):
+    """Every iterate starts at one point, so the first sweep finds them all
+    coinciding and spreads them apart before iterating on."""
+    monkeypatch.setattr(poly, "_newton_polygon_starts",
+                        lambda abs_c: np.full(len(abs_c) - 1, 0.5 + 0.5j))
+    for coeffs in ([-1, 0, 1], [2, -3, 0, 1]):          # z^2 - 1 and (z - 1)^2 (z + 2)
+        found = poly._aberth([np.array(coeffs, dtype=complex)])[0]
+        assert_roots_within_residual_bound(poly.ComplexPolynomial(coeffs), found.tolist())
+
+
+def test_sweep_limit_raises_with_the_last_iterates(monkeypatch):
+    monkeypatch.setattr(poly, "ROOT_MAX_ITER", 1)
+    with pytest.raises(poly.RootFindingError) as caught:
+        poly.ComplexPolynomial([-1, 0, 0, 1]).roots()
+    err = caught.value
+    assert str(err) == "Aberth iteration did not converge in 1 sweeps"
+    assert err.row == 0 and len(err.roots) == len(err.residuals) == 3
+    assert all(cmath.isfinite(r) for r in err.roots)
+    assert all(math.isfinite(r) for r in err.residuals)
+
+
 # ---------------------------------------------------------------------------
 # the batched kernel: a table's rows solved in one call
 # ---------------------------------------------------------------------------
