@@ -5,7 +5,13 @@ A Faber system is a coefficient table (see :mod:`faberpoly.faber`);
 ``evaluate_rows`` evaluates all its rows at once.  The private kernel
 ``_aberth`` finds the roots of many rows in one batched Aberth iteration
 (the ``rays`` suite hands it a whole table), and
-:meth:`ComplexPolynomial.roots` is a batch of one row.
+:meth:`ComplexPolynomial.roots` is a batch of one row.  Each block of rows
+takes its starting points from the rows' Newton polygons in one array
+pass (``_newton_polygon_starts``): a support point (k, log|c_k|) is a
+vertex of the upper hull when its least slope from the left exceeds its
+greatest slope to the right, and every hull edge places its starts on one
+circle, with temporaries of (rows, n, n) reals, no larger than the block's
+buffer of iterate differences.
 
 Coefficients are stored in ascending order: ``coeffs[k]`` multiplies
 ``z**k``.  Trailing coefficients that are exactly zero are dropped and
@@ -213,13 +219,13 @@ def _solve_block(block: list[tuple[int, np.ndarray, np.ndarray]], found: list) -
     # row k holds c_k, the z^k coefficient of p', and |c_k|, one row per
     # Horner step over the stacked points (x, x, |x|) of each polynomial
     stacked = np.zeros((n + 1, 3, len(block), 1), dtype=complex)
-    x = np.zeros((len(block), n), dtype=complex)
+    abs_c = np.zeros((len(block), n + 1))
     for p, (_, _, c) in enumerate(block):
         k = len(c) - 1
-        abs_c = np.abs(c)
+        abs_c[p, :k + 1] = np.abs(c)
         stacked[:k + 1, :, p, 0] = np.stack((c, np.append(c[1:] * np.arange(1, k + 1), 0.0),
-                                             abs_c), axis=-1)
-        x[p, :k] = _newton_polygon_starts(abs_c)
+                                             abs_c[p, :k + 1]), axis=-1)
+    x = _newton_polygon_starts(abs_c)
     padded = np.arange(n) >= ns[:, None] if ns.min() < n else None
     blocked = np.eye(n, dtype=bool)[None]
     if padded is not None:
@@ -251,8 +257,6 @@ def _solve_block(block: list[tuple[int, np.ndarray, np.ndarray]], found: list) -
             leave = None
             if not finite.all():
                 leave = ~finite.all(axis=-1)
-                if split is not None:
-                    leave &= ~split
                 message = f"Aberth iteration left the finite range in sweep {sweep + 1}"
                 for p in np.flatnonzero(leave):
                     failed[int(live[p])] = (message, x[p])
@@ -300,24 +304,48 @@ def _horner(coeffs_ascending: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _newton_polygon_starts(abs_c: np.ndarray) -> np.ndarray:
-    """Aberth starting points from the Newton polygon of a polynomial with
-    coefficient magnitudes ``abs_c`` (ascending, both ends nonzero)."""
-    n = len(abs_c) - 1
-    support = np.flatnonzero(abs_c)
-    logs = np.log(np.where(abs_c > 0, abs_c, 1.0))  # read on the support only
-    hull: list[int] = []
-    for k in support:
-        # drop hull points on or below the chord to k (upper hull only)
-        while len(hull) >= 2 and ((logs[hull[-1]] - logs[hull[-2]]) * (k - hull[-2])
-                                  <= (logs[k] - logs[hull[-2]]) * (hull[-1] - hull[-2])):
-            hull.pop()
-        hull.append(int(k))
-    starts = []
-    for i, k in zip(hull, hull[1:]):
-        radius = np.exp((logs[i] - logs[k]) / (k - i))
-        angles = 2.0 * np.pi * (np.arange(k - i) / (k - i) + i / n) + 0.4
-        starts.append(radius * np.exp(1j * angles))
-    return np.concatenate(starts)
+    """Aberth starting points of a block of polynomials from their Newton
+    polygons, one array pass for the block.
+
+    Row p of ``abs_c`` holds the coefficient magnitudes of polynomial p,
+    ascending, with its constant term nonzero and zeros past its degree d_p
+    (its last nonzero entry); row p of the result holds its d_p starts, then
+    zeros.  A support point (k, log|c_k|) is a vertex of the upper convex
+    hull when its least slope from a support point on its left exceeds its
+    greatest slope to one on its right (so collinear points are not
+    vertices), and each hull edge from vertex i to vertex k places the
+    starts i .. k - 1 on the circle of radius (|c_i| / |c_k|)**(1/(k-i)).
+    The slopes are (rows, n, n) reals for the widest degree n.
+    """
+    rows, width = abs_c.shape
+    n = width - 1
+    support = abs_c > 0
+    logs = np.log(np.where(support, abs_c, 1.0))    # read on the support only
+    degree = n - np.argmax(support[:, ::-1], axis=1)
+    index = np.arange(width)
+    run = index[1:] - index[:-1, None]              # run[i, l - 1] = l - i
+    outside = support[:, :-1, None] & support[:, None, 1:]
+    outside &= run > 0
+    np.logical_not(outside, out=outside)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.subtract(logs[:, None, 1:], logs[:, :-1, None])
+        slope /= run                                # from point i to point l, where i < l
+    left = np.full((rows, width), np.inf)
+    right = np.full((rows, width), -np.inf)
+    np.copyto(slope, np.inf, where=outside)
+    left[:, 1:] = slope.min(axis=1)
+    np.copyto(slope, -np.inf, where=outside)
+    right[:, :-1] = slope.max(axis=2)
+    del slope, outside
+    vertex = support & (left > right)
+    # start t lies on the edge from the last vertex i <= t to the first k > t
+    i = np.maximum.accumulate(np.where(vertex, index, 0), axis=1)[:, :n]
+    k = np.minimum.accumulate(np.where(vertex, index, n)[:, ::-1], axis=1)[:, -2::-1]
+    k = np.where(index[:n] < degree[:, None], k, n)  # past the degree: any edge, zeroed below
+    span = k - i
+    radius = np.exp((np.take_along_axis(logs, i, 1) - np.take_along_axis(logs, k, 1)) / span)
+    angles = 2.0 * np.pi * ((index[:n] - i) / span + i / degree[:, None]) + 0.4
+    return np.where(index[:n] < degree[:, None], radius * np.exp(1j * angles), 0j)
 
 
 def evaluate_rows(table: np.ndarray, z) -> tuple[np.ndarray, np.ndarray]:

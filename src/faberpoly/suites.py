@@ -3,13 +3,20 @@
 Each suite returns one :class:`CheckReport` from ``CheckReport.verdict`` (or
 ``judged``) over its cases, one (passed, residual) per map, pair or m,
 taken lazily, so the first residual that is not finite stops the suite
-before the next case is computed.  The three series suites
-(``recurrence-vs-oracle``, ``eq13``, ``eq16``) draw all their cases first
-and then judge them in blocks, one stacked recurrence, oracle call and
-Horner pass per block, so that stop skips the blocks after it.  All
-randomness flows through an explicit seed, so a suite run is
-reproducible bit for bit.  These are the checks the command line exposes
-under ``verify --suite NAME``.
+before the next case is computed.  The suites that draw
+(``recurrence-vs-oracle``, ``eq13``, ``eq16`` and ``theorem1`` to
+``theorem3``) draw all their cases first and then judge them in blocks of
+at most ``_TABLE_BUDGET`` table entries, a block computed only when its
+first case is reached, so that stop skips the blocks after it.  A series
+block is one stacked recurrence, oracle call and Horner pass; a theorem
+block one stacked recurrence per set of maps (theorem 1 one per N = 2n + 2,
+theorem 2 its maps and its pattern maps, theorem 3 its maps and its
+perturbed maps), whose tables the checkers of :mod:`faberpoly.verify`
+evaluate as one stack.  An overflow or a closed form's refusal still names
+the first case it stops, as a case at a time would.  All randomness flows
+through an explicit seed, so a suite run is reproducible bit for bit.
+These are the checks the command line exposes under ``verify --suite
+NAME``.
 
 The draws are part of every report.  Each disk point takes two uniforms
 from the generator, its radius and then its angle (``draw_disks`` takes k
@@ -125,10 +132,44 @@ def _value_residuals(expected: np.ndarray, tables: np.ndarray, z: np.ndarray,
     return np.max(np.abs(expected - values / index) / (1.0 + magnitudes), axis=(1, 2))
 
 
-#: most table entries, maps times (N+1)^2, that one block of a series suite
-#: builds at once (with the oracle's series about 1 MB at the default N); a
-#: larger table forms a block alone
+#: most table entries, maps times (N+1)^2, that one stacked recurrence of a
+#: suite builds at once (with the oracle's series about 1 MB at the default
+#: N); a larger table forms a block alone
 _TABLE_BUDGET = 1 << 14
+
+
+def _blocks(rows: list[int]):
+    """Consecutive ranges of case indices whose tables, of ``rows[i]`` rows
+    for case i, hold at most ``_TABLE_BUDGET`` entries together; a larger
+    table forms a block alone."""
+    start, entries = 0, 0
+    for i, n in enumerate(rows):
+        if i > start and entries + n * n > _TABLE_BUDGET:
+            yield range(start, i)
+            start, entries = i, 0
+        entries += n * n
+    if rows:
+        yield range(start, len(rows))
+
+
+def _stacked_tables(a: np.ndarray, n_highest: int):
+    """The recurrence tables of a stack of maps up to the first whose table
+    overflows, and that OverflowError (None when no table does)."""
+    try:
+        return faber_system_from_recurrence(a, n_highest), None
+    except OverflowError as exc:
+        if not exc.map:
+            return np.empty((0, n_highest + 1, n_highest + 1), dtype=complex), exc
+        return faber_system_from_recurrence(a[:exc.map], n_highest), exc
+
+
+def _case_table(stacked, k: int, where: str) -> np.ndarray:
+    """Table k of ``_stacked_tables``, or the OverflowError of map k, prefixed
+    with ``where``."""
+    tables, exc = stacked
+    if k < len(tables):
+        return tables[k]
+    raise OverflowError(f"{where}: the recurrence overflows float64 from F_{exc.row} on") from exc
 
 
 def _series_suite(name: str, seed: int, maps: int, truncation: int, points: int,
@@ -141,20 +182,17 @@ def _series_suite(name: str, seed: int, maps: int, truncation: int, points: int,
     rng = np.random.default_rng(seed)
     drawn = [(draw_exterior_map(rng, truncation), draw_disks(rng, [3.0] * points))
              for _ in range(maps)]
-    size = max(1, _TABLE_BUDGET // (n_highest + 1) ** 2)
 
     def cases():
-        for start in range(0, maps, size):
-            a, z = (np.array(block) for block in zip(*drawn[start:start + size]))
-            try:
-                tables = faber_system_from_recurrence(a, n_highest)
-            except OverflowError as exc:
-                if exc.map:          # the maps before it are judged first
-                    yield from residuals(a[:exc.map], faber_system_from_recurrence(
-                        a[:exc.map], n_highest), z[:exc.map]).tolist()
-                raise OverflowError(f"{name} case {start + exc.map}, N={n_highest}: the "
-                                    f"recurrence overflows float64 from F_{exc.row} on") from exc
-            yield from residuals(a, tables, z).tolist()
+        for block in _blocks([n_highest + 1] * maps):
+            a, z = (np.array(part) for part in zip(*drawn[block.start:block.stop]))
+            tables, exc = _stacked_tables(a, n_highest)
+            if len(tables):          # the maps before an overflow are judged first
+                yield from residuals(a[:len(tables)], tables, z[:len(tables)]).tolist()
+            if exc:                  # the map after them raises
+                _case_table((tables, exc), len(tables),
+                            f"{name} case {block.start + len(tables)}, N={n_highest}")
+
     return CheckReport.judged(name, cases(), tol)
 
 
@@ -197,72 +235,111 @@ def suite_eq14(lam: complex = 0.7, n_highest: int = 20, tol: float = 1e-9) -> Ch
 
 def suite_theorem1(seed: int = 0, tol: float = 1e-10) -> CheckReport:
     """Gap maps: monomial prefix, first nonvanishing value, coefficient
-    recovery, on 20 random draws."""
+    recovery, on 20 random draws, all drawn first and then judged in blocks,
+    one stacked recurrence per N = 2n + 2 of a block."""
     rng = np.random.default_rng(seed)
+    gaps = [draw_gap_map(rng) for _ in range(20)]
 
     def cases():
-        for _ in range(20):
-            gap = draw_gap_map(rng)
-            n_highest = 2 * gap.n + 2
-            table = faber_system_from_recurrence(to_exterior_map(gap, n_highest), n_highest)
-            profile = leading_common_root_order(table, gap.z0, tol)
-            expected = (gap.n + 1) * abs(gap.tail[0])
-            value_resid = abs(profile.values[gap.n] - expected) / (1.0 + expected)
-            head = gap.n + 2
-            closed_resid = _row_deviation(gap_faber_closed_form(gap, gap.n + 1),
-                                          table[:head, :head]).max()
-            recovery = check_gap_coefficient_recovery(table, gap, tol)
-            worst = np.max((value_resid, closed_resid, recovery.max_residual))
-            yield profile.first_nonvanishing == gap.n + 1 and worst <= tol, worst
+        for block in _blocks([2 * gap.n + 3 for gap in gaps]):
+            checked = {}
+            for n in sorted({gaps[i].n for i in block}):
+                group = [i for i in block if gaps[i].n == n]
+                maps = [gaps[i] for i in group]
+                tables = faber_system_from_recurrence(
+                    np.array([to_exterior_map(gap, 2 * n + 2) for gap in maps]), 2 * n + 2)
+                profiles = leading_common_root_order(tables, [gap.z0 for gap in maps], tol)
+                recoveries = check_gap_coefficient_recovery(tables, maps, tol)
+                checked.update(zip(group, zip(tables, profiles, recoveries)))
+            for i in block:
+                gap = gaps[i]
+                table, profile, recovery = checked[i]
+                expected = (gap.n + 1) * abs(gap.tail[0])
+                value_resid = abs(profile.values[gap.n] - expected) / (1.0 + expected)
+                head = gap.n + 2
+                closed_resid = _row_deviation(gap_faber_closed_form(gap, gap.n + 1),
+                                              table[:head, :head]).max()
+                worst = np.max((value_resid, closed_resid, recovery.max_residual))
+                yield profile.first_nonvanishing == gap.n + 1 and worst <= tol, worst
     return CheckReport.verdict("theorem1", cases())
 
 
 def suite_theorem2(seed: int = 0, n_highest: int = 24, tol: float = 1e-9) -> CheckReport:
     """Two-gap maps: piecewise recurrence equals the generic one; value
-    pattern, on 10 pairs of random draws.
+    pattern, on 10 pairs of random draws, all drawn first and then judged
+    in blocks, one stacked recurrence per block for each of the two sets.
 
     The closed-form equivalence is checked on unconstrained draws; the
     value pattern only on maps with n <= 2m + 1 (see draw_two_gap_map).
     """
     rng = np.random.default_rng(seed)
+    drawn = [(draw_two_gap_map(rng), draw_two_gap_map(rng, pattern_valid=True))
+             for _ in range(10)]
+
+    def stacked(maps):          # a map's entries past a_N never reach its table
+        return _stacked_tables(np.array([to_exterior_map(fam, n_highest)[:n_highest + 1]
+                                         for fam in maps]), n_highest)
 
     def cases():
-        for i in range(10):
-            try:
-                fam = draw_two_gap_map(rng)
-                closed = two_gap_faber_system(fam, n_highest)
-                generic = faber_system_from_recurrence(to_exterior_map(fam, n_highest),
-                                                       n_highest)
+        for block in _blocks([n_highest + 1] * len(drawn)):
+            fams, pats = zip(*drawn[block.start:block.stop])
+            generic, patterned = stacked(fams), stacked(pats)
+            for k, (fam, pat) in enumerate(zip(fams, pats)):
+                where = f"theorem2 case {block.start + k}, N={n_highest}"
+                try:
+                    closed = two_gap_faber_system(fam, n_highest)
+                except OverflowError as exc:
+                    raise OverflowError(f"{where}: {exc}") from exc
+                table = _case_table(generic, k, where)
                 # value pattern at z0: zero up to n except the single index m+1
-                pat = draw_two_gap_map(rng, pattern_valid=True)
-                rows = faber_system_from_recurrence(to_exterior_map(pat, n_highest),
-                                                    n_highest)[1:pat.n + 1]
-            except OverflowError as exc:
-                raise OverflowError(f"theorem2 case {i}, N={n_highest}: {exc}") from exc
-            values = np.abs(evaluate_rows(rows, pat.z0)[0])          # |F_j(z0)|, j = 1..
-            pattern = values / (1.0 + np.abs(rows).max(axis=1))
-            if pat.m < len(rows):
-                expected = (pat.m + 1) * abs(pat.alpha_m)
-                pattern[pat.m] = abs(values[pat.m] - expected) / (1.0 + expected)
-            yield np.max((_row_deviation(closed, generic).max(), pattern.max(initial=0.0)))
+                rows = _case_table(patterned, k, where)[1:pat.n + 1]
+                values = np.abs(evaluate_rows(rows, pat.z0)[0])          # |F_j(z0)|, j = 1..
+                pattern = values / (1.0 + np.abs(rows).max(axis=1))
+                if pat.m < len(rows):
+                    expected = (pat.m + 1) * abs(pat.alpha_m)
+                    pattern[pat.m] = abs(values[pat.m] - expected) / (1.0 + expected)
+                yield np.max((_row_deviation(closed, table).max(), pattern.max(initial=0.0)))
     return CheckReport.judged("theorem2", cases(), tol)
+
+
+#: what theorem 3's perturbed map adds to one of its coefficients; the suite
+#: judges that map at min(tol, _BUMP / 10), so that a ``tol`` as loose as the
+#: perturbation still finds the map broken
+_BUMP = 1e-3
 
 
 def suite_theorem3(seed: int = 0, n_highest: int = 20, tol: float = 1e-9) -> CheckReport:
     """Exponential maps: common-root pattern, closed form, perturbation
-    breaks it, on 10 random draws."""
+    breaks it, on 10 random draws, all drawn first (eta, lambda, then the
+    perturbed index) and then judged in blocks, one stacked recurrence per
+    block for the maps and one for the perturbed maps."""
     rng = np.random.default_rng(seed)
+    drawn = []
+    for _ in range(10):
+        eta = draw_disk(rng, 1.5)
+        lam = draw_polar(rng, 0.2 + 0.8 * rng.uniform())
+        drawn.append((eta, lam, int(rng.integers(1, n_highest + 1))))
+
+    def characterized(maps, etas, threshold):
+        """The stacked tables of the maps up to an overflow, and their verdicts."""
+        stacked = _stacked_tables(maps, n_highest)
+        done = len(stacked[0])
+        return stacked, (exponential_map_characterization(stacked[0], maps[:done], etas[:done],
+                                                          threshold) if done else None)
 
     def cases():
-        for i in range(10):
-            eta = draw_disk(rng, 1.5)
-            lam = draw_polar(rng, 0.2 + 0.8 * rng.uniform())
-            where = f"theorem3 case {i}, N={n_highest}"
-            try:
-                a = exp_map_exterior(eta, lam, n_highest)
-                recurrence = faber_system_from_recurrence(a, n_highest)
-                detected = exponential_map_characterization(recurrence, a, eta, tol)
-                closed = exp_map_faber_closed_form(eta, lam, n_highest)
+        for block in _blocks([n_highest + 1] * len(drawn)):
+            etas, lams, bumps = zip(*drawn[block.start:block.stop])
+            a = np.array([exp_map_exterior(eta, lam, n_highest) for eta, lam in zip(etas, lams)])
+            exact, detected = characterized(a, etas, tol)
+            perturbed = None
+            for k, (eta, lam) in enumerate(zip(etas, lams)):
+                where = f"theorem3 case {block.start + k}, N={n_highest}"
+                recurrence = _case_table(exact, k, where)
+                try:
+                    closed = exp_map_faber_closed_form(eta, lam, n_highest)
+                except OverflowError as exc:
+                    raise OverflowError(f"{where}: {exc}") from exc
                 rows = _row_deviation(closed, recurrence)
                 closed_resid = rows.max()
                 if closed_resid > tol:  # the same sum over term magnitudes bounds its round-off
@@ -270,13 +347,12 @@ def suite_theorem3(seed: int = 0, n_highest: int = 20, tol: float = 1e-9) -> Che
                     bound = (np.finfo(float).eps * np.arange(1, n_highest + 2)
                              * sizes.max(axis=1) / _row_scale(closed, recurrence))
                     _refuse_undecided(where, rows, bound, tol)
-                bumped = a.copy()
-                bumped[int(rng.integers(1, len(a)))] += 1e-3
-                broken = not exponential_map_characterization(
-                    faber_system_from_recurrence(bumped, n_highest), bumped, eta, tol)
-            except OverflowError as exc:
-                raise OverflowError(f"{where}: {exc}") from exc
-            yield detected and broken and closed_resid <= tol, closed_resid
+                if perturbed is None:
+                    bumped = a.copy()
+                    bumped[np.arange(len(a)), bumps] += _BUMP
+                    perturbed, kept = characterized(bumped, etas, min(tol, _BUMP / 10))
+                _case_table(perturbed, k, where)
+                yield detected[k] and not kept[k] and closed_resid <= tol, closed_resid
     return CheckReport.verdict("theorem3", cases())
 
 

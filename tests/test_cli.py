@@ -94,14 +94,20 @@ class TestFamilies:
         assert list(desc) == ["family", *keys]
 
 
-def run_module(*argv, python_flags=()):
+def run_module(*argv, python_flags=(), module="faberpoly.cli"):
     """The CLI in a fresh interpreter: exit code, stdout and stderr as text."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, *python_flags, "-m", "faberpoly.cli", *argv],
+    result = subprocess.run([sys.executable, *python_flags, "-m", module, *argv],
                             cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     return result.returncode, result.stdout, result.stderr
+
+
+def test_python_dash_m_faberpoly_is_the_cli():
+    # `python -m faberpoly` runs the command the console script runs
+    code, out, err = run_module("verify", "--suite", "chebyshev", module="faberpoly")
+    assert (code, out, err) == (0, run_cli("verify", "--suite", "chebyshev")[1], "")
 
 
 class TestVerify:
@@ -117,6 +123,16 @@ class TestVerify:
                             "--N", "20", "--tol", "1e-30")
         assert code == 1
         assert json.loads(out)["pass"] is False
+
+    @pytest.mark.parametrize("suite", ["theorem3", "all"])
+    @pytest.mark.parametrize("tol", ["1e-3", "1e-2"])
+    def test_theorem3_passes_at_a_tolerance_as_loose_as_its_perturbation(self, suite, tol):
+        # the perturbed map moves one coefficient by 1e-3 and is judged at
+        # min(tol, 1e-4), so a loose tol no longer accepts it as exponential
+        code, out = run_cli("verify", "--suite", suite, "--tol", tol)
+        payload = json.loads(out)
+        assert code == 0 and payload["pass"] is True
+        assert all(r["passed"] for r in payload["results"])
 
     def test_eq14_round_off_above_tol_is_ill_conditioned(self, capsys):
         code, out = run_cli("verify", "--suite", "eq14", "--lambda", "50", "--N", "40")

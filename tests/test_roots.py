@@ -108,10 +108,22 @@ def test_coinciding_iterates_are_split(monkeypatch):
     """Every iterate starts at one point, so the first sweep finds them all
     coinciding and spreads them apart before iterating on."""
     monkeypatch.setattr(poly, "_newton_polygon_starts",
-                        lambda abs_c: np.full(len(abs_c) - 1, 0.5 + 0.5j))
+                        lambda abs_c: np.full((len(abs_c), abs_c.shape[1] - 1), 0.5 + 0.5j))
     for coeffs in ([-1, 0, 1], [2, -3, 0, 1]):          # z^2 - 1 and (z - 1)^2 (z + 2)
         found = poly._aberth([np.array(coeffs, dtype=complex)])[0]
         assert_roots_within_residual_bound(poly.ComplexPolynomial(coeffs), found.tolist())
+
+
+def test_a_non_finite_start_fails_in_the_first_sweep_though_others_coincide(monkeypatch):
+    """A row whose starts are partly non-finite and partly coinciding is
+    split, but splitting leaves the non-finite iterate where it is, so the
+    row fails in the sweep it starts, not one sweep later."""
+    monkeypatch.setattr(poly, "_newton_polygon_starts",
+                        lambda abs_c: np.array([[complex("inf"), 0.5 + 0.5j, 0.5 + 0.5j]]))
+    with pytest.raises(poly.RootFindingError) as caught:
+        poly._aberth([np.array([2, -3, 0, 1], dtype=complex)])
+    assert str(caught.value) == "Aberth iteration left the finite range in sweep 1"
+    assert caught.value.row == 0
 
 
 def test_sweep_limit_raises_with_the_last_iterates(monkeypatch):
@@ -205,3 +217,108 @@ def test_rays_suite_matches_the_per_root_loop():
                 worst = max(worst, min(min(abs(a - phi), 2.0 * math.pi - abs(a - phi))
                                        for phi in directions))
         assert abs(batched - worst) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# Newton-polygon starts: one array pass per block
+# ---------------------------------------------------------------------------
+
+def per_row_starts(abs_c):
+    """The per-row monotone chain the block starts replaced: upper hull of
+    the points (k, log|c_k|) on the support, popping a point on or below the
+    chord, then k - i starts per edge from i to k."""
+    n = len(abs_c) - 1
+    support = np.flatnonzero(abs_c)
+    logs = np.log(np.where(abs_c > 0, abs_c, 1.0))
+    hull = []
+    for k in support:
+        while len(hull) >= 2 and ((logs[hull[-1]] - logs[hull[-2]]) * (k - hull[-2])
+                                  <= (logs[k] - logs[hull[-2]]) * (hull[-1] - hull[-2])):
+            hull.pop()
+        hull.append(int(k))
+    starts = []
+    for i, k in zip(hull, hull[1:]):
+        radius = np.exp((logs[i] - logs[k]) / (k - i))
+        angles = 2.0 * np.pi * (np.arange(k - i) / (k - i) + i / n) + 0.4
+        starts.append(radius * np.exp(1j * angles))
+    return np.concatenate(starts)
+
+
+def assert_block_starts_match_each_row(rows):
+    """The block starts of the zero-padded rows are, bit for bit, each row's
+    own starts followed by zeros."""
+    width = max(len(row) for row in rows)
+    abs_c = np.zeros((len(rows), width))
+    for p, row in enumerate(rows):
+        abs_c[p, :len(row)] = row
+    block = poly._newton_polygon_starts(abs_c)
+    assert block.shape == (len(rows), width - 1)
+    for row, starts in zip(rows, block):
+        alone = per_row_starts(np.asarray(row, dtype=float))
+        assert starts[:len(alone)].tobytes() == alone.tobytes()
+        assert not starts[len(alone):].any()
+
+
+def monic_magnitudes(table):
+    """|c| of the monic part of every row of degree >= 2 that ``_aberth``
+    iterates, after it splits off the factor z^r."""
+    rows = []
+    for j in range(1, len(table)):
+        row = table[j, :j + 1]
+        c = row[np.flatnonzero(row)[0]:] / row[-1]
+        if len(c) > 2:
+            rows.append(np.abs(c))
+    return rows
+
+
+@pytest.mark.parametrize("m", (1, 2, 3, 4))
+def test_block_starts_match_each_rays_row(m):
+    # every row the rays suite iterates, 86 over m = 1..4, as one block
+    assert_block_starts_match_each_row(monic_magnitudes(hypocycloid_faber_closed_form(m, 24)))
+
+
+def test_block_starts_match_rows_with_gaps():
+    rng = np.random.default_rng(5)
+    rows = []
+    for _ in range(200):
+        n = int(rng.integers(2, 40))
+        row = np.exp(rng.normal(0.0, 5.0, n + 1))
+        row[rng.uniform(size=n + 1) < 0.4] = 0.0
+        row[0], row[-1] = row[0] + 0.5, 1.0
+        rows.append(row)
+    assert_block_starts_match_each_row(rows)
+
+
+def test_block_starts_match_a_single_edge():
+    # only c_0 and c_n nonzero: one edge, n starts on one circle
+    assert_block_starts_match_each_row([np.array([3.0, 0, 0, 0, 1.0]), np.array([1e-5, 0, 1.0]),
+                                        np.array([7.0] + [0.0] * 12 + [1.0])])
+
+
+def test_block_starts_match_exactly_collinear_log_magnitudes():
+    # log|c_k| exactly on one line (slopes 0, 0.5 and -0.25, each exact in float64),
+    # so no inner point is a vertex and each row is a single edge
+    k = np.arange(12)
+    assert np.array_equal(np.log(np.exp(0.5 * k)), 0.5 * k)
+    rows = [np.ones(n) for n in range(3, 13)]
+    rows += [np.exp(0.5 * k[:n]) for n in range(3, 13)]
+    rows += [np.exp(-0.25 * k[:n]) for n in range(3, 13)]
+    rows += [np.array([1.0, 0.0, 1.0, 0.0, 1.0]), np.array([2.0, 1.0, 0.5])]
+    assert_block_starts_match_each_row(rows)
+
+
+def test_block_starts_stay_within_the_difference_buffer():
+    """The block's largest temporaries are (rows, n, n) reals, within the
+    (rows, n, n) complex buffer the sweeps write their differences into."""
+    rows = monic_magnitudes(hypocycloid_faber_closed_form(2, 60))
+    width = max(len(row) for row in rows)
+    abs_c = np.zeros((len(rows), width))
+    for p, row in enumerate(rows):
+        abs_c[p, :len(row)] = row
+    tracemalloc.start()
+    try:
+        poly._newton_polygon_starts(abs_c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * len(rows) * (width - 1) ** 2

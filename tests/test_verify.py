@@ -8,11 +8,12 @@ import pytest
 
 import faberpoly.suites as suites
 from faberpoly.faber import exp_map_exterior, faber_system_from_recurrence
-from faberpoly.maps import GapMap, Hypocycloid, to_exterior_map
+from faberpoly.maps import (GapMap, Hypocycloid, exp_map_faber_closed_form,
+                            gap_faber_closed_form, to_exterior_map, two_gap_faber_system)
 from faberpoly.poly import evaluate_rows
-from faberpoly.suites import draw_gap_map, draw_two_gap_map
-from faberpoly.verify import (CheckReport, _row_deviation, check_gap_coefficient_recovery,
-                              exponential_map_characterization,
+from faberpoly.suites import draw_disk, draw_gap_map, draw_polar, draw_two_gap_map
+from faberpoly.verify import (CheckReport, _refuse_undecided, _row_deviation, _row_scale,
+                              check_gap_coefficient_recovery, exponential_map_characterization,
                               leading_common_root_order)
 
 
@@ -175,22 +176,32 @@ def test_suites_build_no_report_literal():
     assert literals == []
 
 
-@pytest.mark.parametrize("suite, calls", [("theorem1", 20), ("theorem3", 20)])
-def test_one_recurrence_table_per_map(monkeypatch, suite, calls):
-    # theorem1 builds one table per gap map; theorem3 one per exponential map
-    # and one per bumped map, and the checkers read the tables they are given
+@pytest.mark.parametrize("suite, highest", [("theorem1", [4, 6, 8, 10, 12]),
+                                            ("theorem2", [24, 24]), ("theorem3", [20, 20])])
+def test_one_recurrence_table_per_map(monkeypatch, suite, highest):
+    # one stacked recurrence per block and map set: theorem1 one per N = 2n + 2
+    # (n = 1..5 all occur at seed 0), theorem2 its maps and its pattern maps,
+    # theorem3 its exponential maps and its bumped maps; the checkers read the
+    # tables they are given, and each map's table is its own table bit for bit
     counted = []
     original = suites.faber_system_from_recurrence
 
-    def counting(emap, n_highest):
-        counted.append(n_highest)
-        return original(emap, n_highest)
+    def counting(a, n_highest):
+        tables = original(a, n_highest)
+        counted.append((np.array(a), n_highest, tables))
+        return tables
     for name, module in list(sys.modules.items()):
         if name.startswith("faberpoly") and \
                 getattr(module, "faber_system_from_recurrence", None) is original:
             monkeypatch.setattr(module, "faber_system_from_recurrence", counting)
     report, = suites.run_suite(suite)
-    assert report.passed and len(counted) == calls
+    assert report.passed
+    assert sorted(n for _, n, _ in counted) == highest
+    assert sum(len(a) for a, _, _ in counted) == 20
+    for a, n_highest, tables in counted:
+        assert a.ndim == 2 and tables.shape == (len(a), n_highest + 1, n_highest + 1)
+        for emap, table in zip(a, tables):
+            assert original(emap, n_highest).tobytes() == table.tobytes()
 
 
 SERIES_SUITES = [("recurrence-vs-oracle", "faber_values_from_log_series"),
@@ -321,3 +332,140 @@ class TestTwoGapValuePattern:
                     assert values[j] <= 1e-10 * (1.0 + np.abs(system[j]).max())
             # both singled-out values are nonzero
             assert values[fam.m + 1] > 1e-6 and values[fam.n + 1] > 1e-8
+
+
+# ---------------------------------------------------------------------------
+# theorems 1-3 judged over stacks: the same reports as one case at a time
+# ---------------------------------------------------------------------------
+
+def per_case_theorem1(seed, tol=1e-10):
+    """Theorem 1 as the suite ran it one gap map at a time, each drawn as it came."""
+    rng = np.random.default_rng(seed)
+
+    def cases():
+        for _ in range(20):
+            gap = draw_gap_map(rng)
+            n_highest = 2 * gap.n + 2
+            table = gap_table(gap, n_highest)
+            profile = leading_common_root_order(table, gap.z0, tol)
+            expected = (gap.n + 1) * abs(gap.tail[0])
+            value_resid = abs(profile.values[gap.n] - expected) / (1.0 + expected)
+            head = gap.n + 2
+            closed_resid = _row_deviation(gap_faber_closed_form(gap, gap.n + 1),
+                                          table[:head, :head]).max()
+            recovery = check_gap_coefficient_recovery(table, gap, tol)
+            worst = np.max((value_resid, closed_resid, recovery.max_residual))
+            yield profile.first_nonvanishing == gap.n + 1 and worst <= tol, worst
+    return CheckReport.verdict("theorem1", cases())
+
+
+def per_case_theorem2(seed, n_highest=24, tol=1e-9):
+    rng = np.random.default_rng(seed)
+
+    def cases():
+        for i in range(10):
+            try:
+                fam = draw_two_gap_map(rng)
+                closed = two_gap_faber_system(fam, n_highest)
+                generic = faber_system_from_recurrence(to_exterior_map(fam, n_highest),
+                                                       n_highest)
+                pat = draw_two_gap_map(rng, pattern_valid=True)
+                rows = faber_system_from_recurrence(to_exterior_map(pat, n_highest),
+                                                    n_highest)[1:pat.n + 1]
+            except OverflowError as exc:
+                raise OverflowError(f"theorem2 case {i}, N={n_highest}: {exc}") from exc
+            values = np.abs(evaluate_rows(rows, pat.z0)[0])
+            pattern = values / (1.0 + np.abs(rows).max(axis=1))
+            if pat.m < len(rows):
+                expected = (pat.m + 1) * abs(pat.alpha_m)
+                pattern[pat.m] = abs(values[pat.m] - expected) / (1.0 + expected)
+            yield np.max((_row_deviation(closed, generic).max(), pattern.max(initial=0.0)))
+    return CheckReport.judged("theorem2", cases(), tol)
+
+
+def per_case_theorem3(seed, n_highest=20, tol=1e-9):
+    """Theorem 3 one exponential map at a time; the bumped map is judged at
+    min(tol, 1e-4), as the suite judges it."""
+    rng = np.random.default_rng(seed)
+
+    def cases():
+        for i in range(10):
+            eta = draw_disk(rng, 1.5)
+            lam = draw_polar(rng, 0.2 + 0.8 * rng.uniform())
+            where = f"theorem3 case {i}, N={n_highest}"
+            try:
+                a = exp_map_exterior(eta, lam, n_highest)
+                recurrence = faber_system_from_recurrence(a, n_highest)
+                detected = exponential_map_characterization(recurrence, a, eta, tol)
+                closed = exp_map_faber_closed_form(eta, lam, n_highest)
+                rows = _row_deviation(closed, recurrence)
+                closed_resid = rows.max()
+                if closed_resid > tol:
+                    sizes = exp_map_faber_closed_form(-abs(eta), -abs(lam), n_highest).real
+                    bound = (np.finfo(float).eps * np.arange(1, n_highest + 2)
+                             * sizes.max(axis=1) / _row_scale(closed, recurrence))
+                    _refuse_undecided(where, rows, bound, tol)
+                bumped = a.copy()
+                bumped[int(rng.integers(1, len(a)))] += 1e-3
+                broken = not exponential_map_characterization(
+                    faber_system_from_recurrence(bumped, n_highest), bumped, eta,
+                    min(tol, 1e-4))
+            except OverflowError as exc:
+                raise OverflowError(f"{where}: {exc}") from exc
+            yield detected and broken and closed_resid <= tol, closed_resid
+    return CheckReport.verdict("theorem3", cases())
+
+
+def outcome(check, *args, **kwargs):
+    """A check's report, or the type and message of what it raised."""
+    try:
+        return check(*args, **kwargs)
+    except (ArithmeticError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("suite, per_case, options", [
+    ("theorem1", per_case_theorem1, {}), ("theorem2", per_case_theorem2, {}),
+    ("theorem3", per_case_theorem3, {}), ("theorem3", per_case_theorem3, {"n_highest": 30})],
+    ids=["theorem1", "theorem2", "theorem3", "theorem3-N30"])
+def test_stacked_theorem_suites_match_the_per_case_loop(suite, per_case, options, seed):
+    stacked = outcome(getattr(suites, "suite_" + suite), seed=seed, **options)
+    expected = outcome(per_case, seed, **options)
+    assert stacked == expected
+    if isinstance(stacked, CheckReport):          # bit for bit, signed zeros too
+        assert [r.hex() for r in stacked.residuals] == [r.hex() for r in expected.residuals]
+
+
+class TestStackedCheckers:
+    """A stack of tables with one point (or map) per table gives, in one
+    evaluation, what each table gives alone."""
+
+    def test_common_root_profiles(self):
+        rng = np.random.default_rng(3)
+        gaps = [draw_gap_map(rng) for _ in range(8)]
+        tables = np.array([gap_table(gap, 12) for gap in gaps])
+        stacked = leading_common_root_order(tables, [gap.z0 for gap in gaps], 1e-10)
+        assert stacked == [leading_common_root_order(table, gap.z0, 1e-10)
+                           for table, gap in zip(tables, gaps)]
+
+    def test_gap_coefficient_recovery(self):
+        rng = np.random.default_rng(4)
+        gaps = [draw_gap_map(rng) for _ in range(8)]
+        tables = np.array([gap_table(gap, 12) for gap in gaps])
+        stacked = check_gap_coefficient_recovery(tables, gaps, 1e-10)
+        assert stacked == [check_gap_coefficient_recovery(table, gap, 1e-10)
+                           for table, gap in zip(tables, gaps)]
+        with pytest.raises(ValueError, match="alpha_5 needs N >= 6"):
+            check_gap_coefficient_recovery(tables[:, :6, :6], [GapMap(0.0, 5, [0.1])] * 8)
+
+    def test_exponential_map_characterization(self):
+        etas = [0.4 - 0.1j, 0.1, -0.3j, 0.5]
+        a = np.array([exp_map_exterior(eta, lam, 16)
+                      for eta, lam in zip(etas, (0.6, 0.7, 0.3 + 0.2j, 0.0))])
+        a[1, 5] += 1e-3                                 # a perturbed tail
+        tables = faber_system_from_recurrence(a, 16)
+        stacked = exponential_map_characterization(tables, a, etas, 1e-9)
+        assert stacked.tolist() == [True, False, True, False]
+        assert stacked.tolist() == [characterize(row, eta, 16, 1e-9)
+                                    for row, eta in zip(a, etas)]
