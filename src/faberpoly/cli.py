@@ -184,10 +184,17 @@ def _family_from_args(args) -> tuple[object, dict]:
     return FAMILIES[args.family](*values), desc
 
 
+def _family_table(fam, n_highest: int) -> np.ndarray:
+    """The recurrence table F_0 ... F_N of a family member.  Its map is cut
+    after its last nonzero coefficient, keeping a_0, so that a family with K
+    nonzero coefficients costs O(K N^2), not O(N^3)."""
+    a = to_exterior_map(fam, n_highest)
+    return faber_system_from_recurrence(a[:len(np.trim_zeros(a, "b")) or 1], n_highest)
+
+
 def _run_gen(args):
     fam, desc = _family_from_args(args)
-    table = faber_system_from_recurrence(to_exterior_map(fam, args.N), args.N)
-    return desc, args.N, table, {}, True
+    return desc, args.N, _family_table(fam, args.N), {}, True
 
 
 def _run_verify(args):
@@ -202,7 +209,7 @@ def _run_roots(args):
     fam, desc = _family_from_args(args)
     if args.j_min < 1 or args.j_max < args.j_min:
         raise ValueError("need 1 <= j-min <= j-max")
-    table = faber_system_from_recurrence(to_exterior_map(fam, args.j_max), args.j_max)
+    table = _family_table(fam, args.j_max)
     results = []
     for j in range(args.j_min, args.j_max + 1):
         try:

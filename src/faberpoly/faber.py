@@ -13,13 +13,11 @@ with F_0 = 1 and F_1 = z - a0 (empty sums are zero, a_k = 0 beyond the
 last entry of a).  A Faber system F_0 ... F_N is one read-only (N+1) x (N+1)
 lower-triangular complex table whose row j holds the ascending
 coefficients of F_j: entry [j, j] is 1 and everything right of it is 0.
-Read down the columns of the table, the recurrence is a triangular
-Toeplitz solve: with g(t) = 1 + a0 t + a1 t^2 + ... (Psi(w)/w at t = 1/w)
-and h = 1/g, column m (the z^m coefficients of F_0, F_1, ...) is h times
-column m - 1 shifted down one row, and column 0 is h times the series
-1 - sum_{k>=1} k a_k t^{k+1} of Psi'(w) (Curtiss, Amer. Math. Monthly
-1971).  Independently of the recurrence, the values F_j(z) are the
-coefficients of two generating series in t = 1/w,
+The recurrence builds the table row by row: row j + 1 is z F_j less
+a_0 F_j + ... + a_{k-1} F_{j-k+1}, one product over the first
+k = min(j + 1, len(a)) map entries, less j a_j.  So a row depends only on
+the rows before it.  Independently of the recurrence, the values F_j(z)
+are the coefficients of three generating series in t = 1/w,
 
     log((Psi(w) - z) / w)        = - sum_{j>=1} (F_j(z) / j) t^j,
     Psi'(w) w / (Psi(w) - z)     =   sum_{j>=0}  F_j(z)      t^j,
@@ -69,8 +67,10 @@ def faber_system_from_recurrence(a, n_highest: int) -> np.ndarray:
     """F_0 ... F_N of the map with coefficient array ``a`` by the
     coefficient recurrence, as the read-only
     (N+1) x (N+1) lower-triangular table whose row j holds the ascending
-    coefficients of F_j; one table column per step.  A stack of B maps,
-    one per row of ``a``, gives the (B, N+1, N+1) stack of their tables.
+    coefficients of F_j; one table row per step, over as many map entries
+    as ``a`` gives (up to a_N), so a map cut after its last nonzero entry
+    costs less.  A stack of B maps, one per row of ``a``, gives the
+    (B, N+1, N+1) stack of their tables.
 
     Deterministic: the same map or stack always yields bit-identical
     systems.  Raises OverflowError naming the first F_j that float64 cannot
@@ -80,12 +80,10 @@ def faber_system_from_recurrence(a, n_highest: int) -> np.ndarray:
     if n_highest < 0:
         raise ValueError("need a nonnegative highest index")
     given = _map_coefficients(a, stack=True)
-    maps = given.reshape(-1, given.shape[-1])
-    tables = _recurrence_tables(maps, n_highest)
-    if not np.isfinite(tables).all():
-        k = int(np.flatnonzero(~np.isfinite(tables).all(axis=(1, 2)))[0])
-        again = _recurrence_tables(maps[k:k + 1], n_highest, stop=True)[0]
-        j = int(np.flatnonzero(~np.isfinite(again).all(axis=1))[0])
+    tables = _recurrence_tables(given.reshape(-1, given.shape[-1]), n_highest)
+    finite = np.isfinite(tables).all(axis=2)
+    if not finite.all():
+        k, j = np.argwhere(~finite)[0].tolist()
         where = f" in map {k}" if given.ndim == 2 else ""
         error = OverflowError(f"the recurrence overflows float64{where} from F_{j} on")
         error.map, error.row = k, j
@@ -93,51 +91,32 @@ def faber_system_from_recurrence(a, n_highest: int) -> np.ndarray:
     return _read_only(tables if given.ndim == 2 else tables[0])
 
 
-def _recurrence_tables(maps: np.ndarray, n: int, stop: bool = False) -> np.ndarray:
-    """The (B, N+1, N+1) tables of a stack of maps, unchecked.  Column 0 is
-    h = 1/g times the series of Psi'(w), column m is h times column m - 1
-    shifted down one row: one product with the lower-triangular Toeplitz
-    matrix of h per column and map, so the diagonal comes out exactly 1.
-    h comes from its own loop here, never from the oracles' series engine.
-
-    A zero above the diagonal times inf is NaN, so a row that is not finite
-    spoils the rows above it in every later column.  With ``stop`` each
-    column stops above the first row found not finite, the rows from it on
-    are NaN, and the first row not finite is the one float64 cannot hold.
+def _recurrence_tables(maps: np.ndarray, n: int) -> np.ndarray:
+    """The (B, N+1, N+1) tables of a stack of maps, unchecked.  Row j + 1 is
+    one stacked product of -a_0 ... -a_{k-1} with the rows F_j ... F_{j-k+1},
+    k = min(j + 1, width) for the ``width`` entries given, plus z F_j (a
+    shift by one column, so the diagonal comes out exactly 1) and -j a_j.
+    A row depends only on the rows before it, so the first row that is not
+    finite is the first one float64 cannot hold.
     """
     maps = maps[:, :n + 1]
-    b = len(maps)
-    ng = np.zeros((b, 1, n + 1), dtype=complex)        # -g[1:] = -a_0, -a_1, ..., zero-padded
-    ng[:, 0, :maps.shape[1]] = -maps
-    dpsi = np.zeros((b, n + 1, 1), dtype=complex)      # Psi'(w) = 1 - sum k a_k t^{k+1}
-    dpsi[:, 0] = 1.0
-    padded = np.zeros((b, 2 * n + 1), dtype=complex)   # n zeros above the diagonal, then h
-    h = padded[:, n:]
-    h[:, 0] = 1.0
-    cols = np.zeros((b, n + 1, n + 1, 1), dtype=complex)    # [:, m] is column m of the table
-    rows = n + 1                                            # the rows a column fills
+    b, width = maps.shape
+    negated = -maps[:, None, :]
+    # F_j of map b in flipped[b, n - j], so that the rows a step reads are one
+    # slice; stored row index first, so that the row it writes shares no memory
+    # span with them, which would make numpy copy the operands of a stack
+    flipped = np.zeros((n + 1, b, n + 1), dtype=complex).swapaxes(0, 1)
+    flipped[:, n, 0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        dpsi[:, 2:, 0] = np.arange(1, n) * ng[:, 0, 1:n]
-        for k in range(1, n + 1):
-            np.matmul(ng[:, :, :k], h[:, k - 1::-1, None], out=h[:, k, None, None])
-        # toeplitz[:, i, l] = h[i - l], the zeros of ``padded`` above the diagonal,
-        # copied to C order so that a map's products are the same in any stack
-        step = h.strides[1]
-        toeplitz = np.lib.stride_tricks.as_strided(
-            h, (b, n + 1, n + 1), (padded.strides[0], step, -step)).copy()
-        for m in range(n + 1):
-            # entry l of the vector feeds row max(m - 1, 0) + l on
-            vector = dpsi[:, :rows] if m == 0 else cols[:, m - 1, m - 1:rows - 1]
-            if stop:
-                bad = np.flatnonzero(~np.isfinite(vector))
-                rows = max(m - 1, 0) + int(bad[0]) if bad.size else rows
-            if m >= rows:
-                break
-            np.matmul(toeplitz[:, :rows - m, :rows - m], vector[:, :rows - m],
-                      out=cols[:, m, m:rows])
-    cols[:, :, rows:] = np.nan
-    del toeplitz
-    return np.ascontiguousarray(cols[..., 0].transpose(0, 2, 1))
+        constants = -np.arange(width) * maps                # -j a_j
+        for j in range(n):
+            k = min(j + 1, width)
+            row = flipped[:, n - j - 1:n - j]
+            np.matmul(negated[:, :, :k], flipped[:, n - j:n - j + k, :j + 1], out=row[..., :j + 1])
+            row[..., 1:j + 2] += flipped[:, n - j:n - j + 1, :j + 1]
+            if j < width:
+                row[:, 0, 0] += constants[:, j]
+    return np.ascontiguousarray(flipped[:, ::-1])
 
 
 def _finite_rows(table: np.ndarray, source: str, letter: str) -> np.ndarray:

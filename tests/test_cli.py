@@ -125,10 +125,12 @@ class TestVerify:
         assert json.loads(out)["pass"] is False
 
     @pytest.mark.parametrize("suite", ["theorem3", "all"])
-    @pytest.mark.parametrize("tol", ["1e-3", "1e-2"])
+    @pytest.mark.parametrize("tol", ["1e-3", "1e-2", "1e-1", "10"])
     def test_theorem3_passes_at_a_tolerance_as_loose_as_its_perturbation(self, suite, tol):
-        # the perturbed map moves one coefficient by 1e-3 and is judged at
-        # min(tol, 1e-4), so a loose tol no longer accepts it as exponential
+        # the perturbed map moves one coefficient by 1e-3, and theorems 1 and 3
+        # call a value zero at min(tol, 1e-4): a loose tol neither accepts the
+        # perturbed map as exponential nor counts |F_1(z0)| = |lambda| or
+        # theorem 1's first nonvanishing value as zero
         code, out = run_cli("verify", "--suite", suite, "--tol", tol)
         payload = json.loads(out)
         assert code == 0 and payload["pass"] is True

@@ -17,7 +17,7 @@ from faberpoly.faber import (exp_map_exterior,
                              faber_system_from_recurrence,
                              faber_values_from_log_series,
                              faber_values_from_ratio_series, kernel_polys)
-from faberpoly.maps import ExpMap, Hypocycloid, Shift, to_exterior_map
+from faberpoly.maps import ExpMap, GapMap, Hypocycloid, Shift, TwoGapMap, to_exterior_map
 from faberpoly.poly import ComplexPolynomial, evaluate_rows
 from faberpoly.series import PowerSeries
 from faberpoly.suites import draw_disk, draw_exterior_map, suite_theorem3
@@ -176,10 +176,19 @@ def mpmath_recurrence_rows(emap, n_highest):
       for r in (0.5, 2.0, -1.5j)),                                             # g = (1 + r t)^3
     *(pytest.param(exp_map_exterior(eta, lam, 60), id=f"expmap-eta={eta}-lam={lam}")
       for eta, lam in ((0.3 - 0.2j, 0.5), (0.0, 2.0), (0.1j, 1 + 1j), (0.0, 5.0))),
+    # sparse maps, zero-filled to N and cut after their last nonzero entry:
+    # the band of a step is as wide as the map given, not as the table
+    *(pytest.param(a[:len(np.trim_zeros(a, "b"))] if cut else a,
+                   id=f"{name}-{'cut' if cut else 'zero-filled'}")
+      for name, a in (("hypocycloid-m=2", to_exterior_map(Hypocycloid(2), 60)),
+                      ("shift", to_exterior_map(Shift(0.6 - 0.5j), 60)),
+                      ("gap", to_exterior_map(GapMap(0.4j, 3, (0.5, -0.2j)), 60)),
+                      ("two-gap", to_exterior_map(TwoGapMap(-0.3, 1, 0.4j, 4, (0.3,)), 60)))
+      for cut in (False, True)),
 ])
 def test_recurrence_matches_60_digit_rows(emap):
-    # h = 1/g grows like a polynomial times |r|^k where g has a double or
-    # triple zero; each row stays within 64 eps of its scale all the same
+    # each row stays within 64 eps of its scale, also where g = 1 + a0 t + ...
+    # has a double or triple zero and where the band is narrower than the row
     table = faber_system_from_recurrence(emap, 60)
     for j, ref in enumerate(mpmath_recurrence_rows(emap, 60)):
         scale = 1.0 + np.abs(ref).max()
@@ -381,9 +390,9 @@ class TestStackedMaps:
 
     @pytest.mark.parametrize("lam, row", [(20.0, 319), (50.0, 247)])
     def test_the_named_row_is_the_first_float64_cannot_hold(self, lam, row):
-        # an infinite entry turns the rows above it NaN in later columns (zero
-        # times inf in the Toeplitz product); the row named is still the first
-        # whose own recurrence leaves float64: the table up to it is finite
+        # a row depends only on the rows before it, so the rows after the first
+        # one that leaves float64 may be inf or NaN; the row named is that
+        # first one, at any N past it, and the table up to it is finite
         a = exp_map_exterior(0.1, lam, 400)
         for n in (400, row):
             with pytest.raises(OverflowError, match=f"from F_{row} on"):
@@ -414,7 +423,7 @@ def test_series_engine_and_oracles_stay_off_the_recurrence(monkeypatch):
                        for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
                        for inner in ast.walk(node)), module.__name__
 
-    # the recurrence and the kernel polynomials take h = 1/g from their own loop
+    # the recurrence and the kernel polynomials never call the series engine
     def refuse_series(*args, **kwargs):
         raise AssertionError("the recurrence used the series engine")
 
