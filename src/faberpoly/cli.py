@@ -25,7 +25,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .faber import faber_system_from_recurrence, kernel_polys
+from .faber import _cut_map, faber_system_from_recurrence, kernel_polys
 from .maps import FAMILIES, BranchCutError, ExpMap, exp_map_boundary, to_exterior_map
 from .poly import ComplexPolynomial, RootFindingError
 from .suites import SUITE_NAMES, run_suite
@@ -185,11 +185,8 @@ def _family_from_args(args) -> tuple[object, dict]:
 
 
 def _family_table(fam, n_highest: int) -> np.ndarray:
-    """The recurrence table F_0 ... F_N of a family member.  Its map is cut
-    after its last nonzero coefficient, keeping a_0, so that a family with K
-    nonzero coefficients costs O(K N^2), not O(N^3)."""
-    a = to_exterior_map(fam, n_highest)
-    return faber_system_from_recurrence(a[:len(np.trim_zeros(a, "b")) or 1], n_highest)
+    """The recurrence table F_0 ... F_N of a family member, over its cut map."""
+    return faber_system_from_recurrence(_cut_map(to_exterior_map(fam, n_highest)), n_highest)
 
 
 def _run_gen(args):

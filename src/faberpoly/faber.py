@@ -91,6 +91,12 @@ def faber_system_from_recurrence(a, n_highest: int) -> np.ndarray:
     return _read_only(tables if given.ndim == 2 else tables[0])
 
 
+def _cut_map(a: np.ndarray) -> np.ndarray:
+    """The map ``a`` cut after its last nonzero coefficient, a_0 kept, so that
+    its recurrence over K nonzero coefficients costs O(K N^2), not O(N^3)."""
+    return a[:len(np.trim_zeros(a, "b")) or 1]
+
+
 def _recurrence_tables(maps: np.ndarray, n: int) -> np.ndarray:
     """The (B, N+1, N+1) tables of a stack of maps, unchecked.  Row j + 1 is
     one stacked product of -a_0 ... -a_{k-1} with the rows F_j ... F_{j-k+1},
@@ -212,7 +218,7 @@ def _kernel_tables(lam: complex, n_highest: int) -> tuple[np.ndarray, np.ndarray
     Raises OverflowError naming the first P_j that float64 cannot hold.
     """
     lam = complex(lam)
-    f = faber_system_from_recurrence(exp_map_exterior(0.0, lam, n_highest), n_highest)
+    f = faber_system_from_recurrence(_cut_map(exp_map_exterior(0.0, lam, n_highest)), n_highest)
     p = f.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, n_highest + 1):

@@ -92,21 +92,6 @@ def _row_deviation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _magnitude(a - b).max(axis=1) / _row_scale(a, b)
 
 
-def _refuse_undecided(where: str, residuals: np.ndarray, bound: np.ndarray,
-                      tol: float) -> None:
-    """Raise ArithmeticError naming the first row that float64 cannot decide:
-    its residual exceeds ``tol``, its round-off ``bound`` the looser of ``tol``
-    and the default 1e-9, and the residual lies within that bound.  A check
-    with a real fault, a row above both ``tol`` and its bound, fails instead."""
-    over = residuals > tol
-    undecided = np.flatnonzero(over & (bound > max(tol, 1e-9)) & (residuals <= bound))
-    if undecided.size and not (over & (residuals > bound)).any():
-        j = undecided[0]
-        raise ArithmeticError(
-            f"{where}: row j={j} has residual {residuals[j]:.3e} against a round-off "
-            f"bound of {bound[j]:.3e}; the identity is ill-conditioned in float64")
-
-
 @dataclass(frozen=True)
 class CommonRootProfile:
     """|F_j(z0)| for j = 1..N and the first index where the value is nonzero.
@@ -213,8 +198,11 @@ def check_derivative_identity(lam: complex, n_highest: int, tol: float = 1e-9) -
     1 + max|coefficient|.  One recurrence run gives both tables.
 
     Round-off in row j of P is bounded by eps j H_j relative to the same
-    scale, with H_j = sum_{k<=j} |lam|^{j-k} max|F_k|; ``_refuse_undecided``
-    raises ArithmeticError where float64 cannot decide the identity.
+    scale, with H_j = sum_{k<=j} |lam|^{j-k} max|F_k|.  An ArithmeticError
+    names the first row that float64 cannot decide: its residual exceeds
+    ``tol``, its bound the looser of ``tol`` and the default 1e-9, and the
+    residual lies within that bound.  A real fault, a row above both ``tol``
+    and its bound, fails the check instead.
     """
     f, p = _kernel_tables(lam, n_highest)
     k = np.arange(n_highest + 1)
@@ -224,5 +212,12 @@ def check_derivative_identity(lam: complex, n_highest: int, tol: float = 1e-9) -
     for j in range(1, n_highest + 1):
         growth[j] += abs(lam) * growth[j - 1]
     bound = np.finfo(float).eps * k * growth / _row_scale(lhs, rhs)
-    _refuse_undecided(f"eq14 at lambda={lam}, N={n_highest}", residuals, bound, tol)
+    over = residuals > tol
+    undecided = np.flatnonzero(over & (bound > max(tol, 1e-9)) & (residuals <= bound))
+    if undecided.size and not (over & (residuals > bound)).any():
+        j = undecided[0]
+        raise ArithmeticError(
+            f"eq14 at lambda={lam}, N={n_highest}: row j={j} has residual {residuals[j]:.3e} "
+            f"against a round-off bound of {bound[j]:.3e}; the identity is ill-conditioned "
+            f"in float64")
     return CheckReport.judged("derivative-identity", residuals.tolist(), tol)

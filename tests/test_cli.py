@@ -170,13 +170,15 @@ class TestVerify:
         code, out = run_cli("verify", "--suite", "eq14", "--lambda", "0.7", "--N", "20")
         assert code == 1 and json.loads(out)["pass"] is False
 
-    def test_theorem3_round_off_above_tol_is_ill_conditioned(self):
-        # case 8 of seed 0 loses 1.8e-8 to the closed form's binomial shift
-        code, out, err = run_cli_with_stderr("verify", "--suite", "theorem3", "--N", "30")
-        assert code == 3 and out == ""
-        message = json.loads(err)["message"]
-        assert "ill-conditioned in float64" in message
-        assert all(part in message for part in ("theorem3", "N=30", "j="))
+    @pytest.mark.parametrize("n, seed", [(n, seed) for n in ("24", "30", "40")
+                                         for seed in range(10)]
+                             + [("100", seed) for seed in range(5)])
+    def test_theorem3_decides_every_cell_centered_at_eta(self, n, seed):
+        # in powers of z the closed form and the recurrence lose digits like
+        # (1 + |eta| + |lam|)^j, too many to decide most of these cells;
+        # centered at eta they lose none to the shift
+        code, out = run_cli("verify", "--suite", "theorem3", "--N", n, "--seed", str(seed))
+        assert code == 0 and json.loads(out)["pass"] is True
 
     @pytest.mark.parametrize("n", ["20", "30"])
     def test_theorem3_wrong_closed_form_still_fails(self, monkeypatch, n):
@@ -243,12 +245,32 @@ class TestVerify:
         assert json.loads(err)["message"] == (
             "he-formula at N=12, m=1: the recurrence overflows float64 from F_9 on")
 
-    @pytest.mark.parametrize("suite, row", [("theorem3", 892), ("theorem2", 1110)])
-    def test_theorem_overflow_names_suite_case_and_row(self, suite, row):
-        code, out, err = run_cli_with_stderr("verify", "--suite", suite, "--N", "1200")
+    def test_theorem2_overflow_names_case_and_row(self):
+        # case 0's pattern map, centered at z0, stays finite; case 1's closed form does not
+        code, out, err = run_cli_with_stderr("verify", "--suite", "theorem2", "--N", "1200")
         assert code == 3 and out == ""
         assert json.loads(err)["message"] == (
-            f"{suite} case 0, N=1200: the recurrence overflows float64 from F_{row} on")
+            "theorem2 case 1, N=1200: the two-gap recurrence overflows float64 from F_1169 on")
+
+    def test_theorem3_recurrence_overflow_names_case_and_row(self, monkeypatch):
+        # the centered exp maps stay finite at N = 1200, where the suite's ten
+        # closed forms take minutes; a stack whose map 3 overflows names case 3
+        import faberpoly.suites as suites
+
+        original = suites.faber_system_from_recurrence
+
+        def overflowing(a, n_highest):
+            if len(a) > 3:
+                error = OverflowError("the recurrence overflows float64 in map 3 from F_9 on")
+                error.map, error.row = 3, 9
+                raise error
+            return original(a, n_highest)
+
+        monkeypatch.setattr(suites, "faber_system_from_recurrence", overflowing)
+        code, out, err = run_cli_with_stderr("verify", "--suite", "theorem3", "--N", "12")
+        assert code == 3 and out == ""
+        assert json.loads(err)["message"] == (
+            "theorem3 case 3, N=12: the recurrence overflows float64 from F_9 on")
 
     def test_theorem3_closed_form_overflow_names_case_and_row(self, monkeypatch):
         # as `verify --suite theorem3 --N 700 --tol 10 --seed 1` does at case 5
