@@ -27,8 +27,8 @@ import numpy as np
 
 from .faber import _cut_map, faber_system_from_recurrence, kernel_polys
 from .maps import FAMILIES, BranchCutError, ExpMap, exp_map_boundary, to_exterior_map
-from .poly import ComplexPolynomial, RootFindingError
-from .suites import SUITE_NAMES, run_suite
+from .poly import ComplexPolynomial
+from .suites import SUITE_NAMES, _named, run_suite
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -209,11 +209,8 @@ def _run_roots(args):
     table = _family_table(fam, args.j_max)
     results = []
     for j in range(args.j_min, args.j_max + 1):
-        try:
+        with _named(f"roots of F_{j} of {json.dumps(desc)}"):
             roots = ComplexPolynomial(table[j, :j + 1]).roots()
-        except RootFindingError as exc:
-            raise RootFindingError(f"roots of F_{j} of {json.dumps(desc)}: {exc}",
-                                   exc.roots, exc.residuals) from exc
         results.append({"j": j, "roots": [_pair(r) for r in roots]})
     return desc, args.j_max, results, {}, True
 
@@ -310,7 +307,7 @@ def main(argv=None) -> int:
                "boundary": _run_boundary, "kernel": _run_kernel}
     try:
         desc, n, results, residuals, ok = runners[args.command](args)
-    except (BranchCutError, RootFindingError, ArithmeticError) as exc:
+    except (BranchCutError, ArithmeticError) as exc:
         _emit_error("non-convergence", str(exc))
         return EXIT_NONCONVERGENCE
     except (ValueError, TypeError) as exc:

@@ -40,9 +40,10 @@ from .series import PowerSeries
 def _map_coefficients(coeffs, stack: bool = False) -> np.ndarray:
     """The map w + a_0 + a_1/w + ... as its read-only coefficient array a,
     a[k] = a_k (zero beyond the last entry), or with ``stack`` a 2-D stack of
-    maps, one per row; a ValueError unless ``coeffs`` is such and holds a_0."""
+    maps, one per row, perhaps none; a ValueError unless ``coeffs`` is such
+    and its maps hold a_0."""
     a = np.array(coeffs, dtype=complex)
-    if a.ndim not in ((1, 2) if stack else (1,)) or not a.size:
+    if a.ndim not in ((1, 2) if stack else (1,)) or not a.shape[-1]:
         stacks = " (a stack of maps a 2-D one)" if stack else ""
         raise ValueError(f"a map is a 1-D array a_0, a_1, ... of at least one "
                          f"coefficient{stacks}, got shape {a.shape}")
@@ -75,20 +76,14 @@ def faber_system_from_recurrence(a, n_highest: int) -> np.ndarray:
     Deterministic: the same map or stack always yields bit-identical
     systems.  Raises OverflowError naming the first F_j that float64 cannot
     hold, in a stack that of the first map with one; the error carries the
-    map's position (``map``) and the row (``row``).
+    map's position in the stack (``map``, None for one map) and the row
+    (``row``).  A stack of no maps gives no tables.
     """
     if n_highest < 0:
         raise ValueError("need a nonnegative highest index")
     given = _map_coefficients(a, stack=True)
     tables = _recurrence_tables(given.reshape(-1, given.shape[-1]), n_highest)
-    finite = np.isfinite(tables).all(axis=2)
-    if not finite.all():
-        k, j = np.argwhere(~finite)[0].tolist()
-        where = f" in map {k}" if given.ndim == 2 else ""
-        error = OverflowError(f"the recurrence overflows float64{where} from F_{j} on")
-        error.map, error.row = k, j
-        raise error
-    return _read_only(tables if given.ndim == 2 else tables[0])
+    return _finite_rows(tables if given.ndim == 2 else tables[0], "the recurrence")
 
 
 def _cut_map(a: np.ndarray) -> np.ndarray:
@@ -125,16 +120,24 @@ def _recurrence_tables(maps: np.ndarray, n: int) -> np.ndarray:
     return np.ascontiguousarray(flipped[:, ::-1])
 
 
-def _finite_rows(table: np.ndarray, source: str, letter: str) -> np.ndarray:
-    """The table, unless a row is not finite: then an OverflowError names the first."""
-    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+def _overflow(source: str, row: int, letter: str = "F", map_index=None) -> OverflowError:
+    """The OverflowError of ``source`` from row ``letter``_``row`` on, in map
+    ``map_index`` of a stack when given, carrying both as ``map`` and ``row``;
+    the one place its text is written."""
+    where = "" if map_index is None else f" in map {map_index}"
+    error = OverflowError(f"{source} overflows float64{where} from {letter}_{row} on")
+    error.map, error.row = map_index, row
+    return error
+
+
+def _finite_rows(table: np.ndarray, source: str, letter: str = "F") -> np.ndarray:
+    """The table, or stack of tables, marked read-only as every generator
+    returns it, unless a row is not finite: then the ``_overflow`` of the
+    first, in a stack of the first map with one."""
+    bad = np.argwhere(~np.isfinite(table).all(axis=-1))
     if bad.size:
-        raise OverflowError(f"{source} overflows float64 from {letter}_{bad[0]} on")
-    return table
-
-
-def _read_only(table: np.ndarray) -> np.ndarray:
-    """The coefficient table, marked read-only as every generator returns it."""
+        *k, j = bad[0].tolist()
+        raise _overflow(source, j, letter, *k)
     table.flags.writeable = False
     return table
 
@@ -233,4 +236,4 @@ def kernel_polys(lam: complex, n_highest: int) -> np.ndarray:
     Built as the exact Horner combination P_j = lam * P_{j-1} + F_j.  These
     are the t-coefficients of the kernel 1/(1 - z t exp(-lam t)).
     """
-    return _read_only(_kernel_tables(lam, n_highest)[1])
+    return _kernel_tables(lam, n_highest)[1]

@@ -34,7 +34,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .faber import _finite_rows, _map_coefficients, _read_only, exp_map_exterior
+from .faber import _finite_rows, _map_coefficients, exp_map_exterior
 
 BRANCH_POINT = -math.exp(-1.0)
 
@@ -196,7 +196,7 @@ def gap_faber_closed_form(family: GapMap, n_highest: int) -> np.ndarray:
     table = _shifted_power_table(family.z0, n_highest)
     if n_highest == family.n + 1:
         table[-1, 0] -= (family.n + 1) * family.tail[0]
-    return _read_only(_finite_rows(table, "the gap closed form", "F"))
+    return _finite_rows(table, "the gap closed form")
 
 
 def two_gap_faber_system(family: TwoGapMap, n_highest: int) -> np.ndarray:
@@ -225,7 +225,7 @@ def two_gap_faber_system(family: TwoGapMap, n_highest: int) -> np.ndarray:
                     row[:j - k + 1] -= family.tail[k - n] * table[j - k, :j - k + 1]
                 if j <= top:
                     row[0] -= j * family.tail[j - n]
-    return _read_only(_finite_rows(table, "the two-gap recurrence", "F"))
+    return _finite_rows(table, "the two-gap recurrence")
 
 
 def hypocycloid_faber_closed_form(m: int, n_highest: int) -> np.ndarray:
@@ -244,32 +244,33 @@ def hypocycloid_faber_closed_form(m: int, n_highest: int) -> np.ndarray:
     if n_highest < 1:
         raise ValueError("the closed form starts at index 1")
     table = np.eye(n_highest + 1, dtype=complex)
-    for j in range(1, n_highest + 1):
-        numerator = 1               # j (j-mk-1)! / ((j-(m+1)k)! k!) at k = 0
-        for k in range(1, j // (m + 1) + 1):
-            power, low = j - (m + 1) * k, j - m * k
-            numerator = (numerator * math.prod(range(power + 1, power + m + 2))
-                         // (k * math.prod(range(low, low + m))))
-            try:
+    try:
+        for j in range(1, n_highest + 1):
+            numerator = 1           # j (j-mk-1)! / ((j-(m+1)k)! k!) at k = 0
+            for k in range(1, j // (m + 1) + 1):
+                power, low = j - (m + 1) * k, j - m * k
+                numerator = (numerator * math.prod(range(power + 1, power + m + 2))
+                             // (k * math.prod(range(low, low + m))))
                 table[j, power] = (-1) ** k * numerator / m ** k
-            except OverflowError:
-                raise OverflowError(f"the hypocycloid closed form for m={m} overflows "
-                                    f"float64 from F_{j} on") from None
-    return _read_only(table)
+    except OverflowError:           # a coefficient of row j leaves float64
+        table[j] = np.nan
+    return _finite_rows(table, f"the hypocycloid closed form for m={m}")
 
 
 def chebyshev_scaled(n_highest: int) -> np.ndarray:
     """Rows 0..N: T_0 = 1, then 2 T_j(z/2) for j >= 1, by the three-term
-    recurrence C_{j+1} = z C_j - C_{j-1} seeded with C_0 = 2 and C_1 = z."""
+    recurrence C_{j+1} = z C_j - C_{j-1} seeded with C_0 = 2 and C_1 = z.
+    An OverflowError names the first C_j that float64 cannot hold."""
     if n_highest < 0:
         raise ValueError("need a nonnegative highest index")
     table = np.eye(n_highest + 1, dtype=complex)
     table[0, 0] = 2.0
-    for j in range(1, n_highest):
-        table[j + 1, 1:j + 2] = table[j, :j + 1]
-        table[j + 1, :j] -= table[j - 1, :j]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, n_highest):
+            table[j + 1, 1:j + 2] = table[j, :j + 1]
+            table[j + 1, :j] -= table[j - 1, :j]
     table[0, 0] = 1.0
-    return _read_only(table)
+    return _finite_rows(table, "the scaled Chebyshev recurrence", "C")
 
 
 def exp_map_faber_closed_form(eta: complex, lam: complex, n_highest: int) -> np.ndarray:
@@ -279,27 +280,27 @@ def exp_map_faber_closed_form(eta: complex, lam: complex, n_highest: int) -> np.
 
     with the 0^0 = 1 convention (so F_1 = z - eta - lam, and lam = 0
     collapses to (z-eta)^j).  Each rational coefficient in powers of z - eta,
-    rounded once to float by an exact integer division, multiplies the
-    binomial table of those powers.  Raises OverflowError naming the first
-    F_j that float64 cannot hold."""
+    rounded once to float by an exact integer division by (j-k)! from one
+    list of factorials, multiplies the binomial table of those powers.
+    Raises OverflowError naming the first F_j that float64 cannot hold."""
     if n_highest < 1:
         raise ValueError("the closed form starts at index 1")
     lam = complex(lam)
     powers = _shifted_power_table(complex(eta), n_highest)
     held = int(np.isfinite(powers).all(axis=1).sum())   # NaN from the first overflow on
     in_powers = np.eye(n_highest + 1, dtype=complex)    # row j: F_j in powers of z - eta
-    for j in range(1, held):
-        try:
+    factorials = [math.factorial(d) for d in range(held)]
+    try:
+        for j in range(1, held):
             for k in range(j):
-                rational = j * k ** (j - k - 1) / math.factorial(j - k)
+                rational = j * k ** (j - k - 1) / factorials[j - k]
                 in_powers[j, k] = rational * (-lam) ** (j - k)
-        except OverflowError:               # a coefficient of row j leaves float64
-            held = j
-            break
+    except OverflowError:                   # a coefficient of row j leaves float64
+        held = j
     with np.errstate(over="ignore", invalid="ignore"):
         table = in_powers[:, :held] @ powers[:held]
     table[held:] = np.nan
-    return _read_only(_finite_rows(table, "the exp-map closed form", "F"))
+    return _finite_rows(table, "the exp-map closed form")
 
 
 def _shifted_power_table(z0: complex, n_highest: int) -> np.ndarray:
@@ -435,7 +436,8 @@ def lambert_w0_power_series(j: int, order: int) -> np.ndarray:
     coefficient (zeros below t^j).  For j < 0 the expansion is a Laurent
     series starting at t^j, so the regular factor t^{-j} W0(t)^j is
     returned instead: entry i holds the t^{i+j} coefficient.  Magnitudes
-    are accumulated in log scale, so large orders cannot overflow.
+    are accumulated in log scale; an OverflowError names the first entry
+    c_i that float64 cannot hold.
     """
     if order < max(j, 1):
         raise ValueError("order must cover the leading index")
@@ -443,9 +445,12 @@ def lambert_w0_power_series(j: int, order: int) -> np.ndarray:
     if j == 0:
         coeffs[0] = 1.0
     else:
-        for i in range(max(j, 0), order + 1):
-            coeffs[i] = _w0_power_coefficient(j, i + min(j, 0))
-    return _read_only(coeffs)
+        try:
+            for i in range(max(j, 0), order + 1):
+                coeffs[i] = _w0_power_coefficient(j, i + min(j, 0))
+        except OverflowError:       # the magnitude of entry i leaves float64
+            coeffs[i] = np.nan
+    return _finite_rows(coeffs[:, None], f"the W0^{j} power series", "c")[:, 0]
 
 
 def _w0_power_coefficient(j: int, k: int) -> float:

@@ -14,7 +14,8 @@ largest N = 2n + 2, theorem 2 its maps and its pattern maps, theorem 3 its
 maps and its perturbed maps), whose tables the checkers of
 :mod:`faberpoly.verify` evaluate as one stack.  An overflow or a closed
 form's refusal still names the first case it stops, as a case at a time
-would.  All randomness flows through an explicit seed, so a suite run is
+would: every suite puts its case before the error's message by one helper,
+``_named``.  All randomness flows through an explicit seed, so a suite run is
 reproducible bit for bit.
 
 Theorems 1-3 judge each map at its point, z0 or eta, centered there (z0 =
@@ -41,13 +42,14 @@ from __future__ import annotations
 import cmath
 import inspect
 import math
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 
-from .faber import (_map_coefficients, exp_map_exterior, faber_system_from_recurrence,
-                    faber_values_from_log_series, faber_values_from_ratio_series,
-                    faber_derivative_values_from_series)
+from .faber import (_map_coefficients, _overflow, exp_map_exterior,
+                    faber_system_from_recurrence, faber_values_from_log_series,
+                    faber_values_from_ratio_series, faber_derivative_values_from_series)
 from .maps import (ExpMap, GapMap, Hypocycloid, TwoGapMap,
                    chebyshev_scaled, evaluate_map, exp_map_faber_closed_form,
                    gap_faber_closed_form, hypocycloid_faber_closed_form,
@@ -159,24 +161,32 @@ def _blocks(rows: list[int]):
         yield range(start, len(rows))
 
 
+@contextmanager
+def _named(where: str):
+    """Name the case of an ArithmeticError raised inside: the same error is
+    re-raised, its message behind ``where: ``."""
+    try:
+        yield
+    except ArithmeticError as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise
+
+
 def _stacked_tables(a: np.ndarray, n_highest: int):
     """The recurrence tables of a stack of maps up to the first whose table
     overflows, and that OverflowError (None when no table does)."""
     try:
         return faber_system_from_recurrence(a, n_highest), None
     except OverflowError as exc:
-        if not exc.map:
-            return np.empty((0, n_highest + 1, n_highest + 1), dtype=complex), exc
         return faber_system_from_recurrence(a[:exc.map], n_highest), exc
 
 
-def _case_table(stacked, k: int, where: str) -> np.ndarray:
-    """Table k of ``_stacked_tables``, or the OverflowError of map k, prefixed
-    with ``where``."""
+def _case_table(stacked, k: int) -> np.ndarray:
+    """Table k of ``_stacked_tables``, or the OverflowError of map k as one map's."""
     tables, exc = stacked
     if k < len(tables):
         return tables[k]
-    raise OverflowError(f"{where}: the recurrence overflows float64 from F_{exc.row} on") from exc
+    raise _overflow("the recurrence", exc.row) from exc
 
 
 def _series_suite(name: str, seed: int, maps: int, truncation: int, points: int,
@@ -194,11 +204,11 @@ def _series_suite(name: str, seed: int, maps: int, truncation: int, points: int,
         for block in _blocks([n_highest + 1] * maps):
             a, z = (np.array(part) for part in zip(*drawn[block.start:block.stop]))
             tables, exc = _stacked_tables(a, n_highest)
-            if len(tables):          # the maps before an overflow are judged first
-                yield from residuals(a[:len(tables)], tables, z[:len(tables)]).tolist()
-            if exc:                  # the map after them raises
-                _case_table((tables, exc), len(tables),
-                            f"{name} case {block.start + len(tables)}, N={n_highest}")
+            # the maps before an overflow are judged first, then the map after them raises
+            yield from residuals(a[:len(tables)], tables, z[:len(tables)]).tolist()
+            if exc:
+                with _named(f"{name} case {block.start + len(tables)}, N={n_highest}"):
+                    _case_table((tables, exc), len(tables))
 
     return CheckReport.judged(name, cases(), tol)
 
@@ -233,10 +243,8 @@ def suite_eq16(seed: int = 0, n_highest: int = 20, tol: float = 1e-9) -> CheckRe
 
 def suite_eq14(lam: complex = 0.7, n_highest: int = 20, tol: float = 1e-9) -> CheckReport:
     """Polynomial identity z F_j'(z) = j sum_k lam^{j-k} F_k(z)."""
-    try:
+    with _named(f"eq14 at lambda={lam}, N={n_highest}"):
         report = check_derivative_identity(lam, n_highest, tol)
-    except OverflowError as exc:
-        raise OverflowError(f"eq14 at lambda={lam}, N={n_highest}: {exc}") from exc
     return replace(report, name="eq14")
 
 
@@ -295,14 +303,11 @@ def suite_theorem2(seed: int = 0, n_highest: int = 24, tol: float = 1e-9) -> Che
             fams, pats = zip(*drawn[block.start:block.stop])
             generic, patterned = stacked(fams), stacked(pats)
             for k, (fam, pat) in enumerate(zip(fams, pats)):
-                where = f"theorem2 case {block.start + k}, N={n_highest}"
-                try:
+                with _named(f"theorem2 case {block.start + k}, N={n_highest}"):
                     closed = two_gap_faber_system(fam, n_highest)
-                except OverflowError as exc:
-                    raise OverflowError(f"{where}: {exc}") from exc
-                table = _case_table(generic, k, where)
-                # value pattern at z0: zero up to n except the single index m+1
-                rows = _case_table(patterned, k, where)[1:pat.n + 1]
+                    table = _case_table(generic, k)
+                    # value pattern at z0: zero up to n except the single index m+1
+                    rows = _case_table(patterned, k)[1:pat.n + 1]
                 values = np.abs(evaluate_rows(rows, pat.z0)[0])          # |F_j(z0)|, j = 1..
                 pattern = values / (1.0 + np.abs(rows).max(axis=1))
                 if pat.m < len(rows):
@@ -331,42 +336,34 @@ def suite_theorem3(seed: int = 0, n_highest: int = 20, tol: float = 1e-9) -> Che
 
     def characterized(maps):
         """The stacked tables of the maps up to an overflow, and their verdicts at 0."""
-        stacked = _stacked_tables(maps, n_highest)
-        done = len(stacked[0])
-        return stacked, (exponential_map_characterization(
-            stacked[0], maps[:done], np.zeros(done), min(tol, _ZERO)) if done else None)
+        tables, exc = _stacked_tables(maps, n_highest)
+        return (tables, exc), exponential_map_characterization(
+            tables, maps[:len(tables)], np.zeros(len(tables)), min(tol, _ZERO))
 
     def cases():
         for block in _blocks([n_highest + 1] * len(drawn)):
             etas, lams, bumps = zip(*drawn[block.start:block.stop])
             a = np.array([exp_map_exterior(eta, lam, n_highest) for eta, lam in zip(etas, lams)])
             a[:, 0] -= etas
-            exact, detected = characterized(a)
-            perturbed = None
+            bumped = a.copy()
+            bumped[np.arange(len(a)), bumps] += _BUMP
+            (exact, detected), (perturbed, kept) = characterized(a), characterized(bumped)
             for k, lam in enumerate(lams):
-                where = f"theorem3 case {block.start + k}, N={n_highest}"
-                recurrence = _case_table(exact, k, where)
-                try:
+                with _named(f"theorem3 case {block.start + k}, N={n_highest}"):
+                    recurrence = _case_table(exact, k)
                     closed = exp_map_faber_closed_form(0.0, lam, n_highest)
-                except OverflowError as exc:
-                    raise OverflowError(f"{where}: {exc}") from exc
+                    _case_table(perturbed, k)
                 closed_resid = _row_deviation(closed, recurrence).max()
-                if perturbed is None:
-                    bumped = a.copy()
-                    bumped[np.arange(len(a)), bumps] += _BUMP
-                    perturbed, kept = characterized(bumped)
-                _case_table(perturbed, k, where)
                 yield detected[k] and not kept[k] and closed_resid <= tol, closed_resid
     return CheckReport.verdict("theorem3", cases())
 
 
 def suite_chebyshev(n_highest: int = 24, tol: float = 1e-12) -> CheckReport:
     """Single-cusp closed form reduces to doubled Chebyshev on the half scale."""
-    try:
+    with _named(f"chebyshev at N={n_highest}"):
         closed = hypocycloid_faber_closed_form(1, n_highest)
-    except OverflowError as exc:
-        raise OverflowError(f"chebyshev at N={n_highest}: {exc}") from exc
-    residuals = _row_deviation(closed, chebyshev_scaled(n_highest))[1:].tolist()
+        scaled = chebyshev_scaled(n_highest)
+    residuals = _row_deviation(closed, scaled)[1:].tolist()
     return CheckReport.judged("chebyshev", residuals, tol)
 
 
@@ -375,11 +372,9 @@ def suite_he_formula(n_highest: int = 24, tol: float = 1e-9) -> CheckReport:
     def cases():
         for m in range(1, 5):
             a = to_exterior_map(Hypocycloid(m), n_highest)
-            try:
+            with _named(f"he-formula at N={n_highest}, m={m}"):
                 closed = hypocycloid_faber_closed_form(m, n_highest)
                 recurrence = faber_system_from_recurrence(a, n_highest)
-            except OverflowError as exc:
-                raise OverflowError(f"he-formula at N={n_highest}, m={m}: {exc}") from exc
             yield _row_deviation(closed, recurrence).max()
     return CheckReport.judged("he-formula", cases(), tol)
 
@@ -437,7 +432,8 @@ def suite_rays(n_highest: int = 24, tol: float = 1e-6) -> CheckReport:
 
     def cases():
         for m in range(1, 5):
-            table = hypocycloid_faber_closed_form(m, n_highest)
+            with _named(f"rays at N={n_highest}, m={m}"):
+                table = hypocycloid_faber_closed_form(m, n_highest)
             rows = table[1:]
             try:
                 found = _aberth([row[:j + 1] for j, row in enumerate(rows, 1)])

@@ -216,8 +216,6 @@ def check_derivative_identity(lam: complex, n_highest: int, tol: float = 1e-9) -
     undecided = np.flatnonzero(over & (bound > max(tol, 1e-9)) & (residuals <= bound))
     if undecided.size and not (over & (residuals > bound)).any():
         j = undecided[0]
-        raise ArithmeticError(
-            f"eq14 at lambda={lam}, N={n_highest}: row j={j} has residual {residuals[j]:.3e} "
-            f"against a round-off bound of {bound[j]:.3e}; the identity is ill-conditioned "
-            f"in float64")
+        raise ArithmeticError(f"row j={j} has residual {residuals[j]:.3e} against a round-off "
+                              f"bound of {bound[j]:.3e}; the identity is ill-conditioned in float64")
     return CheckReport.judged("derivative-identity", residuals.tolist(), tol)

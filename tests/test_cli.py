@@ -233,6 +233,23 @@ class TestVerify:
             "he-formula at N=1500, m=1: the hypocycloid closed form for m=1 overflows "
             "float64 from F_1482 on")
 
+    def test_rays_overflow_names_suite_n_and_m(self):
+        code, out, err = run_cli_with_stderr("verify", "--suite", "rays", "--N", "1500")
+        assert code == 3 and out == ""
+        assert json.loads(err)["message"] == (
+            "rays at N=1500, m=1: the hypocycloid closed form for m=1 overflows float64 "
+            "from F_1482 on")
+
+    def test_a_named_error_is_the_same_error_behind_its_case(self):
+        # a RootFindingError keeps its iterates when a suite or command names it
+        error = RootFindingError("Aberth iteration did not converge", [1j], [0.5], row=2)
+        with pytest.raises(RootFindingError) as raised:
+            with suites._named("rays at N=3, m=1"):
+                raise error
+        assert raised.value is error
+        assert str(error) == "rays at N=3, m=1: Aberth iteration did not converge"
+        assert (error.roots, error.residuals, error.row) == ([1j], [0.5], 2)
+
     def test_he_formula_recurrence_overflow_names_suite_and_m(self, monkeypatch):
         import faberpoly.suites as suites
 

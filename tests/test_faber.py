@@ -21,7 +21,8 @@ from faberpoly.maps import ExpMap, GapMap, Hypocycloid, Shift, TwoGapMap, to_ext
 from faberpoly.poly import ComplexPolynomial, evaluate_rows
 from faberpoly.series import PowerSeries
 from faberpoly.suites import draw_disk, draw_exterior_map, suite_theorem3
-from faberpoly.verify import _row_deviation, check_derivative_identity
+from faberpoly.verify import (_row_deviation, check_derivative_identity,
+                              exponential_map_characterization)
 
 
 class TestMapCoefficients:
@@ -376,6 +377,19 @@ class TestStackedMaps:
         z = np.array([0.5, -1.0j])
         assert faber_values_from_log_series(stack, z, 6).shape == (2, 6)
         assert evaluate_rows(faber_system_from_recurrence(stack, 6), z)[0].shape == (2, 7)
+
+    def test_a_stack_of_no_maps_gives_no_tables_and_no_values(self):
+        stack, z = np.zeros((0, 4), dtype=complex), np.zeros((0, 3), dtype=complex)
+        tables = faber_system_from_recurrence(stack, 6)
+        assert tables.shape == (0, 7, 7) and not tables.flags.writeable
+        assert faber_values_from_log_series(stack, z, 6).shape == (0, 6, 3)
+        assert faber_values_from_ratio_series(stack, z, 6).shape == (0, 7, 3)
+        assert faber_derivative_values_from_series(stack, z, 6).shape == (0, 6, 3)
+        assert exponential_map_characterization(tables, stack, np.zeros(0)).shape == (0,)
+        # a map of no coefficients is still refused, alone or in a stack
+        for empty in (np.zeros(0), np.zeros((2, 0)), np.zeros((0, 0))):
+            with pytest.raises(ValueError, match="at least one coefficient"):
+                faber_system_from_recurrence(empty, 6)
 
     def test_a_stack_names_its_first_overflowing_map_and_row(self):
         # map 1 (a shift by 20) overflows from F_234 and map 2 from F_2; the

@@ -311,8 +311,16 @@ def test_closed_form_table_is_read_only_and_monic(build):
      "the exp-map closed form overflows float64 from F_155 on"),
     (lambda: exp_map_faber_closed_form(0.0, 5.0, 450),
      "the exp-map closed form overflows float64 from F_442 on"),
+    (lambda: hypocycloid_faber_closed_form(1, 1500),
+     "the hypocycloid closed form for m=1 overflows float64 from F_1482 on"),
+    (lambda: chebyshev_scaled(1500),
+     "the scaled Chebyshev recurrence overflows float64 from C_1482 on"),
+    # entry k of the W0 series is k^(k-2)/(k-1)!, past float64 from k = 721 on
+    (lambda: lambert_w0_power_series(1, 721),
+     "the W0^1 power series overflows float64 from c_721 on"),
 ], ids=["twogap-recurrence", "twogap-head", "gap", "expmap-powers", "expmap-early-row",
-        "expmap-product", "expmap-coefficient", "expmap-coefficient-eta0"])
+        "expmap-product", "expmap-coefficient", "expmap-coefficient-eta0", "hypocycloid",
+        "chebyshev", "lambert-series"])
 def test_closed_form_overflow_names_the_form_and_the_first_row(build, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
