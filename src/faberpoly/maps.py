@@ -459,8 +459,9 @@ def _w0_power_coefficient(j: int, k: int) -> float:
     if k == 0:
         # only reachable for j < 0: -j * 0^{-j-1} / (-j)!
         return float(-j) / math.factorial(-j) if j == -1 else 0.0
-    magnitude = math.exp((k - j - 1) * math.log(k) - math.lgamma(k - j + 1))
-    sign = -1.0 if (k - j - 1) % 2 else 1.0
+    # (-k)^{k-j-1} alternates in sign for k > 0 and is |k|^{k-j-1} for k < 0
+    magnitude = math.exp((k - j - 1) * math.log(abs(k)) - math.lgamma(k - j + 1))
+    sign = -1.0 if k > 0 and (k - j - 1) % 2 else 1.0
     return -j * sign * magnitude
 
 

@@ -18,10 +18,12 @@ tolerance.  The facts made testable here:
 A Faber system is read as the generators return it, one lower-triangular
 coefficient table whose row j holds F_j, and two systems are compared row
 by row.  A checker of one map reads the table its caller built, with N its
-number of rows less one; the three common-root checkers also take a stack
-of tables with one point (or map) per table, and evaluate the stack once,
-as ``evaluate_rows`` does.  All zero tests are relative to the coefficient
-scale of the polynomial being evaluated, since recurrence round-off grows
+number of rows less one.  The three common-root checkers judge a map at
+its point z0 on the table of the map centered there (a_0 less z0): the
+recurrence is translation-covariant, so column 0 of that table holds
+F_j(z0) exactly.  They also take a stack of tables, and of maps, and give
+one verdict per table.  All zero tests are relative to the coefficient
+scale of the polynomial being judged, since recurrence round-off grows
 with the index.  The infinite "all later values vanish" statements are
 necessarily checked up to the generated horizon, which the profile reports
 explicitly.
@@ -36,8 +38,6 @@ from typing import Iterable
 import numpy as np
 
 from .faber import _kernel_tables, _map_coefficients, exp_map_exterior
-from .maps import GapMap, to_exterior_map
-from .poly import evaluate_rows
 
 
 @dataclass(frozen=True)
@@ -94,13 +94,12 @@ def _row_deviation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CommonRootProfile:
-    """|F_j(z0)| for j = 1..N and the first index where the value is nonzero.
+    """|F_j(0)| for j = 1..N and the first index where the value is nonzero.
 
     ``first_nonvanishing`` is None when every value up to the horizon
     len(values) is below tolerance ("none up to N").
     """
 
-    z0: complex
     first_nonvanishing: int | None
     values: tuple[float, ...]
 
@@ -109,39 +108,36 @@ class CommonRootProfile:
         return len(self.values)
 
 
-def leading_common_root_order(table: np.ndarray, z0, tol: float = 1e-10):
-    """Profile the values |F_j(z0)|, j = 1..N, of the coefficient table of
-    F_0 ... F_N against per-index scales.
+def leading_common_root_order(table: np.ndarray, *, tol: float = 1e-10):
+    """Profile the values |F_j(0)|, j = 1..N, column 0 of the coefficient
+    table of F_0 ... F_N, against per-index scales.
 
     A value counts as nonzero when it exceeds tol * (1 + max coefficient
-    magnitude of F_j).  For a gap map with parameters (z0, n) the expected
-    outcome is first_nonvanishing = n + 1.  A stack of B tables takes one
-    point per table, z0[b] for table b, and gives a list of B profiles from
-    one evaluation of the stack.
+    magnitude of F_j).  For a gap map with parameters (z0, n), centered at
+    z0, the expected outcome is first_nonvanishing = n + 1.  A stack of B
+    tables gives a list of B profiles.
     """
     if table.shape[-2] < 3:
         raise ValueError("profiling needs at least F_1 and F_2")
-    z0 = np.asarray(z0, dtype=complex)
     rows = table[..., 1:, :]
-    values = np.abs(evaluate_rows(rows, z0)[0])
+    values = np.abs(rows[..., 0])
     nonzero = values > tol * (1.0 + np.abs(rows).max(axis=-1))
     width = rows.shape[-2]
-    profiles = [CommonRootProfile(z0=point, values=tuple(row_values),
+    profiles = [CommonRootProfile(values=tuple(row_values),
                                   first_nonvanishing=int(row.argmax()) + 1 if row.any() else None)
-                for point, row, row_values in zip(z0.reshape(-1).tolist(),
-                                                  nonzero.reshape(-1, width),
-                                                  values.reshape(-1, width).tolist())]
+                for row, row_values in zip(nonzero.reshape(-1, width),
+                                           values.reshape(-1, width).tolist())]
     return profiles if table.ndim == 3 else profiles[0]
 
 
-def check_gap_coefficient_recovery(table: np.ndarray, family, tol: float = 1e-10):
-    """Verify alpha_j = -F_{j+1}(z0)/(j+1) for j = n .. min(2n, N-1) on the
-    coefficient table of F_0 ... F_N of the gap map.
+def check_gap_coefficient_recovery(table: np.ndarray, family, *, tol: float = 1e-10):
+    """Verify alpha_j = -F_{j+1}(0)/(j+1) for j = n .. min(2n, N-1) on the
+    coefficient table of F_0 ... F_N of the gap map centered at its z0.
 
     Residuals are normalized by 1 + |alpha_j|.  N must be at least n + 1,
     the first index whose value carries a tail coefficient.  A stack of B
     tables takes a sequence of B gap maps, one per table, and gives a list
-    of B reports from one evaluation of the stack.
+    of B reports.
     """
     families = list(family) if table.ndim == 3 else [family]
     n_highest = table.shape[-1] - 1
@@ -149,41 +145,37 @@ def check_gap_coefficient_recovery(table: np.ndarray, family, tol: float = 1e-10
         if n_highest <= gap.n:
             raise ValueError(f"recovering alpha_{gap.n} needs N >= {gap.n + 1}, "
                              f"got {n_highest}")
-    z0 = np.array([gap.z0 for gap in families], dtype=complex).reshape(table.shape[:-2])
-    values = evaluate_rows(table, z0)[0].reshape(len(families), -1)
+    values = table[..., 0].reshape(len(families), -1)
     reports = []
     for gap, row in zip(families, values):
-        a = to_exterior_map(gap, n_highest)
         residuals = []
         for j in range(gap.n, min(2 * gap.n, n_highest - 1) + 1):
-            expected = complex(a[j])
+            expected = gap.tail[j - gap.n] if j <= gap.highest_index else 0j
             recovered = -complex(row[j + 1]) / (j + 1)
             residuals.append(abs(recovered - expected) / (1.0 + abs(expected)))
         reports.append(CheckReport.judged("gap-coefficient-recovery", residuals, tol))
     return reports if table.ndim == 3 else reports[0]
 
 
-def exponential_map_characterization(table: np.ndarray, a, z0, tol: float = 1e-9):
+def exponential_map_characterization(table: np.ndarray, a, *, tol: float = 1e-9):
     """True exactly when the map with coefficient array ``a``, with the
     coefficient table of F_0 ... F_N, carries the exponential-map
-    common-root pattern.
+    common-root pattern at 0.
 
-    Checks both directions jointly: (a) the value profile at z0 shows
-    |F_1(z0)| > 0 and F_j(z0) = 0 for all 2 <= j <= N, and (b) the tail
-    a[1:] matches a_j = (a_0 - z0)^{j+1}/(j+1)!, the tail of
-    ``exp_map_exterior`` at lam = a_0 - z0.  A shift map (z0 = a_0) fails
-    (a) by construction.  A stack of B tables takes the stack of their B
-    maps and one point per table, and gives a boolean array of B verdicts
-    from one evaluation of the stack.
+    Checks both directions jointly: (a) the values at 0 show |F_1(0)| > 0
+    and F_j(0) = 0 for all 2 <= j <= N, and (b) the tail a[1:] matches
+    a_j = a_0^{j+1}/(j+1)!, the tail of ``exp_map_exterior`` at eta = 0 and
+    lam = a_0.  A map centered at its point eta judges the pattern at eta.
+    A shift map (a_0 = 0) fails (a) by construction.  A stack of B tables
+    takes the stack of their B maps and gives a boolean array of B verdicts.
     """
     if table.shape[-2] < 4:
         raise ValueError("need at least F_3 to characterize the pattern")
-    z0 = np.asarray(z0, dtype=complex)
-    nonzero = np.abs(evaluate_rows(table, z0)[0]) > tol * (1.0 + np.abs(table).max(axis=-1))
+    nonzero = np.abs(table[..., 0]) > tol * (1.0 + np.abs(table).max(axis=-1))
     pattern = nonzero[..., 1] & ~nonzero[..., 2:].any(axis=-1)
     a = _map_coefficients(a, stack=table.ndim == 3)
-    expected = np.array([exp_map_exterior(z, a0 - z, a.shape[-1] - 1)[1:] for z, a0 in
-                         zip(z0.reshape(-1).tolist(), a[..., 0].reshape(-1).tolist())])
+    expected = np.array([exp_map_exterior(0, a0, a.shape[-1] - 1)[1:]
+                         for a0 in a[..., 0].reshape(-1).tolist()])
     expected = expected.reshape(a[..., 1:].shape)
     tail = ~(_magnitude(a[..., 1:] - expected) > tol * (1.0 + _magnitude(expected))).any(axis=-1)
     matched = pattern & tail

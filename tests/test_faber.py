@@ -385,7 +385,7 @@ class TestStackedMaps:
         assert faber_values_from_log_series(stack, z, 6).shape == (0, 6, 3)
         assert faber_values_from_ratio_series(stack, z, 6).shape == (0, 7, 3)
         assert faber_derivative_values_from_series(stack, z, 6).shape == (0, 6, 3)
-        assert exponential_map_characterization(tables, stack, np.zeros(0)).shape == (0,)
+        assert exponential_map_characterization(tables, stack).shape == (0,)
         # a map of no coefficients is still refused, alone or in a stack
         for empty in (np.zeros(0), np.zeros((2, 0)), np.zeros((0, 0))):
             with pytest.raises(ValueError, match="at least one coefficient"):

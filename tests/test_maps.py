@@ -530,6 +530,17 @@ class TestLambertPowerSeries:
             total = sum(c * t ** i for i, c in enumerate(s))
             assert abs(total - lambert_w0(t).value) <= 1e-10
 
+    @pytest.mark.parametrize("j", [-2, -3])
+    def test_lower_negative_powers_against_mpmath(self, j):
+        # entry i is the t^i coefficient of (W0(t)/t)^j, regular at t = 0
+        order = 12
+        with mpmath.workdps(40):
+            ref = mpmath.taylor(lambda t: (mpmath.lambertw(t) / t) ** j if t else mpmath.mpf(1),
+                                0, order)
+            ref = np.array([complex(c) for c in ref])
+        s = lambert_w0_power_series(j, order)
+        assert np.max(np.abs(s - ref) / (1.0 + np.abs(ref))) <= 1e-14
+
     def test_large_order_does_not_overflow(self):
         s = lambert_w0_power_series(1, 400)
         assert all(math.isfinite(c.real) and math.isfinite(c.imag) for c in s)

@@ -23,31 +23,35 @@ def gap_table(gap, n_highest):
 
 
 def characterize(emap, z0, n_highest, tol):
-    """The characterization of a map on its own recurrence table."""
-    return exponential_map_characterization(faber_system_from_recurrence(emap, n_highest),
-                                            emap, z0, tol)
+    """The characterization at z0 of a map, centered there (a_0 less z0), on
+    the recurrence table of the centered map."""
+    centered = np.array(emap, dtype=complex)
+    centered[0] -= z0
+    return exponential_map_characterization(faber_system_from_recurrence(centered, n_highest),
+                                            centered, tol=tol)
 
 
 class TestLeadingCommonRootOrder:
     def test_shift_map_never_rises(self):
-        a0 = 0.4 - 0.6j
-        system = faber_system_from_recurrence([a0], 10)
-        profile = leading_common_root_order(system, a0, 1e-10)
+        # the shift by a0, centered at a0
+        system = faber_system_from_recurrence([0.0], 10)
+        profile = leading_common_root_order(system, tol=1e-10)
         assert profile.first_nonvanishing is None
         assert profile.horizon == 10
         assert all(v <= 1e-9 for v in profile.values)
 
     def test_gap_map_rises_at_n_plus_one(self):
-        gap = GapMap(1.0, 3, (0.2,))
+        gap = GapMap(0.0, 3, (0.2,))                      # z0 = 1.0, centered
         system = faber_system_from_recurrence(to_exterior_map(gap, 10), 10)
-        profile = leading_common_root_order(system, 1.0, 1e-10)
+        profile = leading_common_root_order(system, tol=1e-10)
         assert profile.first_nonvanishing == 4
         assert abs(profile.values[3] - 0.8) < 1e-12   # (n+1) |alpha_n|
 
     def test_exponential_map_rises_immediately_then_vanishes(self):
         eta, lam = 0.3, 0.45 - 0.2j
-        system = faber_system_from_recurrence(exp_map_exterior(eta, lam, 12), 12)
-        profile = leading_common_root_order(system, eta, 1e-10)
+        a = exp_map_exterior(eta, lam, 12).copy()
+        a[0] -= eta
+        profile = leading_common_root_order(faber_system_from_recurrence(a, 12), tol=1e-10)
         assert profile.first_nonvanishing == 1
         assert abs(profile.values[0] - abs(lam)) < 1e-13
         assert all(v <= 1e-10 * 50 for v in profile.values[1:])
@@ -55,14 +59,14 @@ class TestLeadingCommonRootOrder:
     def test_needs_two_polynomials(self):
         system = faber_system_from_recurrence([0.0], 1)
         with pytest.raises(ValueError):
-            leading_common_root_order(system, 0.0, 1e-10)
+            leading_common_root_order(system, tol=1e-10)
 
 
 class TestGapCoefficientRecovery:
     def test_hand_instance(self):
         # z0 = 0, n = 2, tail (0.3, 0.1): alpha_2 = -F_3(0)/3, alpha_3 = -F_4(0)/4
         gap = GapMap(0.0, 2, (0.3, 0.1, 0.05))
-        report = check_gap_coefficient_recovery(gap_table(gap, 6), gap, 1e-12)
+        report = check_gap_coefficient_recovery(gap_table(gap, 6), gap, tol=1e-12)
         assert report.passed
 
     def test_values_recover_coefficients_directly(self):
@@ -74,8 +78,9 @@ class TestGapCoefficientRecovery:
     def test_random_batch(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
-            gap = draw_gap_map(rng)
-            report = check_gap_coefficient_recovery(gap_table(gap, 2 * gap.n + 2), gap, 1e-10)
+            gap = replace(draw_gap_map(rng), z0=0.0)
+            report = check_gap_coefficient_recovery(gap_table(gap, 2 * gap.n + 2), gap,
+                                                    tol=1e-10)
             assert report.passed
             assert report.max_residual <= 1e-10
 
@@ -87,7 +92,7 @@ class TestGapCoefficientRecovery:
             check_gap_coefficient_recovery(gap_table(gap, n_highest), gap)
 
     def test_smallest_useful_n(self):
-        gap = GapMap(0.3, 3, [0.2, 0.1])
+        gap = GapMap(0.0, 3, [0.2, 0.1])
         report = check_gap_coefficient_recovery(gap_table(gap, 4), gap)
         assert report.passed and len(report.residuals) == 1
 
@@ -349,13 +354,13 @@ def per_case_theorem1(seed, tol=1e-10):
             gap = GapMap(0.0, drawn.n, drawn.tail)
             n_highest = 2 * gap.n + 2
             table = gap_table(gap, n_highest)
-            profile = leading_common_root_order(table, 0.0, tol)
+            profile = leading_common_root_order(table, tol=tol)
             expected = (gap.n + 1) * abs(gap.tail[0])
             value_resid = abs(profile.values[gap.n] - expected) / (1.0 + expected)
             head = gap.n + 2
             closed_resid = _row_deviation(gap_faber_closed_form(gap, gap.n + 1),
                                           table[:head, :head]).max()
-            recovery = check_gap_coefficient_recovery(table, gap, tol)
+            recovery = check_gap_coefficient_recovery(table, gap, tol=tol)
             worst = np.max((value_resid, closed_resid, recovery.max_residual))
             yield profile.first_nonvanishing == gap.n + 1 and worst <= tol, worst
     return CheckReport.verdict("theorem1", cases())
@@ -406,14 +411,14 @@ def per_case_theorem3(seed, n_highest=20, tol=1e-9):
                 a = exp_map_exterior(eta, lam, n_highest).copy()
                 a[0] -= eta
                 recurrence = faber_system_from_recurrence(a, n_highest)
-                detected = exponential_map_characterization(recurrence, a, 0.0, tol)
+                detected = exponential_map_characterization(recurrence, a, tol=tol)
                 closed = exp_map_faber_closed_form(0.0, lam, n_highest)
                 closed_resid = _row_deviation(closed, recurrence).max()
                 bumped = a.copy()
                 bumped[int(rng.integers(1, len(a)))] += 1e-3
                 broken = not exponential_map_characterization(
-                    faber_system_from_recurrence(bumped, n_highest), bumped, 0.0,
-                    min(tol, 1e-4))
+                    faber_system_from_recurrence(bumped, n_highest), bumped,
+                    tol=min(tol, 1e-4))
             except OverflowError as exc:
                 raise OverflowError(f"{where}: {exc}") from exc
             yield detected and broken and closed_resid <= tol, closed_resid
@@ -453,23 +458,22 @@ def test_theorem2_pattern_term_matches_the_per_case_loop(monkeypatch, seed):
 
 
 class TestStackedCheckers:
-    """A stack of tables with one point (or map) per table gives, in one
-    evaluation, what each table gives alone."""
+    """A stack of tables of centered maps, with one map per table where the
+    checker takes one, gives what each table gives alone."""
 
     def test_common_root_profiles(self):
         rng = np.random.default_rng(3)
-        gaps = [draw_gap_map(rng) for _ in range(8)]
+        gaps = [replace(draw_gap_map(rng), z0=0.0) for _ in range(8)]
         tables = np.array([gap_table(gap, 12) for gap in gaps])
-        stacked = leading_common_root_order(tables, [gap.z0 for gap in gaps], 1e-10)
-        assert stacked == [leading_common_root_order(table, gap.z0, 1e-10)
-                           for table, gap in zip(tables, gaps)]
+        stacked = leading_common_root_order(tables, tol=1e-10)
+        assert stacked == [leading_common_root_order(table, tol=1e-10) for table in tables]
 
     def test_gap_coefficient_recovery(self):
         rng = np.random.default_rng(4)
-        gaps = [draw_gap_map(rng) for _ in range(8)]
+        gaps = [replace(draw_gap_map(rng), z0=0.0) for _ in range(8)]
         tables = np.array([gap_table(gap, 12) for gap in gaps])
-        stacked = check_gap_coefficient_recovery(tables, gaps, 1e-10)
-        assert stacked == [check_gap_coefficient_recovery(table, gap, 1e-10)
+        stacked = check_gap_coefficient_recovery(tables, gaps, tol=1e-10)
+        assert stacked == [check_gap_coefficient_recovery(table, gap, tol=1e-10)
                            for table, gap in zip(tables, gaps)]
         with pytest.raises(ValueError, match="alpha_5 needs N >= 6"):
             check_gap_coefficient_recovery(tables[:, :6, :6], [GapMap(0.0, 5, [0.1])] * 8)
@@ -479,8 +483,24 @@ class TestStackedCheckers:
         a = np.array([exp_map_exterior(eta, lam, 16)
                       for eta, lam in zip(etas, (0.6, 0.7, 0.3 + 0.2j, 0.0))])
         a[1, 5] += 1e-3                                 # a perturbed tail
-        tables = faber_system_from_recurrence(a, 16)
-        stacked = exponential_map_characterization(tables, a, etas, 1e-9)
+        centered = a.copy()
+        centered[:, 0] -= etas
+        tables = faber_system_from_recurrence(centered, 16)
+        stacked = exponential_map_characterization(tables, centered, tol=1e-9)
         assert stacked.tolist() == [True, False, True, False]
         assert stacked.tolist() == [characterize(row, eta, 16, 1e-9)
                                     for row, eta in zip(a, etas)]
+
+
+def test_checkers_take_no_point():
+    # an old-style call that passes a point must fail, never read the point as tol
+    gap = GapMap(0.0, 2, (0.3, 0.1))
+    table = gap_table(gap, 6)
+    a = exp_map_exterior(0.0, 0.6, 6)
+    for call in (lambda: leading_common_root_order(table, 0.3, 1e-10),
+                 lambda: leading_common_root_order(table, 1e-10),
+                 lambda: check_gap_coefficient_recovery(table, gap, 1e-10),
+                 lambda: exponential_map_characterization(table, a, 0.4, 1e-9),
+                 lambda: exponential_map_characterization(table, a, 1e-9)):
+        with pytest.raises(TypeError):
+            call()
