@@ -3,9 +3,9 @@
 An exterior map is w + a0 + a1/w + a2/w^2 + ... on |w| > 1, given by its
 coefficient array a with a[k] = a_k (a read-only 1-D complex array holding
 at least a_0; any sequence of numbers is accepted in its place), and a
-(B, n+1) array is a stack of B maps, which the recurrence and the oracles
-take in one pass.  Its Faber polynomials F_j are monic of degree j and
-satisfy the coefficient recurrence
+(B, n+1) array is a stack of B maps, which the recurrence and the table
+oracles take in one pass.  Its Faber polynomials F_j are monic of degree j
+and satisfy the coefficient recurrence
 
     F_{j+1}(z) = (z - a0) F_j(z) - sum_{k=1}^{j} a_k F_{j-k}(z) - j a_j,
 
@@ -24,17 +24,25 @@ are the coefficients of three generating series in t = 1/w,
     1 / (Psi(w) - z)             =   sum_{j>=1} (F_j'(z) / j) t^j,
 
 which this module evaluates with the truncated-series engine as numeric
-oracles against the recurrence.  For the exponential map w*exp(lam/w) it
-also builds the kernel polynomials P_j = sum_{k<=j} lam^{j-k} F_k.  This
-module only generates; the checkers in :mod:`faberpoly.verify` read the
-tables their callers built here, and judge them.
+oracles against the recurrence, at points or coefficientwise in z.  With
+d = 1 + a_0 t + a_1 t^2 + ... = (Psi(w) - z)/w + z t, n = d - t d', r = 1/d and
+its Riordan array R[j, k] = [t^{j-k}] r^k, 1/(d - z t) = sum_k z^k t^k r^{k+1}
+makes each series a table, read-only with diagonal exactly 1: row j of the
+log table is (j/k) R[j, k] in column k >= 1 and -j [t^j] log d in column 0;
+column k of the ratio table's row j is [t^{j-k}] n r^{k+1} =
+sum_i n_i R[j+1-i, k+1]; column k of F_j'/j is R[j, k+1].
+
+For the exponential map w*exp(lam/w) it also builds the kernel
+polynomials P_j = sum_{k<=j} lam^{j-k} F_k.  This module only generates;
+the checkers in :mod:`faberpoly.verify` read the tables their callers
+built here, and judge them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .series import PowerSeries
+from .series import PowerSeries, reciprocal_powers
 
 
 def _map_coefficients(coeffs, stack: bool = False) -> np.ndarray:
@@ -142,24 +150,27 @@ def _finite_rows(table: np.ndarray, source: str, letter: str = "F") -> np.ndarra
     return table
 
 
+def _d_polynomial(a, order: int) -> np.ndarray:
+    """d = 1 + a_0 t + a_1 t^2 + ... to degree at most ``order``, along the last axis."""
+    a = _map_coefficients(a, stack=True)[..., :order]
+    return np.concatenate((np.ones(a.shape[:-1] + (1,)), a), axis=-1)
+
+
 def _map_minus_z_over_w(a: np.ndarray, z, order: int) -> PowerSeries:
-    """(Psi(w) - z)/w = 1 + (a0 - z) t + sum a_k t^{k+1} in t = 1/w to ``order``,
-    series axis first, then the points z of a map (of a stack: each map's row of z)."""
+    """(Psi(w) - z)/w = d - z t in t = 1/w to ``order``, series axis first,
+    then the points z."""
     z = np.asarray(z, dtype=complex)
-    tail = a[..., :order].T
-    coeffs = np.zeros((order + 1,) + a.shape[:-1] + z.shape[a.ndim - 1:], dtype=complex)
-    coeffs[0] = 1.0
-    coeffs[1:1 + len(tail)] = tail.reshape(tail.shape + (1,) * (coeffs.ndim - tail.ndim))
+    d = _d_polynomial(a, order)
+    coeffs = np.zeros((order + 1,) + z.shape, dtype=complex)
+    coeffs[:len(d)] = d.reshape(d.shape + (1,) * z.ndim)
     coeffs[1:2] -= z
     return PowerSeries(coeffs)
 
 
-def _oracle_values(values: np.ndarray, a: np.ndarray, z):
-    """The values of one map at one point as a list of complex; otherwise an
-    array with one column per point, behind one axis of maps for a stack."""
-    if a.ndim == 1 and np.ndim(z) == 0:
-        return values.tolist()
-    return np.array(values.swapaxes(0, 1) if a.ndim == 2 else values, order="C")
+def _oracle_values(values: np.ndarray, z):
+    """The values at one point as a list of complex; otherwise an array with
+    one column per point."""
+    return values.tolist() if np.ndim(z) == 0 else np.array(values, order="C")
 
 
 def faber_values_from_log_series(a, z, n_highest: int):
@@ -167,17 +178,15 @@ def faber_values_from_log_series(a, z, n_highest: int):
 
     ``z`` is a point, giving a list, or an array of points, giving an array
     of shape (N, *z.shape) whose entry [j-1, ...] is F_j at the point z[...].
-    A stack of B maps takes one row of points per map, z[b] for map b, and
-    gives shape (B, N, *z.shape[1:]).
     This path never touches the recurrence: it builds (Psi(w) - z)/w,
     takes the series log, and returns -j times the t^j coefficients.
     """
     if n_highest < 1:
         raise ValueError("need at least F_1")
-    a = _map_coefficients(a, stack=True)
+    a = _map_coefficients(a)
     values = _map_minus_z_over_w(a, z, n_highest).log1().coeffs[1:n_highest + 1]
     index = np.arange(1, n_highest + 1).reshape((-1,) + (1,) * (values.ndim - 1))
-    return _oracle_values(-index * values, a, z)
+    return _oracle_values(-index * values, z)
 
 
 def faber_values_from_ratio_series(a, z, n_highest: int):
@@ -186,17 +195,15 @@ def faber_values_from_ratio_series(a, z, n_highest: int):
     Coefficient j equals F_j(z).  The numerator series
     1 - sum_{k>=1} k a_k t^{k+1} is d - t d' for d = (Psi(w) - z)/w, so its
     coefficient k is (1 - k) d_k.  A point gives a list, an array of
-    points an array of shape (N+1, *z.shape), and a stack of maps, as for
-    the log series, shape (B, N+1, *z.shape[1:]).
+    points an array of shape (N+1, *z.shape).
     """
     if n_highest < 0:
         raise ValueError("need a nonnegative highest index")
     order = max(n_highest, 1)
-    a = _map_coefficients(a, stack=True)
-    d = _map_minus_z_over_w(a, z, order)
+    d = _map_minus_z_over_w(_map_coefficients(a), z, order)
     k = np.arange(order + 1).reshape((-1,) + (1,) * (d.coeffs.ndim - 1))
     ratio = PowerSeries((1 - k) * d.coeffs) * d.reciprocal()
-    return _oracle_values(ratio.coeffs[: n_highest + 1], a, z)
+    return _oracle_values(ratio.coeffs[: n_highest + 1], z)
 
 
 def faber_derivative_values_from_series(a, z, n_highest: int):
@@ -204,14 +211,47 @@ def faber_derivative_values_from_series(a, z, n_highest: int):
 
     Uses 1/(Psi(w) - z) = t * reciprocal((Psi(w) - z)/w), whose constant
     term is 1, so no division hazard arises.  A point gives a list, an array
-    of points an array of shape (N, *z.shape), and a stack of maps, as for
-    the log series, shape (B, N, *z.shape[1:]).
+    of points an array of shape (N, *z.shape).
     """
     if n_highest < 1:
         raise ValueError("need at least index 1")
-    a = _map_coefficients(a, stack=True)
-    recip = _map_minus_z_over_w(a, z, n_highest).reciprocal()
-    return _oracle_values(recip.coeffs[:n_highest], a, z)
+    recip = _map_minus_z_over_w(_map_coefficients(a), z, n_highest).reciprocal()
+    return _oracle_values(recip.coeffs[:n_highest], z)
+
+
+def _log_table(a, n_highest: int) -> np.ndarray:
+    """F_0 ... F_N of a map, or of each map of a stack, from the log series."""
+    d = _d_polynomial(a, n_highest)
+    table, j = reciprocal_powers(d, n_highest), np.arange(n_highest + 1)
+    table[..., 1:] *= j[:, None] / j[1:]                    # (j/k) R[j, k]
+    padded = np.zeros((n_highest + 1,) + d.shape[:-1], dtype=complex)
+    padded[:d.shape[-1]] = np.moveaxis(d, -1, 0)
+    table[..., 1:, 0] = -j[1:] * np.moveaxis(PowerSeries(padded).log1().coeffs[1:], 0, -1)
+    table.flags.writeable = False
+    return table
+
+
+def _ratio_table(a, n_highest: int) -> np.ndarray:
+    """F_0 ... F_N of a map, or of each map of a stack, from the ratio series:
+    row j is sum_i n_i R_{j+1-i}, read from column 1 on, a product over the
+    rows of R with the numerator n banded to the map's length."""
+    d = _d_polynomial(a, n_highest + 1)
+    rows, width = reciprocal_powers(d, n_highest + 1)[..., 1:, 1:], d.shape[-1]
+    band = ((1 - np.arange(width)) * d)[..., None, ::-1]          # n_L ... n_0
+    table = np.zeros_like(rows)
+    for j in range(n_highest + 1):
+        k = min(j + 1, width)
+        table[..., j:j + 1, :j + 1] = band[..., width - k:] @ rows[..., j + 1 - k:j + 1, :j + 1]
+    table.flags.writeable = False
+    return table
+
+
+def _derivative_table(a, n_highest: int) -> np.ndarray:
+    """F_1'/1 ... F_N'/N of a map, or of each map of a stack, row j - 1 holding
+    F_j'/j, from the derivative series: the log table's array R, re-read."""
+    table = reciprocal_powers(_d_polynomial(a, n_highest), n_highest)[..., 1:, 1:]
+    table.flags.writeable = False
+    return table
 
 
 def _kernel_tables(lam: complex, n_highest: int) -> tuple[np.ndarray, np.ndarray]:

@@ -354,13 +354,12 @@ def evaluate_rows(table: np.ndarray, z) -> tuple[np.ndarray, np.ndarray]:
 
     ``z`` is a point or an array of points; both results have shape
     (len(table), *z.shape), entry [j, ...] for row j at the point z[...].
-    A stack of B tables takes one row of points per table, z[b] for table
-    b, and gives shape (B, len(table[0]), *z.shape[1:]).
+    A table that is not 2-D, such as a stack of tables, is a ValueError.
     """
+    if np.ndim(table) != 2:
+        raise ValueError(f"a table is 2-D, one polynomial per row, got shape {np.shape(table)}")
     z = np.asarray(z, dtype=complex)
-    stacked = table.ndim - 2
-    points = (...,) + (None,) * (z.ndim - stacked)     # coefficient axis first, then room for z
-    z = np.expand_dims(z, stacked)
+    points = (...,) + (None,) * z.ndim             # coefficient axis first, then room for z
     r = np.hypot(z.real, z.imag)   # abs() of a Python complex; np.abs(z) can differ by an ulp
     return (_horner(np.moveaxis(table, -1, 0)[points], z),
             _horner(np.moveaxis(np.abs(table), -1, 0)[points], r))

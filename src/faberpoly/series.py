@@ -10,7 +10,8 @@ the shorter operand.  Multiplication is plain O(N^2) convolution, which is
 degree-exact: coefficients up to the result order depend only on input
 coefficients up to that order.  The operations are those the
 generating-series oracles need: the product of two series, the reciprocal
-and the log of a series with unit constant term.
+and the log of a series with unit constant term, and the table of the
+powers of the reciprocal of a polynomial (``reciprocal_powers``).
 """
 
 from __future__ import annotations
@@ -94,3 +95,28 @@ class PowerSeries:
             c[k] = (k * a[k] - dot(c[1:k], a[k - 1:0:-1])) / a[0]
         c[1:] /= _lift(np.arange(1, len(a)), a.ndim)
         return PowerSeries(c)
+
+
+def reciprocal_powers(d: np.ndarray, order: int) -> np.ndarray:
+    """The Riordan array of r = 1/d (Shapiro et al., Discrete Appl. Math. 34,
+    1991), entry [..., j, k] = [t^{j-k}] r^k for k <= j <= ``order`` and 0 above
+    the diagonal, of the polynomials d = 1 + d_1 t + ... + d_L t^L given as
+    d[..., i] = d_i.
+
+    It is built in rows m = j - k of P[m, k] = [t^m] r^k: since d r^k = r^{k-1},
+    P[m, k] - P[m, k-1] = -sum_{i=1}^{min(m, L)} d_i P[m-i, k], one banded
+    product over the rows before m, then a running sum over k from
+    P[m, 0] = 0.  O(order^2 L).
+    """
+    band = -d[..., None, 1:order + 1][..., ::-1]          # -d_L ... -d_1
+    width = band.shape[-1]
+    p = np.zeros(d.shape[:-1] + (order + 1, order + 1), dtype=complex)
+    p[..., 0, :] = 1.0
+    for m in range(1, order + 1):
+        k = min(m, width)
+        step = band[..., width - k:] @ p[..., m - k:m, 1:order - m + 1]
+        np.cumsum(step[..., 0, :], axis=-1, out=p[..., m, 1:order - m + 1])
+    j, k = np.tril_indices(order + 1)
+    table = np.zeros_like(p)
+    table[..., j, k] = p[..., j - k, k]
+    return table

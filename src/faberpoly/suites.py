@@ -8,11 +8,11 @@ before the next case is computed.  The suites that draw
 ``theorem3``) draw all their cases first and then judge them in blocks of
 at most ``_TABLE_BUDGET`` table entries, a block computed only when its
 first case is reached, so that stop skips the blocks after it.  A series
-block is one stacked recurrence, oracle call and Horner pass; a theorem
-block one stacked recurrence per set of maps (theorem 1 one at the block's
-largest N = 2n + 2, theorem 2 its maps and its pattern maps, theorem 3 its
-maps and its perturbed maps), whose tables the checkers of
-:mod:`faberpoly.verify` judge as one stack.  An overflow or a closed
+block is one stacked recurrence and one stacked oracle table, judged by
+``_row_deviation``; a theorem block one stacked recurrence per set of maps
+(theorem 1 one at the block's largest N = 2n + 2, theorem 2 its maps and
+its pattern maps, theorem 3 its maps and its perturbed maps), whose tables
+the checkers of :mod:`faberpoly.verify` judge as one stack.  An overflow or a closed
 form's refusal still names the first case it stops, as a case at a time
 would: every suite puts its case before the error's message by one helper,
 ``_named``.  All randomness flows through an explicit seed, so a suite run is
@@ -29,12 +29,6 @@ The draws are part of every report.  Each disk point takes two uniforms
 from the generator, its radius and then its angle (``draw_disks`` takes k
 points from one call of k pairs); a change to that order or count changes
 every report.
-
-Pointwise comparisons of polynomial values are normalized by the Horner
-evaluation magnitude 1 + sum_k |c_k| |z|^k.  At sample points inside the
-image region the true values are exponentially smaller than the monomial
-terms that produce them, so agreement is only meaningful relative to that
-working scale (both computation paths carry round-off proportional to it).
 """
 
 from __future__ import annotations
@@ -47,15 +41,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from .faber import (_cut_map, _map_coefficients, _overflow, exp_map_exterior,
-                    faber_system_from_recurrence, faber_values_from_log_series,
-                    faber_values_from_ratio_series, faber_derivative_values_from_series)
+from .faber import (_cut_map, _derivative_table, _log_table, _map_coefficients, _overflow,
+                    _ratio_table, exp_map_exterior, faber_system_from_recurrence)
 from .maps import (ExpMap, GapMap, Hypocycloid, TwoGapMap,
                    chebyshev_scaled, evaluate_map, exp_map_faber_closed_form,
                    gap_faber_closed_form, hypocycloid_faber_closed_form,
                    inverse_exp_map, lambert_w0, lambert_w0_power_series,
                    to_exterior_map, two_gap_faber_system)
-from .poly import RootFindingError, _aberth, _horner, evaluate_rows
+from .poly import RootFindingError, _aberth, _horner
 from .verify import (CheckReport, _row_deviation, check_derivative_identity,
                      check_gap_coefficient_recovery, exponential_map_characterization,
                      leading_common_root_order)
@@ -133,17 +126,11 @@ def draw_two_gap_map(rng: np.random.Generator, pattern_valid: bool = False) -> T
 # suites
 # ---------------------------------------------------------------------------
 
-def _value_residuals(expected: np.ndarray, tables: np.ndarray, z: np.ndarray,
-                     index=1.0) -> np.ndarray:
-    """Per map of a stack, the worst |expected_j - row_j(z) / index_j| over its
-    rows and points, each relative to 1 + the row's Horner magnitude there."""
-    values, magnitudes = evaluate_rows(tables, z)
-    return np.max(np.abs(expected - values / index) / (1.0 + magnitudes), axis=(1, 2))
-
-
 #: most table entries, maps times (N+1)^2, that one stacked recurrence of a
-#: suite builds at once (with the oracle's series about 1 MB at the default
-#: N); a larger table forms a block alone
+#: suite builds at once (a series block also holds the oracle's Riordan array,
+#: its oracle table and their difference, each about as large); a larger
+#: table forms a block alone.  It sets which maps share a stack, and so the
+#: rounding of the stacked products in every report
 _TABLE_BUDGET = 1 << 14
 
 
@@ -189,56 +176,56 @@ def _case_table(stacked, k: int) -> np.ndarray:
     raise _overflow("the recurrence", exc.row) from exc
 
 
-def _series_suite(name: str, seed: int, maps: int, truncation: int, points: int,
-                  n_highest: int, residuals, tol: float) -> CheckReport:
-    """Judge ``residuals(a, tables, z)``, one per map of a stack a with its
-    recurrence tables and its row of points z, on ``maps`` seeded maps of the
-    given truncation with ``points`` points each, all drawn first (a map,
-    then its points), then judged in blocks under ``_TABLE_BUDGET``.  The
-    first case not finite, or whose table overflows, stops the check."""
+def _series_suite(name: str, seed: int, maps: int, truncation: int, n_highest: int,
+                  tables, tol: float) -> CheckReport:
+    """Judge the oracle and recurrence tables ``tables(a, recurrence)`` gives
+    for a stack of maps a, one residual per map, its worst ``_row_deviation``,
+    on ``maps`` seeded maps of the given truncation, all drawn first, then
+    judged in blocks under ``_TABLE_BUDGET``.  The first case not finite, or
+    whose table overflows, stops the check."""
     rng = np.random.default_rng(seed)
-    drawn = [(draw_exterior_map(rng, truncation), draw_disks(rng, [3.0] * points))
-             for _ in range(maps)]
+    drawn = [draw_exterior_map(rng, truncation) for _ in range(maps)]
 
     def cases():
         for block in _blocks([n_highest + 1] * maps):
-            a, z = (np.array(part) for part in zip(*drawn[block.start:block.stop]))
-            tables, exc = _stacked_tables(a, n_highest)
+            a = np.array(drawn[block.start:block.stop])
+            recurrence, exc = _stacked_tables(a, n_highest)
             # the maps before an overflow are judged first, then the map after them raises
-            yield from residuals(a[:len(tables)], tables, z[:len(tables)]).tolist()
+            k = len(recurrence)
+            yield from _row_deviation(*tables(a[:k], recurrence)).max(axis=-1).tolist()
             if exc:
-                with _named(f"{name} case {block.start + len(tables)}, N={n_highest}"):
-                    _case_table((tables, exc), len(tables))
+                with _named(f"{name} case {block.start + k}, N={n_highest}"):
+                    _case_table((recurrence, exc), k)
 
     return CheckReport.judged(name, cases(), tol)
 
 
 def suite_recurrence_vs_oracle(seed: int = 0, n_highest: int = 30,
                                tol: float = 1e-9) -> CheckReport:
-    """Recurrence-generated values against the log-series oracle, on 50
-    random maps of truncation 30 with 20 points each."""
-    def residuals(a, tables, z):
-        return _value_residuals(faber_values_from_log_series(a, z, n_highest), tables[:, 1:], z)
-    return _series_suite("recurrence-vs-oracle", seed, 50, 30, 20, n_highest, residuals, tol)
+    """Recurrence tables against the log-series oracle's, on 50 random maps
+    of truncation 30."""
+    return _series_suite("recurrence-vs-oracle", seed, 50, 30, n_highest,
+                         lambda a, tables: (_log_table(a, n_highest), tables), tol)
 
 
 def suite_eq13(seed: int = 0, n_highest: int = 20, tol: float = 1e-9) -> CheckReport:
-    """Value generating series Psi'(w) w/(Psi(w)-z) against the recurrence,
-    on 30 random pairs of a map of truncation 24 and a point."""
-    def residuals(a, tables, z):
-        return _value_residuals(faber_values_from_ratio_series(a, z, n_highest), tables, z)
-    return _series_suite("eq13", seed, 30, 24, 1, n_highest, residuals, tol)
+    """Ratio generating series Psi'(w) w/(Psi(w)-z) against the recurrence,
+    table against table, on 30 random maps of truncation 24."""
+    return _series_suite("eq13", seed, 30, 24, n_highest,
+                         lambda a, tables: (_ratio_table(a, n_highest), tables), tol)
 
 
 def suite_eq16(seed: int = 0, n_highest: int = 20, tol: float = 1e-9) -> CheckReport:
     """Derivative generating series 1/(Psi(w)-z) against the recurrence,
-    on 30 random pairs of a map of truncation 24 and a point."""
+    table against table, on 30 random maps of truncation 24: row j - 1 holds
+    F_j'/j, coefficient k (k+1) c_{k+1}/j from row j of the recurrence.  Its
+    oracle re-reads the log oracle's Riordan array, so what this suite adds
+    is the index and scale of F_j'/j."""
     index = np.arange(1, n_highest + 1)
 
-    def residuals(a, tables, z):        # row j-1 of the evaluated rows is F_j'
-        return _value_residuals(faber_derivative_values_from_series(a, z, n_highest),
-                                tables[:, 1:, 1:] * index, z, index[:, None])
-    return _series_suite("eq16", seed, 30, 24, 1, n_highest, residuals, tol)
+    def tables(a, recurrence):
+        return _derivative_table(a, n_highest), recurrence[:, 1:, 1:] * index / index[:, None]
+    return _series_suite("eq16", seed, 30, 24, n_highest, tables, tol)
 
 
 def suite_eq14(lam: complex = 0.7, n_highest: int = 20, tol: float = 1e-9) -> CheckReport:

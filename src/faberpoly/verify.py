@@ -82,14 +82,15 @@ def _magnitude(t: np.ndarray) -> np.ndarray:
 
 
 def _row_scale(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per row of two tables of one shape, 1 + the larger max |c| of the two rows."""
-    return 1.0 + np.maximum(_magnitude(a).max(axis=1), _magnitude(b).max(axis=1))
+    """Per row of two tables, or stacks of tables, of one shape, 1 + the
+    larger max |c| of the two rows."""
+    return 1.0 + np.maximum(_magnitude(a).max(axis=-1), _magnitude(b).max(axis=-1))
 
 
 def _row_deviation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per row, max_k |a_k - b_k| relative to ``_row_scale``: the coefficient
-    deviation of two systems, one entry per index j."""
-    return _magnitude(a - b).max(axis=1) / _row_scale(a, b)
+    deviation of two systems, one entry per index j (behind the stack's axes)."""
+    return _magnitude(a - b).max(axis=-1) / _row_scale(a, b)
 
 
 @dataclass(frozen=True)

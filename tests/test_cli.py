@@ -196,17 +196,46 @@ class TestVerify:
         assert code == 1 and json.loads(out)["pass"] is False
 
     @pytest.mark.parametrize("suite", ["recurrence-vs-oracle", "eq13", "eq16"])
-    def test_series_suite_overflow_is_refused(self, suite):
-        code, out, err = run_module("verify", "--suite", suite, "--N", "600")
+    def test_series_suite_decides_n_600(self, suite):
+        # the seed-0 recurrence and oracle tables stay finite at N = 600 (max
+        # |c| about 2e170), and they agree within 3e-15 of the row scale
+        code, out = run_cli("verify", "--suite", suite, "--N", "600")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["pass"] is True and payload["residuals"][suite] < 1e-14
+
+    @staticmethod
+    def overflowing_oracle(monkeypatch, suite):
+        """The suite's oracle table of its first map with an entry that
+        overflows float64."""
+        import faberpoly.suites as suites
+
+        name = {"recurrence-vs-oracle": "_log_table", "eq13": "_ratio_table",
+                "eq16": "_derivative_table"}[suite]
+        original = getattr(suites, name)
+
+        def overflowing(a, n_highest):
+            tables = original(a, n_highest).copy()
+            tables[0, -1, 0] = math.inf
+            return tables
+        monkeypatch.setattr(suites, name, overflowing)
+
+    @pytest.mark.parametrize("suite", ["recurrence-vs-oracle", "eq13", "eq16"])
+    def test_series_suite_overflow_is_refused(self, monkeypatch, suite):
+        self.overflowing_oracle(monkeypatch, suite)
+        code, out, err = run_cli_with_stderr("verify", "--suite", suite)
         assert code == 3 and out == ""
         assert len(err.splitlines()) == 1
         message = json.loads(err)["message"]
-        assert repr(suite) in message and "not finite" in message
+        assert repr(suite) in message and "not finite" in message and "case 0" in message
 
     @pytest.mark.parametrize("suite", ["recurrence-vs-oracle", "eq13", "eq16"])
     def test_series_suite_stops_at_the_first_non_finite_map(self, monkeypatch, suite):
+        # at N = 600 every map is a block of its own, so the refusal of map 0
+        # leaves the recurrence of every later map unbuilt
         import faberpoly.suites as suites
 
+        self.overflowing_oracle(monkeypatch, suite)
         original = suites.faber_system_from_recurrence
         calls = []
 

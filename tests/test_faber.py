@@ -12,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faberpoly import suites
-from faberpoly.faber import (exp_map_exterior,
+from faberpoly.faber import (_derivative_table, _log_table, _ratio_table, exp_map_exterior,
                              faber_derivative_values_from_series,
                              faber_system_from_recurrence,
                              faber_values_from_log_series,
                              faber_values_from_ratio_series, kernel_polys)
-from faberpoly.maps import ExpMap, GapMap, Hypocycloid, Shift, TwoGapMap, to_exterior_map
+from faberpoly.maps import (ExpMap, GapMap, Hypocycloid, Shift, TwoGapMap,
+                            exp_map_faber_closed_form, hypocycloid_faber_closed_form,
+                            to_exterior_map)
 from faberpoly.poly import ComplexPolynomial, evaluate_rows
 from faberpoly.series import PowerSeries
 from faberpoly.suites import draw_disk, draw_exterior_map, suite_theorem3
@@ -47,6 +49,12 @@ class TestMapCoefficients:
         for oracle in ORACLES:
             with pytest.raises(ValueError, match="1-D array"):
                 oracle(coeffs, 0.5, 4)
+
+    def test_a_pointwise_oracle_refuses_a_stack_of_maps(self):
+        # the table oracles take a stack (see TestStackedMaps); the pointwise ones one map
+        for oracle in ORACLES:
+            with pytest.raises(ValueError, match="1-D array"):
+                oracle([[0.3, 0.1j], [-0.2, 0.05]], np.array([0.5, -1.0j]), 6)
 
     @pytest.mark.parametrize("build", [
         lambda: exp_map_exterior(0.1, 0.5j, 6),
@@ -264,6 +272,8 @@ class TestSeriesOrder:
 
 
 ORACLES = TestSeriesOrder.ORACLES
+#: the table oracles: the log and ratio tables of F_0 ... F_N, and the table of F_j'/j
+TABLE_ORACLES = (_log_table, _ratio_table, _derivative_table)
 #: each oracle with the length of its result at N = 8
 ORACLE_LENGTHS = list(zip(ORACLES, (8, 9, 8)))
 
@@ -343,48 +353,24 @@ class TestStackedMaps:
             assert np.all(_row_deviation(table, alone) <= 4 * self.EPS)
 
     @settings(max_examples=15, deadline=None)
-    @given(map_stacks(max_n=40), st.integers(1, 4), st.data())
-    def test_each_map_of_a_stack_gets_its_oracle_values_alone(self, drawn, points, data):
+    @given(map_stacks(max_n=40))
+    def test_each_map_of_a_stack_gets_its_oracle_table_alone(self, drawn):
         stack, n = drawn
         n = max(n, 1)
-        z = np.array([[data.draw(bounded_complex(3.0)) for _ in range(points)]
-                      for _ in stack])
-        for oracle in ORACLES:
-            values = oracle(stack, z, n)
-            for b, a in enumerate(stack):
-                alone = oracle(a, z[b], n)
-                assert values[b].shape == alone.shape
-                scale = 1.0 + np.abs(alone).max(axis=1, keepdims=True)
-                assert np.all(np.abs(values[b] - alone) <= 4 * self.EPS * scale)
-
-    @settings(max_examples=15, deadline=None)
-    @given(map_stacks(max_n=40), st.integers(1, 4), st.data())
-    def test_each_stacked_table_evaluates_as_alone(self, drawn, points, data):
-        stack, n = drawn
-        tables = faber_system_from_recurrence(stack, n)
-        z = np.array([[data.draw(bounded_complex(3.0)) for _ in range(points)]
-                      for _ in stack])
-        values, magnitudes = evaluate_rows(tables, z)
-        assert values.shape == magnitudes.shape == (len(stack), n + 1, points)
-        for b, table in enumerate(tables):
-            alone, alone_magnitudes = evaluate_rows(table, z[b])
-            assert np.all(np.abs(values[b] - alone) <= 4 * self.EPS * (1.0 + alone_magnitudes))
-            assert np.all(np.abs(magnitudes[b] - alone_magnitudes)
-                          <= 4 * self.EPS * alone_magnitudes)
-
-    def test_one_point_per_map(self):
-        stack = np.array([[0.3, 0.1j], [-0.2, 0.05]])
-        z = np.array([0.5, -1.0j])
-        assert faber_values_from_log_series(stack, z, 6).shape == (2, 6)
-        assert evaluate_rows(faber_system_from_recurrence(stack, 6), z)[0].shape == (2, 7)
+        for oracle in TABLE_ORACLES:
+            tables = oracle(stack, n)
+            assert not tables.flags.writeable
+            for a, table in zip(stack, tables):
+                alone = oracle(a, n)
+                assert table.shape == alone.shape
+                assert np.all(_row_deviation(table, alone) <= 4 * self.EPS)
 
     def test_a_stack_of_no_maps_gives_no_tables_and_no_values(self):
-        stack, z = np.zeros((0, 4), dtype=complex), np.zeros((0, 3), dtype=complex)
+        stack = np.zeros((0, 4), dtype=complex)
         tables = faber_system_from_recurrence(stack, 6)
         assert tables.shape == (0, 7, 7) and not tables.flags.writeable
-        assert faber_values_from_log_series(stack, z, 6).shape == (0, 6, 3)
-        assert faber_values_from_ratio_series(stack, z, 6).shape == (0, 7, 3)
-        assert faber_derivative_values_from_series(stack, z, 6).shape == (0, 6, 3)
+        assert _log_table(stack, 6).shape == _ratio_table(stack, 6).shape == (0, 7, 7)
+        assert _derivative_table(stack, 6).shape == (0, 6, 6)
         assert exponential_map_characterization(tables, stack).shape == (0,)
         # a map of no coefficients is still refused, alone or in a stack
         for empty in (np.zeros(0), np.zeros((2, 0)), np.zeros((0, 0))):
@@ -412,6 +398,22 @@ class TestStackedMaps:
             with pytest.raises(OverflowError, match=f"from F_{row} on"):
                 faber_system_from_recurrence(a, n)
         assert np.isfinite(faber_system_from_recurrence(a, row - 1)).all()
+
+
+@pytest.mark.parametrize("a, closed", [
+    (exp_map_exterior(0.0, lam, 60), exp_map_faber_closed_form(0.0, lam, 60))
+    for lam in (0.7, 0.45 - 0.2j)] + [
+    (to_exterior_map(Hypocycloid(m), 60), hypocycloid_faber_closed_form(m, 60))
+    for m in range(1, 5)], ids=["expmap-0.7", "expmap-complex"] + [f"hypocycloid-{m}"
+                                                                   for m in range(1, 5)])
+def test_each_oracle_table_is_the_exact_closed_form(a, closed):
+    # the derivative table's row j - 1 is F_j'/j: coefficient k is (k+1) c_{k+1}/j
+    index = np.arange(1, 61)
+    eps = np.finfo(float).eps
+    for table, exact in ((_log_table(a, 60), closed), (_ratio_table(a, 60), closed),
+                         (_derivative_table(a, 60), closed[1:, 1:] * index / index[:, None])):
+        assert np.all(np.diag(table) == 1.0) and not np.triu(table, 1).any()
+        assert np.all(_row_deviation(table, exact) <= 8 * eps)
 
 
 def test_series_engine_and_oracles_stay_off_the_recurrence(monkeypatch):
@@ -455,6 +457,8 @@ def test_series_engine_and_oracles_stay_off_the_recurrence(monkeypatch):
     z = np.array([[0.5, -1.0 + 0.3j], [2.0j, 1.5]])
     for oracle in ORACLES:
         assert np.all(np.isfinite(oracle(emap, z, 12)))
+    for oracle in TABLE_ORACLES:
+        assert np.all(np.isfinite(oracle(emap, 12)))
 
 
 def test_log_oracle_takes_no_reciprocal_and_no_product(monkeypatch):
@@ -466,11 +470,9 @@ def test_log_oracle_takes_no_reciprocal_and_no_product(monkeypatch):
     monkeypatch.setattr(PowerSeries, "reciprocal", refuse)
     monkeypatch.setattr(PowerSeries, "__mul__", refuse)
     emap = [0.2, 0.1, 0.05j, -0.02]
-    stack = [emap, [-0.3j, 0.0, 0.2, 0.1]]
     z = np.array([[0.5, -1.0 + 0.3j], [2.0j, 1.5]])
     for values in (faber_values_from_log_series(emap, 0.7j, 12),
-                   faber_values_from_log_series(emap, z, 12),
-                   faber_values_from_log_series(stack, z, 12)):
+                   faber_values_from_log_series(emap, z, 12)):
         assert np.all(np.isfinite(values))
 
 

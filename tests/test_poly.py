@@ -136,6 +136,11 @@ class TestEvaluateRows:
             assert np.array_equal(values[(slice(None),) + index], one_values)
             assert np.array_equal(magnitudes[(slice(None),) + index], one_magnitudes)
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 4, 4)], ids=["row", "stack"])
+    def test_a_table_that_is_not_2d_is_refused(self, shape):
+        with pytest.raises(ValueError, match="2-D"):
+            evaluate_rows(np.ones(shape, dtype=complex), np.array([0.5, 1.0j]))
+
 
 # -- property tests -----------------------------------------------------------
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from faberpoly.series import PowerSeries
+from faberpoly.series import PowerSeries, reciprocal_powers
 
 
 def series(*coeffs):
@@ -58,6 +58,31 @@ class TestReciprocal:
     def test_zero_constant_term_rejected(self):
         with pytest.raises(ZeroDivisionError):
             series(0, 1).reciprocal()
+
+
+class TestReciprocalPowers:
+    """The Riordan array of r = 1/d: entry [j, k] is [t^{j-k}] r^k, 0 above the diagonal."""
+
+    D = np.array([1.0, 0.3 - 0.2j, -0.25, 0.1j])
+
+    def test_columns_are_powers_of_the_reciprocal(self):
+        order = 12
+        table = reciprocal_powers(self.D, order)
+        d = np.zeros(order + 1, dtype=complex)
+        d[:len(self.D)] = self.D
+        power, r = PowerSeries(np.eye(1, order + 1)[0]), PowerSeries(d).reciprocal()
+        for k in range(order + 1):
+            assert np.abs(table[k:, k] - power.coeffs[:order + 1 - k]).max() < 1e-14
+            assert not table[:k, k].any() and table[k, k] == 1.0
+            power = power * r
+
+    def test_a_stack_gives_each_series_its_table(self):
+        stack = np.array([self.D, [1.0, 0.0, 0.5, 0.0], [1.0, 0.0, 0.0, 0.0]])
+        tables = reciprocal_powers(stack, 9)
+        assert tables.shape == (3, 10, 10)
+        for d, table in zip(stack, tables):
+            assert np.abs(table - reciprocal_powers(d, 9)).max() < 1e-15
+        assert np.array_equal(tables[2], np.eye(10))           # r = 1: every power is 1
 
 
 class TestLogExp:

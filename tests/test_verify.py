@@ -209,9 +209,8 @@ def test_one_recurrence_table_per_map(monkeypatch, suite, highest):
             assert original(emap, n_highest).tobytes() == table.tobytes()
 
 
-SERIES_SUITES = [("recurrence-vs-oracle", "faber_values_from_log_series"),
-                 ("eq13", "faber_values_from_ratio_series"),
-                 ("eq16", "faber_derivative_values_from_series")]
+SERIES_SUITES = [("recurrence-vs-oracle", "_log_table"), ("eq13", "_ratio_table"),
+                 ("eq16", "_derivative_table")]
 
 
 @pytest.mark.parametrize("suite, oracle", SERIES_SUITES)
@@ -228,8 +227,8 @@ def test_one_recurrence_and_one_oracle_call_per_block(monkeypatch, suite, oracle
             return _original(a, *args)
         monkeypatch.setattr(suites, name, counting)
     report, = suites.run_suite(suite)
-    assert report.passed
     maps = {"recurrence-vs-oracle": [17, 17, 16]}.get(suite, [30])
+    assert report.passed and len(report.residuals) == sum(maps)
     for shapes in stacks.values():
         assert [shape[0] for shape in shapes] == maps
         assert all(len(shape) == 2 for shape in shapes)
@@ -237,7 +236,7 @@ def test_one_recurrence_and_one_oracle_call_per_block(monkeypatch, suite, oracle
 
 def overflow_case_7(monkeypatch, nan_case=None):
     """eq13 with the map of case 7 replaced by one whose F_2 leaves float64
-    (a_0 = 1e200), and the oracle values of case ``nan_case`` NaN."""
+    (a_0 = 1e200), and an entry of the oracle table of case ``nan_case`` NaN."""
     original_draw, drawn = suites.draw_exterior_map, []
 
     def draw(rng, truncation):
@@ -245,14 +244,14 @@ def overflow_case_7(monkeypatch, nan_case=None):
         drawn.append(a)
         return np.array([1e200] + [0.0] * truncation) if len(drawn) == 8 else a
     monkeypatch.setattr(suites, "draw_exterior_map", draw)
-    original_oracle = suites.faber_values_from_ratio_series
+    original_oracle = suites._ratio_table
 
-    def oracle(a, z, n_highest):
-        values = original_oracle(a, z, n_highest)
-        if nan_case is not None and len(values) > nan_case:
-            values[nan_case] = np.nan
-        return values
-    monkeypatch.setattr(suites, "faber_values_from_ratio_series", oracle)
+    def oracle(a, n_highest):
+        tables = original_oracle(a, n_highest).copy()
+        if nan_case is not None and len(tables) > nan_case:
+            tables[nan_case, 3, 1] = np.nan
+        return tables
+    monkeypatch.setattr(suites, "_ratio_table", oracle)
 
 
 def test_a_block_refuses_its_first_non_finite_case_before_a_later_overflow(monkeypatch):
@@ -274,22 +273,37 @@ def test_n_above_the_map_truncation_pads_the_tail_with_zeros(suite, oracle):
     # judged alone, its tail padded with zeros, gives the suite's residual
     report, = suites.run_suite(suite, n_highest=40)
     rng = np.random.default_rng(0)
-    maps, truncation, points = {"recurrence-vs-oracle": (50, 30, 20)}.get(suite, (30, 24, 1))
-    first = 0 if suite == "eq13" else 1
+    maps, truncation = {"recurrence-vs-oracle": (50, 30)}.get(suite, (30, 24))
+    index = np.arange(1, 41)
     expected = []
     for _ in range(maps):
         a = np.concatenate((suites.draw_exterior_map(rng, truncation), np.zeros(40 - truncation)))
-        z = np.array(suites.draw_disks(rng, [3.0] * points))
         table = faber_system_from_recurrence(a, 40)
         if suite == "eq16":
-            table = table[:, 1:] * np.arange(41)[1:]
-        values, magnitudes = evaluate_rows(table[first:], z)
-        if suite == "eq16":
-            values = values / np.arange(1, 41)[:, None]
-        oracle_values = getattr(suites, oracle)(a, z, 40)
-        expected.append(np.max(np.abs(oracle_values - values) / (1.0 + magnitudes)))
+            table = table[1:, 1:] * index / index[:, None]
+        expected.append(_row_deviation(getattr(suites, oracle)(a, 40), table).max())
     assert report.passed
     assert np.allclose(report.residuals, expected, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("suite", [suite for suite, _ in SERIES_SUITES])
+def test_a_coefficient_wrong_by_1e_9_of_its_row_scale_fails(monkeypatch, suite):
+    # coefficient 30 of F_60 in every recurrence table the suite receives at
+    # N = 100; value residuals at points of |z| <= 3, relative to the Horner
+    # magnitude, read only 3.5e-10, 2.6e-10 and 4.1e-12 on this plant.  Each
+    # map's residual reads 1e-9 up to round-off (eq16 scales the coefficient
+    # by 30/60 and its row by up to 1), so some exceed the tolerance 1e-9 and
+    # none is near the round-off level.
+    original = suites.faber_system_from_recurrence
+
+    def planted(a, n_highest):
+        tables = original(a, n_highest).copy()
+        tables[:, 60, 30] += 1e-9 * (1.0 + np.abs(tables[:, 60]).max(axis=-1))
+        return tables
+    monkeypatch.setattr(suites, "faber_system_from_recurrence", planted)
+    report, = suites.run_suite(suite, n_highest=100)
+    assert not report.passed
+    assert min(report.residuals) > 5e-10
 
 
 class TestExponentialCharacterization:
