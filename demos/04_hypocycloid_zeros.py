@@ -12,7 +12,9 @@ import math
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from faberpoly import ComplexPolynomial, chebyshev_scaled, hypocycloid_faber_closed_form
+from faberpoly import (Hypocycloid, chebyshev_scaled, hypocycloid_faber_closed_form,
+                       to_exterior_map)
+from faberpoly.poly import faber_roots
 
 # -- the m = 1 case is the Chebyshev family on [-2, 2] -------------------------
 
@@ -30,10 +32,12 @@ for m in (2, 3):
     print(f"m = {m}: cusp rays at angles "
           f"{[f'{d * 180 / math.pi:.0f}deg' for d in directions]}")
     closed = hypocycloid_faber_closed_form(m, 12)
-    for j in (7, 12):
-        roots = ComplexPolynomial(closed[j, :j + 1]).roots()
+    # the zeros of F_j are the eigenvalues of the map's j x j Faber Hessenberg matrix
+    zeros = faber_roots(to_exterior_map(Hypocycloid(m), m), closed, (7, 12))
+    for j, roots in zip((7, 12), zeros):
         print(f"  zeros of F_{j}:")
-        for r in sorted(roots, key=lambda r: (round(abs(r), 6), math.atan2(r.imag, r.real))):
+        for r in sorted(roots.tolist(),
+                        key=lambda r: (round(abs(r), 6), math.atan2(r.imag, r.real))):
             if abs(r) <= 1e-8:
                 print(f"    |r| = 0 (origin, multiplicity from j mod (m+1))")
                 continue

@@ -27,7 +27,7 @@ import numpy as np
 
 from .faber import _cut_map, faber_system_from_recurrence, kernel_polys
 from .maps import FAMILIES, BranchCutError, ExpMap, exp_map_boundary, to_exterior_map
-from .poly import ComplexPolynomial
+from .poly import faber_roots
 from .suites import SUITE_NAMES, _named, run_suite
 
 EXIT_PASS = 0
@@ -184,14 +184,15 @@ def _family_from_args(args) -> tuple[object, dict]:
     return FAMILIES[args.family](*values), desc
 
 
-def _family_table(fam, n_highest: int) -> np.ndarray:
-    """The recurrence table F_0 ... F_N of a family member, over its cut map."""
-    return faber_system_from_recurrence(_cut_map(to_exterior_map(fam, n_highest)), n_highest)
+def _family_table(fam, n_highest: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cut map of a family member and its recurrence table F_0 ... F_N."""
+    a = _cut_map(to_exterior_map(fam, n_highest))
+    return a, faber_system_from_recurrence(a, n_highest)
 
 
 def _run_gen(args):
     fam, desc = _family_from_args(args)
-    return desc, args.N, _family_table(fam, args.N), {}, True
+    return desc, args.N, _family_table(fam, args.N)[1], {}, True
 
 
 def _run_verify(args):
@@ -206,12 +207,12 @@ def _run_roots(args):
     fam, desc = _family_from_args(args)
     if args.j_min < 1 or args.j_max < args.j_min:
         raise ValueError("need 1 <= j-min <= j-max")
-    table = _family_table(fam, args.j_max)
-    results = []
-    for j in range(args.j_min, args.j_max + 1):
-        with _named(f"roots of F_{j} of {json.dumps(desc)}"):
-            roots = ComplexPolynomial(table[j, :j + 1]).roots()
-        results.append({"j": j, "roots": [_pair(r) for r in roots]})
+    a, table = _family_table(fam, args.j_max)
+    indices = range(args.j_min, args.j_max + 1)
+    with _named(f"family {json.dumps(desc)}"):
+        found = faber_roots(a, table, indices)
+    results = [{"j": j, "roots": [_pair(r) for r in roots.tolist()]}
+               for j, roots in zip(indices, found)]
     return desc, args.j_max, results, {}, True
 
 

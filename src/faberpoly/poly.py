@@ -1,11 +1,16 @@
-"""Dense complex polynomials: Aberth root finding, and Horner evaluation of
-coefficient tables.
+"""Dense complex polynomials: roots of Faber polynomials as eigenvalues,
+Aberth root finding, and Horner evaluation of coefficient tables.
 
 A Faber system is a coefficient table (see :mod:`faberpoly.faber`);
-``evaluate_rows`` evaluates all its rows at once.  The private kernel
-``_aberth`` finds the roots of many rows in one batched Aberth iteration
-(the ``rays`` suite hands it a whole table), and
-:meth:`ComplexPolynomial.roots` is a batch of one row.  Each block of rows
+``evaluate_rows`` evaluates all its rows at once.  ``faber_roots`` finds
+the roots of F_j as the eigenvalues of the leading j x j block of the map's
+lower Hessenberg matrix (``_hessenberg``), the coefficient recurrence in
+matrix form, whose eigenvalues are backward stable in the map's
+coefficients; the ``roots`` command and the ``rays`` suite use it.  Root
+finding on monomial coefficients, exponentially ill-conditioned in the
+degree, stays as :meth:`ComplexPolynomial.roots`: a batch of one row of
+the kernel ``_aberth``, which finds the roots of many rows in one batched
+Aberth iteration.  Each block of rows
 takes its starting points from the rows' Newton polygons in one array
 pass (``_newton_polygon_starts``): a support point (k, log|c_k|) is a
 vertex of the upper hull when its least slope from the left exceeds its
@@ -37,12 +42,12 @@ ROOT_STEP_TOL = 1e-13
 
 
 class RootFindingError(ArithmeticError):
-    """Simultaneous root iteration did not converge.
+    """Root finding did not converge, or its roots cannot be judged in float64.
 
     Carries the last finite iterates (``roots``) and their residuals
     ``|p(r)|``, ``inf`` where that overflows and never NaN, so callers can
     inspect or retry.  ``row`` is the failing row's position in the batch
-    given to ``_aberth``.
+    given to ``_aberth``, or the index j of F_j in ``faber_roots``.
     """
 
     def __init__(self, message: str, roots: Sequence[complex], residuals: Sequence[float],
@@ -293,6 +298,58 @@ def _solve_block(block: list[tuple[int, np.ndarray, np.ndarray]], found: list) -
     residuals[~np.isfinite(residuals)] = np.inf
     r = len(raw) - len(c)
     raise RootFindingError(message, [0j] * r + list(last), [0.0] * r + list(residuals), row=i)
+
+
+def _hessenberg(a, n: int) -> np.ndarray:
+    """The n x n lower Hessenberg matrix H of the map with coefficient array
+    ``a`` (zero beyond its last entry), whose leading j x j block has
+    characteristic polynomial F_j: H[j, j+1] = 1, H[j, i] = a_{j-i} for
+    1 <= i <= j and H[j, 0] = (j+1) a_j, which is the coefficient recurrence
+    of :mod:`faberpoly.faber` written as z (F_0, ..., F_{n-1}) = H (F_0, ...,
+    F_{n-1}) + F_n e_{n-1}.  For m = 1 it is the colleague matrix (Good
+    1961).  Complex even for a real map, so that one LAPACK solver, zgeev,
+    serves every map."""
+    coeffs = np.zeros(n, dtype=complex)
+    given = np.asarray(a, dtype=complex)[:n]
+    coeffs[:len(given)] = given
+    h = np.zeros((n, n), dtype=complex)
+    flat = h.reshape(-1)
+    for k in np.flatnonzero(coeffs).tolist():
+        flat[k * n::n + 1] = coeffs[k]                   # H[i + k, i] = a_k
+    h[:, 0] = np.arange(1, n + 1) * coeffs
+    flat[1::n + 1] = 1.0
+    return h
+
+
+def faber_roots(a, table: np.ndarray, indices: Sequence[int]) -> list[np.ndarray]:
+    """Roots of F_j for each j in ``indices`` (all >= 1), with multiplicity,
+    as the eigenvalues of the leading j x j block of the map's
+    ``_hessenberg`` matrix, one matrix for the whole range.
+
+    ``a`` is the map's coefficient array and ``table`` its Faber table (rows
+    j in ``indices`` at least).  Eigenvalues are backward stable in the
+    entries of H, which the roots of the monomial coefficients are not.  A
+    row with r leading zero coefficients has its r smallest eigenvalues set
+    to exactly 0, first, then the others in LAPACK's order.  An eigenvalue
+    solver that does not converge, or an eigenvalue that is not finite,
+    raises :class:`RootFindingError` naming F_j (``row`` is j).
+    """
+    h = _hessenberg(a, max(indices))
+    found = []
+    for j in indices:
+        try:
+            x = np.linalg.eigvals(h[:j, :j])
+        except np.linalg.LinAlgError as exc:
+            raise RootFindingError(f"roots of F_{j}: {exc}", [], [], row=j) from exc
+        if not np.isfinite(x).all():
+            raise RootFindingError(f"roots of F_{j}: an eigenvalue is not finite in float64",
+                                   [], [], row=j)
+        r = int(np.flatnonzero(table[j, :j + 1])[0])
+        if r:
+            x = np.concatenate((np.zeros(r, dtype=complex),
+                                x[np.sort(np.argsort(np.abs(x))[r:])]))
+        found.append(x)
+    return found
 
 
 def _horner(coeffs_ascending: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -48,7 +48,7 @@ from .maps import (ExpMap, GapMap, Hypocycloid, TwoGapMap,
                    gap_faber_closed_form, hypocycloid_faber_closed_form,
                    inverse_exp_map, lambert_w0, lambert_w0_power_series,
                    to_exterior_map, two_gap_faber_system)
-from .poly import RootFindingError, _aberth, _horner
+from .poly import RootFindingError, _hessenberg, _horner, faber_roots
 from .verify import (CheckReport, _row_deviation, check_derivative_identity,
                      check_gap_coefficient_recovery, exponential_map_characterization,
                      leading_common_root_order)
@@ -410,34 +410,80 @@ def suite_lambert(seed: int = 0, tol: float = 1e-12) -> CheckReport:
 def suite_rays(n_highest: int = 24, tol: float = 1e-6) -> CheckReport:
     """Roots of hypocycloid Faber polynomials sit on the cusp rays, m = 1..4.
 
-    ``tol`` judges the worst angle of a root off its nearest ray; every
-    root's residual must stay within 1e-8 of its polynomial's scale.  Each
-    m solves its whole table in one batched Aberth call, and row j's roots
-    fill row j - 1 of a lower-triangular block.
+    The roots are the eigenvalues of the Hessenberg matrix of the map
+    w + 1/(m w^m) (``faber_roots``), judged against the closed-form rows, so
+    that the map and the closed form still meet.  Row j - 1 of a
+    lower-triangular block holds the j roots of F_j.  A root's residual must
+    stay within (64 + 2j) eps of 1 + sum_k |c_k| |x|^k: 64 eps of backward
+    error, and 2j eps for float Horner's own rounding.  ``tol`` judges the
+    worst angle of a root (|x| > 1e-8) off its nearest ray.  Rows are judged
+    in ascending j, and the first that does not pass decides m, by
+    ``_judge_ray_row``.
     """
-    own = np.tri(n_highest, dtype=bool)          # row j - 1 holds the j roots of F_j
+    own = np.tri(n_highest, dtype=bool)
+    allowed = (64 + 2 * np.arange(1, n_highest + 1)[:, None]) * np.finfo(float).eps
 
     def cases():
         for m in range(1, 5):
-            with _named(f"rays at N={n_highest}, m={m}"):
+            where = f"rays at N={n_highest}, m={m}"
+            a = to_exterior_map(Hypocycloid(m), m)
+            with _named(where):
                 table = hypocycloid_faber_closed_form(m, n_highest)
+                found = faber_roots(a, table, range(1, n_highest + 1))
             rows = table[1:]
-            try:
-                found = _aberth([row[:j + 1] for j, row in enumerate(rows, 1)])
-            except RootFindingError as exc:
-                raise RootFindingError(f"rays at m={m}, roots of F_{exc.row + 1}: {exc}",
-                                       exc.roots, exc.residuals) from exc
             roots = np.zeros((n_highest, n_highest), dtype=complex)
             roots[own] = np.concatenate(found)
             values = np.abs(_horner(rows.T[:, :, None], roots))
-            scale = 1.0 + np.abs(rows).sum(axis=1)
-            worst_resid = (np.where(own, values, 0.0).max(axis=1) / scale).max()
-            angles = np.arctan2(roots.imag, roots.real) % (2.0 * math.pi)
-            off = np.abs(angles[..., None] - 2.0 * math.pi * np.arange(m + 1) / (m + 1))
-            off = np.minimum(off, 2.0 * math.pi - off).min(axis=-1)
-            worst_angle = off.max(initial=0.0, where=own & (np.abs(roots) > 1e-8))
-            yield worst_angle <= tol and worst_resid <= 1e-8, worst_angle
+            scale = 1.0 + _horner(np.abs(rows).T[:, :, None], np.abs(roots))
+            off = np.where(own & (np.abs(roots) > 1e-8), _off_ray(roots, m), 0.0)
+            open_rows = np.flatnonzero(((values > allowed * scale) & own).any(axis=1)
+                                       | (off > tol).any(axis=1))
+            if open_rows.size:
+                j = int(open_rows[0]) + 1
+                _judge_ray_row(f"{where}, F_{j}", a, roots[j - 1, :j], off[j - 1, :j],
+                               values[j - 1, :j], tol)
+            yield not open_rows.size, off.max()
     return CheckReport.verdict("rays", cases())
+
+
+def _off_ray(x: np.ndarray, m: int) -> np.ndarray:
+    """The angle of each point off its nearest ray at angle 2 pi v / (m + 1)."""
+    angles = np.arctan2(x.imag, x.real) % (2.0 * math.pi)
+    off = np.abs(angles[..., None] - 2.0 * math.pi * np.arange(m + 1) / (m + 1))
+    return np.minimum(off, 2.0 * math.pi - off).min(axis=-1)
+
+
+def _judge_ray_row(where: str, a: np.ndarray, x: np.ndarray, off: np.ndarray,
+                   residuals: np.ndarray, tol: float) -> None:
+    """Return when a root x of F_j, j = len(x), of the map ``a`` lies off its
+    ray by more than ``tol`` plus its bound: the row fails.  Otherwise the
+    row is undecided in float64, a RootFindingError.  Each root's bound is
+    its forward error bound kappa eps ||H_j||_F seen as an angle from the
+    origin (pi / 2 where it reaches the origin), plus 4 ulps of 2 pi for the
+    rounding of the angle itself; kappa is the condition number of the
+    eigenvalue nearest the root, from ``np.linalg.eig`` and the rows of the
+    inverse eigenvector matrix, and infinite where either solve fails."""
+    far = off > tol
+    if far.any():
+        h = _hessenberg(a, len(x))
+        try:
+            w, v = np.linalg.eig(h)
+            kappa = np.linalg.norm(np.linalg.inv(v), axis=1) * np.linalg.norm(v, axis=0)
+        except np.linalg.LinAlgError:
+            w, kappa = x, np.full(len(x), np.inf)
+        reach = kappa[np.abs(x[:, None] - w).argmin(axis=1)] * np.finfo(float).eps
+        reach *= np.linalg.norm(h)
+        bound = np.arcsin(np.divide(reach, np.abs(x), out=np.ones(len(x)),
+                                    where=np.abs(x) > reach))
+        bound += 8.0 * math.pi * np.finfo(float).eps    # the angle's own rounding
+        if (off > tol + bound).any():
+            return
+        k = int(np.argmax(np.where(far, off, -1.0)))
+        why = (f"root {complex(x[k])} is {off[k]:.1e} rad off its ray, within tol plus "
+               f"its bound {bound[k]:.1e} rad")
+    else:
+        why = "a residual beyond (64 + 2j) eps of its Horner scale"
+    raise RootFindingError(f"{where} ill-conditioned in float64: {why}", x, residuals)
 
 
 #: each option a suite may take: its command-line flag and least value

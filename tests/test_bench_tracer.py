@@ -7,7 +7,7 @@ Renaming or deleting a traced function or method breaks ``bench/run.py
 import importlib.util
 from pathlib import Path
 
-from faberpoly import cli
+from faberpoly import ComplexPolynomial, cli
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -89,6 +89,8 @@ def test_traced_lambert_suite_reads_lambert_results(capsys):
 
 
 def test_traced_family_commands_reach_every_layer(capsys):
+    """The ``roots`` command solves eigenvalue problems, which the tracer does
+    not bind, so ``poly.roots`` is reached by a direct ``roots()`` call."""
     tracer = _load_tracer()
     t = tracer.Tracer()
     t.begin_pass()
@@ -98,6 +100,7 @@ def test_traced_family_commands_reach_every_layer(capsys):
                            "--N", "12"]),
                  cli.main(["roots", "--family", "twogap", "--m", "1", "--n", "3",
                            "--tail", "0.2,0.1", "--j-max", "8"])]
+        assert len(ComplexPolynomial([-1, 0, 1]).roots()) == 2
     finally:
         t.uninstall()
     capsys.readouterr()

@@ -15,7 +15,7 @@ import pytest
 from faberpoly import cli, suites
 from faberpoly.cli import main
 from faberpoly.maps import FAMILIES
-from faberpoly.poly import ComplexPolynomial, RootFindingError
+from faberpoly.poly import RootFindingError
 from faberpoly.suites import SUITE_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -371,10 +371,14 @@ class TestVerify:
         assert "'lambert'" in json.loads(err)["message"]
 
     def test_rays_root_failure_names_suite_m_and_index(self):
-        code, out, err = run_cli_with_stderr("verify", "--suite", "rays", "--N", "200")
+        # a tol below the angle's own rounding: a root off its ray by more than
+        # tol but within its bound leaves the row undecided (--N 200 does so
+        # at tol 1e-6, in about 12 s)
+        code, out, err = run_cli_with_stderr("verify", "--suite", "rays", "--tol", "1e-30")
         assert code == 3 and out == ""
         message = json.loads(err)["message"]
-        assert all(part in message for part in ("rays", "m=", "F_", "Aberth"))
+        assert all(part in message for part in ("rays at N=24", "m=", "F_",
+                                                "ill-conditioned in float64"))
 
     def test_deterministic_bytes(self):
         a = run_cli("verify", "--suite", "theorem1", "--seed", "5")
@@ -391,10 +395,18 @@ class TestVerify:
         assert code == 0
         assert out.splitlines()[0] == "name,passed,max_residual"
 
-    def test_tol_judges_the_worst_ray_angle(self):
-        code, out = run_cli("verify", "--suite", "rays", "--tol", "1e-30")
+    def test_tol_judges_the_worst_ray_angle(self, monkeypatch):
+        # judged against the rays of m + 1, the roots of m = 1 lie pi / 3 off
+        # (those of m = 2..4 less), far beyond their bounds
+        off_ray = suites._off_ray
+        monkeypatch.setattr(suites, "_off_ray", lambda x, m: off_ray(x, m + 1))
+        code, out = run_cli("verify", "--suite", "rays", "--tol", "1.0")
         assert code == 1
-        assert json.loads(out)["pass"] is False
+        payload = json.loads(out)
+        assert payload["pass"] is False
+        assert abs(payload["residuals"]["rays"] - math.pi / 3) < 1e-12
+        code, out = run_cli("verify", "--suite", "rays", "--tol", "1.1")
+        assert code == 0 and json.loads(out)["pass"] is True
 
     def test_all_gives_each_option_to_the_suites_that_take_it(self):
         code, out = run_cli("verify", "--suite", "all", "--lambda", "2", "--N", "5")
@@ -418,10 +430,12 @@ class TestRoots:
         assert code == 2
 
     def test_non_convergence_names_family_and_index(self, monkeypatch):
-        def fail(self):
-            raise RootFindingError("Aberth iteration did not converge", [], [])
+        def fail(a, table, indices):
+            j = indices[0]
+            raise RootFindingError(f"roots of F_{j}: Eigenvalues did not converge", [], [],
+                                   row=j)
 
-        monkeypatch.setattr(ComplexPolynomial, "roots", fail)
+        monkeypatch.setattr(cli, "faber_roots", fail)
         code, out, err = run_cli_with_stderr("roots", "--family", "hypocycloid", "--m", "2",
                                              "--j-min", "7", "--j-max", "9")
         assert code == 3

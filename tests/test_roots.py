@@ -7,17 +7,21 @@ to, so no float64 root finder can promise more than a small multiple of it.
 """
 
 import cmath
+import io
+import json
 import math
 import tracemalloc
+from contextlib import redirect_stdout
 
 import mpmath
 import numpy as np
 import pytest
 
-from faberpoly import poly
-from faberpoly.faber import faber_system_from_recurrence
-from faberpoly.maps import (ExpMap, GapMap, Shift, exp_map_faber_closed_form,
-                            hypocycloid_faber_closed_form, to_exterior_map)
+from faberpoly import cli, poly, suites
+from faberpoly.faber import _cut_map, faber_system_from_recurrence
+from faberpoly.maps import (ExpMap, GapMap, Hypocycloid, Shift, TwoGapMap,
+                            exp_map_faber_closed_form, hypocycloid_faber_closed_form,
+                            to_exterior_map)
 from faberpoly.suites import draw_disk, suite_rays
 
 EPS = np.finfo(float).eps
@@ -201,20 +205,26 @@ def test_batch_memory_is_bounded_by_the_largest_row():
 
 
 def test_rays_suite_matches_the_per_root_loop():
-    """``suite_rays`` solves each table in one batch and takes the angles
-    with numpy; the per-root loop over rows solved one at a time gives
+    """``suite_rays`` takes the angles of all roots with numpy; the per-root
+    loop over the eigenvalues of each H_j, built entry by entry here, gives
     each m's worst angle off the cusp rays within round-off (1e-13 rad)."""
     report = suite_rays()
     for m, batched in zip(range(1, 5), report.residuals):
         directions = [2.0 * math.pi * v / (m + 1) for v in range(m + 1)]
-        table = hypocycloid_faber_closed_form(m, 24)
+        a = [0.0] * m + [1.0 / m]
         worst = 0.0
         for j in range(1, 25):
-            for r in poly.ComplexPolynomial(table[j, :j + 1]).roots():
-                if abs(r) <= 1e-8:
-                    continue
-                a = math.atan2(r.imag, r.real) % (2.0 * math.pi)
-                worst = max(worst, min(min(abs(a - phi), 2.0 * math.pi - abs(a - phi))
+            h = np.zeros((j, j), dtype=complex)
+            for row in range(j):
+                if row + 1 < j:
+                    h[row, row + 1] = 1.0
+                for col in range(1, row + 1):
+                    h[row, col] = a[row - col] if row - col <= m else 0.0
+                h[row, 0] = (row + 1) * a[row] if row <= m else 0.0
+            # F_j has the factor z^r, r = j mod (m + 1): its r smallest are zeros
+            for r in sorted(np.linalg.eigvals(h).tolist(), key=abs)[j % (m + 1):]:
+                angle = math.atan2(r.imag, r.real) % (2.0 * math.pi)
+                worst = max(worst, min(min(abs(angle - phi), 2.0 * math.pi - abs(angle - phi))
                                        for phi in directions))
         assert abs(batched - worst) <= 1e-13
 
@@ -322,3 +332,163 @@ def test_block_starts_stay_within_the_difference_buffer():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * len(rows) * (width - 1) ** 2
+
+
+# ---------------------------------------------------------------------------
+# roots as eigenvalues of the map's Faber Hessenberg matrix
+# ---------------------------------------------------------------------------
+
+def roots_command(*argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["roots", *argv, "--format", "json"])
+    assert code == 0
+    (entry,) = json.loads(out.getvalue())["results"]
+    return [complex(re, im) for re, im in entry["roots"]]
+
+
+def exact_hypocycloid_row(m, j):
+    """He's formula, each coefficient one 50-digit division."""
+    f = math.factorial
+    row = [mpmath.mpf(0)] * (j + 1)
+    for k in range(j // (m + 1) + 1):
+        power = j - (m + 1) * k
+        row[power] = (-1) ** k * mpmath.mpf(j * f(j - m * k - 1)) / (f(power) * m ** k * f(k))
+    return row
+
+
+def exact_exp_row(lam, j):
+    """F_j of w exp(lam/w), j >= 2: j sum_{k=1}^{j} (-lam)^{j-k} k^{j-k-1} / (j-k)! z^k."""
+    neg = -mpmath.mpf(lam)
+    return [mpmath.mpf(0)] + [j * neg ** (j - k) * mpmath.mpf(k) ** (j - k - 1)
+                              / math.factorial(j - k) for k in range(1, j + 1)]
+
+
+def hypocycloid_case(m, j):
+    argv = ("--family", "hypocycloid", "--m", str(m), "--j-min", str(j), "--j-max", str(j))
+    return argv, lambda: exact_hypocycloid_row(m, j), m + 1
+
+
+@pytest.mark.parametrize("argv, exact, cusps", [
+    hypocycloid_case(1, 40), hypocycloid_case(1, 60), hypocycloid_case(2, 60),
+    hypocycloid_case(1, 100),
+    (("--family", "expmap", "--eta", "0", "--lambda", "0.1", "--j-min", "200", "--j-max", "200"),
+     lambda: exact_exp_row(0.1, 200), None),
+], ids=["hypocycloid-m1-j40", "hypocycloid-m1-j60", "hypocycloid-m2-j60",
+        "hypocycloid-m1-j100", "expmap-lam0.1-j200"])
+def test_roots_command_within_residual_bound_of_the_exact_row(argv, exact, cusps):
+    """Rows Aberth failed on: hypocycloid roots 1e-6 to 3.3e-5 rad off their
+    cusp rays, and exp-map coefficients down to 2.8e-315 at lam = 0.1 (exit
+    3).  Each root's 50-digit residual on the exact row stays within 64 eps
+    of 1 + sum_k |c_k| |x|^k, and a hypocycloid root (|x| > 1e-8) within
+    1e-6 rad of a cusp ray."""
+    found = roots_command(*argv)
+    with mpmath.workdps(50):
+        row = exact()
+        assert len(found) == len(row) - 1
+        for x in found:
+            assert cmath.isfinite(x)
+            scale = 1 + mpmath.polyval([abs(c) for c in reversed(row)], abs(mpmath.mpc(x)))
+            assert abs(mpmath.polyval(row[::-1], mpmath.mpc(x))) <= 64 * EPS * scale
+    for x in found if cusps else ():
+        if abs(x) > 1e-8:
+            angle = math.atan2(x.imag, x.real) % (2.0 * math.pi)
+            assert min(min(abs(angle - phi), 2.0 * math.pi - abs(angle - phi))
+                       for phi in 2.0 * math.pi * np.arange(cusps) / cusps) <= 1e-6
+
+
+def test_shift_roots_are_exactly_alpha0():
+    """(z - alpha0)^48, where Aberth kept a root near 3e6: H is alpha0 on the
+    diagonal and 1 above it, triangular, so every eigenvalue is alpha0."""
+    found = roots_command("--family", "shift", "--alpha0", "0.375-0.211j",
+                          "--j-min", "48", "--j-max", "48")
+    assert found == [0.375 - 0.211j] * 48
+
+
+@pytest.mark.parametrize("family", [
+    Shift(0.375 - 0.211j), GapMap(0.2 + 0.1j, 3, [0.2]),
+    TwoGapMap(0.1j, 1, 0.25, 3, [0.2, 0.1]), Hypocycloid(1), Hypocycloid(4),
+    ExpMap(0.1 + 0.2j, 0.5), ExpMap(0, 0.9j)], ids=repr)
+def test_characteristic_polynomial_of_h_is_the_recurrence_row(family):
+    """np.poly of the leading j x j block of H is row j of the recurrence
+    table within 256 j eps of 1 + max_k |c_k| for j <= 30; these maps read
+    at most 81 j eps (the two-gap map at j = 30), mostly np.poly's own
+    expansion of the eigenvalues."""
+    a = _cut_map(to_exterior_map(family, 30))
+    table = faber_system_from_recurrence(a, 30)
+    h = poly._hessenberg(a, 30)
+    for j in range(1, 31):
+        row = table[j, :j + 1]
+        deviation = np.abs(np.poly(h[:j, :j])[::-1] - row).max() / (1 + np.abs(row).max())
+        assert deviation <= 256 * j * EPS, j
+
+
+def test_leading_zero_coefficients_give_exact_zeros_first():
+    # F_9 of w + 1/(4 w^4) is z^4 times a quintic: its four zero eigenvalues
+    # come out as large as 1.3e-9 and are set to exactly 0
+    table = hypocycloid_faber_closed_form(4, 9)
+    (found,) = poly.faber_roots(to_exterior_map(Hypocycloid(4), 4), table, range(9, 10))
+    assert found[:4].tolist() == [0j] * 4
+    assert np.abs(found[4:]).min() > 1.0
+
+
+def test_a_solver_failure_names_the_row(monkeypatch):
+    eigvals = np.linalg.eigvals
+
+    def failing_at_7(h):
+        if len(h) == 7:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(h)
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing_at_7)
+    table = hypocycloid_faber_closed_form(2, 9)
+    with pytest.raises(poly.RootFindingError) as caught:
+        poly.faber_roots(to_exterior_map(Hypocycloid(2), 2), table, range(5, 10))
+    assert str(caught.value) == "roots of F_7: Eigenvalues did not converge"
+    assert caught.value.row == 7
+
+
+def test_a_non_finite_eigenvalue_names_the_row(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigvals", lambda h: np.full(len(h), complex("inf")))
+    table = hypocycloid_faber_closed_form(2, 9)
+    with pytest.raises(poly.RootFindingError) as caught:
+        poly.faber_roots(to_exterior_map(Hypocycloid(2), 2), table, range(5, 10))
+    assert str(caught.value) == "roots of F_5: an eigenvalue is not finite in float64"
+    assert caught.value.row == 5
+
+
+@pytest.mark.parametrize("n", (34, 40))
+def test_rays_decides_where_aberth_stopped(n):
+    # Aberth's rays exited 1 from N = 34; the eigenvalues stay within 1e-13 rad
+    report = suite_rays(n)
+    assert report.passed and report.max_residual <= 1e-13
+
+
+def test_rays_residual_beyond_its_bound_is_undecided(monkeypatch):
+    """A closed-form row moved by 1e-9 no longer holds the eigenvalues of H
+    as roots: their residuals exceed (64 + 2j) eps, so F_5 is undecided."""
+    closed_form = suites.hypocycloid_faber_closed_form
+
+    def moved(m, n):
+        table = closed_form(m, n).copy()
+        table[5, 1] += 1e-9
+        return table
+
+    monkeypatch.setattr(suites, "hypocycloid_faber_closed_form", moved)
+    with pytest.raises(poly.RootFindingError) as caught:
+        suite_rays()
+    assert str(caught.value) == ("rays at N=24, m=1, F_5 ill-conditioned in float64: "
+                                 "a residual beyond (64 + 2j) eps of its Horner scale")
+    assert len(caught.value.roots) == len(caught.value.residuals) == 5
+
+
+def test_rays_row_without_an_eigenvector_bound_is_undecided(monkeypatch):
+    # a singular eigenvector matrix (a defective H_j) gives no condition
+    # numbers: the bound reaches the origin, pi / 2, and the row stays undecided
+    def singular(v):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    with pytest.raises(poly.RootFindingError, match=r"m=2, F_3 ill-conditioned in float64: "
+                                                    r".* within tol plus its bound 1\.6e\+00 rad"):
+        suite_rays(24, 1e-30)
