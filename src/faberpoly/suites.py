@@ -48,7 +48,7 @@ from .maps import (ExpMap, GapMap, Hypocycloid, TwoGapMap,
                    gap_faber_closed_form, hypocycloid_faber_closed_form,
                    inverse_exp_map, lambert_w0, lambert_w0_power_series,
                    to_exterior_map, two_gap_faber_system)
-from .poly import RootFindingError, _hessenberg, _horner, faber_roots
+from .poly import RootFindingError, _hessenberg, _root_residuals, faber_roots
 from .verify import (CheckReport, _row_deviation, check_derivative_identity,
                      check_gap_coefficient_recovery, exponential_map_characterization,
                      leading_common_root_order)
@@ -414,14 +414,14 @@ def suite_rays(n_highest: int = 24, tol: float = 1e-6) -> CheckReport:
     w + 1/(m w^m) (``faber_roots``), judged against the closed-form rows, so
     that the map and the closed form still meet.  Row j - 1 of a
     lower-triangular block holds the j roots of F_j.  A root's residual must
-    stay within (64 + 2j) eps of 1 + sum_k |c_k| |x|^k: 64 eps of backward
-    error, and 2j eps for float Horner's own rounding.  ``tol`` judges the
-    worst angle of a root (|x| > 1e-8) off its nearest ray.  Rows are judged
-    in ascending j, and the first that does not pass decides m, by
+    stay within (64 + 2j) eps of 1 + sum_k |c_k| |x|^k, the rule that
+    accepts any root (``_root_residuals``).  ``tol`` judges the worst angle
+    of a root (|x| > 1e-8) off its nearest ray.  Rows are judged in
+    ascending j, and the first that does not pass decides m, by
     ``_judge_ray_row``.
     """
     own = np.tri(n_highest, dtype=bool)
-    allowed = (64 + 2 * np.arange(1, n_highest + 1)[:, None]) * np.finfo(float).eps
+    degrees = np.arange(1, n_highest + 1)[:, None]
 
     def cases():
         for m in range(1, 5):
@@ -433,11 +433,9 @@ def suite_rays(n_highest: int = 24, tol: float = 1e-6) -> CheckReport:
             rows = table[1:]
             roots = np.zeros((n_highest, n_highest), dtype=complex)
             roots[own] = np.concatenate(found)
-            values = np.abs(_horner(rows.T[:, :, None], roots))
-            scale = 1.0 + _horner(np.abs(rows).T[:, :, None], np.abs(roots))
+            values, within = _root_residuals(rows.T[:, :, None], roots, degrees)
             off = np.where(own & (np.abs(roots) > 1e-8), _off_ray(roots, m), 0.0)
-            open_rows = np.flatnonzero(((values > allowed * scale) & own).any(axis=1)
-                                       | (off > tol).any(axis=1))
+            open_rows = np.flatnonzero((own & ~within).any(axis=1) | (off > tol).any(axis=1))
             if open_rows.size:
                 j = int(open_rows[0]) + 1
                 _judge_ray_row(f"{where}, F_{j}", a, roots[j - 1, :j], off[j - 1, :j],

@@ -99,10 +99,14 @@ class TestRoots:
             for e in q.roots():
                 assert min(abs(e - z) for z in found) < 1e-12
 
-    def test_overflow_raises_without_nan(self):
-        # z^4 + 1e305 z^2 + 1: p overflows near its large roots (about 3e152)
+    @pytest.mark.parametrize("coeffs", [(1, 0, 1e305, 0, 1), (1e307, 1e307, 1e307, 1)],
+                             ids=["quartic", "cubic"])
+    def test_overflow_raises_without_nan(self, coeffs):
+        # z^4 + 1e305 z^2 + 1: p overflows near its large roots (about 3e152);
+        # z^3 + 1e307 (z^2 + z + 1): near its root -1e307, and its companion
+        # eigenvalues 0, 0 and -1e307 miss the cube roots of unity
         with pytest.raises(RootFindingError) as info:
-            poly(1, 0, 1e305, 0, 1).roots()
+            poly(*coeffs).roots()
         assert all(np.isfinite(info.value.roots))
         assert not any(math.isnan(v) for v in info.value.residuals)
 

@@ -1,4 +1,6 @@
-"""Aberth root finding on Faber polynomials at the degrees the CLI reaches.
+"""Root finding on Faber polynomials at the degrees the CLI reaches: the
+companion eigenvalues of ``ComplexPolynomial.roots``, each taken one Newton
+step, and the Hessenberg eigenvalues of ``faber_roots``.
 
 A root is judged by its residual, evaluated in mpmath at 50 digits on the
 float coefficients, against 64 eps of the Horner scale
@@ -10,7 +12,6 @@ import cmath
 import io
 import json
 import math
-import tracemalloc
 from contextlib import redirect_stdout
 
 import mpmath
@@ -89,119 +90,32 @@ def test_exp_map_roots_match_mpmath(eta, lam, j):
             assert min(abs(r - qc) for r in found) <= bound
 
 
-@pytest.mark.parametrize("build", [lambda: hypocycloid_faber_closed_form(1, 24)[24],
-                                   lambda: exp_map_faber_closed_form(0.2, 0.3 + 0.1j, 30)[30]],
-                         ids=["hypocycloid-m1-j24", "expmap-j30"])
-def test_sweep_count_ceiling(monkeypatch, build):
-    """Each Aberth sweep is one Horner pass.  Started on the Cauchy circle,
-    these took about 128 and 176 sweeps; from the Newton polygon, about 14 and 22."""
-    p = poly.ComplexPolynomial(build())
-    passes = []
-    horner = poly._horner
-
-    def counting(*args):
-        passes.append(1)
-        return horner(*args)
-
-    monkeypatch.setattr(poly, "_horner", counting)
-    p.roots()
-    assert len(passes) <= 30
-
-
-def test_coinciding_iterates_are_split(monkeypatch):
-    """Every iterate starts at one point, so the first sweep finds them all
-    coinciding and spreads them apart before iterating on."""
-    monkeypatch.setattr(poly, "_newton_polygon_starts",
-                        lambda abs_c: np.full((len(abs_c), abs_c.shape[1] - 1), 0.5 + 0.5j))
-    for coeffs in ([-1, 0, 1], [2, -3, 0, 1]):          # z^2 - 1 and (z - 1)^2 (z + 2)
-        found = poly._aberth([np.array(coeffs, dtype=complex)])[0]
-        assert_roots_within_residual_bound(poly.ComplexPolynomial(coeffs), found.tolist())
-
-
-def test_a_non_finite_start_fails_in_the_first_sweep_though_others_coincide(monkeypatch):
-    """A row whose starts are partly non-finite and partly coinciding is
-    split, but splitting leaves the non-finite iterate where it is, so the
-    row fails in the sweep it starts, not one sweep later."""
-    monkeypatch.setattr(poly, "_newton_polygon_starts",
-                        lambda abs_c: np.array([[complex("inf"), 0.5 + 0.5j, 0.5 + 0.5j]]))
-    with pytest.raises(poly.RootFindingError) as caught:
-        poly._aberth([np.array([2, -3, 0, 1], dtype=complex)])
-    assert str(caught.value) == "Aberth iteration left the finite range in sweep 1"
-    assert caught.value.row == 0
-
-
-def test_sweep_limit_raises_with_the_last_iterates(monkeypatch):
-    monkeypatch.setattr(poly, "ROOT_MAX_ITER", 1)
-    with pytest.raises(poly.RootFindingError) as caught:
-        poly.ComplexPolynomial([-1, 0, 0, 1]).roots()
-    err = caught.value
-    assert str(err) == "Aberth iteration did not converge in 1 sweeps"
-    assert err.row == 0 and len(err.roots) == len(err.residuals) == 3
-    assert all(cmath.isfinite(r) for r in err.roots)
-    assert all(math.isfinite(r) for r in err.residuals)
-
-
-# ---------------------------------------------------------------------------
-# the batched kernel: a table's rows solved in one call
-# ---------------------------------------------------------------------------
-
-def table_rows(table):
-    return [table[j, :j + 1] for j in range(1, len(table))]
-
-
 @pytest.mark.parametrize("m", (1, 2, 3, 4))
-def test_batched_rows_agree_with_each_row_alone(m):
-    rows = table_rows(hypocycloid_faber_closed_form(m, 24))
-    for row, batched in zip(rows, poly._aberth(rows)):
-        alone = poly._aberth([row])[0]
-        assert len(batched) == len(row) - 1
-        assert np.abs(batched - alone).max() <= 1e-9 * (1.0 + np.abs(alone).max())
+def test_table_rows_within_residual_bound(m):
+    table = hypocycloid_faber_closed_form(m, 24)
+    for j in range(1, 25):
+        p = poly.ComplexPolynomial(table[j, :j + 1])
+        assert_roots_within_residual_bound(p, p.roots())
 
 
-@pytest.mark.parametrize("m", (1, 2, 3, 4))
-def test_batched_roots_within_residual_bound(m):
-    rows = table_rows(hypocycloid_faber_closed_form(m, 24))
-    for row, found in zip(rows, poly._aberth(rows)):
-        assert_roots_within_residual_bound(poly.ComplexPolynomial(row), found.tolist())
+@pytest.mark.parametrize("m, j", [(1, 60), (1, 100), (4, 80)])
+def test_newton_step_brings_ill_conditioned_rows_within_the_bound(m, j):
+    """Companion eigenvalues of these closed-form rows read 3.3e2 to 2.4e3 eps
+    of their Horner scale, beyond the (64 + 2j) eps that accepts a root; one
+    Newton step from each brings it within 64 eps of the mpmath residual."""
+    p = poly.ComplexPolynomial(hypocycloid_faber_closed_form(m, j)[j])
+    assert_roots_within_residual_bound(p, p.roots())
 
 
-def test_batch_failure_names_the_lowest_failing_row():
-    """Rows are padded to degree 4 in one block; the middle row fails as it
-    does alone (p overflows at its start radius 1e307), and so does the last."""
-    overflowing = np.array([1e307, 1e307, 1e307, 1], dtype=complex)
-    rows = [np.array([-2, 0, 1], dtype=complex), overflowing,
-            np.array([1, 0, 1e305, 0, 1], dtype=complex)]
-    with pytest.raises(poly.RootFindingError) as batched:
-        poly._aberth(rows)
-    with pytest.raises(poly.RootFindingError) as alone:
-        poly.ComplexPolynomial(overflowing).roots()
-    err = batched.value
-    assert err.row == 1
-    assert str(err) == str(alone.value) and "Aberth" in str(err)
-    assert err.roots == alone.value.roots and len(err.roots) == 3
-    assert all(cmath.isfinite(r) for r in err.roots)
-    assert err.residuals == alone.value.residuals
-    assert not any(np.isnan(err.residuals))
-
-
-def test_batch_memory_is_bounded_by_the_largest_row():
-    """Blocks stay under a fixed budget of iterate pairs, so solving rows
-    1..200 together takes little more memory than row 200 alone.  The rows
-    are z^j - 1, whose roots Aberth finds in a few sweeps."""
-    n = 200
-    table = np.eye(n + 1, dtype=complex)
-    table[1:, 0] = -1.0
-    rows = table_rows(table)
-    peaks = []
-    for batch in (rows[-1:], rows):
-        tracemalloc.start()
-        try:
-            found = poly._aberth(batch)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert all(np.allclose(np.abs(r), 1.0) for r in found)
-    assert peaks[1] <= 4 * peaks[0]
+@pytest.mark.parametrize("lam, j", [(0.5, 24), (0.4, 60)])
+def test_exp_map_common_root_at_eta_zero_lies_at_zero(lam, j):
+    """The recurrence leaves c_0 of these rows at 5.8e-40 and -1.6e-104, not
+    exactly 0, so no zero is split off.  The companion eigenvalue still lies
+    within 1e-10 of the common root 0 (5.2e-12 and 1.7e-12 measured), where
+    the Hessenberg eigenvalue of ``faber_roots`` lies 4.9e-4 and 1.1e-4 off."""
+    a = _cut_map(to_exterior_map(ExpMap(0, lam), j))
+    found = poly.ComplexPolynomial(faber_system_from_recurrence(a, j)[j]).roots()
+    assert min(map(abs, found)) <= 1e-10
 
 
 def test_rays_suite_matches_the_per_root_loop():
@@ -227,111 +141,6 @@ def test_rays_suite_matches_the_per_root_loop():
                 worst = max(worst, min(min(abs(angle - phi), 2.0 * math.pi - abs(angle - phi))
                                        for phi in directions))
         assert abs(batched - worst) <= 1e-13
-
-
-# ---------------------------------------------------------------------------
-# Newton-polygon starts: one array pass per block
-# ---------------------------------------------------------------------------
-
-def per_row_starts(abs_c):
-    """The per-row monotone chain the block starts replaced: upper hull of
-    the points (k, log|c_k|) on the support, popping a point on or below the
-    chord, then k - i starts per edge from i to k."""
-    n = len(abs_c) - 1
-    support = np.flatnonzero(abs_c)
-    logs = np.log(np.where(abs_c > 0, abs_c, 1.0))
-    hull = []
-    for k in support:
-        while len(hull) >= 2 and ((logs[hull[-1]] - logs[hull[-2]]) * (k - hull[-2])
-                                  <= (logs[k] - logs[hull[-2]]) * (hull[-1] - hull[-2])):
-            hull.pop()
-        hull.append(int(k))
-    starts = []
-    for i, k in zip(hull, hull[1:]):
-        radius = np.exp((logs[i] - logs[k]) / (k - i))
-        angles = 2.0 * np.pi * (np.arange(k - i) / (k - i) + i / n) + 0.4
-        starts.append(radius * np.exp(1j * angles))
-    return np.concatenate(starts)
-
-
-def assert_block_starts_match_each_row(rows):
-    """The block starts of the zero-padded rows are, bit for bit, each row's
-    own starts followed by zeros."""
-    width = max(len(row) for row in rows)
-    abs_c = np.zeros((len(rows), width))
-    for p, row in enumerate(rows):
-        abs_c[p, :len(row)] = row
-    block = poly._newton_polygon_starts(abs_c)
-    assert block.shape == (len(rows), width - 1)
-    for row, starts in zip(rows, block):
-        alone = per_row_starts(np.asarray(row, dtype=float))
-        assert starts[:len(alone)].tobytes() == alone.tobytes()
-        assert not starts[len(alone):].any()
-
-
-def monic_magnitudes(table):
-    """|c| of the monic part of every row of degree >= 2 that ``_aberth``
-    iterates, after it splits off the factor z^r."""
-    rows = []
-    for j in range(1, len(table)):
-        row = table[j, :j + 1]
-        c = row[np.flatnonzero(row)[0]:] / row[-1]
-        if len(c) > 2:
-            rows.append(np.abs(c))
-    return rows
-
-
-@pytest.mark.parametrize("m", (1, 2, 3, 4))
-def test_block_starts_match_each_rays_row(m):
-    # every row the rays suite iterates, 86 over m = 1..4, as one block
-    assert_block_starts_match_each_row(monic_magnitudes(hypocycloid_faber_closed_form(m, 24)))
-
-
-def test_block_starts_match_rows_with_gaps():
-    rng = np.random.default_rng(5)
-    rows = []
-    for _ in range(200):
-        n = int(rng.integers(2, 40))
-        row = np.exp(rng.normal(0.0, 5.0, n + 1))
-        row[rng.uniform(size=n + 1) < 0.4] = 0.0
-        row[0], row[-1] = row[0] + 0.5, 1.0
-        rows.append(row)
-    assert_block_starts_match_each_row(rows)
-
-
-def test_block_starts_match_a_single_edge():
-    # only c_0 and c_n nonzero: one edge, n starts on one circle
-    assert_block_starts_match_each_row([np.array([3.0, 0, 0, 0, 1.0]), np.array([1e-5, 0, 1.0]),
-                                        np.array([7.0] + [0.0] * 12 + [1.0])])
-
-
-def test_block_starts_match_exactly_collinear_log_magnitudes():
-    # log|c_k| exactly on one line (slopes 0, 0.5 and -0.25, each exact in float64),
-    # so no inner point is a vertex and each row is a single edge
-    k = np.arange(12)
-    assert np.array_equal(np.log(np.exp(0.5 * k)), 0.5 * k)
-    rows = [np.ones(n) for n in range(3, 13)]
-    rows += [np.exp(0.5 * k[:n]) for n in range(3, 13)]
-    rows += [np.exp(-0.25 * k[:n]) for n in range(3, 13)]
-    rows += [np.array([1.0, 0.0, 1.0, 0.0, 1.0]), np.array([2.0, 1.0, 0.5])]
-    assert_block_starts_match_each_row(rows)
-
-
-def test_block_starts_stay_within_the_difference_buffer():
-    """The block's largest temporaries are (rows, n, n) reals, within the
-    (rows, n, n) complex buffer the sweeps write their differences into."""
-    rows = monic_magnitudes(hypocycloid_faber_closed_form(2, 60))
-    width = max(len(row) for row in rows)
-    abs_c = np.zeros((len(rows), width))
-    for p, row in enumerate(rows):
-        abs_c[p, :len(row)] = row
-    tracemalloc.start()
-    try:
-        poly._newton_polygon_starts(abs_c)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 16 * len(rows) * (width - 1) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +241,21 @@ def test_leading_zero_coefficients_give_exact_zeros_first():
     assert np.abs(found[4:]).min() > 1.0
 
 
-def test_a_solver_failure_names_the_row(monkeypatch):
+def solve_table_rows():
+    table = hypocycloid_faber_closed_form(2, 9)
+    return poly.faber_roots(to_exterior_map(Hypocycloid(2), 2), table, range(5, 10))
+
+
+def solve_one_polynomial():
+    return poly.ComplexPolynomial([-1, 0, 0, 0, 0, 0, 0, 1]).roots()
+
+
+# both root finders solve through one eigenvalue helper, which names F_j
+# (``row`` j) for ``faber_roots`` and the degree (``row`` None) for ``roots``
+@pytest.mark.parametrize("solve, where, row", [
+    (solve_table_rows, "roots of F_7", 7),
+    (solve_one_polynomial, "roots of a degree-7 polynomial", None)], ids=["table", "polynomial"])
+def test_a_solver_failure_names_the_row(monkeypatch, solve, where, row):
     eigvals = np.linalg.eigvals
 
     def failing_at_7(h):
@@ -441,20 +264,37 @@ def test_a_solver_failure_names_the_row(monkeypatch):
         return eigvals(h)
 
     monkeypatch.setattr(np.linalg, "eigvals", failing_at_7)
-    table = hypocycloid_faber_closed_form(2, 9)
     with pytest.raises(poly.RootFindingError) as caught:
-        poly.faber_roots(to_exterior_map(Hypocycloid(2), 2), table, range(5, 10))
-    assert str(caught.value) == "roots of F_7: Eigenvalues did not converge"
-    assert caught.value.row == 7
+        solve()
+    assert str(caught.value) == f"{where}: Eigenvalues did not converge"
+    assert caught.value.row == row
 
 
-def test_a_non_finite_eigenvalue_names_the_row(monkeypatch):
+@pytest.mark.parametrize("solve, where, row", [
+    (solve_table_rows, "roots of F_5", 5),
+    (solve_one_polynomial, "roots of a degree-7 polynomial", None)], ids=["table", "polynomial"])
+def test_a_non_finite_eigenvalue_names_the_row(monkeypatch, solve, where, row):
     monkeypatch.setattr(np.linalg, "eigvals", lambda h: np.full(len(h), complex("inf")))
-    table = hypocycloid_faber_closed_form(2, 9)
     with pytest.raises(poly.RootFindingError) as caught:
-        poly.faber_roots(to_exterior_map(Hypocycloid(2), 2), table, range(5, 10))
-    assert str(caught.value) == "roots of F_5: an eigenvalue is not finite in float64"
-    assert caught.value.row == 5
+        solve()
+    assert str(caught.value) == f"{where}: an eigenvalue is not finite in float64"
+    assert caught.value.row == row
+
+
+def test_a_residual_beyond_its_bound_refuses_the_roots(monkeypatch):
+    """Eigenvalues moved 0.1 off the cube roots of unity are still about
+    1e-2 off after their Newton step, far beyond (64 + 2n) eps: refused,
+    with the roots and their residuals, all finite."""
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda h: eigvals(h) + 0.1)
+    with pytest.raises(poly.RootFindingError) as caught:
+        poly.ComplexPolynomial([-1, 0, 0, 1]).roots()
+    err = caught.value
+    assert str(err) == ("roots of a degree-3 polynomial: "
+                        "a residual beyond (64 + 2n) eps of its Horner scale")
+    assert err.row is None and len(err.roots) == len(err.residuals) == 3
+    assert all(cmath.isfinite(r) for r in err.roots)
+    assert all(math.isfinite(v) and v > 1e-3 for v in err.residuals)
 
 
 @pytest.mark.parametrize("n", (34, 40))
