@@ -12,6 +12,7 @@ import cmath
 import io
 import json
 import math
+import tracemalloc
 from contextlib import redirect_stdout
 
 import mpmath
@@ -105,6 +106,14 @@ def test_newton_step_brings_ill_conditioned_rows_within_the_bound(m, j):
     Newton step from each brings it within 64 eps of the mpmath residual."""
     p = poly.ComplexPolynomial(hypocycloid_faber_closed_form(m, j)[j])
     assert_roots_within_residual_bound(p, p.roots())
+
+
+def test_an_eigenvalue_where_the_derivative_vanishes_stays_as_it_is(monkeypatch):
+    """(z - 1)^2 (z + 2) with its companion eigenvalues exactly 1, 1 and -2:
+    q'(1) = 0 makes the Newton step 0/0, so 1 is kept, and q(-2) = 0 moves
+    -2 by nothing; the roots are the eigenvalues, bit for bit."""
+    monkeypatch.setattr(np.linalg, "eigvals", lambda h: np.array([1, 1, -2], dtype=complex))
+    assert poly.ComplexPolynomial([2, -3, 0, 1]).roots() == [1, 1, -2]
 
 
 @pytest.mark.parametrize("lam, j", [(0.5, 24), (0.4, 60)])
@@ -239,6 +248,73 @@ def test_leading_zero_coefficients_give_exact_zeros_first():
     (found,) = poly.faber_roots(to_exterior_map(Hypocycloid(4), 4), table, range(9, 10))
     assert found[:4].tolist() == [0j] * 4
     assert np.abs(found[4:]).min() > 1.0
+
+
+def hypocycloid_rows(m, n):
+    """Rows 1..n of the hypocycloid's closed-form table, solved by one
+    ``faber_roots`` call, with the map and the table."""
+    a = to_exterior_map(Hypocycloid(m), m)
+    table = hypocycloid_faber_closed_form(m, n)
+    return a, table, poly.faber_roots(a, table, range(1, n + 1))
+
+
+@pytest.mark.parametrize("m", (1, 2, 3, 4))
+def test_batched_rows_agree_with_each_row_alone(m):
+    # one H for the whole range: each row's leading block is the block of
+    # that row alone, so its roots are the same bits
+    a, table, batched = hypocycloid_rows(m, 24)
+    for j, found in enumerate(batched, start=1):
+        assert len(found) == j
+        assert np.array_equal(found, poly.faber_roots(a, table, [j])[0])
+
+
+@pytest.mark.parametrize("m", (1, 2, 3, 4))
+def test_batched_roots_within_residual_bound(m):
+    # the bare eigenvalues, no Newton step, read at most 27 eps here
+    _, table, batched = hypocycloid_rows(m, 24)
+    for j, found in enumerate(batched, start=1):
+        assert_roots_within_residual_bound(poly.ComplexPolynomial(table[j, :j + 1]),
+                                           found.tolist())
+
+
+def test_batch_failure_names_the_lowest_failing_row(monkeypatch):
+    """Rows are solved in ascending order: of F_7 and F_9, which both fail,
+    the error names F_7, as F_7 alone does."""
+    eigvals = np.linalg.eigvals
+
+    def failing_at_7_and_9(h):
+        if len(h) in (7, 9):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(h)
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing_at_7_and_9)
+    a = to_exterior_map(Hypocycloid(2), 2)
+    table = hypocycloid_faber_closed_form(2, 9)
+    with pytest.raises(poly.RootFindingError) as batched:
+        poly.faber_roots(a, table, range(5, 10))
+    with pytest.raises(poly.RootFindingError) as alone:
+        poly.faber_roots(a, table, [7])
+    assert batched.value.row == alone.value.row == 7
+    assert str(batched.value) == str(alone.value) == "roots of F_7: Eigenvalues did not converge"
+
+
+def test_batch_memory_is_bounded_by_the_largest_row():
+    """One H of the largest row serves the whole range, and each block is
+    solved and dropped in turn, so rows 1..80 together take little more
+    memory than row 80 alone (about twice, measured)."""
+    n = 80
+    a = to_exterior_map(Hypocycloid(1), 1)
+    table = hypocycloid_faber_closed_form(1, n)
+    peaks = []
+    for indices in ([n], range(1, n + 1)):
+        tracemalloc.start()
+        try:
+            found = poly.faber_roots(a, table, indices)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(found[-1]) == n
+    assert peaks[1] <= 4 * peaks[0]
 
 
 def solve_table_rows():
