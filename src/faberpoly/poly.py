@@ -155,6 +155,10 @@ class ComplexPolynomial:
         A root whose residual
         exceeds (64 + 2n) eps of its Horner scale (``_root_residuals``), or an
         eigenvalue solver that fails, raises a :class:`RootFindingError`.
+        The rule bounds the backward error only: an accepted root can lie far
+        from the exact one where q is ill-conditioned (0.38 for the Faber row
+        F_73 of the hypocycloid m = 1).  For the roots of a Faber row use
+        :func:`faber_roots`, the eigenvalues of the map's Hessenberg matrix.
         """
         if self.degree < 1:
             raise ValueError("root finding needs degree >= 1")

@@ -270,6 +270,39 @@ class TestSeriesOrder:
                 values = oracle(emap, -2.0, 400)
             assert np.all(np.isfinite(values))
 
+    @pytest.mark.parametrize("radius", [0.9, 1.5])
+    def test_shift_map_gives_powers_at_order_400(self, radius):
+        # Psi(w) = w + a0 has F_j(z) = (z - a0)^j and F_j'(z)/j = (z - a0)^(j-1),
+        # here powers of the float64 difference the oracles see, taken in 40
+        # digits; the rounding of a series step grows about linearly with the
+        # index, so the power p is allowed p eps of 1 + |value|
+        a0, n, eps = 0.4 + 0.1j, 400, np.finfo(float).eps
+        for angle in (0.7, 2.9, 4.4):
+            z = a0 + radius * cmath.exp(1j * angle)
+            with mpmath.workdps(40):
+                u = mpmath.mpc(z - a0)
+                powers = np.array([complex(u ** p) for p in range(n + 1)])
+            for oracle, first in zip(self.ORACLES, (1, 0, 0)):
+                got = np.array(oracle([a0], z, n))
+                want = powers[first:first + len(got)]
+                power = np.maximum(np.arange(first, first + len(got)), 1)
+                assert np.all(np.abs(got - want) <= power * eps * (1.0 + np.abs(want)))
+
+    def test_points_at_order_300_match_single_point_calls(self):
+        # order 300 cuts the last doubling step short (256 -> 300); the batched
+        # and single-point products round apart, and a Newton step carries that
+        # into every later coefficient, so they may part by about N eps
+        a0, n, eps = 0.4 + 0.1j, 300, np.finfo(float).eps
+        rng = np.random.default_rng(41)
+        z = a0 + np.repeat([0.9, 1.5], 6) * np.exp(2j * np.pi * rng.uniform(size=12))
+        for emap in ([a0], exp_map_exterior(0.0, 0.5, n)):
+            for oracle in self.ORACLES:
+                batched = oracle(emap, z, n)
+                for i in range(len(z)):
+                    scalar = oracle(emap, complex(z[i]), n)
+                    bound = n * eps * (1.0 + np.max(np.abs(scalar)))
+                    assert np.max(np.abs(batched[:, i] - scalar)) <= bound
+
 
 ORACLES = TestSeriesOrder.ORACLES
 #: the table oracles: the log and ratio tables of F_0 ... F_N, and the table of F_j'/j

@@ -161,13 +161,19 @@ def test_truncating_first_or_last_is_bit_identical(batch):
                                   op(PowerSeries(coeffs[:n + 1])).coeffs)
 
 
+def _mpmath_reciprocal(a):
+    """r = 1/a for the series a (a list of mpc) with a_0 = 1, at mpmath's working precision."""
+    r = [mpmath.mpc(1)]
+    for k in range(1, len(a)):
+        r.append(-mpmath.fdot(a[1:k + 1], r[::-1]))
+    return r
+
+
 def _mpmath_log(coeffs):
     """b = the integral of a'/a for the series a with a_0 = 1, in 50-digit mpmath."""
     with mpmath.workdps(50):
         a = [mpmath.mpc(c) for c in coeffs]
-        r = [mpmath.mpc(1)]                                     # 1/a
-        for k in range(1, len(a)):
-            r.append(-mpmath.fdot(a[1:k + 1], r[::-1]))
+        r = _mpmath_reciprocal(a)
         da = [k * a[k] for k in range(1, len(a))]
         return np.array([0j] + [complex(mpmath.fdot(da[:k], r[k - 1::-1]) / k)
                                 for k in range(1, len(a))])
@@ -186,6 +192,24 @@ def test_log_at_order_200_stays_within_eight_eps():
         want = _mpmath_log(coeffs[:, i])
         bound = 8 * np.finfo(float).eps * (1.0 + np.max(np.abs(want)))
         assert np.max(np.abs(PowerSeries(coeffs[:, i]).log1().coeffs - want)) <= bound
+        assert np.max(np.abs(batched[:, i] - want)) <= bound
+
+
+def test_reciprocal_at_order_200_stays_within_32_eps():
+    # the six series of the log test above, alone and as one batch, against
+    # 50 digits; a Newton doubling step carries the rounding of r[:n] into
+    # every later coefficient, so the bound is wider than the log's
+    rng = np.random.default_rng(53)
+    shape = (201, 6)
+    coeffs = (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)) / math.sqrt(2)
+    coeffs[0] = 1.0
+    batched = PowerSeries(coeffs).reciprocal().coeffs
+    for i in range(shape[1]):
+        with mpmath.workdps(50):
+            want = np.array([complex(r) for r in _mpmath_reciprocal(
+                [mpmath.mpc(c) for c in coeffs[:, i]])])
+        bound = 32 * np.finfo(float).eps * (1.0 + np.max(np.abs(want)))
+        assert np.max(np.abs(PowerSeries(coeffs[:, i]).reciprocal().coeffs - want)) <= bound
         assert np.max(np.abs(batched[:, i] - want)) <= bound
 
 
