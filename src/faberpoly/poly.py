@@ -279,6 +279,5 @@ def evaluate_rows(table: np.ndarray, z) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"a table is 2-D, one polynomial per row, got shape {np.shape(table)}")
     z = np.asarray(z, dtype=complex)
     points = (...,) + (None,) * z.ndim             # coefficient axis first, then room for z
-    r = np.hypot(z.real, z.imag)   # abs() of a Python complex; np.abs(z) can differ by an ulp
     return (_horner(np.moveaxis(table, -1, 0)[points], z),
-            _horner(np.moveaxis(np.abs(table), -1, 0)[points], r))
+            _horner(np.moveaxis(np.abs(table), -1, 0)[points], np.abs(z)))

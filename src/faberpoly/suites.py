@@ -48,8 +48,8 @@ from .maps import (ExpMap, GapMap, Hypocycloid, TwoGapMap,
                    gap_faber_closed_form, hypocycloid_faber_closed_form,
                    inverse_exp_map, lambert_w0, lambert_w0_power_series,
                    to_exterior_map, two_gap_faber_system)
-from .poly import RootFindingError, _hessenberg, _root_residuals, faber_roots
-from .verify import (CheckReport, _row_deviation, check_derivative_identity,
+from .poly import RootFindingError, _hessenberg, _root_residuals, evaluate_rows, faber_roots
+from .verify import (CheckReport, _row_deviation, _row_scale, check_derivative_identity,
                      check_gap_coefficient_recovery, exponential_map_characterization,
                      leading_common_root_order)
 
@@ -73,11 +73,9 @@ def draw_polar(rng: np.random.Generator, r: float) -> complex:
 def draw_disks(rng: np.random.Generator, radii: list[float]) -> list[complex]:
     """One uniform point of the disk |z| <= R for each R in ``radii``, from one
     generator call of len(radii) pairs: radius R sqrt(u), then angle 2 pi v."""
-    points = []
-    for radius, (u, v) in zip(radii, rng.uniform(size=(len(radii), 2)).tolist()):
-        r, phi = radius * math.sqrt(u), 2.0 * math.pi * v
-        points.append(complex(r * math.cos(phi), r * math.sin(phi)))
-    return points
+    u, v = rng.uniform(size=(len(radii), 2)).T
+    r, phi = np.multiply(radii, np.sqrt(u)), 2.0 * math.pi * v
+    return list(map(complex, (r * np.cos(phi)).tolist(), (r * np.sin(phi)).tolist()))
 
 
 def draw_disk(rng: np.random.Generator, radius: float) -> complex:
@@ -296,7 +294,7 @@ def suite_theorem2(seed: int = 0, n_highest: int = 24, tol: float = 1e-9) -> Che
                     # value pattern at z0: zero up to n except the single index m+1
                     rows = _case_table(patterned, k)[1:pat.n + 1]
                 values = np.abs(rows[:, 0])                             # |F_j(z0)|, j = 1..
-                pattern = values / (1.0 + np.abs(rows).max(axis=1))
+                pattern = values / _row_scale(rows)
                 if pat.m < len(rows):
                     expected = (pat.m + 1) * abs(pat.alpha_m)
                     pattern[pat.m] = abs(values[pat.m] - expected) / (1.0 + expected)
@@ -396,12 +394,9 @@ def suite_lambert(seed: int = 0, tol: float = 1e-12) -> CheckReport:
         z = evaluate_map(fam, w)
         round_trips.append(abs(inverse_exp_map(z, eta, lam) - w))
     # summed power series against Halley values on |t| = 0.1
-    series = lambert_w0_power_series(1, 20)
-    misses = []
-    for k in range(16):
-        t = 0.1 * cmath.exp(2j * math.pi * k / 16.0)
-        summed = sum(c * t ** i for i, c in enumerate(series.tolist()))
-        misses.append(abs(summed - lambert_w0(t).value))
+    points = 0.1 * np.exp(2j * math.pi * np.arange(16) / 16.0)
+    summed = evaluate_rows(lambert_w0_power_series(1, 20)[None], points)[0][0]
+    misses = np.abs(summed - [lambert_w0(t).value for t in points.tolist()])
     return CheckReport.verdict("lambert", ((worst <= bound, worst) for worst, bound in
                                            zip(map(np.max, (grid, round_trips, misses)),
                                                (tol, 1e-10, 1e-10))))

@@ -22,11 +22,13 @@ number of rows less one.  The three common-root checkers judge a map at
 its point z0 on the table of the map centered there (a_0 less z0): the
 recurrence is translation-covariant, so column 0 of that table holds
 F_j(z0) exactly.  They also take a stack of tables, and of maps, and give
-one verdict per table.  All zero tests are relative to the coefficient
-scale of the polynomial being judged, since recurrence round-off grows
-with the index.  The infinite "all later values vanish" statements are
-necessarily checked up to the generated horizon, which the profile reports
-explicitly.
+one verdict per table, and refuse a number of maps unlike the number of
+tables.  Every magnitude is ``np.abs``, and every row residual and zero
+test is relative to one row scale, ``_row_scale``: 1 + the largest
+|c_k| of the row over the tables judged together, since recurrence
+round-off grows with the index.  The infinite "all later values vanish"
+statements are necessarily checked up to the generated horizon, which the
+profile reports explicitly.
 """
 
 from __future__ import annotations
@@ -77,20 +79,16 @@ class CheckReport:
         return {**asdict(self), "residuals": list(self.residuals)}
 
 
-def _magnitude(t: np.ndarray) -> np.ndarray:
-    return np.hypot(t.real, t.imag)       # abs() of a Python complex, to the ulp
-
-
-def _row_scale(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per row of two tables, or stacks of tables, of one shape, 1 + the
-    larger max |c| of the two rows."""
-    return 1.0 + np.maximum(_magnitude(a).max(axis=-1), _magnitude(b).max(axis=-1))
+def _row_scale(*tables: np.ndarray) -> np.ndarray:
+    """1 + the largest |c_k| of each row over the tables (or stacks) given, all
+    of one shape: the scale of every row residual and zero test of the checks."""
+    return 1.0 + np.maximum.reduce([np.abs(t).max(axis=-1) for t in tables])
 
 
 def _row_deviation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per row, max_k |a_k - b_k| relative to ``_row_scale``: the coefficient
+    """Per row, max_k |a_k - b_k| relative to ``_row_scale(a, b)``: the coefficient
     deviation of two systems, one entry per index j (behind the stack's axes)."""
-    return _magnitude(a - b).max(axis=-1) / _row_scale(a, b)
+    return np.abs(a - b).max(axis=-1) / _row_scale(a, b)
 
 
 @dataclass(frozen=True)
@@ -122,7 +120,7 @@ def leading_common_root_order(table: np.ndarray, *, tol: float = 1e-10):
         raise ValueError("profiling needs at least F_1 and F_2")
     rows = table[..., 1:, :]
     values = np.abs(rows[..., 0])
-    nonzero = values > tol * (1.0 + np.abs(rows).max(axis=-1))
+    nonzero = values > tol * _row_scale(rows)
     width = rows.shape[-2]
     profiles = [CommonRootProfile(values=tuple(row_values),
                                   first_nonvanishing=int(row.argmax()) + 1 if row.any() else None)
@@ -137,24 +135,26 @@ def check_gap_coefficient_recovery(table: np.ndarray, family, *, tol: float = 1e
 
     Residuals are normalized by 1 + |alpha_j|.  N must be at least n + 1,
     the first index whose value carries a tail coefficient.  A stack of B
-    tables takes a sequence of B gap maps, one per table, and gives a list
-    of B reports.
+    tables takes a sequence of exactly B gap maps, one per table, and gives
+    a list of B reports.
     """
     families = list(family) if table.ndim == 3 else [family]
+    if len(families) != table[..., 0, 0].size:
+        raise ValueError(f"{len(table)} tables need one gap map each, got {len(families)}")
     n_highest = table.shape[-1] - 1
     for gap in families:
         if n_highest <= gap.n:
             raise ValueError(f"recovering alpha_{gap.n} needs N >= {gap.n + 1}, "
                              f"got {n_highest}")
-    values = table[..., 0].reshape(len(families), -1)
-    reports = []
-    for gap, row in zip(families, values):
-        residuals = []
-        for j in range(gap.n, min(2 * gap.n, n_highest - 1) + 1):
-            expected = gap.tail[j - gap.n] if j <= gap.highest_index else 0j
-            recovered = -complex(row[j + 1]) / (j + 1)
-            residuals.append(abs(recovered - expected) / (1.0 + abs(expected)))
-        reports.append(CheckReport.judged("gap-coefficient-recovery", residuals, tol))
+    # entry [k, j] for alpha_j of gap k, j = 0 .. N-1; alpha_j is 0 past the tail
+    recovered = -table[..., 1:, 0].reshape(len(families), -1) / np.arange(1, n_highest + 1)
+    expected = np.zeros_like(recovered)
+    for k, gap in enumerate(families):
+        expected[k, gap.n:gap.n + len(gap.tail)] = gap.tail[:n_highest - gap.n]
+    residuals = np.abs(recovered - expected) / (1.0 + np.abs(expected))
+    reports = [CheckReport.judged("gap-coefficient-recovery",
+                                  row[gap.n:min(2 * gap.n, n_highest - 1) + 1].tolist(), tol)
+               for gap, row in zip(families, residuals)]
     return reports if table.ndim == 3 else reports[0]
 
 
@@ -168,17 +168,20 @@ def exponential_map_characterization(table: np.ndarray, a, *, tol: float = 1e-9)
     a_j = a_0^{j+1}/(j+1)!, the tail of ``exp_map_exterior`` at eta = 0 and
     lam = a_0.  A map centered at its point eta judges the pattern at eta.
     A shift map (a_0 = 0) fails (a) by construction.  A stack of B tables
-    takes the stack of their B maps and gives a boolean array of B verdicts.
+    takes the stack of exactly their B maps and gives a boolean array of B
+    verdicts.
     """
     if table.shape[-2] < 4:
         raise ValueError("need at least F_3 to characterize the pattern")
-    nonzero = np.abs(table[..., 0]) > tol * (1.0 + np.abs(table).max(axis=-1))
+    nonzero = np.abs(table[..., 0]) > tol * _row_scale(table)
     pattern = nonzero[..., 1] & ~nonzero[..., 2:].any(axis=-1)
     a = _map_coefficients(a, stack=table.ndim == 3)
+    if a.shape[:-1] != table.shape[:-2]:
+        raise ValueError(f"{len(table)} tables need one map each, got {a[..., 0].size}")
     expected = np.array([exp_map_exterior(0, a0, a.shape[-1] - 1)[1:]
                          for a0 in a[..., 0].reshape(-1).tolist()])
     expected = expected.reshape(a[..., 1:].shape)
-    tail = ~(_magnitude(a[..., 1:] - expected) > tol * (1.0 + _magnitude(expected))).any(axis=-1)
+    tail = ~(np.abs(a[..., 1:] - expected) > tol * (1.0 + np.abs(expected))).any(axis=-1)
     matched = pattern & tail
     return matched if table.ndim == 3 else bool(matched)
 
@@ -201,7 +204,7 @@ def check_derivative_identity(lam: complex, n_highest: int, tol: float = 1e-9) -
     k = np.arange(n_highest + 1)
     lhs, rhs = f * k, k[:, None] * p
     residuals = _row_deviation(lhs, rhs)
-    growth = _magnitude(f).max(axis=1)
+    growth = np.abs(f).max(axis=1)
     for j in range(1, n_highest + 1):
         growth[j] += abs(lam) * growth[j - 1]
     bound = np.finfo(float).eps * k * growth / _row_scale(lhs, rhs)

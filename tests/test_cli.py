@@ -380,6 +380,16 @@ class TestVerify:
         assert all(part in message for part in ("rays at N=24", "m=", "F_",
                                                 "ill-conditioned in float64"))
 
+    @pytest.mark.parametrize("argv", [["--seed", str(seed)] for seed in range(10)]
+                             + [["--N", "40", "--seed", "0"]],
+                             ids=[f"seed{seed}" for seed in range(10)] + ["N40"])
+    def test_all_passes_every_report(self, argv):
+        code, out = run_cli("verify", "--suite", "all", *argv)
+        payload = json.loads(out)
+        assert code == 0 and payload["pass"] is True
+        assert len(payload["results"]) == len(SUITE_NAMES)
+        assert all(report["passed"] for report in payload["results"])
+
     def test_deterministic_bytes(self):
         a = run_cli("verify", "--suite", "theorem1", "--seed", "5")
         b = run_cli("verify", "--suite", "theorem1", "--seed", "5")

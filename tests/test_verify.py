@@ -31,6 +31,36 @@ def characterize(emap, z0, n_highest, tol):
                                             centered, tol=tol)
 
 
+EPS = np.finfo(float).eps
+
+#: gap maps centered at z0 = 0, each with the N of its table
+RECOVERY_CASES = {
+    "tail-shorter-than-n+1": (GapMap(0.0, 3, (0.2 - 0.1j, 0.05)), 8),   # alpha_5, alpha_6 = 0
+    "tail-longer-than-n+1": (GapMap(0.0, 2, (0.3, 0.1j, 0.05, -0.02, 0.01)), 7),
+    "N-below-2n+1": (GapMap(0.0, 4, (0.15, 0.1 + 0.05j, 0.02)), 6),      # j = 4..N-1
+}
+
+
+def recovery_by_index(table, gap):
+    """The residuals of alpha_j = -F_{j+1}(0)/(j+1), one index at a time in
+    Python complex arithmetic: the reference of the array form."""
+    n_highest = len(table) - 1
+    residuals = []
+    for j in range(gap.n, min(2 * gap.n, n_highest - 1) + 1):
+        expected = gap.tail[j - gap.n] if j <= gap.highest_index else 0j
+        recovered = -complex(table[j + 1, 0]) / (j + 1)
+        residuals.append(abs(recovered - expected) / (1.0 + abs(expected)))
+    return residuals
+
+
+def bump_recovery_value(table, gap, bumped):
+    """A writable copy of the table, with F_{n+2}(0) moved by 1e-8 if ``bumped``:
+    alpha_{n+1} then reads 1e-8/(n+2) off."""
+    table = table.copy()
+    table[gap.n + 2, 0] += 1e-8 if bumped else 0.0
+    return table
+
+
 class TestLeadingCommonRootOrder:
     def test_shift_map_never_rises(self):
         # the shift by a0, centered at a0
@@ -95,6 +125,37 @@ class TestGapCoefficientRecovery:
         gap = GapMap(0.0, 3, [0.2, 0.1])
         report = check_gap_coefficient_recovery(gap_table(gap, 4), gap)
         assert report.passed and len(report.residuals) == 1
+
+    @pytest.mark.parametrize("bumped", [False, True], ids=["exact", "bumped"])
+    @pytest.mark.parametrize("case", RECOVERY_CASES)
+    def test_matches_the_per_index_loop(self, case, bumped):
+        gap, n_highest = RECOVERY_CASES[case]
+        table = bump_recovery_value(gap_table(gap, n_highest), gap, bumped)
+        reference = recovery_by_index(table, gap)
+        report = check_gap_coefficient_recovery(table, gap, tol=1e-10)
+        assert len(report.residuals) == len(reference)
+        assert np.abs(np.subtract(report.residuals, reference)).max() <= 4 * EPS
+        assert report.passed == (max(reference) <= 1e-10) == (not bumped)
+
+    def test_a_stack_matches_the_per_index_loop(self):
+        # every case at N = 6, which cuts the range of the gap at n = 4
+        gaps = [gap for gap, _ in RECOVERY_CASES.values()]
+        tables = np.array([bump_recovery_value(gap_table(gap, 6), gap, k == 1)
+                           for k, gap in enumerate(gaps)])
+        reports = check_gap_coefficient_recovery(tables, gaps, tol=1e-10)
+        for report, table, gap in zip(reports, tables, gaps):
+            reference = recovery_by_index(table, gap)
+            assert len(report.residuals) == len(reference)
+            assert np.abs(np.subtract(report.residuals, reference)).max() <= 4 * EPS
+            assert report.passed == (max(reference) <= 1e-10)
+        assert [report.passed for report in reports] == [True, False, True]
+
+    def test_refuses_a_gap_count_unlike_the_stack(self):
+        # 12 values of column 0 must not be read as 3 rows of 4
+        gaps = [GapMap(0.0, 2, (0.3, 0.1))] * 3
+        tables = np.array([gap_table(gap, 5) for gap in gaps[:2]])
+        with pytest.raises(ValueError, match="2 tables need one gap map each, got 3"):
+            check_gap_coefficient_recovery(tables, gaps)
 
     def test_bound_satisfied_by_construction(self):
         rng = np.random.default_rng(13)
@@ -329,6 +390,14 @@ class TestExponentialCharacterization:
             bumped = base.copy()
             bumped[k] += 1e-3
             assert not characterize(bumped, eta, 16, 1e-9)
+
+    def test_refuses_a_map_count_unlike_the_stack(self):
+        # one map must not be read as the map of all three tables
+        a = exp_map_exterior(0.0, 0.6, 8)
+        tables = np.array([faber_system_from_recurrence(a, 8)] * 3)
+        for maps in (a, a[None]):
+            with pytest.raises(ValueError, match="3 tables need one map each, got 1"):
+                exponential_map_characterization(tables, maps)
 
     def test_needs_enough_polynomials(self):
         with pytest.raises(ValueError):
