@@ -6,7 +6,9 @@ A Faber system is a coefficient table (see :mod:`faberpoly.faber`);
 the roots of F_j as the eigenvalues of the leading j x j block of the map's
 lower Hessenberg matrix (``_hessenberg``), the coefficient recurrence in
 matrix form, whose eigenvalues are backward stable in the map's
-coefficients; the ``roots`` command and the ``rays`` suite use it.
+coefficients; the ``roots`` command uses it (the ``rays`` suite solves the
+hypocycloid's Z_{m+1}-reduced real blocks of H^{m+1} instead, in
+:mod:`faberpoly.suites`).
 :meth:`ComplexPolynomial.roots` finds the roots of monomial coefficients,
 exponentially ill-conditioned in the degree, as the eigenvalues of a
 companion matrix (Edelman and Murakami 1995), each taken one Newton step
@@ -220,7 +222,8 @@ def _hessenberg(a, n: int) -> np.ndarray:
     of :mod:`faberpoly.faber` written as z (F_0, ..., F_{n-1}) = H (F_0, ...,
     F_{n-1}) + F_n e_{n-1}.  For m = 1 it is the colleague matrix (Good
     1961).  Complex even for a real map, so that one LAPACK solver, zgeev,
-    serves every map."""
+    serves every map; the ``rays`` suite takes the real part of the
+    hypocycloid's."""
     coeffs = np.zeros(n, dtype=complex)
     given = np.asarray(a, dtype=complex)[:n]
     coeffs[:len(given)] = given

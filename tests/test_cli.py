@@ -271,12 +271,12 @@ class TestVerify:
 
     def test_a_named_error_is_the_same_error_behind_its_case(self):
         # a RootFindingError keeps its iterates when a suite or command names it
-        error = RootFindingError("Aberth iteration did not converge", [1j], [0.5], row=2)
+        error = RootFindingError("roots of F_2: Eigenvalues did not converge", [1j], [0.5], row=2)
         with pytest.raises(RootFindingError) as raised:
             with suites._named("rays at N=3, m=1"):
                 raise error
         assert raised.value is error
-        assert str(error) == "rays at N=3, m=1: Aberth iteration did not converge"
+        assert str(error) == "rays at N=3, m=1: roots of F_2: Eigenvalues did not converge"
         assert (error.roots, error.residuals, error.row) == ([1j], [0.5], 2)
 
     def test_he_formula_recurrence_overflow_names_suite_and_m(self, monkeypatch):
@@ -373,7 +373,7 @@ class TestVerify:
     def test_rays_root_failure_names_suite_m_and_index(self):
         # a tol below the angle's own rounding: a root off its ray by more than
         # tol but within its bound leaves the row undecided (--N 200 does so
-        # at tol 1e-6, in about 12 s)
+        # at tol 1e-6, naming m=3)
         code, out, err = run_cli_with_stderr("verify", "--suite", "rays", "--tol", "1e-30")
         assert code == 3 and out == ""
         message = json.loads(err)["message"]

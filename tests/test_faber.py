@@ -2,6 +2,7 @@ import ast
 import cmath
 import math
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faberpoly import suites
-from faberpoly.faber import (_derivative_table, _log_table, _ratio_table, exp_map_exterior,
-                             faber_derivative_values_from_series,
+from faberpoly.faber import (_derivative_table, _log_table, _ratio_table, _row_values,
+                             exp_map_exterior, faber_derivative_values_from_series,
                              faber_system_from_recurrence,
                              faber_values_from_log_series,
                              faber_values_from_ratio_series, kernel_polys)
@@ -202,6 +203,88 @@ def test_recurrence_matches_60_digit_rows(emap):
     for j, ref in enumerate(mpmath_recurrence_rows(emap, 60)):
         scale = 1.0 + np.abs(ref).max()
         assert np.abs(table[j, :j + 1] - ref).max() <= 64 * np.finfo(float).eps * scale, j
+
+
+class TestRowValues:
+    """F_j and F_j' at the points of row j - 1, by the recurrence on values."""
+
+    @pytest.mark.parametrize("a", [
+        draw_exterior_map(np.random.default_rng(1), 8), to_exterior_map(Hypocycloid(3), 3),
+        exp_map_exterior(0.2 - 0.1j, 0.7, 20), to_exterior_map(Shift(0.3 + 0.2j), 1)],
+        ids=["random", "hypocycloid-3", "expmap", "shift"])
+    @pytest.mark.parametrize("n", (1, 5, 20))
+    def test_matches_horner_on_the_recurrence_rows(self, a, n):
+        # within 64 eps of 1 + the Horner magnitude of F_j and of F_j' (7.4 measured)
+        rng = np.random.default_rng(n)
+        x = 1.5 * np.sqrt(rng.uniform(size=(n, 4))) * np.exp(2j * np.pi * rng.uniform(size=(n, 4)))
+        table = faber_system_from_recurrence(a, n)[1:]
+        row = np.arange(n)
+        for got, rows in zip(_row_values(a, x), (table, table[:, 1:] * np.arange(1, n + 1))):
+            values, magnitudes = evaluate_rows(rows, x)
+            expected, scale = values[row, row], 1.0 + magnitudes[row, row]
+            assert np.all(np.abs(got - expected) <= 64 * np.finfo(float).eps * scale)
+
+    @pytest.mark.parametrize("a, points", [
+        (to_exterior_map(Hypocycloid(2), 2), [0.3, 0.9 * cmath.exp(2j * math.pi / 3), 1.2,
+                                              0.5 + 0.4j, 1.6 - 0.3j, -0.7]),
+        (to_exterior_map(Hypocycloid(4), 4), [0.2, 1.2, 0.6 * cmath.exp(0.4j * math.pi),
+                                              1.3 + 0.2j, -0.3]),
+        (exp_map_exterior(0.1, 0.5, 30), [0.3 + 0.1j, 1.6 - 0.8j, -0.5, 0.9j])],
+        ids=["hypocycloid-2", "hypocycloid-4", "expmap"])
+    def test_matches_a_50_digit_recurrence_at_n_200(self, a, points):
+        """Every row at the same points, inside and outside the curve, against
+        the recurrence in 50 digits: F_j within 2 j eps of 1 + max_{k<=j}
+        |F_k|, F_j' of 1 + max_{k<=j} |F_k'| (0.56 j eps measured)."""
+        n = 200
+        exact = np.zeros((2, n, len(points)), dtype=complex)
+        with mpmath.workdps(50):
+            coeffs = [mpmath.mpc(complex(c)) for c in a]
+            for p, z in enumerate(points):
+                f, d, shift = [mpmath.mpc(1)], [mpmath.mpc(0)], mpmath.mpc(z) - coeffs[0]
+                for j in range(n):
+                    value, slope = shift * f[j], f[j] + shift * d[j]
+                    for k in range(1, min(j, len(coeffs) - 1) + 1):
+                        value -= coeffs[k] * f[j - k]
+                        slope -= coeffs[k] * d[j - k]
+                    if j < len(coeffs):
+                        value -= j * coeffs[j]
+                    f.append(value)
+                    d.append(slope)
+                exact[:, :, p] = [[complex(v) for v in f[1:]], [complex(v) for v in d[1:]]]
+        got = _row_values(a, np.tile(np.array(points, dtype=complex), (n, 1)))
+        j = np.arange(1, n + 1)[:, None]
+        for computed, reference in zip(got, exact):
+            scale = 1.0 + np.maximum.accumulate(np.abs(reference), axis=0)
+            assert np.all(np.abs(computed - reference) <= 2 * j * np.finfo(float).eps * scale)
+
+    def test_memory_on_rays_is_linear_in_the_map_not_cubic(self, monkeypatch):
+        """On ``rays --N 150`` each pass over the N x N roots peaks below
+        8 len(a) N^2 complex numbers (3.4 to 5.5 len(a) N^2 measured): every
+        row's values kept, N^3 numbers, would not fit."""
+        peaks = []
+
+        def traced(a, x):
+            tracemalloc.start()
+            try:
+                found = _row_values(a, x)
+                peaks.append((len(a), x.size, tracemalloc.get_traced_memory()[1]))
+            finally:
+                tracemalloc.stop()
+            return found
+
+        monkeypatch.setattr(suites, "_row_values", traced)
+        assert suites.suite_rays(150).passed
+        assert [width for width, _, _ in peaks] == [2, 3, 4, 5]
+        assert all(size == 150 * 150 and peak <= 8 * width * size * 16
+                   for width, size, peak in peaks)
+
+    def test_a_map_of_a_0_alone_gives_powers(self):
+        # one slot of values: F_j = (x - a_0)^j and F_j' = j (x - a_0)^{j-1}
+        x = np.array([[0.5, 2.0j], [1.0, -1.0], [0.25 + 0.5j, 3.0]])
+        values, slopes = _row_values([0.5 - 0.25j], x)
+        j = np.arange(1, 4)[:, None]
+        assert np.allclose(values, (x - (0.5 - 0.25j)) ** j, rtol=1e-15, atol=0)
+        assert np.allclose(slopes, j * (x - (0.5 - 0.25j)) ** (j - 1), rtol=1e-15, atol=0)
 
 
 def bounded_complex(radius):

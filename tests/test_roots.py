@@ -13,7 +13,8 @@ import io
 import json
 import math
 import tracemalloc
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -155,6 +156,13 @@ def test_rays_suite_matches_the_per_root_loop():
 # ---------------------------------------------------------------------------
 # roots as eigenvalues of the map's Faber Hessenberg matrix
 # ---------------------------------------------------------------------------
+
+def rays_command(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["verify", "--suite", "rays", *argv])
+    return code, out.getvalue(), err.getvalue()
+
 
 def roots_command(*argv):
     out = io.StringIO()
@@ -373,11 +381,21 @@ def test_a_residual_beyond_its_bound_refuses_the_roots(monkeypatch):
     assert all(math.isfinite(v) and v > 1e-3 for v in err.residuals)
 
 
-@pytest.mark.parametrize("n", (34, 40))
-def test_rays_decides_where_aberth_stopped(n):
-    # Aberth's rays exited 1 from N = 34; the eigenvalues stay within 1e-13 rad
+@pytest.mark.parametrize("n", (34, 40, 100, 150))
+def test_rays_decides_through_n_150(n):
+    # the roots of every row stay within 1e-13 rad of their rays
     report = suite_rays(n)
     assert report.passed and report.max_residual <= 1e-13
+
+
+def test_rays_at_n_200_is_undecided_at_m_3():
+    """G of F_184, m = 3, shows a negative reduced eigenvalue (-1.7e-5): its
+    roots lie pi / 4 off the rays, within the bound of their condition
+    numbers, so the row is undecided, not failed."""
+    code, out, err = rays_command("--N", "200")
+    assert code == 3 and out == ""
+    assert json.loads(err)["message"].startswith("rays at N=200, m=3, F_184 ill-conditioned "
+                                                 "in float64: root ")
 
 
 def test_rays_residual_beyond_its_bound_is_undecided(monkeypatch):
@@ -408,3 +426,150 @@ def test_rays_row_without_an_eigenvector_bound_is_undecided(monkeypatch):
     with pytest.raises(poly.RootFindingError, match=r"m=2, F_3 ill-conditioned in float64: "
                                                     r".* within tol plus its bound 1\.6e\+00 rad"):
         suite_rays(24, 1e-30)
+
+
+def test_rays_map_moved_by_1e_7_is_not_passed(monkeypatch):
+    """a_m moved by 1e-7 of the map that ``suite_rays`` reads: its roots,
+    Newton step included, are the moved map's, whose residuals on the
+    closed-form rows reach far beyond (64 + 2j) eps, so rays exits 3."""
+    to_map = suites.to_exterior_map
+
+    def moved(family, n):
+        a = np.array(to_map(family, n))
+        a[family.m] += 1e-7
+        return a
+
+    monkeypatch.setattr(suites, "to_exterior_map", moved)
+    code, out, err = rays_command()
+    assert code == 3 and out == ""
+    assert "a residual beyond (64 + 2j) eps" in json.loads(err)["message"]
+
+
+def test_rays_class_solve_failure_names_the_lowest_row(monkeypatch):
+    """The class blocks of one q share a solve; where it fails, each block is
+    solved alone, and the lowest failing row names the error: for m = 1 the
+    3 x 3 blocks of F_6 and F_7 both fail, and F_6 is named."""
+    eigvals = np.linalg.eigvals
+
+    def failing_at_3(blocks):
+        if blocks.shape[-1] == 3:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(blocks)
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing_at_3)
+    with pytest.raises(poly.RootFindingError) as caught:
+        suite_rays()
+    assert str(caught.value) == "rays at N=24, m=1: roots of F_6: Eigenvalues did not converge"
+    assert caught.value.row == 6
+
+
+# ---------------------------------------------------------------------------
+# the Z_{m+1} reduction of rays, against exact arithmetic
+# ---------------------------------------------------------------------------
+
+def exact_hessenberg_rows(m, n):
+    """The rows of the n x n Hessenberg matrix of w + 1/(m w^m) as
+    {column: Fraction}: H[i, i+1] = 1, H[i, i-m] = 1/m for i > m and
+    H[m, 0] = (m + 1)/m."""
+    rows = [{} for _ in range(n)]
+    for i in range(n):
+        if i + 1 < n:
+            rows[i][i + 1] = Fraction(1)
+        if i > m:
+            rows[i][i - m] = Fraction(1, m)
+    if m < n:
+        rows[m][0] = Fraction(m + 1, m)
+    return rows
+
+
+def exact_power(rows, exponent, n):
+    """The leading n x n block of the matrix ``rows``, raised to ``exponent``,
+    as {column: Fraction} rows, every entry exact."""
+    power = [{i: Fraction(1)} for i in range(n)]
+    for _ in range(exponent):
+        stepped = []
+        for row in power:
+            out = {}
+            for k, value in row.items():
+                for col, entry in rows[k].items():
+                    if col < n:
+                        out[col] = out.get(col, 0) + value * entry
+            stepped.append({col: total for col, total in out.items() if total})
+        power = stepped
+    return power
+
+
+def he_g(m, j):
+    """G of F_j = z^r G(z^{m+1}) by He's formula, highest power first: the
+    coefficient of z^{j-(m+1)k} is (-1)^k j (j-mk-1)! / ((j-(m+1)k)! k!), an
+    integer, over m^k."""
+    f = math.factorial
+    coeffs = []
+    for k in range(j // (m + 1) + 1):
+        numerator, denominator = j * f(j - m * k - 1), f(j - (m + 1) * k) * f(k)
+        assert numerator % denominator == 0
+        coeffs.append(Fraction((-1) ** k * (numerator // denominator), m ** k))
+    return coeffs
+
+
+def characteristic_polynomial(block):
+    """det(y I - B) of a square Fraction matrix, highest power first, by the
+    Faddeev-LeVerrier recursion."""
+    q = len(block)
+    coeffs, product = [Fraction(1)], [[Fraction(0)] * q for _ in range(q)]
+    for k in range(1, q + 1):
+        for i in range(q):
+            product[i][i] += coeffs[-1]
+        product = [[sum(block[i][t] * product[t][c] for t in range(q) if block[i][t])
+                    for c in range(q)] for i in range(q)]
+        coeffs.append(-sum(product[i][i] for i in range(q)) / k)
+    return coeffs
+
+
+@pytest.mark.parametrize("m", (1, 2, 3, 4))
+def test_class_block_of_the_power_is_that_of_each_leading_block(m):
+    """In exact rationals at N = 30: the leading q x q block of class r of
+    H_N^{m+1} is the class-r block of H_j^{m+1} for every j = q (m+1) + r
+    <= N, and P = H_N^{m+1} has no entry between two classes; for the top
+    row of each class its characteristic polynomial is He's G."""
+    n, span = 30, m + 1
+    h = exact_hessenberg_rows(m, n)
+    power = exact_power(h, span, n)
+    assert all((col - i) % span == 0 for i, row in enumerate(power) for col in row)
+    for j in range(1, n + 1):
+        q, r = divmod(j, span)
+        leading = exact_power(h, span, j)
+        index = range(r, j, span)
+        block = [[power[i].get(c, 0) for c in index] for i in index]
+        assert block == [[leading[i].get(c, 0) for c in index] for i in index], j
+        if j > n - span:
+            assert characteristic_polynomial(block) == he_g(m, j), j
+
+
+@pytest.mark.parametrize("m", (1, 2, 3, 4))
+def test_class_eigenvalues_are_the_roots_of_he_g(m):
+    """The reduced eigenvalues of rows up to j = 100 against the roots of He's
+    G, found by mpmath.polyroots (Durand-Kerner) at 50 digits from its exact
+    coefficients: each mu is real, lies in (0, ((m+1)/m)^{m+1}], and is
+    within 1e-5 of its root, relative (4.9e-7 measured, at m = 4, j = 100).
+    The iteration starts from the eigenvalues moved off the real axis by
+    1e-9 of their modulus.  Converged, its q distinct points are all the
+    roots of G, whatever its start, so the start only sets the number of its
+    steps.  The rows are the top m + 1, one per class, up to j = 25, 50 and
+    100, where q is largest."""
+    a = to_exterior_map(Hypocycloid(m), m)
+    cusp = ((m + 1) / m) ** (m + 1)
+    found = {j: mu for rows, mu in suites._class_eigenvalues(a, m, 100)
+             for j, mu in zip(rows, mu)}
+    for top in (25, 50, 100):
+        for j in range(top - m, top + 1):
+            mu = found[j]
+            assert np.isrealobj(mu) and len(mu) == j // (m + 1)
+            assert np.all((mu > 0) & (mu <= cusp)), j
+            with mpmath.workdps(50):
+                exact = mpmath.polyroots(he_g(m, j), maxsteps=50, extraprec=200,
+                                         roots_init=(mu * (1 + 1e-9j)).tolist())
+                assert all(mpmath.im(x) == 0 and 0 < x <= cusp for x in exact), j
+                exact = np.array(sorted(float(x) for x in exact))
+            assert np.all(np.diff(exact) > 0), j
+            assert np.all(np.abs(np.sort(mu) - exact) <= 1e-5 * exact), j
