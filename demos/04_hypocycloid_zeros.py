@@ -32,7 +32,9 @@ for m in (2, 3):
     print(f"m = {m}: cusp rays at angles "
           f"{[f'{d * 180 / math.pi:.0f}deg' for d in directions]}")
     closed = hypocycloid_faber_closed_form(m, 12)
-    # the zeros of F_j are the eigenvalues of the map's j x j Faber Hessenberg matrix
+    # F_j = z^r G(z^{m+1}), r = j mod (m + 1): the zeros of F_j are r exact zeros and
+    # the (m+1)-th roots of the eigenvalues of a small real block of H^{m+1}, H the
+    # map's Faber Hessenberg matrix, each taken one Newton step
     zeros = faber_roots(to_exterior_map(Hypocycloid(m), m), closed, (7, 12))
     for j, roots in zip((7, 12), zeros):
         print(f"  zeros of F_{j}:")

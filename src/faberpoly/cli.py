@@ -211,8 +211,7 @@ def _run_roots(args):
     indices = range(args.j_min, args.j_max + 1)
     with _named(f"family {json.dumps(desc)}"):
         found = faber_roots(a, table, indices)
-    results = [{"j": j, "roots": [_pair(r) for r in roots.tolist()]}
-               for j, roots in zip(indices, found)]
+    results = [{"j": j, "roots": roots} for j, roots in zip(indices, found)]
     return desc, args.j_max, results, {}, True
 
 
@@ -238,30 +237,42 @@ def _run_kernel(args):
     return {"family": _EXP_FAMILY, "lambda": _pair(args.lam)}, args.N, table, {}, True
 
 
-#: one coefficient of a table row, as json.dump(..., indent=2) lays it out
-_JSON_PAIR = "\n      [\n        %r,\n        %r\n      ]"
+def _json_pairs(values: list[float], depth: int) -> str:
+    """The list of [re, im] pairs of the interleaved ``values``, as
+    json.dumps(..., indent=2) lays it out at nesting ``depth``, by one %r
+    template for the whole list."""
+    if not values:
+        return "[]"
+    pad = "\n" + "  " * depth
+    pair = f"{pad}  [{pad}    %r,{pad}    %r{pad}  ]"
+    return ("[" + ",".join([pair] * (len(values) // 2)) + pad + "]") % tuple(values)
 
 
 def _write_json(payload: dict, stream) -> None:
     """Write the payload as json.dump(payload, stream, indent=2) does, and a newline.
 
-    The lower-triangular coefficient table of gen and kernel is written
-    here, row j by one %r template of j + 1 [re, im] pairs, in place of
-    "results" in the envelope.  Rows go to the stream one at a time, so no
-    copy of the whole text is ever held."""
-    table = payload["results"]
-    if not isinstance(table, np.ndarray):
+    The lists of [re, im] pairs, the rows of the gen and kernel table and
+    the roots of each index, are laid out by ``_json_pairs``, in place of
+    "results" in the envelope.  Results go to the stream one at a time, so
+    no copy of the whole text is ever held."""
+    results = payload["results"]
+    if isinstance(results, np.ndarray):           # gen and kernel: the table
+        values = results.view(float)              # re and im interleaved
+        items = (_json_pairs(values[j, :2 * j + 2].tolist(), 2) for j in range(len(values)))
+    elif payload["command"] == "roots":
+        items = ('{\n      "j": %d,\n      "roots": %s\n    }'
+                 % (entry["j"], _json_pairs(entry["roots"].view(float).tolist(), 3))
+                 for entry in results)
+    else:
         stream.write(json.dumps(payload, indent=2) + "\n")
         return
     envelope = json.dumps({**payload, "results": None}, indent=2)
     head, _, tail = envelope.partition('"results": null')
-    values = table.view(float)                    # re and im interleaved
-    stream.write(head + '"results": [\n')
-    for j in range(len(table)):
-        stream.write(("    [" + ",".join([_JSON_PAIR] * (j + 1)) + "\n    ]")
-                     % tuple(values[j, :2 * j + 2].tolist()))
-        stream.write(",\n" if j < len(table) - 1 else "\n  ]")
-    stream.write(tail + "\n")
+    stream.write(head + '"results": [')
+    for k, item in enumerate(items):
+        stream.write(",\n    " if k else "\n    ")
+        stream.write(item)
+    stream.write("\n  ]" + tail + "\n")
 
 
 def _write_csv(payload: dict, stream) -> None:
@@ -278,7 +289,8 @@ def _write_csv(payload: dict, stream) -> None:
     elif command == "roots":
         writer.writerow(["j", "k", "re", "im"])
         for entry in payload["results"]:
-            for k, (re, im) in enumerate(entry["roots"]):
+            pairs = entry["roots"].view(float).reshape(-1, 2).tolist()
+            for k, (re, im) in enumerate(pairs):
                 writer.writerow([entry["j"], k, repr(re), repr(im)])
     elif command == "boundary":
         writer.writerow(["theta", "re", "im"])

@@ -35,9 +35,9 @@ sum_i n_i R[j+1-i, k+1]; column k of F_j'/j is R[j, k+1].
 For the exponential map w*exp(lam/w) it also builds the kernel
 polynomials P_j = sum_{k<=j} lam^{j-k} F_k, and for any map the values
 F_j(x) and F_j'(x) by the same recurrence on values (``_row_values``), for
-the Newton step of the ``rays`` suite.  This module only generates;
-the checkers in :mod:`faberpoly.verify` read the tables their callers
-built here, and judge them.
+the Newton step of ``faber_roots`` on a map of rotational order s > 1.
+This module only generates; the checkers in :mod:`faberpoly.verify` read
+the tables their callers built here, and judge them.
 """
 
 from __future__ import annotations
@@ -130,41 +130,47 @@ def _recurrence_tables(maps: np.ndarray, n: int) -> np.ndarray:
     return np.ascontiguousarray(flipped[:, ::-1])
 
 
-def _row_values(a, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """F_j(x) and F_j'(x) of the map ``a`` at the points of row j - 1 of a
-    (N, K) array ``x``, j = 1..N, by the recurrence on values
+def _row_values(a, x: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndarray]:
+    """F_j(x) and F_j'(x) of the map ``a`` at the points of row i of a
+    (R, K) array ``x``, j = rows[i] for ascending distinct indices ``rows``
+    (1..R by default), by the recurrence on values
 
         F_{j+1}  = (x - a_0) F_j  - sum_{k=1}^{j} a_k F_{j-k}  - j a_j,
         F'_{j+1} = F_j + (x - a_0) F'_j - sum_{k=1}^{j} a_k F'_{j-k},
 
-    from F_0 = 1 and F_0' = 0: one pass of N steps over the points of every
-    row at once, step j reading off row j's values.  A step runs only on the
-    rows not yet read and over the map's nonzero entries, and only the last
-    len(a) values of each point are kept, so the pass holds O(len(a) N K)
-    numbers, never a table.  Values float64 cannot hold come out inf or NaN.
+    from F_0 = 1 and F_0' = 0: one pass of max(rows) steps over the points
+    of every row at once, step j reading off F_{j+1} at the row of index
+    j + 1, if there is one.  A step runs only on the rows not yet read and
+    over the map's nonzero entries, and only the last len(a) values of each
+    point are kept, so the pass holds O(len(a) R K) numbers, never a table.
+    Values float64 cannot hold come out inf or NaN.
     """
-    a = _map_coefficients(a)[:len(x)]
     x = np.asarray(x, dtype=complex)
+    n = len(x) if rows is None else int(rows[-1])
+    # the rows read before step j: rows[:done[j]]
+    done = range(n + 1) if rows is None else np.searchsorted(rows, range(n + 1), "right").tolist()
+    a = _map_coefficients(a)[:n]
     width = len(a)
     shift, taps = x - a[0], (np.flatnonzero(a[1:]) + 1).tolist()
     # F_i and F_i' of each point in slot i % width
-    state = np.zeros((width, 2) + x.shape, dtype=complex)
-    state[0, 0] = 1.0
+    slots = list(np.zeros((width, 2) + x.shape, dtype=complex))
+    slots[0][0] = 1.0
     read = np.empty((2,) + x.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(len(x)):
-            rows = slice(j, None)
-            now = state[j % width, :, rows]
-            step = shift[rows] * now
+        for j in range(n):
+            live = slice(done[j], None)
+            now = slots[j % width][:, live]
+            step = shift[live] * now
             step[1] += now[0]
             for k in taps:
                 if k > j:
                     break
-                step -= a[k] * state[(j - k) % width, :, rows]
+                step -= a[k] * slots[(j - k) % width][:, live]
             if j < width:
                 step[0] -= j * a[j]
-            state[(j + 1) % width, :, rows] = step
-            read[:, j] = step[:, 0]
+            slots[(j + 1) % width][:, live] = step
+            if done[j + 1] > done[j]:
+                read[:, done[j]] = step[:, 0]
     return read[0], read[1]
 
 

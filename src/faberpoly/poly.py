@@ -4,11 +4,12 @@ of coefficient tables.
 A Faber system is a coefficient table (see :mod:`faberpoly.faber`);
 ``evaluate_rows`` evaluates all its rows at once.  ``faber_roots`` finds
 the roots of F_j as the eigenvalues of the leading j x j block of the map's
-lower Hessenberg matrix (``_hessenberg``), the coefficient recurrence in
+lower Hessenberg matrix H (``_hessenberg``), the coefficient recurrence in
 matrix form, whose eigenvalues are backward stable in the map's
-coefficients; the ``roots`` command uses it (the ``rays`` suite solves the
-hypocycloid's Z_{m+1}-reduced real blocks of H^{m+1} instead, in
-:mod:`faberpoly.suites`).
+coefficients; for a map of rotational order s > 1, such as the
+hypocycloid's m + 1, it solves the Z_s-reduced blocks of H^s instead and
+takes each root one Newton step.  The ``roots`` command and the ``rays``
+suite both use it.
 :meth:`ComplexPolynomial.roots` finds the roots of monomial coefficients,
 exponentially ill-conditioned in the degree, as the eigenvalues of a
 companion matrix (Edelman and Murakami 1995), each taken one Newton step
@@ -29,10 +30,14 @@ polynomials can be shared freely between threads.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .faber import _row_values
 
 
 class RootFindingError(ArithmeticError):
@@ -222,8 +227,8 @@ def _hessenberg(a, n: int) -> np.ndarray:
     of :mod:`faberpoly.faber` written as z (F_0, ..., F_{n-1}) = H (F_0, ...,
     F_{n-1}) + F_n e_{n-1}.  For m = 1 it is the colleague matrix (Good
     1961).  Complex even for a real map, so that one LAPACK solver, zgeev,
-    serves every map; the ``rays`` suite takes the real part of the
-    hypocycloid's."""
+    serves every map whose rotational order is 1; ``faber_roots`` takes the
+    real part of a real map's H for its reduced blocks."""
     coeffs = np.zeros(n, dtype=complex)
     given = np.asarray(a, dtype=complex)[:n]
     coeffs[:len(given)] = given
@@ -236,30 +241,107 @@ def _hessenberg(a, n: int) -> np.ndarray:
     return h
 
 
+def _rotational_order(a) -> int:
+    """The map's rotational order s = gcd{k + 1 : a_k != 0}: Psi(omega w) =
+    omega Psi(w) for omega^s = 1, so F_j = z^{j mod s} G(z^s).  It is 1 where
+    a_0 != 0, and for the zero map; zeros past the last entry change nothing."""
+    return math.gcd(*(np.flatnonzero(a) + 1).tolist()) or 1
+
+
 def faber_roots(a, table: np.ndarray, indices: Sequence[int]) -> list[np.ndarray]:
     """Roots of F_j for each j in ``indices`` (all >= 1), with multiplicity,
-    as the eigenvalues of the leading j x j block of the map's
-    ``_hessenberg`` matrix, one matrix for the whole range.
+    as eigenvalues of blocks of the map's ``_hessenberg`` matrix H, one
+    matrix for the whole range.
 
     ``a`` is the map's coefficient array and ``table`` its Faber table (rows
     j in ``indices`` at least).  Eigenvalues are backward stable in the
     entries of H, which the roots of the monomial coefficients are not.  A
-    row with r leading zero coefficients has its r smallest eigenvalues set
-    to exactly 0, first, then the others in LAPACK's order.  An eigenvalue
-    solver that does not converge, or an eigenvalue that is not finite,
-    raises :class:`RootFindingError` naming F_j (``row`` is j), by
-    ``_eigenvalues``.
+    map of rotational order s = 1 (``_rotational_order``) solves the leading
+    j x j block of H.  A row with r leading zero coefficients has its r
+    smallest eigenvalues set to exactly 0, first, then the others in
+    LAPACK's order.  A map of order s > 1 solves the small blocks of
+    ``_class_eigenvalues`` instead: row j holds its r exact zeros, then
+    mu^{1/s} omega^k, k = 0..s-1, omega = e^{2 pi i/s}, for each other
+    eigenvalue mu of its class block, each root taken one Newton step x -
+    F_j(x) / F_j'(x) on the map's value recurrence (``_row_values``): an
+    error d mu moves a small root by about d mu / (s x^{s-1}), beyond the
+    residual rule, which the step mends.  A root stays as it is where the
+    step is not finite.  An eigenvalue solver that does not converge, or an
+    eigenvalue that is not finite, raises :class:`RootFindingError` naming
+    F_j (``row`` is j), by ``_eigenvalues``.
     """
+    s = _rotational_order(a)
+    if s > 1:
+        return _reduced_roots(a, table, indices, s)
     h = _hessenberg(a, max(indices))
-    found = []
-    for j in indices:
-        x = _eigenvalues(h[:j, :j], f"roots of F_{j}", j)
-        r = int(np.flatnonzero(table[j, :j + 1])[0])
-        if r:
-            x = np.concatenate((np.zeros(r, dtype=complex),
-                                x[np.sort(np.argsort(np.abs(x))[r:])]))
-        found.append(x)
-    return found
+    return [_zeros_first(_eigenvalues(h[:j, :j], f"roots of F_{j}", j), _leading_zeros(table, j))
+            for j in indices]
+
+
+def _leading_zeros(table: np.ndarray, j: int) -> int:
+    """The number of leading zero coefficients of row j of ``table``."""
+    return int(np.flatnonzero(table[j, :j + 1])[0])
+
+
+def _zeros_first(x: np.ndarray, r: int) -> np.ndarray:
+    """The roots x with their r smallest set to exactly 0, first, then the
+    others in their order."""
+    if not r:
+        return x
+    return np.concatenate((np.zeros(r, dtype=complex), x[np.sort(np.argsort(np.abs(x))[r:])]))
+
+
+def _class_eigenvalues(h: np.ndarray, s: int, rows: Sequence[int]):
+    """For each q >= 1: the rows j of the ascending ``rows`` with j // s = q,
+    and the q eigenvalues mu of each one's class block, in one stacked solve.
+
+    H (``_hessenberg``) steps an index by +1, or by -k for a_k != 0, and k + 1
+    is a multiple of s, so every step moves the class of an index mod s by
+    one, and P = H^s, formed once (real where H is), keeps each class.  An
+    index of class r = j mod s below j is at most j - s, and a path of s
+    steps from it never passes j - 1, so the leading q x q block of class r
+    of P is that of H_j^s, H_j the leading j x j block; its eigenvalues are
+    the roots of G in F_j = z^r G(z^s).  Where a stacked solve fails, each of
+    its blocks is solved alone, so that the lowest failing row names the
+    ``RootFindingError`` (``_eigenvalues``).
+    """
+    power = np.linalg.matrix_power(h if h.imag.any() else h.real, s)
+    size = len(h) // s
+    classes = np.stack([power[r::s, r::s][:size, :size] for r in range(s)])
+    for q, group in itertools.groupby(rows, lambda j: j // s):
+        if q:
+            group = list(group)
+            first = group[0] % s            # the classes of consecutive rows are one slice
+            pick = (slice(first, first + len(group)) if group[-1] - group[0] < len(group)
+                    else np.remainder(group, s))
+            blocks = classes[pick, :q, :q]
+            try:
+                mu = _eigenvalues(blocks, "the class blocks", None)
+            except RootFindingError:
+                mu = np.array([_eigenvalues(block, f"roots of F_{j}", j)
+                               for block, j in zip(blocks, group)])
+            yield group, mu
+
+
+def _reduced_roots(a, table: np.ndarray, indices: Sequence[int], s: int) -> list[np.ndarray]:
+    """``faber_roots`` of a map of rotational order s > 1."""
+    rows = sorted(set(indices))
+    at = {j: i for i, j in enumerate(rows)}
+    spokes = np.exp(2j * math.pi * np.arange(s) / s)
+    roots = np.zeros((len(rows), rows[-1]), dtype=complex)
+    for group, mu in _class_eigenvalues(_hessenberg(a, rows[-1]), s, rows):
+        found = (np.power(mu.astype(complex), 1.0 / s)[..., None] * spokes).reshape(len(group), -1)
+        for j, x in zip(group, found):
+            roots[at[j], j - len(x):j] = x
+    # j mod s exact zeros, and s more for each zero of G: as many as the row's leading zeros
+    for i in np.flatnonzero(table[rows, np.remainder(rows, s)] == 0).tolist():
+        j = rows[i]
+        roots[i, :j] = _zeros_first(roots[i, :j], _leading_zeros(table, j))
+    values, slopes = _row_values(a, roots, rows)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = np.divide(values, slopes, out=np.zeros_like(roots), where=roots != 0)
+    roots = np.where(np.isfinite(step), roots - step, roots)
+    return [roots[at[j], :j] for j in indices]
 
 
 def _horner(coeffs_ascending: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -42,13 +42,14 @@ from dataclasses import replace
 import numpy as np
 
 from .faber import (_cut_map, _derivative_table, _log_table, _map_coefficients, _overflow,
-                    _ratio_table, _row_values, exp_map_exterior, faber_system_from_recurrence)
+                    _ratio_table, exp_map_exterior, faber_system_from_recurrence)
 from .maps import (ExpMap, GapMap, Hypocycloid, TwoGapMap,
                    chebyshev_scaled, evaluate_map, exp_map_faber_closed_form,
                    gap_faber_closed_form, hypocycloid_faber_closed_form,
                    inverse_exp_map, lambert_w0, lambert_w0_power_series,
                    to_exterior_map, two_gap_faber_system)
-from .poly import RootFindingError, _eigenvalues, _hessenberg, _root_residuals, evaluate_rows
+from .poly import (RootFindingError, _hessenberg, _root_residuals, evaluate_rows,
+                   faber_roots)
 from .verify import (CheckReport, _row_deviation, _row_scale, check_derivative_identity,
                      check_gap_coefficient_recovery, exponential_map_characterization,
                      leading_common_root_order)
@@ -405,8 +406,9 @@ def suite_lambert(seed: int = 0, tol: float = 1e-12) -> CheckReport:
 def suite_rays(n_highest: int = 24, tol: float = 1e-6) -> CheckReport:
     """Roots of hypocycloid Faber polynomials sit on the cusp rays, m = 1..4.
 
-    The roots come from the map w + 1/(m w^m) alone (``_ray_roots``), and are
-    judged against the closed-form rows, so that the map and the closed form
+    The roots come from ``faber_roots`` on the map w + 1/(m w^m), of
+    rotational order m + 1, whose zeros count by the closed-form rows; they
+    are judged against those rows, so that the map and the closed form
     still meet.  Row j - 1 of a lower-triangular block holds the j roots of
     F_j.  A root's residual must stay within (64 + 2j) eps of
     1 + sum_k |c_k| |x|^k, the rule that accepts any root
@@ -423,7 +425,8 @@ def suite_rays(n_highest: int = 24, tol: float = 1e-6) -> CheckReport:
             a = to_exterior_map(Hypocycloid(m), m)
             with _named(where):
                 table = hypocycloid_faber_closed_form(m, n_highest)
-                roots = _ray_roots(a, m, n_highest)
+                roots = np.zeros((n_highest, n_highest), dtype=complex)
+                roots[own] = np.concatenate(faber_roots(a, table, range(1, n_highest + 1)))
             values, within = _root_residuals(table[1:].T[:, :, None], roots, degrees)
             off = np.where(own & (np.abs(roots) > 1e-8), _off_ray(roots, m), 0.0)
             open_rows = np.flatnonzero((own & ~within).any(axis=1) | (off > tol).any(axis=1))
@@ -433,58 +436,6 @@ def suite_rays(n_highest: int = 24, tol: float = 1e-6) -> CheckReport:
                                values[j - 1, :j], tol)
             yield not open_rows.size, off.max()
     return CheckReport.verdict("rays", cases())
-
-
-def _class_eigenvalues(a: np.ndarray, m: int, n: int):
-    """For q = 1 .. n // (m + 1): the rows j = q (m + 1) + r <= n, r = 0..m,
-    and the q eigenvalues mu of each row's class block, in one real solve.
-
-    The Hessenberg matrix H (``_hessenberg``) of the hypocycloid map ``a``
-    of m is real, and steps an index by +1 or -m, so P = H^{m+1}, formed
-    once, keeps each class of indices mod m + 1.  A path of m + 1 steps
-    from an index below j - m never passes j - 1, so the leading q x q
-    block of class r of P is that of H_j^{m+1}, H_j the leading j x j
-    block; its eigenvalues are the roots of G in F_j = z^r G(z^{m+1}).  An
-    eigenvalue solver that does not converge, or an eigenvalue that is not
-    finite, raises a RootFindingError naming F_j (``_eigenvalues``).
-    """
-    span = m + 1
-    power = np.linalg.matrix_power(_hessenberg(a, n).real, span)
-    size = n // span
-    classes = np.stack([power[r::span, r::span][:size, :size] for r in range(span)])
-    for q in range(1, size + 1):
-        rows = range(q * span, min(q * span + span, n + 1))
-        blocks = classes[:len(rows), :q, :q]
-        try:
-            mu = _eigenvalues(blocks, "the class blocks", None)
-        except RootFindingError:         # solved alone, the failing block names its row
-            mu = np.array([_eigenvalues(block, f"roots of F_{j}", j)
-                           for block, j in zip(blocks, rows)])
-        yield rows, mu
-
-
-def _ray_roots(a: np.ndarray, m: int, n: int) -> np.ndarray:
-    """The roots of F_1 ... F_n of the hypocycloid map ``a`` of m, row j - 1
-    of an n x n array holding the j roots of F_j and zeros right of them.
-
-    Row j holds r = j mod (m + 1) exact zeros, then mu^{1/(m+1)} omega^k,
-    k = 0..m, omega = e^{2 pi i/(m+1)}, for each eigenvalue mu of its class
-    block (``_class_eigenvalues``).  Each nonzero root then takes one Newton
-    step x - F_j(x) / F_j'(x) on the map's value recurrence
-    (``_row_values``): an error d mu moves a small root by about
-    d mu / ((m + 1) x^m), beyond the residual rule, which the step mends.
-    A root stays as it is where the step is not finite.
-    """
-    spokes = np.exp(2j * math.pi * np.arange(m + 1) / (m + 1))
-    roots = np.zeros((n, n), dtype=complex)
-    for rows, mu in _class_eigenvalues(a, m, n):
-        found = np.power(mu.astype(complex), 1.0 / (m + 1))[..., None] * spokes
-        for j, x in zip(rows, found.reshape(len(rows), -1)):
-            roots[j - 1, j - len(x):j] = x
-    values, slopes = _row_values(a, roots)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = np.divide(values, slopes, out=np.zeros_like(roots), where=roots != 0)
-    return np.where(np.isfinite(step), roots - step, roots)
 
 
 def _off_ray(x: np.ndarray, m: int) -> np.ndarray:

@@ -594,6 +594,59 @@ class TestTableWriter:
         assert out == _pair_csv(_pair_rows(tables[-1]))
 
 
+#: roots options per family: gap (z0 = 0, n = 3) and hypocycloid have rotational
+#: order 4 and 3, so both paths of faber_roots are written
+ROOTS_OPTIONS = {"shift": ("--alpha0", "0.3-0.2j"),
+                 "gap": ("--n", "3", "--tail", "0.2-0.1j"),
+                 "twogap": ("--z0", "0.1j"),
+                 "hypocycloid": ("--m", "2"),
+                 "expmap": ("--eta", "-0.2", "--lambda", "0.4+0.3j")}
+
+
+class TestRootsWriter:
+    """roots writes the roots faber_roots found byte for byte as
+    json.dump(..., indent=2) and the CSV writer write them from [re, im] lists."""
+
+    def test_every_family_is_written(self):
+        assert set(ROOTS_OPTIONS) == set(FAMILIES)
+
+    @pytest.mark.parametrize("negative_zeros", [False, True], ids=["computed", "negative-zeros"])
+    @pytest.mark.parametrize("j_min, j_max", [(1, 1), (1, 12), (25, 31)])
+    @pytest.mark.parametrize("family", ROOTS_OPTIONS)
+    def test_bytes_match_json_dumps(self, monkeypatch, family, j_min, j_max, negative_zeros):
+        solve, found = cli.faber_roots, []
+
+        def recorded(*args):
+            roots = [x.copy() for x in solve(*args)]
+            for x in roots if negative_zeros else ():
+                parts = x.view(float)
+                parts[parts == 0] = -0.0
+            found.extend(roots)
+            return roots
+
+        monkeypatch.setattr(cli, "faber_roots", recorded)
+        argv = ("roots", "--family", family, *ROOTS_OPTIONS[family],
+                "--j-min", str(j_min), "--j-max", str(j_max))
+        code, out = run_cli(*argv)
+        assert code == 0
+        pairs = [[[z.real, z.imag] for z in x.tolist()] for x in found[-(j_max - j_min + 1):]]
+        results = [{"j": j, "roots": roots} for j, roots in zip(range(j_min, j_max + 1), pairs)]
+        expected = {"command": "roots", "map": json.loads(out)["map"], "N": j_max,
+                    "results": results, "residuals": {}, "pass": True}
+        assert out == json.dumps(expected, indent=2) + "\n"
+        if negative_zeros and family in ("gap", "hypocycloid"):
+            assert "-0.0" in out
+        code, out = run_cli(*argv, "--format", "csv")
+        assert code == 0
+        buffer = io.StringIO()
+        writer = csv.writer(buffer)
+        writer.writerow(["j", "k", "re", "im"])
+        for entry in results:
+            for k, (re, im) in enumerate(entry["roots"]):
+                writer.writerow([entry["j"], k, repr(re), repr(im)])
+        assert out == buffer.getvalue()
+
+
 def run_cli_with_stderr(*argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faberpoly import suites
+from faberpoly import poly, suites
 from faberpoly.faber import (_derivative_table, _log_table, _ratio_table, _row_values,
                              exp_map_exterior, faber_derivative_values_from_series,
                              faber_system_from_recurrence,
@@ -263,16 +263,16 @@ class TestRowValues:
         row's values kept, N^3 numbers, would not fit."""
         peaks = []
 
-        def traced(a, x):
+        def traced(a, x, rows):
             tracemalloc.start()
             try:
-                found = _row_values(a, x)
+                found = _row_values(a, x, rows)
                 peaks.append((len(a), x.size, tracemalloc.get_traced_memory()[1]))
             finally:
                 tracemalloc.stop()
             return found
 
-        monkeypatch.setattr(suites, "_row_values", traced)
+        monkeypatch.setattr(poly, "_row_values", traced)
         assert suites.suite_rays(150).passed
         assert [width for width, _, _ in peaks] == [2, 3, 4, 5]
         assert all(size == 150 * 150 and peak <= 8 * width * size * 16

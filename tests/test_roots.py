@@ -19,6 +19,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.optimize import linear_sum_assignment
 
 from faberpoly import cli, poly, suites
 from faberpoly.faber import _cut_map, faber_system_from_recurrence
@@ -285,6 +287,12 @@ def test_batched_roots_within_residual_bound(m):
                                            found.tolist())
 
 
+def gap_rows(n):
+    """A gap map with z0 != 0, of rotational order 1, and its recurrence table."""
+    a = to_exterior_map(GapMap(0.2 + 0.1j, 3, [0.2]), n)
+    return a, faber_system_from_recurrence(a, n)
+
+
 def test_batch_failure_names_the_lowest_failing_row(monkeypatch):
     """Rows are solved in ascending order: of F_7 and F_9, which both fail,
     the error names F_7, as F_7 alone does."""
@@ -296,8 +304,7 @@ def test_batch_failure_names_the_lowest_failing_row(monkeypatch):
         return eigvals(h)
 
     monkeypatch.setattr(np.linalg, "eigvals", failing_at_7_and_9)
-    a = to_exterior_map(Hypocycloid(2), 2)
-    table = hypocycloid_faber_closed_form(2, 9)
+    a, table = gap_rows(9)
     with pytest.raises(poly.RootFindingError) as batched:
         poly.faber_roots(a, table, range(5, 10))
     with pytest.raises(poly.RootFindingError) as alone:
@@ -306,28 +313,67 @@ def test_batch_failure_names_the_lowest_failing_row(monkeypatch):
     assert str(batched.value) == str(alone.value) == "roots of F_7: Eigenvalues did not converge"
 
 
+def test_reduced_batch_failure_names_the_lowest_failing_row(monkeypatch):
+    """The m = 2 hypocycloid solves q x q class blocks, one stacked solve per
+    q: of the blocks of F_6, F_7, F_8 (q = 2) and F_9 (q = 3), which all
+    fail, the error names F_6, as F_6 alone does."""
+    eigvals = np.linalg.eigvals
+
+    def failing_from_2(blocks):
+        if blocks.shape[-1] >= 2:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(blocks)
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing_from_2)
+    a = to_exterior_map(Hypocycloid(2), 2)
+    table = hypocycloid_faber_closed_form(2, 9)
+    with pytest.raises(poly.RootFindingError) as batched:
+        poly.faber_roots(a, table, range(5, 10))
+    with pytest.raises(poly.RootFindingError) as alone:
+        poly.faber_roots(a, table, [6])
+    assert batched.value.row == alone.value.row == 6
+    assert str(batched.value) == str(alone.value) == "roots of F_6: Eigenvalues did not converge"
+
+
+def peak_memory(solve):
+    tracemalloc.start()
+    try:
+        found = solve()
+        return tracemalloc.get_traced_memory()[1], found
+    finally:
+        tracemalloc.stop()
+
+
 def test_batch_memory_is_bounded_by_the_largest_row():
     """One H of the largest row serves the whole range, and each block is
-    solved and dropped in turn, so rows 1..80 together take little more
-    memory than row 80 alone (about twice, measured)."""
+    solved and dropped in turn, so rows 1..80 of a map of order 1 together
+    take little more memory than row 80 alone (2.4 times, measured)."""
     n = 80
-    a = to_exterior_map(Hypocycloid(1), 1)
-    table = hypocycloid_faber_closed_form(1, n)
+    a, table = gap_rows(n)
     peaks = []
     for indices in ([n], range(1, n + 1)):
-        tracemalloc.start()
-        try:
-            found = poly.faber_roots(a, table, indices)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peak, found = peak_memory(lambda: poly.faber_roots(a, table, indices))
+        peaks.append(peak)
         assert len(found[-1]) == n
     assert peaks[1] <= 4 * peaks[0]
 
 
+@pytest.mark.parametrize("m", (1, 4))
+def test_reduced_batch_memory_is_linear_in_the_map(m):
+    """Rows 1..n of the hypocycloid share one P = H^s and one pass of the
+    value recurrence over an n x n array of roots, so they peak below
+    8 len(a) n^2 complex numbers at n = 240 (6.2 and 3.6 measured): a block
+    of P kept per row, n^3 / (3 s^2) numbers, would not fit."""
+    n = 240
+    a = to_exterior_map(Hypocycloid(m), m)
+    table = hypocycloid_faber_closed_form(m, n)
+    peak, found = peak_memory(lambda: poly.faber_roots(a, table, range(1, n + 1)))
+    assert [len(x) for x in found] == list(range(1, n + 1))
+    assert peak <= 8 * len(a) * n * n * 16
+
+
 def solve_table_rows():
-    table = hypocycloid_faber_closed_form(2, 9)
-    return poly.faber_roots(to_exterior_map(Hypocycloid(2), 2), table, range(5, 10))
+    return poly.faber_roots(*gap_rows(9), range(5, 10))
 
 
 def solve_one_polynomial():
@@ -559,7 +605,8 @@ def test_class_eigenvalues_are_the_roots_of_he_g(m):
     100, where q is largest."""
     a = to_exterior_map(Hypocycloid(m), m)
     cusp = ((m + 1) / m) ** (m + 1)
-    found = {j: mu for rows, mu in suites._class_eigenvalues(a, m, 100)
+    found = {j: mu for rows, mu in poly._class_eigenvalues(poly._hessenberg(a, 100), m + 1,
+                                                           range(1, 101))
              for j, mu in zip(rows, mu)}
     for top in (25, 50, 100):
         for j in range(top - m, top + 1):
@@ -573,3 +620,100 @@ def test_class_eigenvalues_are_the_roots_of_he_g(m):
                 exact = np.array(sorted(float(x) for x in exact))
             assert np.all(np.diff(exact) > 0), j
             assert np.all(np.abs(np.sort(mu) - exact) <= 1e-5 * exact), j
+
+
+# ---------------------------------------------------------------------------
+# maps of rotational order s > 1: faber_roots on the Z_s-reduced blocks
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("family, order", [
+    (Hypocycloid(1), 2), (Hypocycloid(2), 3), (Hypocycloid(3), 4), (Hypocycloid(4), 5),
+    (GapMap(0, 3, [0.2]), 4),                                   # gap --z0 0 --n 3
+    (GapMap(0, 3, [0.2, 0, 0, 0, 0.1j]), 4),                    # a_3 and a_7: gcd(4, 8)
+    (TwoGapMap(0, 1, 0.25, 5, [0.1]), 2),                       # gcd(2, 6)
+    (TwoGapMap(0, 2, 0.25, 5, [0.1]), 3),                       # gcd(3, 6)
+    (TwoGapMap(0, 2, 0.25, 4, [0.1]), 1),                       # gcd(3, 5)
+    (GapMap(0.1, 3, [0.2]), 1), (Shift(0.3), 1), (Shift(0), 1), (ExpMap(0, 0.5), 1)],
+    ids=repr)
+def test_rotational_order_is_the_gcd_of_the_nonzero_indices_plus_one(family, order):
+    # zeros past the last entry change nothing; a_0 != 0 and the zero map give 1
+    for truncation in (0, 12, 40):
+        assert poly._rotational_order(to_exterior_map(family, truncation)) == order
+
+
+def test_the_zero_map_gives_only_exact_zeros():
+    # shift --alpha0 0 is z^j: H is nilpotent, and every root exactly 0
+    found = roots_command("--family", "shift", "--alpha0", "0", "--j-min", "30", "--j-max", "30")
+    assert found == [0j] * 30
+
+
+def test_a_zero_of_g_gives_exact_zeros_first():
+    """w + 0.5/w + 0.125/w^3 has order 2, and F_4 = z^4 - 2 z^2: G(y) = y^2 - 2y
+    vanishes at 0, as G does for F_7 and F_12.  Each row's roots open with
+    as many exact zeros as its leading zero coefficients (2, 3 and 2 there),
+    and no other root is 0."""
+    a = _cut_map(to_exterior_map(TwoGapMap(0, 1, 0.5, 3, [0.125]), 12))
+    table = faber_system_from_recurrence(a, 12)
+    lead = [poly._leading_zeros(table, j) for j in range(1, 13)]
+    assert [lead[j - 1] for j in (4, 7, 12)] == [2, 3, 2]
+    for j, r, x in zip(range(1, 13), lead, poly.faber_roots(a, table, range(1, 13))):
+        assert len(x) == j and not x[:r].any() and x[r:].all(), j
+
+
+@pytest.mark.parametrize("family", [
+    GapMap(0, 3, [0.3 + 0.2j]), GapMap(0, 2, [0.25 - 0.1j]),
+    GapMap(0, 3, [0.2 - 0.1j, 0, 0, 0, 0.05j]),
+    TwoGapMap(0, 1, 0.2 + 0.1j, 3, [0.15j]), TwoGapMap(0, 2, -0.1 + 0.25j, 5, [0.1 - 0.05j])],
+    ids=repr)
+def test_complex_symmetric_maps_match_the_full_blocks(monkeypatch, family):
+    """Complex maps of order s = 2 to 4: the roots of the reduced blocks are
+    those of the leading j x j blocks of H (the path of order 1), j <= 40,
+    as multisets: the same exact zeros, and each other root, paired by
+    ``linear_sum_assignment``, within 64 kappa eps ||H_j||_F of its
+    partner, kappa the condition number of the eigenvalue of H_j nearest
+    it (7.8 kappa eps ||H_j||_F measured)."""
+    n = 40
+    a = _cut_map(to_exterior_map(family, n))
+    table = faber_system_from_recurrence(a, n)
+    assert poly._rotational_order(a) > 1
+    reduced = poly.faber_roots(a, table, range(1, n + 1))
+    monkeypatch.setattr(poly, "_rotational_order", lambda a: 1)
+    full = poly.faber_roots(a, table, range(1, n + 1))
+    for j, x, y in zip(range(1, n + 1), reduced, full):
+        assert len(x) == len(y) == j
+        assert np.count_nonzero(x == 0) == np.count_nonzero(y == 0), j
+        x, y = x[x != 0], y[y != 0]
+        if not len(x):
+            continue
+        h = poly._hessenberg(a, j)
+        w, left, right = scipy.linalg.eig(h, left=True, right=True)
+        kappa = 1.0 / np.abs(np.sum(left.conj() * right, axis=0))     # unit eigenvectors
+        gap = np.abs(x[:, None] - y)
+        rows, cols = linear_sum_assignment(gap)
+        near = np.abs(y[cols][:, None] - w).argmin(axis=1)
+        assert np.all(gap[rows, cols] <= 64 * kappa[near] * EPS * np.linalg.norm(h)), j
+
+
+@pytest.mark.parametrize("m", (1, 2, 3, 4))
+def test_roots_command_on_the_hypocycloid_within_64_eps_at_60_digits(m):
+    """Every root of F_j, j = 120, 150, 200 and 240, has a 60-digit residual
+    on He's exact row within 64 eps of 1 + sum_k |c_k| |x|^k, the rule of
+    the benchmark's root check (0.85 eps measured, at m = 1, j = 240); at
+    j <= 150 every root (|x| > 1e-8) also lies within 1e-12 rad of a cusp
+    ray (8.9e-16 measured).  Each row is evaluated as x^r G(x^{m+1})."""
+    s = m + 1
+    for j in (120, 150, 200, 240):
+        found = roots_command("--family", "hypocycloid", "--m", str(m),
+                              "--j-min", str(j), "--j-max", str(j))
+        assert len(found) == j
+        with mpmath.workdps(60):
+            g = exact_hypocycloid_row(m, j)[j % s::s][::-1]
+            scale = [abs(c) for c in g]
+            for x in found:
+                point = mpmath.mpc(x)
+                value = point ** (j % s) * mpmath.polyval(g, point ** s)
+                bound = 1 + abs(point) ** (j % s) * mpmath.polyval(scale, abs(point) ** s)
+                assert abs(value) <= 64 * EPS * bound, (j, x)
+        if j <= 150:
+            nonzero = np.array([x for x in found if abs(x) > 1e-8])
+            assert suites._off_ray(nonzero, m).max() <= 1e-12, j
