@@ -273,34 +273,48 @@ def chebyshev_scaled(n_highest: int) -> np.ndarray:
     return _finite_rows(table, "the scaled Chebyshev recurrence", "C")
 
 
-def exp_map_faber_closed_form(eta: complex, lam: complex, n_highest: int) -> np.ndarray:
+def exp_map_faber_closed_form(eta: complex, lam, n_highest: int) -> np.ndarray:
     """F_0 ... F_N of eta + w exp(lam/w), N >= 1, from the explicit sum
 
         F_j(z) = j sum_{k=0}^{j} (-lam)^{j-k} k^{j-k-1}/(j-k)! (z-eta)^k,   j >= 1,
 
     with the 0^0 = 1 convention (so F_1 = z - eta - lam, and lam = 0
-    collapses to (z-eta)^j).  Each rational coefficient in powers of z - eta,
-    rounded once to float by an exact integer division by (j-k)! from one
-    list of factorials, multiplies the binomial table of those powers.
-    Raises OverflowError naming the first F_j that float64 cannot hold."""
+    collapses to (z-eta)^j).  A 1-D array of B values of lam, with the one
+    eta, gives the (B, N+1, N+1) stack of their tables.  Each rational
+    coefficient in powers of z - eta, rounded once to float by an exact
+    integer division by (j-k)! from one list of factorials, is formed once
+    per call and multiplies each map's (-lam)^(j-k), one Python power per
+    exponent and map; one stacked product with the binomial table of those
+    powers, shared by the stack, gives the tables.  Raises OverflowError
+    naming the first F_j that float64 cannot hold, in a stack that of the
+    first map with one, carrying both as ``map`` and ``row``."""
     if n_highest < 1:
         raise ValueError("the closed form starts at index 1")
-    lam = complex(lam)
+    lams = np.asarray(lam, dtype=complex)
+    if lams.ndim > 1:
+        raise ValueError(f"lam is one value or a 1-D array of them, got shape {lams.shape}")
     powers = _shifted_power_table(complex(eta), n_highest)
     held = int(np.isfinite(powers).all(axis=1).sum())   # NaN from the first overflow on
-    in_powers = np.eye(n_highest + 1, dtype=complex)    # row j: F_j in powers of z - eta
+    signed = np.zeros((lams.size, held), dtype=complex)    # (-lam)^p of each map
+    for row, value in zip(signed, (-lams.ravel()).tolist()):
+        try:
+            for p in range(1, held):
+                row[p] = value ** p
+        except OverflowError:               # (-lam)^p leaves float64, and F_p with it
+            row[p:] = np.nan
+    in_powers = np.zeros((lams.size, n_highest + 1, held), dtype=complex)
+    in_powers[:, range(held), range(held)] = 1.0        # row j: F_j in powers of z - eta
+    in_powers[:, held:] = np.nan
     factorials = [math.factorial(d) for d in range(held)]
-    try:
-        for j in range(1, held):
-            for k in range(j):
-                rational = j * k ** (j - k - 1) / factorials[j - k]
-                in_powers[j, k] = rational * (-lam) ** (j - k)
-    except OverflowError:                   # a coefficient of row j leaves float64
-        held = j
     with np.errstate(over="ignore", invalid="ignore"):
-        table = in_powers[:, :held] @ powers[:held]
-    table[held:] = np.nan
-    return _finite_rows(table, "the exp-map closed form")
+        try:
+            for j in range(1, held):
+                rationals = [j * k ** (j - k - 1) / factorials[j - k] for k in range(j)]
+                in_powers[:, j, :j] = np.multiply(rationals, signed[:, j:0:-1])
+        except OverflowError:               # a coefficient of row j leaves float64
+            in_powers[:, j:] = np.nan
+        table = in_powers @ powers[:held]
+    return _finite_rows(table if lams.ndim else table[0], "the exp-map closed form")
 
 
 def _shifted_power_table(z0: complex, n_highest: int) -> np.ndarray:

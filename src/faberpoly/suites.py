@@ -12,11 +12,13 @@ block is one stacked recurrence and one stacked oracle table, judged by
 ``_row_deviation``; a theorem block one stacked recurrence per set of maps
 (theorem 1 one at the block's largest N = 2n + 2, theorem 2 its maps and
 its pattern maps, theorem 3 its maps and its perturbed maps), whose tables
-the checkers of :mod:`faberpoly.verify` judge as one stack.  An overflow or a closed
+the checkers of :mod:`faberpoly.verify` judge as one stack, and in theorem 3
+also one stacked exp-map closed form of its maps.  An overflow or a closed
 form's refusal still names the first case it stops, as a case at a time
 would: every suite puts its case before the error's message by one helper,
-``_named``.  All randomness flows through an explicit seed, so a suite run is
-reproducible bit for bit.
+``_named``, and a stack refused from map k holds its cases before k
+(``_stacked_tables``).  All randomness flows through an explicit seed, so a
+suite run is reproducible bit for bit.
 
 Theorems 1-3 judge each map at its point, z0 or eta, centered there (z0 =
 0, or a_0 less eta, and theorem 3's closed form at eta = 0): the recurrence
@@ -27,8 +29,8 @@ NAME``.
 
 The draws are part of every report.  Each disk point takes two uniforms
 from the generator, its radius and then its angle (``draw_disks`` takes k
-points from one call of k pairs); a change to that order or count changes
-every report.
+points from one call of k pairs, and a series suite all its maps from one
+such call); a change to that order or count changes every report.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import inspect
 import math
 from contextlib import contextmanager
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -83,9 +86,16 @@ def draw_disk(rng: np.random.Generator, radius: float) -> complex:
     return draw_disks(rng, [radius])[0]
 
 
-def draw_exterior_map(rng: np.random.Generator, truncation: int) -> np.ndarray:
-    """Random coefficient array a_0 .. a_truncation with |a_k| <= 1/(k+1)."""
-    return _map_coefficients(draw_disks(rng, [1.0 / (k + 1) for k in range(truncation + 1)]))
+def draw_exterior_map(rng: np.random.Generator, truncation: int,
+                      maps: int | None = None) -> np.ndarray:
+    """Random coefficient array a_0 .. a_truncation with |a_k| <= 1/(k+1), or
+    with ``maps`` a stack of that many, one per row, from one ``draw_disks``
+    call that takes the uniforms of ``maps`` single draws in their order."""
+    radii = [1.0 / (k + 1) for k in range(truncation + 1)]
+    if maps is None:
+        return _map_coefficients(draw_disks(rng, radii))
+    disks = draw_disks(rng, radii * maps)
+    return _map_coefficients(np.reshape(disks, (maps, truncation + 1)), stack=True)
 
 
 def draw_gap_map(rng: np.random.Generator) -> GapMap:
@@ -129,7 +139,11 @@ def draw_two_gap_map(rng: np.random.Generator, pattern_valid: bool = False) -> T
 #: suite builds at once (a series block also holds the oracle's Riordan array,
 #: its oracle table and their difference, each about as large); a larger
 #: table forms a block alone.  It sets which maps share a stack, and so the
-#: rounding of the stacked products in every report
+#: rounding of the stacked products in every report.  A theorem-3 block also
+#: holds its stacked closed form; peak RSS of `verify --suite theorem3` at
+#: N = 40 read 37.6-37.7 MB with it against 37.4 MB without, at N = 100
+#: 37.7-38.0 against 37.8, at N = 300 46.1-46.2 against 46.0-46.1, and
+#: `recurrence-vs-oracle --N 300` 42.8-42.9 MB either way (3 runs each)
 _TABLE_BUDGET = 1 << 14
 
 
@@ -158,21 +172,24 @@ def _named(where: str):
         raise
 
 
-def _stacked_tables(a: np.ndarray, n_highest: int):
-    """The recurrence tables of a stack of maps up to the first whose table
-    overflows, and that OverflowError (None when no table does)."""
+def _stacked_tables(build, maps: np.ndarray, n_highest: int, source: str = "the recurrence"):
+    """The tables ``build(maps, n_highest)`` of a stack of maps up to the
+    first whose table overflows, and the OverflowError of that map as one
+    map's, naming ``source`` and the row (None when no table overflows)."""
     try:
-        return faber_system_from_recurrence(a, n_highest), None
+        return build(maps, n_highest), None
     except OverflowError as exc:
-        return faber_system_from_recurrence(a[:exc.map], n_highest), exc
+        error = _overflow(source, exc.row)
+        error.__cause__ = exc
+        return build(maps[:exc.map], n_highest), error
 
 
 def _case_table(stacked, k: int) -> np.ndarray:
-    """Table k of ``_stacked_tables``, or the OverflowError of map k as one map's."""
-    tables, exc = stacked
+    """Table k of ``_stacked_tables``, or the OverflowError of map k."""
+    tables, error = stacked
     if k < len(tables):
         return tables[k]
-    raise _overflow("the recurrence", exc.row) from exc
+    raise error
 
 
 def _series_suite(name: str, seed: int, maps: int, truncation: int, n_highest: int,
@@ -182,13 +199,12 @@ def _series_suite(name: str, seed: int, maps: int, truncation: int, n_highest: i
     on ``maps`` seeded maps of the given truncation, all drawn first, then
     judged in blocks under ``_TABLE_BUDGET``.  The first case not finite, or
     whose table overflows, stops the check."""
-    rng = np.random.default_rng(seed)
-    drawn = [draw_exterior_map(rng, truncation) for _ in range(maps)]
+    drawn = draw_exterior_map(np.random.default_rng(seed), truncation, maps)
 
     def cases():
         for block in _blocks([n_highest + 1] * maps):
-            a = np.array(drawn[block.start:block.stop])
-            recurrence, exc = _stacked_tables(a, n_highest)
+            a = drawn[block.start:block.stop]
+            recurrence, exc = _stacked_tables(faber_system_from_recurrence, a, n_highest)
             # the maps before an overflow are judged first, then the map after them raises
             k = len(recurrence)
             yield from _row_deviation(*tables(a[:k], recurrence)).max(axis=-1).tolist()
@@ -281,7 +297,8 @@ def suite_theorem2(seed: int = 0, n_highest: int = 24, tol: float = 1e-9) -> Che
              for _ in range(10)]
 
     def stacked(maps):          # a map's entries past a_N never reach its table
-        return _stacked_tables(np.array([to_exterior_map(fam, n_highest)[:n_highest + 1]
+        return _stacked_tables(faber_system_from_recurrence,
+                               np.array([to_exterior_map(fam, n_highest)[:n_highest + 1]
                                          for fam in maps]), n_highest)
 
     def cases():
@@ -312,7 +329,7 @@ def suite_theorem3(seed: int = 0, n_highest: int = 20, tol: float = 1e-9) -> Che
     breaks it, on 10 random draws, each centered at its point eta and judged
     at 0, all drawn first (eta, lambda, then the perturbed index) and then
     judged in blocks, one stacked recurrence per block for the maps and one
-    for the perturbed maps."""
+    for the perturbed maps, and one stacked closed form for the maps."""
     rng = np.random.default_rng(seed)
     drawn = []
     for _ in range(10):
@@ -322,7 +339,7 @@ def suite_theorem3(seed: int = 0, n_highest: int = 20, tol: float = 1e-9) -> Che
 
     def characterized(maps):
         """The stacked tables of the maps up to an overflow, and their verdicts at 0."""
-        tables, exc = _stacked_tables(maps, n_highest)
+        tables, exc = _stacked_tables(faber_system_from_recurrence, maps, n_highest)
         return (tables, exc), exponential_map_characterization(
             tables, maps[:len(tables)], tol=min(tol, _ZERO))
 
@@ -334,13 +351,16 @@ def suite_theorem3(seed: int = 0, n_highest: int = 20, tol: float = 1e-9) -> Che
             bumped = a.copy()
             bumped[np.arange(len(a)), bumps] += _BUMP
             (exact, detected), (perturbed, kept) = characterized(a), characterized(bumped)
-            for k, lam in enumerate(lams):
+            closed_forms = _stacked_tables(partial(exp_map_faber_closed_form, 0.0), np.array(lams),
+                                           n_highest, "the exp-map closed form")
+            for k in range(len(lams)):
                 with _named(f"theorem3 case {block.start + k}, N={n_highest}"):
                     recurrence = _case_table(exact, k)
-                    closed = exp_map_faber_closed_form(0.0, lam, n_highest)
+                    closed = _case_table(closed_forms, k)
                     _case_table(perturbed, k)
                 closed_resid = _row_deviation(closed, recurrence).max()
                 yield detected[k] and not kept[k] and closed_resid <= tol, closed_resid
+            del recurrence, closed          # no view keeps this block's stacks alive in the next
     return CheckReport.verdict("theorem3", cases())
 
 

@@ -188,7 +188,7 @@ class TestVerify:
 
         def corrupted(eta, lam, n_highest):
             table = original(eta, lam, n_highest).copy()
-            table[5, 2] += 1e-3
+            table[..., 5, 2] += 1e-3
             return table
 
         monkeypatch.setattr(suites, "exp_map_faber_closed_form", corrupted)
@@ -319,12 +319,19 @@ class TestVerify:
             "theorem3 case 3, N=12: the recurrence overflows float64 from F_9 on")
 
     def test_theorem3_closed_form_overflow_names_case_and_row(self, monkeypatch):
-        # as `verify --suite theorem3 --N 700 --tol 10 --seed 1` does at case 5
-        # (F_621), after five exact closed forms at N = 700 too slow for tier 1
+        # a stacked closed form refused from map 0, F_9 on; no command is known
+        # to reach one (`--N 700 --tol 10 --seed 1` passes), so the error is faked
         import faberpoly.suites as suites
 
+        original = suites.exp_map_faber_closed_form
+
         def overflowing(eta, lam, n_highest):
-            raise OverflowError("the exp-map closed form overflows float64 from F_9 on")
+            if len(lam) > 0:
+                error = OverflowError("the exp-map closed form overflows float64 in map 0 "
+                                      "from F_9 on")
+                error.map, error.row = 0, 9
+                raise error
+            return original(eta, lam, n_highest)
 
         monkeypatch.setattr(suites, "exp_map_faber_closed_form", overflowing)
         code, out, err = run_cli_with_stderr("verify", "--suite", "theorem3", "--N", "12")
@@ -345,7 +352,7 @@ class TestVerify:
 
         def non_finite(*args):
             table = original(*args).copy()
-            table[-1, 0] = complex("nan")
+            table[..., -1, 0] = complex("nan")
             return table
 
         monkeypatch.setattr(suites, generator, non_finite)

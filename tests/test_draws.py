@@ -80,6 +80,18 @@ def test_maps_match_the_scalar_draws(seed):
     assert same_stream(rng, ref)
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("maps, truncation", [(50, 30), (30, 24)], ids=["50x31", "30x25"])
+def test_a_stack_of_maps_is_the_scalar_draws_in_turn(seed, maps, truncation):
+    # the one draw of recurrence-vs-oracle and of eq13 and eq16
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    stack = draw_exterior_map(rng, truncation, maps)
+    assert stack.shape == (maps, truncation + 1) and not stack.flags.writeable
+    assert [a.tolist() for a in stack] == [scalar_exterior_map(ref, truncation)
+                                           for _ in range(maps)]
+    assert same_stream(rng, ref)
+
+
 def scalar_lambert(rng):
     """The grid and round-trip residuals of suite_lambert, one uniform per call."""
     worst_grid = 0.0

@@ -227,6 +227,44 @@ class TestExpMapClosedForm:
         first = {100.0: 155, -1e3j: 103}[lam]
         assert str(raised.value) == f"the exp-map closed form overflows float64 from F_{first} on"
 
+    @pytest.mark.parametrize("eta", [0.0, 0.2])
+    @pytest.mark.parametrize("n", [20, 60])
+    def test_a_stack_is_each_lambda_alone_bit_for_bit(self, eta, n):
+        lams = [0.0, 1e-3j, 0.45, -0.8 + 0.3j, 1.7, -3.0 - 2.0j]
+        stack = exp_map_faber_closed_form(eta, np.array(lams), n)
+        assert stack.shape == (len(lams), n + 1, n + 1) and not stack.flags.writeable
+        for lam, table in zip(lams, stack):       # bit for bit, signed zeros too
+            assert table.tobytes() == exp_map_faber_closed_form(eta, lam, n).tobytes()
+        assert exp_map_faber_closed_form(eta, [], n).shape == (0, n + 1, n + 1)
+
+    @pytest.mark.parametrize("eta, n", [(0.0, 171), (0.2, 171), (1e3, 110), (-50.0, 200),
+                                        (10.0, 250)])
+    def test_a_stack_fails_as_its_first_failing_map(self, eta, n):
+        # (-lam)^p of 100 leaves float64 from p = 155 and of -1e3j from 103, the
+        # shifted powers from F_103 at eta = 1e3 and the products before them
+        # at -50 and 10: the stack names the first map that fails alone, with
+        # its row, and the maps before it are the same tables alone
+        lams = [0.45, 1.7, 100.0, -1e3j]
+        alone = []
+        for lam in lams:
+            try:
+                alone.append(exp_map_faber_closed_form(eta, lam, n))
+            except OverflowError as exc:
+                alone.append(exc)
+        first = next(i for i, table in enumerate(alone) if isinstance(table, OverflowError))
+        with pytest.raises(OverflowError) as raised:
+            exp_map_faber_closed_form(eta, np.array(lams), n)
+        row = alone[first].row
+        assert (raised.value.map, raised.value.row) == (first, row)
+        assert str(raised.value) == (f"the exp-map closed form overflows float64 "
+                                     f"in map {first} from F_{row} on")
+        head = exp_map_faber_closed_form(eta, np.array(lams[:first]), n)
+        assert all(np.array_equal(table, alone[i]) for i, table in enumerate(head))
+
+    def test_a_stack_is_one_dimensional(self):
+        with pytest.raises(ValueError, match=r"1-D array .* shape \(2, 1\)"):
+            exp_map_faber_closed_form(0.0, [[0.1], [0.2]], 4)
+
     def test_first_index(self):
         p = exp_map_faber_closed_form(0.3, 0.2j, 1)[1]
         assert np.abs(p - (-0.3 - 0.2j, 1)).max() < 1e-15

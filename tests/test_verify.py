@@ -270,6 +270,60 @@ def test_one_recurrence_table_per_map(monkeypatch, suite, highest):
             assert original(emap, n_highest).tobytes() == table.tobytes()
 
 
+@pytest.mark.parametrize("n_highest, blocks", [(20, [10]), (60, [4, 4, 2])])
+def test_one_closed_form_call_per_theorem3_block(monkeypatch, n_highest, blocks):
+    # at N = 60 a block holds 4 maps under the budget of table entries; each
+    # case's closed form is its table in the block's stack
+    calls = []
+    original = suites.exp_map_faber_closed_form
+
+    def counting(eta, lam, n):
+        tables = original(eta, lam, n)
+        calls.append((eta, np.array(lam), tables))
+        return tables
+    monkeypatch.setattr(suites, "exp_map_faber_closed_form", counting)
+    report, = suites.run_suite("theorem3", n_highest=n_highest)
+    assert report.passed
+    assert [len(lam) for _, lam, _ in calls] == blocks
+    for eta, lams, tables in calls:
+        assert eta == 0.0 and lams.ndim == 1
+        for lam, table in zip(lams, tables):
+            assert original(0.0, lam, n_highest).tobytes() == table.tobytes()
+
+
+def overflow_theorem3(monkeypatch, recurrence_case, closed_case):
+    """theorem3 at N = 12 with the stacked recurrence failing at map
+    ``recurrence_case`` (F_9) and the stacked closed form at ``closed_case``
+    (F_7), the stacks' errors as the generators raise them."""
+    for name, source, case, row in (
+            ("faber_system_from_recurrence", "the recurrence", recurrence_case, 9),
+            ("exp_map_faber_closed_form", "the exp-map closed form", closed_case, 7)):
+        original = getattr(suites, name)
+
+        def failing(*args, _original=original, _source=source, _case=case, _row=row):
+            if len(args[-2]) > _case:               # the stack comes before N
+                error = OverflowError(f"{_source} overflows float64 in map {_case} "
+                                      f"from F_{_row} on")
+                error.map, error.row = _case, _row
+                raise error
+            return _original(*args)
+        monkeypatch.setattr(suites, name, failing)
+
+
+@pytest.mark.parametrize("recurrence_case, closed_case, message", [
+    (3, 3, "theorem3 case 3, N=12: the recurrence overflows float64 from F_9 on"),
+    (5, 2, "theorem3 case 2, N=12: the exp-map closed form overflows float64 from F_7 on"),
+    (2, 5, "theorem3 case 2, N=12: the recurrence overflows float64 from F_9 on"),
+], ids=["recurrence-before-closed-form", "earlier-closed-form", "earlier-recurrence"])
+def test_theorem3_refuses_in_case_order_within_a_block(monkeypatch, recurrence_case,
+                                                        closed_case, message):
+    # all ten maps share one block at N = 12: a case's recurrence is refused
+    # before its closed form, and an earlier case before a later one
+    overflow_theorem3(monkeypatch, recurrence_case, closed_case)
+    with pytest.raises(OverflowError, match=f"^{message}$"):
+        suites.run_suite("theorem3", n_highest=12)
+
+
 SERIES_SUITES = [("recurrence-vs-oracle", "_log_table"), ("eq13", "_ratio_table"),
                  ("eq16", "_derivative_table")]
 
@@ -298,12 +352,12 @@ def test_one_recurrence_and_one_oracle_call_per_block(monkeypatch, suite, oracle
 def overflow_case_7(monkeypatch, nan_case=None):
     """eq13 with the map of case 7 replaced by one whose F_2 leaves float64
     (a_0 = 1e200), and an entry of the oracle table of case ``nan_case`` NaN."""
-    original_draw, drawn = suites.draw_exterior_map, []
+    original_draw = suites.draw_exterior_map
 
-    def draw(rng, truncation):
-        a = original_draw(rng, truncation)      # the same draws, in the same order
-        drawn.append(a)
-        return np.array([1e200] + [0.0] * truncation) if len(drawn) == 8 else a
+    def draw(rng, truncation, maps):
+        a = original_draw(rng, truncation, maps).copy()     # the same draws, in the same order
+        a[7] = [1e200] + [0.0] * truncation
+        return a
     monkeypatch.setattr(suites, "draw_exterior_map", draw)
     original_oracle = suites._ratio_table
 
