@@ -322,7 +322,10 @@ def _shifted_power_table(z0: complex, n_highest: int) -> np.ndarray:
     (z - z0)^j, j = 0..N, by the binomial theorem.  A power that is exactly
     zero is multiplied by 1 in place of its binomial, so only a nonzero term
     can overflow.  From the first row with a binomial or a power beyond
-    float64 on, the rows are NaN, for the caller's ``_finite_rows`` to name."""
+    float64 on, the rows are NaN, for the caller's ``_finite_rows`` to name.
+    At z0 = 0 the table is the identity, returned as it is."""
+    if z0 == 0:
+        return np.eye(n_highest + 1, dtype=complex)
     table = np.zeros((n_highest + 1, n_highest + 1), dtype=complex)
     for j in range(n_highest + 1):
         try:

@@ -3,13 +3,12 @@ of coefficient tables.
 
 A Faber system is a coefficient table (see :mod:`faberpoly.faber`);
 ``evaluate_rows`` evaluates all its rows at once.  ``faber_roots`` finds
-the roots of F_j as the eigenvalues of the leading j x j block of the map's
-lower Hessenberg matrix H (``_hessenberg``), the coefficient recurrence in
-matrix form, whose eigenvalues are backward stable in the map's
-coefficients; for a map of rotational order s > 1, such as the
-hypocycloid's m + 1, it solves the Z_s-reduced blocks of H^s instead and
-takes each root one Newton step.  The ``roots`` command and the ``rays``
-suite both use it.
+the roots of F_j as eigenvalues of the map's lower Hessenberg matrix H
+(``_hessenberg``), the coefficient recurrence in matrix form in the map's
+own arithmetic, whose eigenvalues are backward stable in its coefficients:
+one path for every map, the Z_s-reduced blocks of H^s for its rotational
+order s (the leading blocks of H at s = 1), and one Newton step per root
+where s > 1.  The ``roots`` command and the ``rays`` suite both use it.
 :meth:`ComplexPolynomial.roots` finds the roots of monomial coefficients,
 exponentially ill-conditioned in the degree, as the eigenvalues of a
 companion matrix (Edelman and Murakami 1995), each taken one Newton step
@@ -226,17 +225,15 @@ def _hessenberg(a, n: int) -> np.ndarray:
     1 <= i <= j and H[j, 0] = (j+1) a_j, which is the coefficient recurrence
     of :mod:`faberpoly.faber` written as z (F_0, ..., F_{n-1}) = H (F_0, ...,
     F_{n-1}) + F_n e_{n-1}.  For m = 1 it is the colleague matrix (Good
-    1961).  Complex even for a real map, so that one LAPACK solver, zgeev,
-    serves every map whose rotational order is 1; ``faber_roots`` takes the
-    real part of a real map's H for its reduced blocks."""
-    coeffs = np.zeros(n, dtype=complex)
+    1961).  H is in the map's own arithmetic: real where every entry
+    a_0 ... a_{n-1} it reads is real, complex otherwise."""
     given = np.asarray(a, dtype=complex)[:n]
-    coeffs[:len(given)] = given
-    h = np.zeros((n, n), dtype=complex)
+    given = given if given.imag.any() else given.real
+    h = np.zeros((n, n), dtype=given.dtype)
     flat = h.reshape(-1)
-    for k in np.flatnonzero(coeffs).tolist():
-        flat[k * n::n + 1] = coeffs[k]                   # H[i + k, i] = a_k
-    h[:, 0] = np.arange(1, n + 1) * coeffs
+    for k in np.flatnonzero(given).tolist():
+        flat[k * n::n + 1] = given[k]                    # H[i + k, i] = a_k
+    h[:len(given), 0] = np.arange(1, len(given) + 1) * given
     flat[1::n + 1] = 1.0
     return h
 
@@ -254,28 +251,41 @@ def faber_roots(a, table: np.ndarray, indices: Sequence[int]) -> list[np.ndarray
     matrix for the whole range.
 
     ``a`` is the map's coefficient array and ``table`` its Faber table (rows
-    j in ``indices`` at least).  Eigenvalues are backward stable in the
-    entries of H, which the roots of the monomial coefficients are not.  A
-    map of rotational order s = 1 (``_rotational_order``) solves the leading
-    j x j block of H.  A row with r leading zero coefficients has its r
-    smallest eigenvalues set to exactly 0, first, then the others in
-    LAPACK's order.  A map of order s > 1 solves the small blocks of
-    ``_class_eigenvalues`` instead: row j holds its r exact zeros, then
-    mu^{1/s} omega^k, k = 0..s-1, omega = e^{2 pi i/s}, for each other
-    eigenvalue mu of its class block, each root taken one Newton step x -
-    F_j(x) / F_j'(x) on the map's value recurrence (``_row_values``): an
-    error d mu moves a small root by about d mu / (s x^{s-1}), beyond the
-    residual rule, which the step mends.  A root stays as it is where the
-    step is not finite.  An eigenvalue solver that does not converge, or an
-    eigenvalue that is not finite, raises :class:`RootFindingError` naming
-    F_j (``row`` is j), by ``_eigenvalues``.
+    j in ``indices`` at least).  Every map solves the class blocks of
+    ``_class_eigenvalues`` for its rotational order s
+    (``_rotational_order``), in the arithmetic of H: row j holds its r exact
+    zeros, r its number of leading zero coefficients, then mu^{1/s}
+    omega^k, k = 0..s-1, omega = e^{2 pi i/s}, for each other eigenvalue mu
+    of its block, in LAPACK's order.  At s = 1 the block is the leading
+    j x j block of H, so a real map's non-real roots come in exactly
+    conjugate pairs.  Where s > 1 each root takes one Newton step
+    x - F_j(x) / F_j'(x) on the map's value recurrence (``_row_values``),
+    kept where it is finite: taking the s-th root moves a small root by
+    about d mu / (s x^{s-1}) for an error d mu, beyond the residual rule.
+    An eigenvalue solver that does not converge, or an eigenvalue that is
+    not finite, raises :class:`RootFindingError` naming F_j (``row`` is j),
+    by ``_eigenvalues``.
     """
     s = _rotational_order(a)
+    rows = sorted(set(indices))
+    at = {j: i for i, j in enumerate(rows)}
+    roots = np.zeros((len(rows), rows[-1]), dtype=complex)
+    for group, mu in _class_eigenvalues(_hessenberg(a, rows[-1]), s, rows):
+        if s > 1:                           # mu^{1/s} omega^k
+            spokes = np.exp(2j * math.pi * np.arange(s) / s)
+            mu = (np.power(mu.astype(complex), 1.0 / s)[..., None] * spokes).reshape(len(group), -1)
+        for j, x in zip(group, mu):
+            roots[at[j], j - len(x):j] = x
+    # j mod s exact zeros, and s more for each zero of G: as many as the row's leading zeros
+    for i, j in enumerate(rows):
+        if table[j, j % s] == 0:
+            roots[i, :j] = _zeros_first(roots[i, :j], _leading_zeros(table, j))
     if s > 1:
-        return _reduced_roots(a, table, indices, s)
-    h = _hessenberg(a, max(indices))
-    return [_zeros_first(_eigenvalues(h[:j, :j], f"roots of F_{j}", j), _leading_zeros(table, j))
-            for j in indices]
+        values, slopes = _row_values(a, roots, rows)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.divide(values, slopes, out=np.zeros_like(roots), where=roots != 0)
+        roots = np.where(np.isfinite(step), roots - step, roots)
+    return [roots[at[j], :j] for j in indices]
 
 
 def _leading_zeros(table: np.ndarray, j: int) -> int:
@@ -297,17 +307,20 @@ def _class_eigenvalues(h: np.ndarray, s: int, rows: Sequence[int]):
 
     H (``_hessenberg``) steps an index by +1, or by -k for a_k != 0, and k + 1
     is a multiple of s, so every step moves the class of an index mod s by
-    one, and P = H^s, formed once (real where H is), keeps each class.  An
+    one, and P = H^s, formed once in H's arithmetic, keeps each class.  An
     index of class r = j mod s below j is at most j - s, and a path of s
     steps from it never passes j - 1, so the leading q x q block of class r
     of P is that of H_j^s, H_j the leading j x j block; its eigenvalues are
-    the roots of G in F_j = z^r G(z^s).  Where a stacked solve fails, each of
-    its blocks is solved alone, so that the lowest failing row names the
+    the roots of G in F_j = z^r G(z^s).  At s = 1, P = H and the block of
+    row j is H_j itself.  Where a stacked solve fails, each of its blocks is
+    solved alone, so that the lowest failing row names the
     ``RootFindingError`` (``_eigenvalues``).
     """
-    power = np.linalg.matrix_power(h if h.imag.any() else h.real, s)
+    power = np.linalg.matrix_power(h, s)
     size = len(h) // s
-    classes = np.stack([power[r::s, r::s][:size, :size] for r in range(s)])
+    # classes[r, i, k] = P[r + i s, r + k s]: every class block, as a view of P
+    classes = power[:size * s, :size * s].reshape(size, s, size, s).diagonal(0, 1, 3)
+    classes = classes.transpose(2, 0, 1)
     for q, group in itertools.groupby(rows, lambda j: j // s):
         if q:
             group = list(group)
@@ -321,27 +334,6 @@ def _class_eigenvalues(h: np.ndarray, s: int, rows: Sequence[int]):
                 mu = np.array([_eigenvalues(block, f"roots of F_{j}", j)
                                for block, j in zip(blocks, group)])
             yield group, mu
-
-
-def _reduced_roots(a, table: np.ndarray, indices: Sequence[int], s: int) -> list[np.ndarray]:
-    """``faber_roots`` of a map of rotational order s > 1."""
-    rows = sorted(set(indices))
-    at = {j: i for i, j in enumerate(rows)}
-    spokes = np.exp(2j * math.pi * np.arange(s) / s)
-    roots = np.zeros((len(rows), rows[-1]), dtype=complex)
-    for group, mu in _class_eigenvalues(_hessenberg(a, rows[-1]), s, rows):
-        found = (np.power(mu.astype(complex), 1.0 / s)[..., None] * spokes).reshape(len(group), -1)
-        for j, x in zip(group, found):
-            roots[at[j], j - len(x):j] = x
-    # j mod s exact zeros, and s more for each zero of G: as many as the row's leading zeros
-    for i in np.flatnonzero(table[rows, np.remainder(rows, s)] == 0).tolist():
-        j = rows[i]
-        roots[i, :j] = _zeros_first(roots[i, :j], _leading_zeros(table, j))
-    values, slopes = _row_values(a, roots, rows)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = np.divide(values, slopes, out=np.zeros_like(roots), where=roots != 0)
-    roots = np.where(np.isfinite(step), roots - step, roots)
-    return [roots[at[j], :j] for j in indices]
 
 
 def _horner(coeffs_ascending: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -602,12 +602,13 @@ class TestTableWriter:
 
 
 #: roots options per family: gap (z0 = 0, n = 3) and hypocycloid have rotational
-#: order 4 and 3, so both paths of faber_roots are written
+#: order 4 and 3, the others order 1, and the exp map here is real, so rows of a
+#: complex and of a real Hessenberg matrix are written
 ROOTS_OPTIONS = {"shift": ("--alpha0", "0.3-0.2j"),
                  "gap": ("--n", "3", "--tail", "0.2-0.1j"),
                  "twogap": ("--z0", "0.1j"),
                  "hypocycloid": ("--m", "2"),
-                 "expmap": ("--eta", "-0.2", "--lambda", "0.4+0.3j")}
+                 "expmap": ("--eta", "-0.2", "--lambda", "0.4")}
 
 
 class TestRootsWriter:

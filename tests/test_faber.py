@@ -592,6 +592,71 @@ def test_log_oracle_takes_no_reciprocal_and_no_product(monkeypatch):
         assert np.all(np.isfinite(values))
 
 
+def value_recurrence(a, z, n):
+    """F_j(z) and F_j'(z), j = 0..n, at the points z, by the recurrence on
+    values, one step per index over the map's entries up to its last nonzero:
+    F_{j+1} = (z - a_0) F_j - sum_{k=1}^{j} a_k F_{j-k} - j a_j and
+    F'_{j+1} = F_j + (z - a_0) F'_j - sum_{k=1}^{j} a_k F'_{j-k}."""
+    a = np.asarray(a)[:np.flatnonzero(a)[-1] + 1]
+    f = np.zeros((2, n + 1, len(z)), dtype=complex)
+    f[0, 0] = 1.0
+    for j in range(n):
+        k = min(j, len(a) - 1)
+        tail = a[1:k + 1] @ f[:, j - k:j][:, ::-1]         # F_{j-1} ... F_{j-k}, both rows
+        f[0, j + 1] = (z - a[0]) * f[0, j] - tail[0] - (j * a[j] if j < len(a) else 0)
+        f[1, j + 1] = f[0, j] + (z - a[0]) * f[1, j] - tail[1]
+    return f
+
+
+def oracle_gaps(a, n=1000):
+    """The worst gap of each point oracle from ``value_recurrence`` at 8
+    seeded points Psi(rho e^{i theta}), four on rho = 1.05 and four on 1.5:
+    F_j(z) relative to 1 + |F_j(z)|, and the derivative oracle's F_j'(z)/j
+    relative to 1 + |F_j'(z)/j|, j = 1..n."""
+    w = np.repeat([1.05, 1.5], 4) * np.exp(2j * np.pi * np.random.default_rng(0).random(8))
+    z = w + np.polynomial.polynomial.polyval(1 / w, a)
+    f, d = value_recurrence(a, z, n)[:, 1:]
+    pairs = {"log": (faber_values_from_log_series(a, z, n), f),
+             "ratio": (faber_values_from_ratio_series(a, z, n)[1:], f),
+             "derivative": (faber_derivative_values_from_series(a, z, n),
+                            d / np.arange(1, n + 1)[:, None])}
+    return {name: float(np.max(np.abs(got - want) / (1 + np.abs(want))))
+            for name, (got, want) in pairs.items()}
+
+
+class TestPointOraclesAgainstTheValueRecurrence:
+    """The three public point oracles at N = 1000 against the recurrence on
+    values, which reads only map coefficients.  Worst gaps measured over
+    the three maps: log 2.5e-14, ratio 1.0e-12 and derivative 8.8e-13, all
+    at the exp map with lam = 0.9; the bounds sit 4 to 11 times above them.
+    A planted fault reads 1.0e-3 to 1.1e-3 in the oracles that use the
+    faulty operation.  The three maps take 0.43 s and the two faults 0.30 s."""
+
+    BOUNDS = {"log": 1e-13, "ratio": 1e-11, "derivative": 1e-11}
+    MAPS = {"expmap-0.5": exp_map_exterior(0.1, 0.5, 1000),
+            "expmap-0.9": exp_map_exterior(0.1, 0.9, 1000),
+            "gap": to_exterior_map(GapMap(0.1 + 0.1j, 3, [0.15, 0.05j]), 1000)}
+
+    @pytest.mark.parametrize("a", MAPS.values(), ids=MAPS)
+    def test_each_oracle_is_the_value_recurrence_at_n_1000(self, a):
+        gaps = oracle_gaps(a)
+        assert all(gaps[name] <= bound for name, bound in self.BOUNDS.items()), gaps
+
+    @pytest.mark.parametrize("method", ["reciprocal", "__mul__"])
+    def test_a_planted_series_fault_fails_the_check(self, monkeypatch, method):
+        # coefficient 5 of every reciprocal or product moved by 1e-3 of 1 + its magnitude
+        honest = getattr(PowerSeries, method)
+
+        def planted(*args):
+            coeffs = np.array(honest(*args).coeffs)
+            coeffs[5] += 1e-3 * (1 + np.abs(coeffs[5]))
+            return PowerSeries(coeffs)
+
+        monkeypatch.setattr(PowerSeries, method, planted)
+        gaps = oracle_gaps(self.MAPS["expmap-0.5"])
+        assert any(gaps[name] > bound for name, bound in self.BOUNDS.items()), gaps
+
+
 class TestRatioSeries:
     def test_zeroth_coefficient_is_one(self):
         emap = [0.2, 0.3]

@@ -381,6 +381,21 @@ def test_a_zero_power_never_overflows_the_binomial_table():
     assert table.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("n", (0, 1, 24))
+def test_shifted_powers_at_zero_are_the_entry_by_entry_table(n):
+    """At z0 = 0 the identity comes back as it is: the table the binomial
+    loop fills entry by entry, (-z0)^(j-k) times its binomial, zero signs
+    included."""
+    loop = np.zeros((n + 1, n + 1), dtype=complex)
+    for j in range(n + 1):
+        powers = [(-0j) ** (j - k) for k in range(j + 1)]
+        loop[j, :j + 1] = [(math.comb(j, k) if power else 1) * power
+                           for k, power in enumerate(powers)]
+    table = _shifted_power_table(0j, n)
+    assert np.array_equal(table, loop)
+    assert np.array_equal(np.signbit(table.view(float)), np.signbit(loop.view(float)))
+
+
 class TestLambert:
     def test_at_zero(self):
         res = lambert_w0(0.0)
