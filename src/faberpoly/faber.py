@@ -99,7 +99,8 @@ def faber_system_from_recurrence(a, n_highest: int) -> np.ndarray:
 def _cut_map(a: np.ndarray) -> np.ndarray:
     """The map ``a`` cut after its last nonzero coefficient, a_0 kept, so that
     its recurrence over K nonzero coefficients costs O(K N^2), not O(N^3)."""
-    return a[:len(np.trim_zeros(a, "b")) or 1]
+    nonzero = np.flatnonzero(a)
+    return a[:nonzero[-1] + 1 if nonzero.size else 1]
 
 
 def _recurrence_tables(maps: np.ndarray, n: int) -> np.ndarray:
@@ -188,9 +189,9 @@ def _finite_rows(table: np.ndarray, source: str, letter: str = "F") -> np.ndarra
     """The table, or stack of tables, marked read-only as every generator
     returns it, unless a row is not finite: then the ``_overflow`` of the
     first, in a stack of the first map with one."""
-    bad = np.argwhere(~np.isfinite(table).all(axis=-1))
-    if bad.size:
-        *k, j = bad[0].tolist()
+    finite = np.isfinite(table)
+    if not finite.all():
+        *k, j = np.argwhere(~finite.all(axis=-1))[0].tolist()
         raise _overflow(source, j, letter, *k)
     table.flags.writeable = False
     return table

@@ -199,33 +199,91 @@ def gap_faber_closed_form(family: GapMap, n_highest: int) -> np.ndarray:
     return _finite_rows(table, "the gap closed form")
 
 
-def two_gap_faber_system(family: TwoGapMap, n_highest: int) -> np.ndarray:
+def two_gap_faber_system(family: TwoGapMap | Sequence[TwoGapMap], n_highest: int) -> np.ndarray:
     """F_0 ... F_N of a two-gap map by its four-branch piecewise recurrence:
     shifted monomials up to m, one corrected monomial at m + 1, a constant-
     coefficient three-term recurrence up to n, then the full-tail recurrence.
-    Row j of the table holds F_j.  Raises OverflowError naming the first
-    F_j that float64 cannot hold.
+    Row j of the table holds F_j.  A sequence of B maps gives the
+    (B, N+1, N+1) stack of their tables in one pass, and one map is a stack
+    of one: past its head rows, row j + 1 of each map is z F_j less z0 F_j,
+    less alpha_k F_{j-k} for each of its indices k = m, n .. top up to j in
+    ascending order, less j alpha_j, each term an elementwise product
+    written only into the maps that have it (``_terms``), so that every
+    map's table is bit for bit its table alone.  Every map takes each step
+    from the lowest head on, and a step into a map's own head rows is then
+    undone from them.  Raises OverflowError naming the first F_j that
+    float64 cannot hold, in a stack that of the first map with one,
+    carrying both as ``map`` and ``row``.
     """
     if n_highest < 0:
         raise ValueError("need a nonnegative highest index")
-    z0, m, am, n, top = family.z0, family.m, family.alpha_m, family.n, family.highest_index
-    head = min(m + 1, n_highest)
-    table = np.zeros((n_highest + 1, n_highest + 1), dtype=complex)
-    table[:head + 1, :head + 1] = _shifted_power_table(z0, head)
-    if head == m + 1:
-        table[head, 0] -= (m + 1) * am
+    maps = [family] if isinstance(family, TwoGapMap) else list(family)
+    top = max((fam.highest_index for fam in maps), default=0)
+    alphas = np.zeros((len(maps), top + 1), dtype=complex)     # alpha_k of each map
+    taps = np.zeros((len(maps), top + 1), dtype=bool)          # its indices m, n .. top
+    table = np.zeros((len(maps), n_highest + 1, n_highest + 1), dtype=complex)
+    heads = []                                  # rows 0 .. min(m + 1, N) of each map
+    for fam, coefficients, indices, rows in zip(maps, alphas, taps, table):
+        coefficients[fam.m], coefficients[fam.n:fam.highest_index + 1] = fam.alpha_m, fam.tail
+        indices[fam.m] = indices[fam.n:fam.highest_index + 1] = True
+        head = _shifted_power_table(fam.z0, min(fam.m + 1, n_highest))
+        if len(head) == fam.m + 2:
+            head[-1, 0] -= (fam.m + 1) * fam.alpha_m
+        rows[:len(head), :len(head)] = head
+        heads.append(head)
+    every = _terms(table, np.array([fam.z0 for fam in maps], dtype=complex),
+                   np.ones(len(maps), dtype=bool))
+    terms = [_terms(table, column, picked) for column, picked in zip(alphas.T, taps.T)]
+    union = np.flatnonzero(taps.any(axis=0)).tolist()
+    sizes = [len(head) for head in heads]
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(head, n_highest):
-            row, prev = table[j + 1], table[j, :j + 1]
-            row[1:j + 2] = prev                     # (z - z0) F_j - alpha_m F_{j-m}
-            row[:j + 1] -= z0 * prev
-            row[:j - m + 1] -= am * table[j - m, :j - m + 1]
-            if j >= n:                              # the tail from index n on
-                for k in range(n, min(j, top) + 1):
-                    row[:j - k + 1] -= family.tail[k - n] * table[j - k, :j - k + 1]
-                if j <= top:
-                    row[0] -= j * family.tail[j - n]
-    return _finite_rows(table, "the two-gap recurrence")
+        for j in range(min(sizes, default=n_highest + 1) - 1, n_highest):
+            stack = every[0]
+            stack[..., j + 1, 1:j + 2] = stack[..., j, :j + 1]          # z F_j
+            _less(every, j, 0)
+            for k in union:
+                if k > j:
+                    break
+                _less(terms[k], j, k)
+            if j <= top and terms[j] is not None:
+                _less(terms[j], j, None)
+            if j + 1 < max(sizes):                  # a map's head rows stay as they are
+                for rows, head in zip(table, heads):
+                    if j + 1 < len(head):
+                        rows[j + 1, :j + 2] = head[j + 1, :j + 2]
+    return _finite_rows(table[0] if isinstance(family, TwoGapMap) else table,
+                        "the two-gap recurrence")
+
+
+def _terms(table: np.ndarray, coefficients: np.ndarray, picked: np.ndarray):
+    """How one term of a stacked recurrence reaches the maps that a boolean
+    column picks, with each map's coefficient: one map's table and its
+    coefficient alone, the stack of consecutive maps and their coefficients
+    as a column, or otherwise the whole stack, every coefficient and the
+    column as a (B, 1) mask.  None where the column picks no map."""
+    at = np.flatnonzero(picked).tolist()
+    if not at:
+        return None
+    if at[-1] - at[0] >= len(at):
+        return table, coefficients[:, None], picked[:, None]
+    if len(at) == 1:
+        return table[at[0]], coefficients[at[0]], None
+    return table[at[0]:at[-1] + 1], coefficients[at[0]:at[-1] + 1, None], None
+
+
+def _less(term, j: int, k) -> None:
+    """Row j + 1 of the tables of a ``_terms`` term less its coefficient
+    times F_{j-k}, over the first j - k + 1 entries, or with k None less its
+    coefficient times j in the constant entry; only in the masked maps where
+    the term has a mask."""
+    tables, coefficient, mask = term
+    width = 1 if k is None else j - k + 1
+    target = tables[..., j + 1, :width]
+    product = coefficient * (j if k is None else tables[..., j - k, :width])
+    if mask is None:
+        target -= product
+    else:
+        np.subtract(target, product, out=target, where=mask)
 
 
 def hypocycloid_faber_closed_form(m: int, n_highest: int) -> np.ndarray:

@@ -242,13 +242,13 @@ def _rotational_order(a) -> int:
     """The map's rotational order s = gcd{k + 1 : a_k != 0}: Psi(omega w) =
     omega Psi(w) for omega^s = 1, so F_j = z^{j mod s} G(z^s).  It is 1 where
     a_0 != 0, and for the zero map; zeros past the last entry change nothing."""
-    return math.gcd(*(np.flatnonzero(a) + 1).tolist()) or 1
+    return 1 if a[0] else math.gcd(*(np.flatnonzero(a) + 1).tolist()) or 1
 
 
 def faber_roots(a, table: np.ndarray, indices: Sequence[int]) -> list[np.ndarray]:
     """Roots of F_j for each j in ``indices`` (all >= 1), with multiplicity,
     as eigenvalues of blocks of the map's ``_hessenberg`` matrix H, one
-    matrix for the whole range.
+    matrix for the whole range, read off the rows of ``_root_array``.
 
     ``a`` is the map's coefficient array and ``table`` its Faber table (rows
     j in ``indices`` at least).  Every map solves the class blocks of
@@ -266,8 +266,17 @@ def faber_roots(a, table: np.ndarray, indices: Sequence[int]) -> list[np.ndarray
     not finite, raises :class:`RootFindingError` naming F_j (``row`` is j),
     by ``_eigenvalues``.
     """
-    s = _rotational_order(a)
     rows = sorted(set(indices))
+    at = {j: i for i, j in enumerate(rows)}
+    roots = _root_array(a, table, rows)
+    return [roots[at[j], :j] for j in indices]
+
+
+def _root_array(a, table: np.ndarray, rows: Sequence[int]) -> np.ndarray:
+    """The one solve of ``faber_roots`` for the ascending distinct ``rows``:
+    row i of the (len(rows), rows[-1]) array holds the roots of F_j, j =
+    rows[i], in columns 0..j-1, and zeros after them."""
+    s = _rotational_order(a)
     at = {j: i for i, j in enumerate(rows)}
     roots = np.zeros((len(rows), rows[-1]), dtype=complex)
     for group, mu in _class_eigenvalues(_hessenberg(a, rows[-1]), s, rows):
@@ -285,7 +294,7 @@ def faber_roots(a, table: np.ndarray, indices: Sequence[int]) -> list[np.ndarray
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.divide(values, slopes, out=np.zeros_like(roots), where=roots != 0)
         roots = np.where(np.isfinite(step), roots - step, roots)
-    return [roots[at[j], :j] for j in indices]
+    return roots
 
 
 def _leading_zeros(table: np.ndarray, j: int) -> int:
@@ -316,11 +325,13 @@ def _class_eigenvalues(h: np.ndarray, s: int, rows: Sequence[int]):
     solved alone, so that the lowest failing row names the
     ``RootFindingError`` (``_eigenvalues``).
     """
-    power = np.linalg.matrix_power(h, s)
-    size = len(h) // s
-    # classes[r, i, k] = P[r + i s, r + k s]: every class block, as a view of P
-    classes = power[:size * s, :size * s].reshape(size, s, size, s).diagonal(0, 1, 3)
-    classes = classes.transpose(2, 0, 1)
+    if s > 1:
+        size = len(h) // s
+        # classes[r, i, k] = P[r + i s, r + k s]: every class block, as a view of P
+        classes = np.linalg.matrix_power(h, s)[:size * s, :size * s].reshape(
+            size, s, size, s).diagonal(0, 1, 3).transpose(2, 0, 1)
+    else:
+        classes = h[None]                   # the one class, H itself
     for q, group in itertools.groupby(rows, lambda j: j // s):
         if q:
             group = list(group)

@@ -12,12 +12,12 @@ block is one stacked recurrence and one stacked oracle table, judged by
 ``_row_deviation``; a theorem block one stacked recurrence per set of maps
 (theorem 1 one at the block's largest N = 2n + 2, theorem 2 its maps and
 its pattern maps, theorem 3 its maps and its perturbed maps), whose tables
-the checkers of :mod:`faberpoly.verify` judge as one stack, and in theorem 3
-also one stacked exp-map closed form of its maps.  An overflow or a closed
-form's refusal still names the first case it stops, as a case at a time
-would: every suite puts its case before the error's message by one helper,
-``_named``, and a stack refused from map k holds its cases before k
-(``_stacked_tables``).  All randomness flows through an explicit seed, so a
+the checkers of :mod:`faberpoly.verify` judge as one stack, and one stacked
+closed form of its maps in theorem 2 (the two-gap form) and theorem 3 (the
+exp-map form).  An overflow or a closed form's refusal still names the
+first case it stops, as a case at a time would: every suite puts its case
+before the error's message by one helper, ``_named``, and a stack refused
+from map k holds its cases before k (``_stacked_tables``).  All randomness flows through an explicit seed, so a
 suite run is reproducible bit for bit.
 
 Theorems 1-3 judge each map at its point, z0 or eta, centered there (z0 =
@@ -29,8 +29,9 @@ NAME``.
 
 The draws are part of every report.  Each disk point takes two uniforms
 from the generator, its radius and then its angle (``draw_disks`` takes k
-points from one call of k pairs, and a series suite all its maps from one
-such call); a change to that order or count changes every report.
+points from one call of k pairs, as one complex array, and a series suite
+all its maps from one such call); a change to that order or count changes
+every report.
 """
 
 from __future__ import annotations
@@ -51,8 +52,7 @@ from .maps import (ExpMap, GapMap, Hypocycloid, TwoGapMap,
                    gap_faber_closed_form, hypocycloid_faber_closed_form,
                    inverse_exp_map, lambert_w0, lambert_w0_power_series,
                    to_exterior_map, two_gap_faber_system)
-from .poly import (RootFindingError, _hessenberg, _root_residuals, evaluate_rows,
-                   faber_roots)
+from .poly import RootFindingError, _hessenberg, _root_array, _root_residuals, evaluate_rows
 from .verify import (CheckReport, _row_deviation, _row_scale, check_derivative_identity,
                      check_gap_coefficient_recovery, exponential_map_characterization,
                      leading_common_root_order)
@@ -74,16 +74,19 @@ def draw_polar(rng: np.random.Generator, r: float) -> complex:
     return complex(r * math.cos(phi), r * math.sin(phi))
 
 
-def draw_disks(rng: np.random.Generator, radii: list[float]) -> list[complex]:
-    """One uniform point of the disk |z| <= R for each R in ``radii``, from one
-    generator call of len(radii) pairs: radius R sqrt(u), then angle 2 pi v."""
+def draw_disks(rng: np.random.Generator, radii) -> np.ndarray:
+    """One uniform point of the disk |z| <= R for each R in ``radii``, as a
+    complex array, from one generator call of len(radii) pairs: radius
+    R sqrt(u), then angle 2 pi v, each part written as its float product."""
     u, v = rng.uniform(size=(len(radii), 2)).T
     r, phi = np.multiply(radii, np.sqrt(u)), 2.0 * math.pi * v
-    return list(map(complex, (r * np.cos(phi)).tolist(), (r * np.sin(phi)).tolist()))
+    points = np.empty(len(radii), dtype=complex)
+    points.real, points.imag = r * np.cos(phi), r * np.sin(phi)
+    return points
 
 
 def draw_disk(rng: np.random.Generator, radius: float) -> complex:
-    return draw_disks(rng, [radius])[0]
+    return complex(draw_disks(rng, [radius])[0])
 
 
 def draw_exterior_map(rng: np.random.Generator, truncation: int,
@@ -91,11 +94,11 @@ def draw_exterior_map(rng: np.random.Generator, truncation: int,
     """Random coefficient array a_0 .. a_truncation with |a_k| <= 1/(k+1), or
     with ``maps`` a stack of that many, one per row, from one ``draw_disks``
     call that takes the uniforms of ``maps`` single draws in their order."""
-    radii = [1.0 / (k + 1) for k in range(truncation + 1)]
+    radii = 1.0 / np.arange(1, truncation + 2)
     if maps is None:
         return _map_coefficients(draw_disks(rng, radii))
-    disks = draw_disks(rng, radii * maps)
-    return _map_coefficients(np.reshape(disks, (maps, truncation + 1)), stack=True)
+    disks = draw_disks(rng, np.tile(radii, maps))
+    return _map_coefficients(disks.reshape(maps, truncation + 1), stack=True)
 
 
 def draw_gap_map(rng: np.random.Generator) -> GapMap:
@@ -108,7 +111,7 @@ def draw_gap_map(rng: np.random.Generator) -> GapMap:
     n = int(rng.integers(1, 6))
     z0 = draw_disk(rng, 1.0)
     lead = draw_polar(rng, 2.0 / (n + 1) * (0.4 + 0.6 * rng.uniform()))
-    tail = [lead] + draw_disks(rng, [2.0 / (j + 1) for j in range(n + 1, 2 * n + 1)])
+    tail = [lead, *draw_disks(rng, [2.0 / (j + 1) for j in range(n + 1, 2 * n + 1)]).tolist()]
     return GapMap(z0, n, tail)
 
 
@@ -127,7 +130,7 @@ def draw_two_gap_map(rng: np.random.Generator, pattern_valid: bool = False) -> T
     z0 = draw_disk(rng, 1.0)
     alpha_m = draw_polar(rng, (0.3 + 0.7 * rng.uniform()) / (m + 1))
     lead = draw_polar(rng, 1.0 / (n + 1) * (0.4 + 0.6 * rng.uniform()))
-    tail = [lead] + draw_disks(rng, [1.0 / (j + 1) for j in (n + 1, n + 2)])
+    tail = [lead, *draw_disks(rng, [1.0 / (j + 1) for j in (n + 1, n + 2)]).tolist()]
     return TwoGapMap(z0, m, alpha_m, n, tail)
 
 
@@ -286,7 +289,9 @@ def suite_theorem1(seed: int = 0, tol: float = 1e-10) -> CheckReport:
 def suite_theorem2(seed: int = 0, n_highest: int = 24, tol: float = 1e-9) -> CheckReport:
     """Two-gap maps: piecewise recurrence equals the generic one; value
     pattern, on 10 pairs of random draws, all drawn first and then judged
-    in blocks, one stacked recurrence per block for each of the two sets.
+    in blocks, one stacked piecewise form per block and one stacked
+    recurrence for each of the two sets, each residual term taken once per
+    block.
 
     The closed-form equivalence is checked on unconstrained draws; the
     value pattern only on maps with n <= 2m + 1 (see draw_two_gap_map),
@@ -304,20 +309,36 @@ def suite_theorem2(seed: int = 0, n_highest: int = 24, tol: float = 1e-9) -> Che
     def cases():
         for block in _blocks([n_highest + 1] * len(drawn)):
             fams, pats = zip(*drawn[block.start:block.stop])
-            generic, patterned = stacked(fams), stacked(pats)
-            for k, (fam, pat) in enumerate(zip(fams, pats)):
-                with _named(f"theorem2 case {block.start + k}, N={n_highest}"):
-                    closed = two_gap_faber_system(fam, n_highest)
-                    table = _case_table(generic, k)
-                    # value pattern at z0: zero up to n except the single index m+1
-                    rows = _case_table(patterned, k)[1:pat.n + 1]
-                values = np.abs(rows[:, 0])                             # |F_j(z0)|, j = 1..
-                pattern = values / _row_scale(rows)
-                if pat.m < len(rows):
-                    expected = (pat.m + 1) * abs(pat.alpha_m)
-                    pattern[pat.m] = abs(values[pat.m] - expected) / (1.0 + expected)
-                yield np.max((_row_deviation(closed, table).max(), pattern.max(initial=0.0)))
+            stacks = (_stacked_tables(two_gap_faber_system, fams, n_highest,
+                                      "the two-gap recurrence"), stacked(fams), stacked(pats))
+            (closed, _), (generic, _), (patterned, _) = stacks
+            # the maps before the first refusal are judged first, then that map raises
+            k = min(len(closed), len(generic), len(patterned))
+            residuals = np.maximum(_row_deviation(closed[:k], generic[:k]).max(axis=-1),
+                                   _pattern_terms(patterned[:k], pats[:k]))
+            for i in range(len(fams)):
+                with _named(f"theorem2 case {block.start + i}, N={n_highest}"):
+                    for tables in stacks:
+                        _case_table(tables, i)
+                yield residuals[i]
     return CheckReport.judged("theorem2", cases(), tol)
+
+
+def _pattern_terms(tables: np.ndarray, pats) -> np.ndarray:
+    """Theorem 2's value pattern at z0 = 0 of each centered map and its table,
+    zero up to n except the single index m + 1: per map the worst of
+    |F_j(0)| over its row scale, j = 1..n, where j = m + 1 holds instead
+    |(|F_{m+1}(0)| - (m + 1)|alpha_m|)| / (1 + (m + 1)|alpha_m|)."""
+    rows = tables[:, 1:]
+    values = np.abs(rows[..., 0])                               # |F_j(0)|, j = 1..N
+    pattern = values / _row_scale(rows)
+    cases = [(i, pat.m, (pat.m + 1) * abs(pat.alpha_m))
+             for i, pat in enumerate(pats) if pat.m < rows.shape[1]]
+    if cases:
+        i, m, expected = map(np.array, zip(*cases))
+        pattern[i, m] = np.abs(values[i, m] - expected) / (1.0 + expected)
+    ns = np.array([pat.n for pat in pats], dtype=int)[:, None]
+    return np.where(np.arange(rows.shape[1]) < ns, pattern, 0.0).max(axis=-1, initial=0.0)
 
 
 #: what theorem 3's perturbed map adds to one of its coefficients, ten times _ZERO
@@ -426,12 +447,12 @@ def suite_lambert(seed: int = 0, tol: float = 1e-12) -> CheckReport:
 def suite_rays(n_highest: int = 24, tol: float = 1e-6) -> CheckReport:
     """Roots of hypocycloid Faber polynomials sit on the cusp rays, m = 1..4.
 
-    The roots come from ``faber_roots`` on the map w + 1/(m w^m), of
-    rotational order m + 1, whose zeros count by the closed-form rows; they
-    are judged against those rows, so that the map and the closed form
-    still meet.  Row j - 1 of a lower-triangular block holds the j roots of
-    F_j.  A root's residual must stay within (64 + 2j) eps of
-    1 + sum_k |c_k| |x|^k, the rule that accepts any root
+    The roots come from the solve of ``faber_roots`` (``_root_array``) on
+    the map w + 1/(m w^m), of rotational order m + 1, whose zeros count by
+    the closed-form rows; they are judged against those rows, so that the
+    map and the closed form still meet.  Row j - 1 of its lower-triangular
+    array holds the j roots of F_j.  A root's residual must stay within
+    (64 + 2j) eps of 1 + sum_k |c_k| |x|^k, the rule that accepts any root
     (``_root_residuals``).  ``tol`` judges the worst angle of a root
     (|x| > 1e-8) off its nearest ray.  Rows are judged in ascending j, and
     the first that does not pass decides m, by ``_judge_ray_row``.
@@ -445,8 +466,7 @@ def suite_rays(n_highest: int = 24, tol: float = 1e-6) -> CheckReport:
             a = to_exterior_map(Hypocycloid(m), m)
             with _named(where):
                 table = hypocycloid_faber_closed_form(m, n_highest)
-                roots = np.zeros((n_highest, n_highest), dtype=complex)
-                roots[own] = np.concatenate(faber_roots(a, table, range(1, n_highest + 1)))
+                roots = _root_array(a, table, range(1, n_highest + 1))
             values, within = _root_residuals(table[1:].T[:, :, None], roots, degrees)
             off = np.where(own & (np.abs(roots) > 1e-8), _off_ray(roots, m), 0.0)
             open_rows = np.flatnonzero((own & ~within).any(axis=1) | (off > tol).any(axis=1))

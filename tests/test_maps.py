@@ -18,7 +18,7 @@ from faberpoly.maps import (BRANCH_POINT, BranchCutError, ExpMap, GapMap, Hypocy
                             univalence_certificate_bound, _shifted_power_table)
 from faberpoly.poly import ComplexPolynomial, evaluate_rows
 from faberpoly.series import PowerSeries
-from faberpoly.suites import draw_two_gap_map
+from faberpoly.suites import _stacked_tables, draw_two_gap_map
 from faberpoly.verify import _row_deviation
 
 try:
@@ -145,6 +145,87 @@ class TestTwoGapSystem:
             emap = to_exterior_map(fam, max(fam.highest_index, 20))
             generic = faber_system_from_recurrence(emap, 20)
             assert _row_deviation(system, generic).max() <= 1e-10
+
+
+def one_map_two_gap_table(fam, n_highest):
+    """The two-gap table of one map, its piecewise recurrence written out one
+    row and one term at a time: the reference of the stacked form."""
+    z0, m, am, n, top = fam.z0, fam.m, fam.alpha_m, fam.n, fam.highest_index
+    head = min(m + 1, n_highest)
+    table = np.zeros((n_highest + 1, n_highest + 1), dtype=complex)
+    table[:head + 1, :head + 1] = _shifted_power_table(z0, head)
+    if head == m + 1:
+        table[head, 0] -= (m + 1) * am
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(head, n_highest):
+            row, prev = table[j + 1], table[j, :j + 1]
+            row[1:j + 2] = prev
+            row[:j + 1] -= z0 * prev
+            row[:j - m + 1] -= am * table[j - m, :j - m + 1]
+            if j >= n:
+                for k in range(n, min(j, top) + 1):
+                    row[:j - k + 1] -= fam.tail[k - n] * table[j - k, :j - k + 1]
+                if j <= top:
+                    row[0] -= j * fam.tail[j - n]
+    return table
+
+
+def mixed_two_gap_maps(seed, count):
+    """Two-gap maps of m = 1..4, n = m + 2 .. m + 5 and tails of 1 to 4
+    entries, a quarter of the later tail entries and of the z0 exactly 0,
+    every other map real (its tables then hold signed zero imaginary parts)."""
+    rng = np.random.default_rng(seed)
+
+    def point(i, zero_share=0.0):       # of map i: real, imaginary part +-0, for even i
+        if rng.uniform() < zero_share:
+            return 0j
+        return complex(*rng.normal(scale=0.4, size=2) * (1, i % 2))
+    maps = []
+    for i in range(count):
+        m = int(rng.integers(1, 5))
+        n = m + 2 + int(rng.integers(0, 4))
+        tail = [point(i)] + [point(i, 0.25) for _ in range(int(rng.integers(0, 4)))]
+        maps.append(TwoGapMap(point(i, 0.25), m, point(i), n, tail))
+    return maps
+
+
+class TestTwoGapStack:
+    """A stack of two-gap maps is each map's table alone, bit for bit, and
+    refuses as its first map that overflows refuses alone."""
+
+    @pytest.mark.parametrize("n_highest", [3, 24, 60, 200])
+    def test_each_table_is_the_one_map_table_bit_for_bit(self, n_highest):
+        maps = mixed_two_gap_maps(n_highest, 12)
+        stack = two_gap_faber_system(maps, n_highest)
+        assert stack.shape == (12, n_highest + 1, n_highest + 1) and not stack.flags.writeable
+        for fam, table in zip(maps, stack):       # bit for bit, signed zeros too
+            assert table.tobytes() == one_map_two_gap_table(fam, n_highest).tobytes()
+            assert table.tobytes() == two_gap_faber_system(fam, n_highest).tobytes()
+        assert two_gap_faber_system(maps[:0], n_highest).shape == (0, n_highest + 1,
+                                                                   n_highest + 1)
+
+    @pytest.mark.parametrize("middle", [
+        TwoGapMap(1e6, 1, 0.3, 3, [0.1]),           # overflows in the recurrence
+        TwoGapMap(1e6, 55, 0.3, 57, [0.1]),         # and in its head rows
+    ], ids=["recurrence", "head"])
+    def test_an_overflowing_map_refuses_the_stack_as_it_refuses_alone(self, middle):
+        maps = mixed_two_gap_maps(5, 6)
+        maps[3:3] = [middle, TwoGapMap(1e7, 2, 0.1, 5, [0.2])]
+        with pytest.raises(OverflowError) as alone:
+            two_gap_faber_system(middle, 60)
+        assert alone.value.map is None
+        with pytest.raises(OverflowError) as stacked:
+            two_gap_faber_system(maps, 60)
+        row = alone.value.row
+        assert (stacked.value.map, stacked.value.row) == (3, row)
+        assert str(stacked.value) == (f"the two-gap recurrence overflows float64 in map 3 "
+                                      f"from F_{row} on")
+        # the suites' reading of a stack: the tables before map 3, then its own error
+        tables, error = _stacked_tables(two_gap_faber_system, maps, 60, "the two-gap recurrence")
+        assert len(tables) == 3
+        assert (str(error), error.map, error.row) == (str(alone.value), None, row)
+        for fam, table in zip(maps, tables):
+            assert table.tobytes() == one_map_two_gap_table(fam, 60).tobytes()
 
 
 class TestHypocycloidClosedForm:

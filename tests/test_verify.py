@@ -1,6 +1,10 @@
 import ast
+import io
+import itertools
+import json
 import math
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,8 +12,9 @@ import numpy as np
 import pytest
 
 import faberpoly.suites as suites
+from faberpoly import cli
 from faberpoly.faber import exp_map_exterior, faber_system_from_recurrence
-from faberpoly.maps import (GapMap, Hypocycloid, exp_map_faber_closed_form,
+from faberpoly.maps import (GapMap, Hypocycloid, TwoGapMap, exp_map_faber_closed_form,
                             gap_faber_closed_form, to_exterior_map, two_gap_faber_system)
 from faberpoly.poly import evaluate_rows
 from faberpoly.suites import draw_disk, draw_gap_map, draw_polar, draw_two_gap_map
@@ -529,8 +534,13 @@ def per_case_theorem2(seed, n_highest=24, tol=1e-9):
 
 
 def generic_two_gap_table(fam, n_highest):
-    """The generic recurrence table of a two-gap map."""
-    return faber_system_from_recurrence(to_exterior_map(fam, n_highest), n_highest)
+    """The generic recurrence table of a two-gap map, or the stack of a
+    sequence of them, each cut to a_N as the suite cuts its maps, so that
+    the stack is bit for bit the suite's own recurrence stack."""
+    if isinstance(fam, TwoGapMap):
+        return faber_system_from_recurrence(to_exterior_map(fam, n_highest), n_highest)
+    return faber_system_from_recurrence(
+        np.array([to_exterior_map(one, n_highest)[:n_highest + 1] for one in fam]), n_highest)
 
 
 def per_case_theorem3(seed, n_highest=20, tol=1e-9):
@@ -592,6 +602,41 @@ def test_theorem2_pattern_term_matches_the_per_case_loop(monkeypatch, seed):
     stacked, expected = suites.suite_theorem2(seed=seed), per_case_theorem2(seed)
     assert any(stacked.residuals)
     assert [r.hex() for r in stacked.residuals] == [r.hex() for r in expected.residuals]
+
+
+def overflowing_draws(monkeypatch, draw, cases):
+    """Patch theorem 2's draws, in the suite and in ``per_case_theorem2``, to
+    ``draw`` but for the unconstrained map of each case in ``cases``, moved to
+    z0 = 1e6, whose tables overflow float64 from about F_52 at N = 60; every
+    draw still takes its uniforms."""
+    count = itertools.count()
+
+    def drawn(rng, pattern_valid=False):
+        fam = draw(rng, pattern_valid)
+        return replace(fam, z0=1e6) if not pattern_valid and next(count) in cases else fam
+    monkeypatch.setattr(suites, "draw_two_gap_map", drawn)
+    monkeypatch.setitem(globals(), "draw_two_gap_map", drawn)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_theorem2_names_the_first_refused_case_of_a_block(monkeypatch, seed):
+    # a block holds 4 maps at N = 60, so cases 5 and 6 sit inside the second
+    # block; the stacked forms refuse at case 5, as the per-case loop does
+    runs, draw = [], suites.draw_two_gap_map
+    for check in (suites.suite_theorem2, per_case_theorem2, cli.main):
+        overflowing_draws(monkeypatch, draw, {5, 6})
+        if check is cli.main:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main(["verify", "--suite", "theorem2", "--N", "60",
+                                 "--seed", str(seed)])
+            assert code == 3 and out.getvalue() == ""
+            runs.append((OverflowError, json.loads(err.getvalue())["message"]))
+        else:
+            runs.append(outcome(check, seed=seed, n_highest=60))
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][1].startswith(
+        "theorem2 case 5, N=60: the two-gap recurrence overflows float64 from F_")
 
 
 class TestStackedCheckers:
